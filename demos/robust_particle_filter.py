@@ -52,8 +52,7 @@ def simulate(rng):
 
 def run(pool, ys, seed):
     rng = np.random.default_rng(seed)
-    state = SmcEnsembleState.initial(np.zeros((PARTICLES, 1)), k=len(pool),
-                                     shared_transition=True)
+    state = SmcEnsembleState.initial(np.zeros((PARTICLES, 1)), k=len(pool))
     wtt = WTTConfig.forgetting(0.7)
     est = np.zeros(STEPS)
     weights = np.zeros((STEPS, len(pool)))

@@ -33,7 +33,6 @@ from .errors import (
     ConfigError,
     ConfigMismatchError,
     DimensionMismatchError,
-    EmptyHistoryError,
     FactorizationFailureError,
     LengthMismatchError,
     NegativeEntryError,
@@ -95,6 +94,6 @@ from .toy import (
     toy_pool,
     write_report,
 )
-from .wtt import WTTConfig, apply_wtt, default_markov_matrix
+from .wtt import WTTConfig, apply_wtt, default_markov_matrix, weight_step
 
 __version__ = "0.1.0"

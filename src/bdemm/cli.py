@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import BdemmError, ConfigError, ParseError
 from .toy import ToyConfig, run_toy_experiment, summary_text, write_report
+from .wtt import KINDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,8 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--alpha", type=float, default=0.5,
                      help="forgetting exponent (default 0.5)")
     toy.add_argument("--wtt", default="forgetting",
-                     choices=["identity", "constant", "markov", "forgetting",
-                              "polya_urn"],
+                     choices=KINDS,
                      help="weight-transition operator (default forgetting)")
     toy.add_argument("--out", required=True, metavar="DIR",
                      help="directory for summary.txt, runs.csv, weights.csv")

@@ -4,8 +4,8 @@ The objects here are the common currency of every engine in the package:
 
 * :class:`WeightVector` -- a point on the probability simplex, one weight per
   candidate model.
-* :class:`WeightHistory` -- the trajectory of posterior weight vectors over
-  time, plus running column sums (cheap fuel for urn-style operators).
+* :class:`WeightHistory` -- the latest posterior weight vector, the running
+  column sums of all of them (fuel for urn-style operators) and their count.
 * :class:`GaussianBelief` -- mean and covariance of a Gaussian state belief.
 * :class:`PointEstimate` -- a bare point estimate of the latent state.
 
@@ -51,6 +51,7 @@ __all__ = [
     "apply_weight_floor",
     "bma_point_estimate",
     "collapse_mixture",
+    "checked_cov",
     "SIMPLEX_ATOL",
     "SYM_ATOL",
     "PSD_ATOL",
@@ -103,63 +104,74 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class WeightHistory:
-    """Ordered record of weight vectors plus running column sums.
+    """What the transition operators need of a weight trajectory.
 
     The first row is the initial weight assignment (time 0); each completed
     step appends its posterior weights, so ``len(history)`` is the number of
-    completed steps plus one.  ``cumulative[k]`` tracks the column sum
-    ``sum_rows w_k`` incrementally, which is what urn-style transition
-    operators consume without replaying the whole record.
+    completed steps plus one.  Every operator reads only the latest row and
+    the column sums ``cumulative[k] = sum_rows w_k``, so those two and the
+    row count are all a history keeps: its size is O(K) however long the
+    stream runs.  Callers that want the trajectory record it themselves.
     """
 
-    rows: tuple
+    last: WeightVector
     cumulative: np.ndarray
+    count: int = 1
 
     def __post_init__(self):
-        if not self.rows:
-            raise ValueError("a weight history must hold at least one row")
-        k = len(self.rows[0])
-        for row in self.rows:
-            if not isinstance(row, WeightVector):
-                raise TypeError("history rows must be WeightVector instances")
-            if len(row) != k:
-                raise DimensionMismatchError("history rows differ in length")
+        if not isinstance(self.last, WeightVector):
+            raise TypeError("history rows must be WeightVector instances")
         cum = np.asarray(self.cumulative, dtype=float)
-        if cum.shape != (k,):
+        if cum.shape != (len(self.last),):
             raise DimensionMismatchError("cumulative sums must be one per model")
-        object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "cumulative", _frozen(cum))
 
     @classmethod
     def start(cls, initial: WeightVector) -> "WeightHistory":
         """History holding only the initial weight assignment."""
-        return cls((initial,), initial.w.copy())
+        return cls(initial, initial.w)
 
     def append(self, weights: WeightVector) -> "WeightHistory":
         """New history with ``weights`` as the latest row (self unchanged)."""
         if len(weights) != self.width:
             raise DimensionMismatchError("appended row has wrong length")
-        return WeightHistory(self.rows + (weights,), self.cumulative + weights.w)
-
-    @property
-    def last(self) -> WeightVector:
-        return self.rows[-1]
+        return WeightHistory(weights, self.cumulative + weights.w,
+                             self.count + 1)
 
     @property
     def width(self) -> int:
-        return len(self.rows[0])
+        return len(self.last)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.count
+
+
+def checked_cov(m, name: str = "covariance") -> np.ndarray:
+    """Validate a covariance matrix and return it re-symmetrized.
+
+    It must be square, finite, symmetric within ``SYM_ATOL`` and positive
+    semidefinite within ``PSD_ATOL``, both scaled by the matrix magnitude so
+    large, perfectly healthy covariances are not rejected for roundoff.
+    """
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError("%s must be square" % name)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("%s must be finite" % name)
+    scale = max(1.0, float(np.abs(m).max()))
+    if float(np.abs(m - m.T).max()) > SYM_ATOL * scale:
+        raise ValueError("%s is not symmetric" % name)
+    m = 0.5 * (m + m.T)
+    if float(np.linalg.eigvalsh(m).min()) < -PSD_ATOL * scale:
+        raise ValueError("%s is not positive semidefinite" % name)
+    return m
 
 
 @dataclass(frozen=True)
 class GaussianBelief:
     """Gaussian state belief N(mean, cov).
 
-    The covariance is re-symmetrized on construction and must be symmetric
-    positive semidefinite up to ``PSD_ATOL`` (scaled by the matrix magnitude
-    so large, perfectly healthy covariances are not rejected for roundoff).
+    The covariance passes :func:`checked_cov`.
     """
 
     mean: np.ndarray
@@ -174,14 +186,9 @@ class GaussianBelief:
         if cov.shape != (d, d):
             raise DimensionMismatchError(
                 "cov must be (%d, %d), got %r" % (d, d, cov.shape))
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not np.all(np.isfinite(mean)):
             raise ValueError("belief must be finite")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if float(np.abs(cov - cov.T).max()) > SYM_ATOL * scale:
-            raise ValueError("covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        if float(np.linalg.eigvalsh(cov).min()) < -PSD_ATOL * scale:
-            raise ValueError("covariance is not positive semidefinite")
+        cov = checked_cov(cov)
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(cov))
 

@@ -28,10 +28,6 @@ class ConfigMismatchError(BdemmError):
     """A weight-transition config lacks, or disagrees with, a required parameter."""
 
 
-class EmptyHistoryError(BdemmError):
-    """A weight history with no rows was handed to an operator that needs one."""
-
-
 class NonFiniteWeightError(BdemmError):
     """An importance weight came out NaN or +inf (target/proposal mismatch)."""
 

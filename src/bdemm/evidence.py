@@ -132,40 +132,48 @@ def effective_sample_size(weights) -> float:
     return float(1.0 / np.sum(wbar * wbar))
 
 
-def _innovation_chol(predictive, B, R):
-    """Cholesky of the innovation covariance S = B P B^T + R."""
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    s = B @ predictive.cov @ B.T + R
-    s = 0.5 * (s + s.T)
-    try:
-        return cho_factor(s, lower=True), s
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCovError(
-            "innovation covariance is not positive definite") from exc
+def gaussian_innovation(y, predictive, B, R):
+    """Innovation terms of a Gaussian belief under a linear observation.
 
-
-def gaussian_log_evidence(y, predictive, B, R) -> float:
-    """Log density of ``y`` under the predicted observation distribution.
-
-    For a Gaussian state belief pushed through a linear observation map
-    ``y = B x + noise`` with noise covariance ``R``, the observation is
-    Gaussian with mean ``B mean`` and covariance ``S = B cov B^T + R``.
+    For a Gaussian state belief pushed through ``y = B x + noise`` with noise
+    covariance ``R``, the observation is Gaussian with mean ``B mean`` and
+    covariance ``S = B cov B^T + R``.  Returns ``(chol, resid, log_ev)``: the
+    lower Cholesky factor of ``S`` in :func:`scipy.linalg.cho_factor` form,
+    the residual ``y - B mean`` and the log density of ``y``.  A residual so
+    large that its quadratic form overflows gives ``log_ev = -inf``.
 
     Raises
     ------
     SingularInnovationCovError
         If ``S`` cannot be Cholesky-factorized.
+    ValueError
+        If ``y`` does not match the rows of ``B``.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    (c, lower), s = _innovation_chol(predictive, B, R)
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    s = B @ predictive.cov @ B.T + R
+    s = 0.5 * (s + s.T)
+    try:
+        chol = cho_factor(s, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovationCovError(
+            "innovation covariance is not positive definite") from exc
     resid = y - B @ predictive.mean
     if resid.shape != (s.shape[0],):
         raise ValueError("observation dimension does not match B")
-    alpha = cho_solve((c, lower), resid)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-    return float(-0.5 * (y.size * LOG_2PI + logdet + resid @ alpha))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    with np.errstate(over="ignore"):
+        quad = resid @ cho_solve(chol, resid)
+    return chol, resid, float(-0.5 * (y.size * LOG_2PI + logdet + quad))
+
+
+def gaussian_log_evidence(y, predictive, B, R) -> float:
+    """Log density of ``y`` under the predicted observation distribution.
+
+    See :func:`gaussian_innovation`, whose third result this is.
+    """
+    return gaussian_innovation(y, predictive, B, R)[2]
 
 
 def gaussian_evidence(y, predictive, B, R) -> float:

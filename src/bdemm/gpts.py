@@ -28,19 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import (
-    WeightHistory,
-    WeightVector,
-    update_model_weights_log,
-)
+from .core import WeightHistory, WeightVector
 from .errors import (
-    AllZeroError,
     DimensionMismatchError,
     FactorizationFailureError,
     ZeroPrecisionError,
 )
 from .evidence import LOG_2PI
-from .wtt import WTTConfig, apply_wtt
+from .wtt import WTTConfig, apply_wtt, weight_step
 
 # jitter ladder, as multiples of the signal variance
 JITTER_START = 1e-10
@@ -110,26 +105,30 @@ class PredictiveGaussian:
         object.__setattr__(self, "var", float(self.var))
 
     def logpdf(self, y: float) -> float:
-        return float(-0.5 * (LOG_2PI + np.log(self.var)
-                             + (y - self.mean) ** 2 / self.var))
+        """Log density at ``y``; ``-inf`` where the squared residual overflows."""
+        with np.errstate(over="ignore"):
+            sq = np.float64(y - self.mean) ** 2
+        return float(-0.5 * (LOG_2PI + np.log(self.var) + sq / self.var))
 
 
 @dataclass(frozen=True)
 class IntelState:
-    """Observation buffer + model weights + weight history."""
+    """Observation buffer + weight history."""
 
     buffer: tuple
-    model_weights: WeightVector
     history: WeightHistory
 
     def __post_init__(self):
-        if len(self.model_weights) != self.history.width:
-            raise DimensionMismatchError("weights and history disagree on K")
         buf = tuple((float(t), float(v)) for t, v in self.buffer)
         times = [t for t, _ in buf]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("buffer timestamps must be strictly increasing")
         object.__setattr__(self, "buffer", buf)
+
+    @property
+    def model_weights(self) -> WeightVector:
+        """Current model weights (the history's latest row)."""
+        return self.history.last
 
     @classmethod
     def initial(cls, k: int = None, weights: WeightVector = None) -> "IntelState":
@@ -137,7 +136,7 @@ class IntelState:
             if k is None:
                 raise DimensionMismatchError("give either k or weights")
             weights = WeightVector.uniform(k)
-        return cls((), weights, WeightHistory.start(weights))
+        return cls((), WeightHistory.start(weights))
 
 
 def _sqexp(model: GPTSModel, a, b):
@@ -268,12 +267,8 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     current = [window_predict(m, state.buffer, t) for m in pool]
     log_evs = np.array([p.logpdf(y_t) for p in current])
 
-    predictive = apply_wtt(wtt_config, state.history)
-    try:
-        weights = update_model_weights_log(predictive, log_evs, floor=weight_floor)
-    except AllZeroError:
-        weights = predictive
-    history = state.history.append(weights)
+    _, history, _ = weight_step(wtt_config, state.history, log_evs,
+                                weight_floor)
 
     max_window = max(m.window for m in pool)
     buffer = (state.buffer + ((t, y_t),))[-max_window:]
@@ -282,8 +277,7 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     fusion_weights = apply_wtt(wtt_config, history)
     fused = poe_combine(per_model, fusion_weights)
 
-    new_state = IntelState(buffer, weights, history)
-    return new_state, fused, per_model
+    return IntelState(buffer, history), fused, per_model
 
 
 def perturb_pool(nominal: GPTSModel, noise_factors) -> list:

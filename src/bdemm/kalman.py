@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .core import (
     GaussianBelief,
@@ -30,16 +30,12 @@ from .core import (
     WeightHistory,
     WeightVector,
     bma_point_estimate,
+    checked_cov,
     collapse_mixture,
-    update_model_weights_log,
 )
-from .errors import (
-    AllZeroError,
-    DimensionMismatchError,
-    SingularInnovationCovError,
-)
-from .evidence import LOG_2PI
-from .wtt import WTTConfig, apply_wtt
+from .errors import DimensionMismatchError
+from .evidence import gaussian_innovation
+from .wtt import WTTConfig, weight_step
 
 logger = logging.getLogger(__name__)
 
@@ -51,19 +47,6 @@ __all__ = [
     "kf_update",
     "kf_bdemm_step",
 ]
-
-
-def _check_cov(m, name, scale_tol=1e-10):
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError("%s must be square" % name)
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > scale_tol * scale:
-        raise ValueError("%s must be symmetric" % name)
-    m = 0.5 * (m + m.T)
-    if float(np.linalg.eigvalsh(m).min()) < -scale_tol * scale:
-        raise ValueError("%s must be positive semidefinite" % name)
-    return m
 
 
 @dataclass(frozen=True)
@@ -78,8 +61,8 @@ class LinearGaussianModel:
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.atleast_2d(np.asarray(self.B, dtype=float))
-        q = _check_cov(self.Q, "Q")
-        r = _check_cov(self.R, "R")
+        q = checked_cov(self.Q, "Q")
+        r = checked_cov(self.R, "R")
         d = a.shape[0]
         if a.shape != (d, d):
             raise DimensionMismatchError("A must be square")
@@ -106,15 +89,15 @@ class LinearGaussianModel:
 
 @dataclass(frozen=True)
 class KfEnsembleState:
-    """Collapsed belief + model weights + weight history after t steps."""
+    """Collapsed belief + weight history after t steps."""
 
     belief: GaussianBelief
-    weights: WeightVector
     history: WeightHistory
 
-    def __post_init__(self):
-        if len(self.weights) != self.history.width:
-            raise DimensionMismatchError("weights and history disagree on K")
+    @property
+    def weights(self) -> WeightVector:
+        """Current model weights (the history's latest row)."""
+        return self.history.last
 
     @classmethod
     def initial(cls, belief: GaussianBelief, k: int = None,
@@ -124,7 +107,7 @@ class KfEnsembleState:
             if k is None:
                 raise DimensionMismatchError("give either k or weights")
             weights = WeightVector.uniform(k)
-        return cls(belief, weights, WeightHistory.start(weights))
+        return cls(belief, WeightHistory.start(weights))
 
 
 @dataclass(frozen=True)
@@ -156,24 +139,13 @@ def _kf_update_log(model, predicted, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (model.obs_dim,):
         raise DimensionMismatchError("observation dimension does not match model")
+    chol, resid, log_ev = gaussian_innovation(y, predicted, model.B, model.R)
     p = predicted.cov
-    s = model.B @ p @ model.B.T + model.R
-    s = 0.5 * (s + s.T)
-    try:
-        chol = cho_factor(s, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCovError(
-            "innovation covariance is not positive definite") from exc
-    resid = y - model.B @ predicted.mean
     # gain G = P B^T S^{-1}, computed as solve(S, B P)^T since P is symmetric
     gain = cho_solve(chol, model.B @ p).T
     mean = predicted.mean + gain @ resid
     cov = p - gain @ model.B @ p
-    posterior = GaussianBelief(mean, 0.5 * (cov + cov.T))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    alpha = cho_solve(chol, resid)
-    log_ev = float(-0.5 * (y.size * LOG_2PI + logdet + resid @ alpha))
-    return posterior, log_ev
+    return GaussianBelief(mean, 0.5 * (cov + cov.T)), log_ev
 
 
 def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
@@ -224,16 +196,14 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         posteriors.append(posterior)
         log_evs[k] = log_ev
 
-    predictive = apply_wtt(wtt_config, state.history)
-    try:
-        weights = update_model_weights_log(predictive, log_evs, floor=weight_floor)
-    except AllZeroError:
+    weights, history, informative = weight_step(wtt_config, state.history,
+                                                log_evs, weight_floor)
+    if not informative:
         # Every evidence underflowed even in the log domain, which takes a
         # residual so extreme the quadratic form overflows.  Conditioning on
         # such an observation would push the posterior means out to where
         # the mixture collapse itself overflows, so the step extracts
         # nothing from it: predictive weights, predicted beliefs.
-        weights = predictive
         posteriors = predictions
 
     estimate = bma_point_estimate([PointEstimate(p.mean) for p in posteriors],
@@ -241,7 +211,7 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     belief = collapse_mixture(posteriors, weights)
     logger.debug("kf step: max model weight %.3g", float(weights.w.max()))
 
-    new_state = KfEnsembleState(belief, weights, state.history.append(weights))
+    new_state = KfEnsembleState(belief, history)
     per_model = [KfModelResult(p, float(np.exp(le)), float(le))
                  for p, le in zip(posteriors, log_evs)]
     return new_state, estimate, per_model

@@ -30,8 +30,8 @@ Transition sampling runs on ``default_rng(seeds[0])`` -- a *fresh* generator
 per model, all seeded identically -- and the resampler on
 ``default_rng(seeds[1])``.  Two consequences: results are reproducible from
 the master seed alone, and models that share a transition see identical
-draws, so propagating once (``shared_transition=True``) is bit-identical to
-the generic path whenever all transitions coincide.
+draws, so when every model holds the same ``sample_transition`` object the
+step propagates the cloud once, bit-identical to propagating it per model.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ from .core import (
     WeightHistory,
     WeightVector,
     bma_point_estimate,
-    update_model_weights_log,
 )
 from .errors import AllZeroError, DimensionMismatchError
 from .evidence import effective_sample_size
-from .wtt import WTTConfig, apply_wtt
+from .wtt import WTTConfig, weight_step
 
 logger = logging.getLogger(__name__)
 
@@ -142,27 +141,26 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class SmcEnsembleState:
-    """Shared particle cloud + model weights + weight history."""
+    """Shared particle cloud + weight history."""
 
     ensemble: ParticleEnsemble
-    model_weights: WeightVector
     history: WeightHistory
-    shared_transition: bool = False
 
-    def __post_init__(self):
-        if len(self.model_weights) != self.history.width:
-            raise DimensionMismatchError("weights and history disagree on K")
+    @property
+    def model_weights(self) -> WeightVector:
+        """Current model weights (the history's latest row)."""
+        return self.history.last
 
     @classmethod
-    def initial(cls, particles, k: int = None, weights: WeightVector = None,
-                shared_transition: bool = False) -> "SmcEnsembleState":
+    def initial(cls, particles, k: int = None,
+                weights: WeightVector = None) -> "SmcEnsembleState":
         """Fresh state from an initial cloud; uniform model weights by default."""
         if weights is None:
             if k is None:
                 raise DimensionMismatchError("give either k or weights")
             weights = WeightVector.uniform(k)
         ens = ParticleEnsemble.equal_weighted(particles)
-        return cls(ens, weights, WeightHistory.start(weights), shared_transition)
+        return cls(ens, WeightHistory.start(weights))
 
 
 @dataclass(frozen=True)
@@ -289,13 +287,15 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
                    weight_floor: float = 0.0, resampling: str = "multinomial"):
     """One observation's worth of ensemble particle filtering.
 
-    See the module docstring for the randomness protocol.  Per-model point
-    estimates are posterior weighted means (minimum mean squared error
-    estimates); the ensemble estimate mixes them with the updated model
-    weights.  If *every* model's likelihood underflows on all particles, the
-    step keeps the predictive model weights, scores each model with its
-    incoming particle weights and resamples from that predictive mixture --
-    the last mixture with finite weights.
+    See the module docstring for the randomness protocol; when every model
+    holds the same ``sample_transition`` object the cloud is propagated once
+    and shared.  Per-model point estimates are posterior weighted means
+    (minimum mean squared error estimates); the ensemble estimate mixes them
+    with the updated model weights.  If *every* model's likelihood
+    underflows on all particles, the step keeps the predictive model
+    weights, scores each model with its incoming particle weights and
+    resamples from that predictive mixture -- the last mixture with finite
+    weights.
 
     Returns
     -------
@@ -312,9 +312,8 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     ens = state.ensemble
     seeds = rng.integers(2 ** 63, size=2)
 
-    predictive = apply_wtt(wtt_config, state.history)
-
-    if state.shared_transition:
+    transition = pool[0].sample_transition
+    if all(m.sample_transition is transition for m in pool):
         moved = propagate(pool[0], ens, t, np.random.default_rng(seeds[0]))
         clouds = [moved] * k_models
     else:
@@ -335,11 +334,8 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
         per_weights.append(u)
         estimates.append(PointEstimate(u @ clouds[k].particles))
 
-    try:
-        weights = update_model_weights_log(predictive, log_evs, floor=weight_floor)
-    except AllZeroError:
-        weights = predictive
-
+    weights, history, _ = weight_step(wtt_config, state.history, log_evs,
+                                      weight_floor)
     estimate = bma_point_estimate(estimates, weights)
 
     aug_particles = np.vstack([c.particles for c in clouds])
@@ -350,9 +346,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     new_ens = resample(aug_particles, aug_weights, ens.n,
                        np.random.default_rng(seeds[1]), scheme=resampling)
 
-    new_state = SmcEnsembleState(new_ens, weights,
-                                 state.history.append(weights),
-                                 state.shared_transition)
+    new_state = SmcEnsembleState(new_ens, history)
     per_model = [SmcModelResult(est, float(np.exp(le)), float(le))
                  for est, le in zip(estimates, log_evs)]
     return new_state, estimate, per_model

@@ -216,7 +216,9 @@ class _KfEngine:
                 np.array([r.evidence for r in per]))
 
 
-def _smc_model(cfg: _Config, base: str, toy: ToyConfig):
+def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
+    """One candidate; toy kinds share ``transition``, so the pool
+    propagates its cloud once per step."""
     kind = cfg.get(base + "kind", required=True)
     if kind == "linear_gaussian":
         return linear_gaussian_ssm(
@@ -225,27 +227,24 @@ def _smc_model(cfg: _Config, base: str, toy: ToyConfig):
             B=np.asarray(cfg.get_list(base + "B", required=True),
                          dtype=float).reshape(1, -1),
             R=_square(cfg.get_list(base + "R", required=True), base + "R"),
-        ), False
-
-    transition = toy_transition(toy)
+        )
 
     def observation(x, t):
         return toy_observation(x[:, 0], t, toy)
 
     if kind == "toy_gaussian":
         var = cfg.get_number(base + "var", default=toy.gauss_noise_var)
-        return additive_noise_ssm(transition, observation,
-                                  gaussian_noise(var)), True
+        return additive_noise_ssm(transition, observation, gaussian_noise(var))
     if kind == "toy_uniform":
         low = cfg.get_number(base + "low", default=toy.robust_low)
         high = cfg.get_number(base + "high", default=toy.robust_high)
         return additive_noise_ssm(transition, observation,
-                                  uniform_noise(low, high)), True
+                                  uniform_noise(low, high))
     if kind == "toy_student_t":
         df = cfg.get_number(base + "df", default=3.0)
         scale = cfg.get_number(base + "scale", default=1.0)
         return additive_noise_ssm(transition, observation,
-                                  student_t_noise(df, scale)), True
+                                  student_t_noise(df, scale))
     raise ConfigError("unknown key %r value %r" % (base + "kind", kind))
 
 
@@ -261,14 +260,9 @@ class _SmcEngine:
             gamma_shape=cfg.get_number("smc.gamma_shape", default=3.0),
             gamma_scale=cfg.get_number("smc.gamma_scale", default=2.0),
         )
-        self.pool = []
-        all_toy = True
-        for i in range(1, k + 1):
-            model, is_toy = _smc_model(cfg, "smc.model.%d." % i, toy)
-            all_toy = all_toy and is_toy
-            self.pool.append(model)
-        shared = bool(cfg.get("smc.shared_transition",
-                              default=1 if all_toy else 0))
+        transition = toy_transition(toy)
+        self.pool = [_smc_model(cfg, "smc.model.%d." % i, toy, transition)
+                     for i in range(1, k + 1)]
         self.rng = np.random.default_rng(seed)
         point = cfg.get_list("smc.init.point")
         if point is not None:
@@ -284,8 +278,7 @@ class _SmcEngine:
                 raise ConfigError("key 'smc.init.cov' must be positive definite")
             particles = mean + self.rng.standard_normal(
                 (n, mean.size)) @ chol.T
-        self.state = SmcEnsembleState.initial(particles, k=k,
-                                              shared_transition=shared)
+        self.state = SmcEnsembleState.initial(particles, k=k)
         self.wtt = _wtt_from_config(cfg, k)
         self.floor = float(cfg.get_number("weight_floor", default=0.0))
         self.obs_dim = 1

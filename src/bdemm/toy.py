@@ -202,12 +202,11 @@ def mse(estimates, truths) -> float:
     return float(diff @ diff / est.size)
 
 
-def _run_filter(pool, shared, observations, config: ToyConfig, wtt, rng):
+def _run_filter(pool, observations, config: ToyConfig, wtt, rng):
     """Filter one series; returns (estimates (T,), weight rows (T, K))."""
     n = config.particles
     particles = np.full((n, 1), config.x0)
-    state = SmcEnsembleState.initial(particles, k=len(pool),
-                                     shared_transition=shared)
+    state = SmcEnsembleState.initial(particles, k=len(pool))
     t_count = observations.size
     estimates = np.empty(t_count)
     weight_rows = np.empty((t_count, len(pool)))
@@ -244,9 +243,9 @@ def run_toy_experiment(config: ToyConfig = ToyConfig()) -> RunReport:
     """
     pool = toy_pool(config)
     pools = {
-        "ensemble": (pool, True),
-        "gaussian_only": (pool[:1], True),
-        "uniform_only": (pool[1:], True),
+        "ensemble": pool,
+        "gaussian_only": pool[:1],
+        "uniform_only": pool[1:],
     }
     per_run = {name: [] for name in ALGORITHMS}
     weight_sum = np.zeros((config.horizon, 2))
@@ -263,10 +262,10 @@ def run_toy_experiment(config: ToyConfig = ToyConfig()) -> RunReport:
                 config, np.random.default_rng([root, 0]))
             run_mse = {}
             for j, name in enumerate(ALGORITHMS):
-                algo_pool, shared = pools[name]
+                algo_pool = pools[name]
                 wtt = config.wtt_config(len(algo_pool))
                 estimates, weight_rows = _run_filter(
-                    algo_pool, shared, observations, config, wtt,
+                    algo_pool, observations, config, wtt,
                     np.random.default_rng([root, 1 + j]))
                 run_mse[name] = mse(estimates, states)
                 if name == "ensemble":

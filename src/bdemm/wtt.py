@@ -23,6 +23,8 @@ provided:
     integer pseudo-counts.  Models with a strong track record keep mass.
 
 Every operator maps the simplex to the simplex; none of them looks at data.
+:func:`weight_step` runs one whole move of the dynamic ensemble, the
+operator followed by Bayes' rule; every engine updates its weights with it.
 """
 
 from __future__ import annotations
@@ -31,14 +33,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightHistory, WeightVector, normalize_weights
-from .errors import ConfigMismatchError, EmptyHistoryError
+from .core import (
+    WeightHistory,
+    WeightVector,
+    normalize_weights,
+    update_model_weights_log,
+)
+from .errors import AllZeroError, ConfigMismatchError
 
 KINDS = ("identity", "constant", "markov", "forgetting", "polya_urn")
 
 MTM_ATOL = 1e-12
 
-__all__ = ["WTTConfig", "apply_wtt", "default_markov_matrix", "KINDS"]
+__all__ = ["WTTConfig", "apply_wtt", "weight_step", "default_markov_matrix",
+           "KINDS"]
 
 
 def default_markov_matrix(k: int, stay: float = 0.9) -> np.ndarray:
@@ -137,19 +145,14 @@ class WTTConfig:
 def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
     """Run one weight-transition step: posterior history in, predictive out.
 
-    Only ``identity`` and ``forgetting`` look at just the latest row;
-    ``polya_urn`` consumes the running column sums of the whole history.
+    ``identity``, ``markov`` and ``forgetting`` read the latest row,
+    ``polya_urn`` the running column sums, ``constant`` neither.
 
     Raises
     ------
-    EmptyHistoryError
-        If the history has no rows (cannot happen for histories built
-        through :meth:`WeightHistory.start`, but guarded anyway).
     ConfigMismatchError
         If the config's parameter disagrees with the history width.
     """
-    if len(history) == 0:  # defensive; WeightHistory forbids empties
-        raise EmptyHistoryError("weight history has no rows")
     last = history.last
     k = history.width
 
@@ -177,3 +180,31 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
         return normalize_weights(config.beta + history.cumulative)
 
     raise ConfigMismatchError("unknown operator %r" % (config.kind,))
+
+
+def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
+                floor: float = 0.0):
+    """One transition-then-Bayes move of the model weights.
+
+    The operator turns ``history`` into predictive weights, and
+    :func:`~bdemm.core.update_model_weights_log` folds in the per-model log
+    evidences (``floor`` is passed through).  If every evidence is zero the
+    observation is uninformative: the predictive weights carry forward.
+
+    Returns
+    -------
+    weights : WeightVector
+        Posterior weights, or the predictive ones on an uninformative step.
+    history : WeightHistory
+        ``history`` with ``weights`` appended.
+    informative : bool
+        False when the predictive weights were carried forward.
+    """
+    predictive = apply_wtt(config, history)
+    try:
+        weights = update_model_weights_log(predictive, log_evidences,
+                                           floor=floor)
+        informative = True
+    except AllZeroError:
+        weights, informative = predictive, False
+    return weights, history.append(weights), informative

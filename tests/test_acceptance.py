@@ -187,13 +187,21 @@ def test_criterion_05_conjugate_evidence(capsys):
 def test_criterion_06_weight_transition_suite(capsys):
     rng = np.random.default_rng(606)
 
-    def rand_history(k, steps):
-        raw = rng.random(k) + 1e-6
-        h = WeightHistory.start(WeightVector(raw / raw.sum()))
-        for _ in range(steps):
+    def rand_rows(k, steps):
+        rows = []
+        for _ in range(steps + 1):
             raw = rng.random(k) + 1e-6
-            h = h.append(WeightVector(raw / raw.sum()))
+            rows.append(raw / raw.sum())
+        return rows
+
+    def history_of(rows):
+        h = WeightHistory.start(WeightVector(rows[0]))
+        for row in rows[1:]:
+            h = h.append(WeightVector(row))
         return h
+
+    def rand_history(k, steps):
+        return history_of(rand_rows(k, steps))
 
     simplex_ok = True
     for _ in range(1000):
@@ -232,10 +240,9 @@ def test_criterion_06_weight_transition_suite(capsys):
     sym_ok = True
     urn = WTTConfig.polya_urn([2, 2])
     for _ in range(100):
-        h = rand_history(2, 4)
-        flipped = WeightHistory.start(WeightVector(h.rows[0].w[::-1]))
-        for row in h.rows[1:]:
-            flipped = flipped.append(WeightVector(row.w[::-1]))
+        rows = rand_rows(2, 4)
+        h = history_of(rows)
+        flipped = history_of([row[::-1] for row in rows])
         if not np.allclose(apply_wtt(urn, h).w,
                            apply_wtt(urn, flipped).w[::-1], atol=1e-15):
             sym_ok = False

@@ -1,5 +1,7 @@
 """Console entry point: subcommands, exit codes, reproducibility."""
 
+import warnings
+
 import pytest
 
 from bdemm.cli import main
@@ -65,6 +67,22 @@ def test_stream_subcommand(tmp_path, capsys):
     assert rc == 0
     assert "wrote 3 row(s)" in capsys.readouterr().out
     assert out.read_text().splitlines()[0] == "step,est_1,w_1,ev_1"
+
+
+def test_stream_gp_overflowing_rows_exit_zero(tmp_path, capsys):
+    # squared residuals overflow: the step falls back as uninformative
+    cfg = tmp_path / "intel.cfg"
+    cfg.write_text("engine = intel\nwtt.kind = forgetting\nwtt.alpha = 0.8\n")
+    obs = tmp_path / "obs.csv"
+    obs.write_text("0.1\n0.2\n1e200\n0.3\n-1e300\n0.1\n")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["stream", "--config", str(cfg), "--input", str(obs),
+                   "--out", str(out)])
+    assert rc == 0
+    assert "wrote 6 row(s)" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 7
 
 
 def test_stream_config_errors_exit_one(tmp_path, capsys):

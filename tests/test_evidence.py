@@ -1,5 +1,7 @@
 """Evidence estimators: importance sampling and the linear-Gaussian closed form."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
@@ -173,3 +175,11 @@ def test_linear_domain_underflow_warns():
         ev = gaussian_evidence(60.0, belief, B=1.0, R=0.5)
     assert ev == 0.0
     assert gaussian_log_evidence(60.0, belief, 1.0, 0.5) < -1000.0
+
+
+@pytest.mark.parametrize("y", [1e160, 1e300])
+def test_overflowing_quadratic_form_gives_minus_inf_quietly(y):
+    belief = GaussianBelief(0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian_log_evidence(y, belief, 1.0, 1.0) == -np.inf

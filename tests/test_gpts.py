@@ -69,7 +69,7 @@ def test_predictive_gaussian():
 
 def test_intel_state_buffer_must_increase():
     with pytest.raises(ValueError):
-        IntelState(((1.0, 0.0), (1.0, 2.0)), WeightVector([1.0]),
+        IntelState(((1.0, 0.0), (1.0, 2.0)),
                    __import__("bdemm").WeightHistory.start(WeightVector([1.0])))
     with pytest.raises(DimensionMismatchError):
         IntelState.initial()

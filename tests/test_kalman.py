@@ -1,5 +1,7 @@
 """Kalman engine: per-model recursions and the ensemble step."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from bdemm import (
     LinearGaussianModel,
     WeightVector,
     WTTConfig,
+    apply_wtt,
     collapse_mixture,
     kf_bdemm_step,
     kf_predict,
@@ -203,6 +206,26 @@ def test_all_models_underflow_skips_the_step():
     assert np.allclose(state.belief.cov, [[1.1]], atol=1e-12)
     for r in per:
         assert np.allclose(r.posterior.mean, [0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("y", [1e160, 1e300])
+def test_overflowing_residual_falls_back_without_warning(y):
+    # the quadratic form overflows to inf: no numpy warning may escape, and
+    # the step keeps the predictive weights and the predicted beliefs
+    pool = _two_model_pool()
+    start = WeightVector([0.7, 0.3])
+    wtt = WTTConfig.forgetting(0.5)
+    state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), weights=start)
+    predictive = apply_wtt(wtt, state.history)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new, est, per = kf_bdemm_step(state, pool, y, wtt)
+    assert np.array_equal(new.weights.w, predictive.w)
+    for model, r in zip(pool, per):
+        predicted = kf_predict(model, state.belief)
+        assert r.log_evidence == -np.inf
+        assert np.array_equal(r.posterior.mean, predicted.mean)
+        assert np.array_equal(r.posterior.cov, predicted.cov)
 
 
 def test_weight_floor_keeps_models_alive():

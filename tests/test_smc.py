@@ -292,22 +292,36 @@ def test_single_model_step_is_bit_identical_to_reference():
         assert state.model_weights.w[0] == 1.0
 
 
-def test_shared_transition_matches_generic_path_bitwise():
-    # identical models: propagating once or per-model with the same seed
-    # must give the same clouds, weights, and estimates
-    model = _random_walk_model()
+def test_shared_propagation_matches_per_model_path_bitwise():
+    # [model, model] holds one transition object and propagates once;
+    # [model, twin] wraps the same transition in a new callable, so it
+    # propagates per model with the same seed: the clouds, weights and
+    # estimates must come out identical
+    base = _random_walk_model()
+    calls = []
+
+    def counted(x, t, rng):
+        calls.append(t)
+        return base.sample_transition(x, t, rng)
+
+    model = GenericStateSpaceModel(counted, base.log_likelihood)
+    twin = GenericStateSpaceModel(lambda x, t, rng: counted(x, t, rng),
+                                  base.log_likelihood)
     particles = np.zeros((40, 1))
     ys = [0.2, 0.9, -0.3, 0.5]
 
-    state_s = SmcEnsembleState.initial(particles, k=2, shared_transition=True)
-    state_g = SmcEnsembleState.initial(particles, k=2, shared_transition=False)
+    state_s = SmcEnsembleState.initial(particles, k=2)
+    state_g = SmcEnsembleState.initial(particles, k=2)
     rng_s = np.random.default_rng(23)
     rng_g = np.random.default_rng(23)
     for i, y in enumerate(ys):
+        del calls[:]
         state_s, est_s, _ = smc_bdemm_step(state_s, [model, model], y, i + 1,
                                            WTTConfig.identity(), rng_s)
-        state_g, est_g, _ = smc_bdemm_step(state_g, [model, model], y, i + 1,
+        assert len(calls) == 1
+        state_g, est_g, _ = smc_bdemm_step(state_g, [model, twin], y, i + 1,
                                            WTTConfig.identity(), rng_g)
+        assert len(calls) == 3
         assert np.array_equal(state_s.ensemble.particles,
                               state_g.ensemble.particles)
         assert np.array_equal(est_s.x_hat, est_g.x_hat)
@@ -322,8 +336,7 @@ def test_ensemble_weights_favor_the_right_noise_model():
                                lambda x, t: x[:, 0], gaussian_noise(1.0))
     unif = additive_noise_ssm(lambda x, t, r: x + r.normal(0, 0.5, x.shape),
                               lambda x, t: x[:, 0], uniform_noise(-50.0, 50.0))
-    state = SmcEnsembleState.initial(np.zeros((100, 1)), k=2,
-                                     shared_transition=True)
+    state = SmcEnsembleState.initial(np.zeros((100, 1)), k=2)
     x = 0.0
     for i in range(25):
         x += rng.normal(0.0, 0.5)
@@ -339,8 +352,7 @@ def test_dead_model_gets_zero_weight_and_neg_inf_evidence():
     obs = lambda x, t: x[:, 0]
     gauss = additive_noise_ssm(shared, obs, gaussian_noise(1.0))
     narrow = additive_noise_ssm(shared, obs, uniform_noise(-0.1, 0.1))
-    state = SmcEnsembleState.initial(np.zeros((30, 1)), k=2,
-                                     shared_transition=True)
+    state = SmcEnsembleState.initial(np.zeros((30, 1)), k=2)
     state, est, per = smc_bdemm_step(state, [gauss, narrow], 3.0, 1,
                                      WTTConfig.identity(),
                                      np.random.default_rng(7))
@@ -357,8 +369,7 @@ def test_all_models_dead_keeps_predictive_weights_and_cloud():
     a = additive_noise_ssm(shared, obs, uniform_noise(-1.0, 1.0))
     b = additive_noise_ssm(shared, obs, uniform_noise(-2.0, 2.0))
     start = WeightVector([0.6, 0.4])
-    state = SmcEnsembleState.initial(np.zeros((20, 1)), weights=start,
-                                     shared_transition=True)
+    state = SmcEnsembleState.initial(np.zeros((20, 1)), weights=start)
     new, est, per = smc_bdemm_step(state, [a, b], 1e6, 1,
                                    WTTConfig.identity(),
                                    np.random.default_rng(9))

@@ -236,6 +236,20 @@ weight_floor = 0.02
         assert abs(cells[2] + cells[3] - 1.0) <= 1e-9
 
 
+def test_smc_toy_models_share_one_transition(tmp_path):
+    # one transition object for the whole pool: the step propagates once
+    cfg = _write(tmp_path, "smcshared.cfg", """\
+engine = smc
+smc.models = 3
+smc.model.1.kind = toy_gaussian
+smc.model.2.kind = toy_uniform
+smc.model.3.kind = toy_student_t
+smc.init.point = [1.0]
+""")
+    pool = build_engine(parse_config(cfg)).pool
+    assert all(m.sample_transition is pool[0].sample_transition for m in pool)
+
+
 def test_smc_linear_gaussian_model_kind(tmp_path):
     cfg = _write(tmp_path, "smclg.cfg", """\
 engine = smc

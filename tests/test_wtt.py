@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from bdemm import WeightHistory, WeightVector, WTTConfig, apply_wtt, default_markov_matrix
+from bdemm import (
+    WeightHistory,
+    WeightVector,
+    WTTConfig,
+    apply_wtt,
+    default_markov_matrix,
+    update_model_weights_log,
+    weight_step,
+)
 from bdemm.errors import ConfigMismatchError
 from bdemm.wtt import KINDS
 
@@ -15,13 +23,16 @@ def _history_from_rows(rows):
     return h
 
 
-def _random_history(rng, k, steps):
-    raw = rng.random(k) + 1e-6
-    h = WeightHistory.start(WeightVector(raw / raw.sum()))
-    for _ in range(steps):
+def _random_rows(rng, k, steps):
+    rows = []
+    for _ in range(steps + 1):
         raw = rng.random(k) + 1e-6
-        h = h.append(WeightVector(raw / raw.sum()))
-    return h
+        rows.append(raw / raw.sum())
+    return rows
+
+
+def _random_history(rng, k, steps):
+    return _history_from_rows(_random_rows(rng, k, steps))
 
 
 def _random_config(rng, kind, k):
@@ -105,8 +116,9 @@ def test_polya_urn_symmetry():
     rng = np.random.default_rng(29)
     beta = WTTConfig.polya_urn([2, 2])
     for _ in range(50):
-        h = _random_history(rng, 2, 5)
-        flipped = _history_from_rows([row.w[::-1] for row in h.rows])
+        rows = _random_rows(rng, 2, 5)
+        h = _history_from_rows(rows)
+        flipped = _history_from_rows([row[::-1] for row in rows])
         a = apply_wtt(beta, h)
         b = apply_wtt(beta, flipped)
         assert np.allclose(a.w, b.w[::-1], atol=1e-15)
@@ -202,3 +214,45 @@ def test_markov_matrix_stored_read_only():
     cfg = WTTConfig.markov(np.eye(2))
     with pytest.raises(ValueError):
         cfg.matrix[0, 0] = 0.5
+
+
+# ---------------------------------------------------------------------------
+# weight_step: transition, then Bayes, then append
+
+
+def test_weight_step_informative_path_is_transition_then_bayes():
+    rng = np.random.default_rng(53)
+    for kind in KINDS:
+        h = _random_history(rng, 3, 4)
+        cfg = _random_config(rng, kind, 3)
+        log_ev = rng.normal(size=3)
+        weights, grown, informative = weight_step(cfg, h, log_ev)
+        expected = update_model_weights_log(apply_wtt(cfg, h), log_ev)
+        assert informative
+        assert np.array_equal(weights.w, expected.w)
+        assert grown.last is weights
+        assert len(grown) == len(h) + 1
+        assert np.array_equal(grown.cumulative, h.cumulative + weights.w)
+
+
+def test_weight_step_all_zero_evidence_carries_predictive_forward():
+    h = _history_from_rows([[0.5, 0.5], [0.9, 0.1]])
+    cfg = WTTConfig.forgetting(0.5)
+    predictive = apply_wtt(cfg, h)
+    weights, grown, informative = weight_step(cfg, h, [-np.inf, -np.inf])
+    assert not informative
+    assert np.array_equal(weights.w, predictive.w)
+    assert grown.last is weights
+    assert len(grown) == len(h) + 1
+    assert np.array_equal(grown.cumulative, h.cumulative + predictive.w)
+
+
+def test_weight_step_passes_the_floor_through():
+    h = _history_from_rows([[0.5, 0.5]])
+    log_ev = [0.0, -50.0]
+    weights, _, informative = weight_step(WTTConfig.identity(), h, log_ev,
+                                          0.05)
+    expected = update_model_weights_log(h.last, log_ev, floor=0.05)
+    assert informative
+    assert np.array_equal(weights.w, expected.w)
+    assert weights.w[1] > 0.04
