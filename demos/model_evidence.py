@@ -9,6 +9,9 @@ place to watch the estimators work.
   closed form          N(0; 0, 2) = 1 / sqrt(4 pi)
   importance sampling  average of p(y|x) over prior draws
   particle cloud       incoming-weight average of per-particle likelihoods
+
+The engines work with log evidences; the closed form and the particle
+estimate are exponentiated here to print them next to the truth.
 """
 
 import numpy as np
@@ -19,9 +22,9 @@ from bdemm import (
     Proposal,
     UnnormalizedTarget,
     effective_sample_size,
-    gaussian_evidence,
+    gaussian_log_evidence,
     is_evidence,
-    mc_evidence,
+    mc_log_evidence,
 )
 
 TRUTH = 1.0 / np.sqrt(4.0 * np.pi)
@@ -29,8 +32,9 @@ TRUTH = 1.0 / np.sqrt(4.0 * np.pi)
 
 def main():
     print("closed form")
-    exact = gaussian_evidence(0.0, GaussianBelief(0.0, 1.0), 1.0, 1.0)
-    print("  gaussian_evidence: %.6f   (1/sqrt(4 pi) = %.6f)"
+    exact = np.exp(gaussian_log_evidence(0.0, GaussianBelief(0.0, 1.0),
+                                         1.0, 1.0))
+    print("  exp(gaussian_log_evidence): %.6f   (1/sqrt(4 pi) = %.6f)"
           % (exact, TRUTH))
 
     # prior as proposal, prior x likelihood as unnormalized target
@@ -56,8 +60,8 @@ def main():
     rng = np.random.default_rng(6)
     for n in (100, 10_000, 1_000_000):
         particles = rng.standard_normal(n)
-        likes = norm.pdf(0.0, loc=particles)
-        est = mc_evidence(np.full(n, 1.0 / n), likes)
+        log_likes = norm.logpdf(0.0, loc=particles)
+        est = np.exp(mc_log_evidence(np.full(n, 1.0 / n), log_likes))
         print("  n=%-9d estimate %.6f   rel error %.2e"
               % (n, est, abs(est - TRUTH) / TRUTH))
 

@@ -16,29 +16,27 @@ from bdemm import (
     WeightHistory,
     WeightVector,
     WTTConfig,
-    apply_wtt,
-    update_model_weights,
+    weight_step,
 )
 
 STEPS = 32
 FLIP = 15
 
 
-def evidence_at(t):
-    # likelihood of the step's observation under each model; the second
+def log_evidence_at(t):
+    # log likelihood of the step's observation under each model; the second
     # regime is a little clearer than the first (ratio 10:3 vs 3:1)
     if t <= FLIP:
-        return np.array([0.6, 0.2])
-    return np.array([0.18, 0.6])
+        return np.log([0.6, 0.2])
+    return np.log([0.18, 0.6])
 
 
 def run(cfg):
     history = WeightHistory.start(WeightVector(np.array([0.5, 0.5])))
     track = np.zeros(STEPS)
     for t in range(1, STEPS + 1):
-        predictive = apply_wtt(cfg, history)
-        posterior = update_model_weights(predictive, evidence_at(t))
-        history = history.append(posterior)
+        # operator, then Bayes' rule on the log evidences, then append
+        posterior, history, _ = weight_step(cfg, history, log_evidence_at(t))
         track[t - 1] = posterior.w[1]  # weight on model B
     return track
 

@@ -24,7 +24,6 @@ from .core import (
     bma_point_estimate,
     collapse_mixture,
     normalize_weights,
-    update_model_weights,
     update_model_weights_log,
 )
 from .errors import (
@@ -45,7 +44,6 @@ from .evidence import (
     Proposal,
     UnnormalizedTarget,
     effective_sample_size,
-    gaussian_evidence,
     gaussian_log_evidence,
     is_evidence,
 )
@@ -75,7 +73,6 @@ from .smc import (
     additive_noise_ssm,
     gaussian_noise,
     linear_gaussian_ssm,
-    mc_evidence,
     mc_log_evidence,
     propagate,
     resample,

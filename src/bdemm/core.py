@@ -9,18 +9,18 @@ The objects here are the common currency of every engine in the package:
 * :class:`GaussianBelief` -- mean and covariance of a Gaussian state belief.
 * :class:`PointEstimate` -- a bare point estimate of the latent state.
 
-Operations are pure functions: state in, state out, nothing mutated.  All
-weight updates run in the log domain with a log-sum-exp normalization so that
-tiny evidences (common under sharply peaked likelihoods) do not underflow the
-update itself.
+Operations are pure functions: state in, state out, nothing mutated.  The
+weight update takes log evidences and normalizes with a log-sum-exp, so tiny
+evidences (common under sharply peaked likelihoods) do not underflow it.
 
 Numerical conventions used throughout the package:
 
 * weight vectors must sum to 1 within ``SIMPLEX_ATOL`` (1e-12),
 * covariance matrices are re-symmetrized as ``(A + A.T) / 2`` after every
   step and must have eigenvalues >= -``PSD_ATOL`` (1e-10),
-* an all-zero evidence vector raises :class:`~bdemm.errors.AllZeroError`;
-  engines catch it and carry the predictive weights forward unchanged.
+* a Bayes update in which every prior-times-evidence product is zero raises
+  :class:`~bdemm.errors.AllZeroError`; engines catch it and carry the
+  predictive weights forward unchanged.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "GaussianBelief",
     "PointEstimate",
     "normalize_weights",
-    "update_model_weights",
     "update_model_weights_log",
     "apply_weight_floor",
     "bma_point_estimate",
@@ -283,23 +282,6 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     if floor > 0.0:
         w = apply_weight_floor(w, floor).w
     return WeightVector(w)
-
-
-def update_model_weights(prior: WeightVector, evidences,
-                         floor: float = 0.0) -> WeightVector:
-    """Bayes update of model weights from linear-domain evidences.
-
-    Thin wrapper over :func:`update_model_weights_log`; see there for the
-    contract.  Evidences must be nonnegative and finite.
-    """
-    ev = np.atleast_1d(np.asarray(evidences, dtype=float))
-    if np.any(ev < 0.0):
-        raise NegativeEntryError("evidences must be nonnegative")
-    if not np.all(np.isfinite(ev)):
-        raise ValueError("evidences must be finite")
-    with np.errstate(divide="ignore"):
-        log_ev = np.log(ev)
-    return update_model_weights_log(prior, log_ev, floor=floor)
 
 
 def apply_weight_floor(w, floor: float) -> WeightVector:

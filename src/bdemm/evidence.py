@@ -1,17 +1,19 @@
 """Marginal likelihood (evidence) estimators.
 
-Two estimators live here.  :func:`is_evidence` is the generic importance
-sampler: draw from a proposal, weight by target-over-proposal, average.  It
-estimates the normalizing constant of an unnormalized target density, which
-is the model evidence when the target is prior-times-likelihood.
-:func:`gaussian_evidence` is the closed form for the linear-Gaussian case,
-where the evidence of an observation is just a Gaussian density under the
-predicted observation distribution.
+The engines' weight updates take log evidences, and the kernels here give
+them: :func:`gaussian_innovation` (through :func:`gaussian_log_evidence`) is
+the closed form for the linear-Gaussian case, where the evidence of an
+observation is a Gaussian density under the predicted observation
+distribution, and it also serves the Kalman update.  The particle engine's
+evidence is the normalizer of its reweighting step
+(:func:`bdemm.smc.mc_log_evidence`).
 
-Both work in the log domain internally.  If the linear-domain result
-underflows to zero the functions return 0.0 and emit a ``RuntimeWarning``
-instead of raising: downstream weight updates take log evidences anyway, so
-an underflowed linear value is a reporting artifact, not a failure.
+:func:`is_evidence` is the generic importance sampler: draw from a proposal,
+weight by target-over-proposal, average through a log-sum-exp.  It estimates
+the normalizing constant of an unnormalized target density, which is the
+model evidence when the target is prior-times-likelihood.  It reports the
+estimate in the linear domain: 0.0 with a ``RuntimeWarning`` if that
+underflows.
 
 The callables inside :class:`UnnormalizedTarget` and :class:`Proposal` are
 vectorized over a leading batch axis: ``sample(rng, n)`` returns an (n, d)
@@ -35,7 +37,6 @@ __all__ = [
     "UnnormalizedTarget",
     "Proposal",
     "is_evidence",
-    "gaussian_evidence",
     "gaussian_log_evidence",
     "effective_sample_size",
 ]
@@ -174,16 +175,3 @@ def gaussian_log_evidence(y, predictive, B, R) -> float:
     See :func:`gaussian_innovation`, whose third result this is.
     """
     return gaussian_innovation(y, predictive, B, R)[2]
-
-
-def gaussian_evidence(y, predictive, B, R) -> float:
-    """Linear-domain version of :func:`gaussian_log_evidence`.
-
-    Returns 0.0 with a ``RuntimeWarning`` if the density underflows.
-    """
-    log_ev = gaussian_log_evidence(y, predictive, B, R)
-    ev = float(np.exp(log_ev))
-    if ev == 0.0 and log_ev > -np.inf:
-        warnings.warn("evidence underflowed in the linear domain; returning 0",
-                      RuntimeWarning, stacklevel=2)
-    return ev

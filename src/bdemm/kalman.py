@@ -6,14 +6,12 @@ Each candidate model is a linear-Gaussian state-space pair
     y_t = B x_t     + obs noise,       obs noise     ~ N(0, R)
 
 so per-model prediction and update are the textbook Kalman recursions and
-the per-model evidence is available in closed form as a Gaussian density.
-The ensemble layer mixes the K per-model posteriors: model weights move
-through a weight-transition operator, get a Bayes update from the closed
-form evidences, and the posterior mixture is moment-matched back down to a
-single Gaussian that seeds all K models at the next step.  That collapse is
-what keeps the state representation from branching into K^t components.
-
-All evidences travel to the weight update in the log domain.
+the per-model log evidence is available in closed form as a Gaussian log
+density.  The ensemble layer mixes the K per-model posteriors: model weights
+move through a weight-transition operator, get a Bayes update from the log
+evidences, and the posterior mixture is moment-matched back down to a single
+Gaussian that seeds all K models at the next step.  That collapse is what
+keeps the state representation from branching into K^t components.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .core import (
     PointEstimate,
     WeightHistory,
     WeightVector,
-    bma_point_estimate,
     checked_cov,
     collapse_mixture,
 )
@@ -115,7 +112,6 @@ class KfModelResult:
     """Per-model output of one ensemble step."""
 
     posterior: GaussianBelief
-    evidence: float
     log_evidence: float
 
 
@@ -128,11 +124,16 @@ def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBe
     return GaussianBelief(mean, 0.5 * (cov + cov.T))
 
 
-def _kf_update_log(model, predicted, y):
-    """Measurement update plus log evidence, sharing one factorization.
+def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
+    """Kalman measurement update plus log evidence, sharing one factorization.
 
-    Returns (posterior, log_evidence).  The evidence is the Gaussian density
-    of ``y`` under N(B mean, S) with S = B P B^T + R.
+    Returns
+    -------
+    posterior : GaussianBelief
+    log_evidence : float
+        Log density of ``y`` under the predicted observation distribution
+        N(B mean, S), S = B P B^T + R; ``-inf`` if its quadratic form
+        overflows.
     """
     if predicted.dim != model.state_dim:
         raise DimensionMismatchError("belief dimension does not match model")
@@ -148,30 +149,16 @@ def _kf_update_log(model, predicted, y):
     return GaussianBelief(mean, 0.5 * (cov + cov.T)), log_ev
 
 
-def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
-    """Kalman measurement update.
-
-    Returns
-    -------
-    posterior : GaussianBelief
-    evidence : float
-        Density of ``y`` under the predicted observation distribution
-        N(B mean, B cov B^T + R); may underflow to 0.0 in the linear domain.
-    """
-    posterior, log_ev = _kf_update_log(model, predicted, y)
-    return posterior, float(np.exp(log_ev))
-
-
 def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
                   weight_floor: float = 0.0):
     """One observation's worth of ensemble filtering over K linear models.
 
     Every model predicts from the shared collapsed belief, updates on ``y``
-    and reports its evidence; the weight-transition operator proposes
+    and reports its log evidence; the weight-transition operator proposes
     predictive weights, Bayes' rule updates them with the evidences, and the
-    weighted posteriors are averaged (point estimate) and moment-matched
-    (next shared belief).  If every evidence underflows to zero the step is
-    treated as uninformative: the predictive weights carry forward unchanged
+    weighted posteriors are moment-matched into the next shared belief,
+    whose mean is the point estimate.  If every log evidence is ``-inf`` the
+    step is treated as uninformative: the predictive weights carry forward unchanged
     and the measurement update is skipped, so the per-model results report
     the predicted beliefs instead of posteriors conditioned on an
     observation no candidate can represent.
@@ -180,7 +167,7 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     -------
     state : KfEnsembleState
     estimate : PointEstimate
-        Weight-averaged posterior mean (equals the collapsed mean exactly).
+        The collapsed mean, which is the weight-averaged posterior mean.
     per_model : list of KfModelResult
     """
     pool = list(pool)
@@ -191,7 +178,7 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     log_evs = np.empty(len(pool))
     for k, model in enumerate(pool):
         predicted = kf_predict(model, state.belief)
-        posterior, log_ev = _kf_update_log(model, predicted, y)
+        posterior, log_ev = kf_update(model, predicted, y)
         predictions.append(predicted)
         posteriors.append(posterior)
         log_evs[k] = log_ev
@@ -206,12 +193,11 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         # nothing from it: predictive weights, predicted beliefs.
         posteriors = predictions
 
-    estimate = bma_point_estimate([PointEstimate(p.mean) for p in posteriors],
-                                  weights)
     belief = collapse_mixture(posteriors, weights)
+    estimate = PointEstimate(belief.mean)
     logger.debug("kf step: max model weight %.3g", float(weights.w.max()))
 
     new_state = KfEnsembleState(belief, history)
-    per_model = [KfModelResult(p, float(np.exp(le)), float(le))
+    per_model = [KfModelResult(p, float(le))
                  for p, le in zip(posteriors, log_evs)]
     return new_state, estimate, per_model

@@ -3,8 +3,9 @@
 Each candidate model k supplies a transition sampler and a log likelihood;
 nothing else is assumed about it.  A single particle cloud is shared by the
 whole pool.  Per step and per model the cloud is propagated through the
-model's transition, reweighted by its likelihood, and the model evidence is
-estimated as the likelihood average under the incoming particle weights.
+model's transition and reweighted by its likelihood; the normalizer of that
+reweighting, the likelihood average under the incoming particle weights, is
+the model's (log) evidence.
 Model weights then get the usual transition-then-Bayes treatment, and the
 clouds are merged back into one: every (model, particle) pair enters an
 augmented set with weight ``model_weight * particle_weight``, from which N
@@ -68,7 +69,6 @@ __all__ = [
     "SmcModelResult",
     "propagate",
     "reweight",
-    "mc_evidence",
     "mc_log_evidence",
     "resample",
     "smc_bdemm_step",
@@ -168,7 +168,6 @@ class SmcModelResult:
     """Per-model output of one ensemble step."""
 
     point_estimate: PointEstimate
-    evidence: float
     log_evidence: float
 
 
@@ -198,8 +197,9 @@ def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
     """Fold the observation into the particle weights.
 
     New weights are ``u_i ∝ u_prev_i * p(y | x_i)``, normalized in the log
-    domain.  Also returns the raw per-particle log likelihoods, which the
-    evidence estimate reuses.
+    domain.  The normalizer is the model's log evidence,
+    :func:`mc_log_evidence` of the incoming weights and the likelihoods, and
+    is returned with the weights.
 
     Raises
     ------
@@ -216,13 +216,18 @@ def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
     # from pure rounding noise, so the caller gets to decide the fallback.
     if float(np.max(lw)) < UNDERFLOW_LOG:
         raise AllZeroError("all particle weights underflowed")
-    w = np.exp(lw - logsumexp(lw))
+    log_ev = mc_log_evidence(propagated.weights, ll)
+    w = np.exp(lw - log_ev)
     w = w / w.sum()
-    return w, ll
+    return w, log_ev
 
 
 def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
-    """Log of ``sum_i u_i p(y | x_i)``; ``-inf`` when it underflows entirely."""
+    """Log of ``sum_i u_i p(y | x_i)``; ``-inf`` when it underflows entirely.
+
+    With uniform incoming weights this is the log of the plain average of
+    the likelihood values.
+    """
     u = np.atleast_1d(np.asarray(incoming_weights, dtype=float))
     ll = np.atleast_1d(np.asarray(log_likelihoods, dtype=float))
     if u.shape != ll.shape:
@@ -232,21 +237,6 @@ def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
     if float(np.max(lw)) == -np.inf:
         return -np.inf
     return float(logsumexp(lw))
-
-
-def mc_evidence(incoming_weights, likelihoods) -> float:
-    """Monte Carlo evidence ``sum_i u_i p(y | x_i)`` (linear domain).
-
-    Accumulates in the log domain; with uniform incoming weights this is the
-    plain average of the likelihood values.
-    """
-    lik = np.atleast_1d(np.asarray(likelihoods, dtype=float))
-    if np.any(lik < 0.0) or not np.all(np.isfinite(lik)):
-        raise ValueError("likelihoods must be finite and nonnegative")
-    with np.errstate(divide="ignore"):
-        ll = np.log(lik)
-    log_ev = mc_log_evidence(incoming_weights, ll)
-    return float(np.exp(log_ev))
 
 
 def resample(particles, weights, n_out: int, rng: np.random.Generator,
@@ -325,8 +315,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     estimates = []
     for k, model in enumerate(pool):
         try:
-            u, ll = reweight(model, clouds[k], y, t)
-            log_evs[k] = mc_log_evidence(ens.weights, ll)
+            u, log_evs[k] = reweight(model, clouds[k], y, t)
         except AllZeroError:
             # model explains nothing this step: dead weight, prior estimate
             u = clouds[k].weights
@@ -347,7 +336,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
                        np.random.default_rng(seeds[1]), scheme=resampling)
 
     new_state = SmcEnsembleState(new_ens, history)
-    per_model = [SmcModelResult(est, float(np.exp(le)), float(le))
+    per_model = [SmcModelResult(est, float(le))
                  for est, le in zip(estimates, log_evs)]
     return new_state, estimate, per_model
 

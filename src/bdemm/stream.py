@@ -24,10 +24,15 @@ Example::
     kf.init.mean = [0.0]
     kf.init.cov = [1.0]
 
+Every bad value, missing key or inconsistency raises
+:class:`~bdemm.errors.ConfigError` from :func:`build_engine`, before any
+observation is read.
+
 The observation file is a headerless CSV of numbers, one observation vector
 per row.  The output carries one row per input row: step index, state
-estimate, model weights, per-model evidences.  An input with no data rows
-produces an empty output file.
+estimate, model weights, per-model evidences.  The engines report log
+evidences; the ``ev_k`` columns hold ``exp`` of them, which is 0.0 where it
+underflows.  An input with no data rows produces an empty output file.
 """
 
 from __future__ import annotations
@@ -38,10 +43,11 @@ import math
 import numpy as np
 
 from .core import GaussianBelief, WeightVector
-from .errors import ConfigError, ParseError
+from .errors import BdemmError, ConfigError, ParseError
 from .gpts import GPTSModel, IntelState, intel_step, perturb_pool, window_predict
 from .kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
 from .smc import (
+    RESAMPLING_SCHEMES,
     SmcEnsembleState,
     additive_noise_ssm,
     gaussian_noise,
@@ -133,6 +139,12 @@ class _Config:
             raise ConfigError("key %r must be a number" % key)
         return val
 
+    def get_int(self, key, default=None, required=False, minimum=0):
+        val = self.get(key, default=default, required=required)
+        if not isinstance(val, int) or val < minimum:
+            raise ConfigError("key %r must be an integer >= %d" % (key, minimum))
+        return val
+
     def check_exhausted(self):
         extra = sorted(set(self.raw) - self.used)
         if extra:
@@ -149,31 +161,30 @@ def _square(values, key):
 
 def _wtt_from_config(cfg: _Config, k: int) -> WTTConfig:
     kind = cfg.get("wtt.kind", default="identity")
-    try:
-        if kind == "identity":
-            return WTTConfig.identity()
-        if kind == "constant":
-            vec = cfg.get_list("wtt.constants", required=True)
-            return WTTConfig.constant(vec)
-        if kind == "markov":
-            mat = cfg.get_list("wtt.matrix", required=True)
-            return WTTConfig.markov(_square(mat, "wtt.matrix"))
-        if kind == "forgetting":
-            return WTTConfig.forgetting(cfg.get_number("wtt.alpha", required=True))
-        if kind == "polya_urn":
-            return WTTConfig.polya_urn(cfg.get_list("wtt.beta", required=True))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("bad weight-transition config: %s" % exc)
-    raise ConfigError("unknown key 'wtt.kind' value %r" % kind)
+    if kind == "identity":
+        return WTTConfig.identity()
+    if kind == "forgetting":
+        return WTTConfig.forgetting(cfg.get_number("wtt.alpha", required=True))
+    # the other operators carry one parameter entry per model (markov: K x K)
+    params = {
+        "constant": ("wtt.constants", k, WTTConfig.constant),
+        "markov": ("wtt.matrix", k * k,
+                   lambda v: WTTConfig.markov(np.reshape(v, (k, k)))),
+        "polya_urn": ("wtt.beta", k, WTTConfig.polya_urn),
+    }
+    if not isinstance(kind, str) or kind not in params:
+        raise ConfigError("unknown key 'wtt.kind' value %r" % (kind,))
+    key, size, build = params[kind]
+    values = cfg.get_list(key, required=True)
+    if len(values) != size:
+        raise ConfigError("key %r must hold %d values for %d models"
+                          % (key, size, k))
+    return build(values)
 
 
 class _KfEngine:
     def __init__(self, cfg: _Config):
-        k = cfg.get("kf.models", required=True)
-        if not isinstance(k, int) or k < 1:
-            raise ConfigError("key 'kf.models' must be a positive integer")
+        k = cfg.get_int("kf.models", required=True, minimum=1)
         self.pool = []
         for i in range(1, k + 1):
             base = "kf.model.%d." % i
@@ -186,26 +197,19 @@ class _KfEngine:
                 raise ConfigError("key %r length does not fit the obs dim"
                                   % (base + "B",))
             b = np.asarray(b_flat, dtype=float).reshape(m, -1)
-            try:
-                model = LinearGaussianModel(A=a, Q=q, B=b, R=r)
-            except Exception as exc:
-                raise ConfigError("bad model under %r: %s" % (base, exc))
-            self.pool.append(model)
+            self.pool.append(LinearGaussianModel(A=a, Q=q, B=b, R=r))
         d = self.pool[0].state_dim
         mean = cfg.get_list("kf.init.mean", required=True)
         cov = _square(cfg.get_list("kf.init.cov", required=True), "kf.init.cov")
         init_w = cfg.get_list("kf.init.weights")
-        try:
-            weights = (WeightVector(np.asarray(init_w, dtype=float))
-                       if init_w else WeightVector.uniform(k))
-            belief = GaussianBelief(np.asarray(mean, dtype=float), cov)
-        except Exception as exc:
-            raise ConfigError("bad kf.init.*: %s" % exc)
+        weights = (WeightVector(np.asarray(init_w, dtype=float))
+                   if init_w else WeightVector.uniform(k))
+        if len(weights) != k:
+            raise ConfigError("key 'kf.init.weights' must hold one weight per model")
+        belief = GaussianBelief(np.asarray(mean, dtype=float), cov)
         if belief.dim != d:
             raise ConfigError("key 'kf.init.mean' does not match the state dim")
         self.state = KfEnsembleState.initial(belief, weights=weights)
-        self.wtt = _wtt_from_config(cfg, k)
-        self.floor = float(cfg.get_number("weight_floor", default=0.0))
         self.obs_dim = self.pool[0].obs_dim
         self.est_dim = d
 
@@ -213,7 +217,7 @@ class _KfEngine:
         self.state, est, per = kf_bdemm_step(self.state, self.pool, y,
                                              self.wtt, weight_floor=self.floor)
         return (est.x_hat, self.state.weights.w,
-                np.array([r.evidence for r in per]))
+                np.array([r.log_evidence for r in per]))
 
 
 def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
@@ -250,12 +254,13 @@ def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
 
 class _SmcEngine:
     def __init__(self, cfg: _Config):
-        k = cfg.get("smc.models", required=True)
-        if not isinstance(k, int) or k < 1:
-            raise ConfigError("key 'smc.models' must be a positive integer")
-        n = cfg.get("smc.particles", default=200)
-        seed = cfg.get("smc.seed", default=0)
+        k = cfg.get_int("smc.models", required=True, minimum=1)
+        n = cfg.get_int("smc.particles", default=200, minimum=1)
+        seed = cfg.get_int("smc.seed", default=0)
         self.resampling = cfg.get("smc.resampling", default="multinomial")
+        if self.resampling not in RESAMPLING_SCHEMES:
+            raise ConfigError("key 'smc.resampling' must be one of %s"
+                              % ", ".join(RESAMPLING_SCHEMES))
         toy = ToyConfig(
             gamma_shape=cfg.get_number("smc.gamma_shape", default=3.0),
             gamma_scale=cfg.get_number("smc.gamma_scale", default=2.0),
@@ -279,8 +284,6 @@ class _SmcEngine:
             particles = mean + self.rng.standard_normal(
                 (n, mean.size)) @ chol.T
         self.state = SmcEnsembleState.initial(particles, k=k)
-        self.wtt = _wtt_from_config(cfg, k)
-        self.floor = float(cfg.get_number("weight_floor", default=0.0))
         self.obs_dim = 1
         self.est_dim = particles.shape[1]
 
@@ -289,7 +292,7 @@ class _SmcEngine:
             self.state, self.pool, y, t, self.wtt, self.rng,
             weight_floor=self.floor, resampling=self.resampling)
         return (est.x_hat, self.state.model_weights.w,
-                np.array([r.evidence for r in per]))
+                np.array([r.log_evidence for r in per]))
 
 
 class _IntelEngine:
@@ -299,42 +302,52 @@ class _IntelEngine:
             signal_variance=cfg.get_number("intel.signal_variance", default=1.0),
             lengthscale=cfg.get_number("intel.lengthscale", default=1.0),
             noise_var=cfg.get_number("intel.noise_variance", default=0.01),
-            window=cfg.get("intel.window", default=10),
+            window=cfg.get_int("intel.window", default=10, minimum=1),
         )
         factors = cfg.get_list("intel.noise_factors", default=[1.0, 100.0])
-        try:
-            self.pool = perturb_pool(nominal, factors)
-        except Exception as exc:
-            raise ConfigError("bad intel.noise_factors: %s" % exc)
-        k = len(self.pool)
-        self.state = IntelState.initial(k=k)
-        self.wtt = _wtt_from_config(cfg, k)
-        self.floor = float(cfg.get_number("weight_floor", default=0.0))
+        self.pool = perturb_pool(nominal, factors)
+        self.state = IntelState.initial(k=len(self.pool))
         self.obs_dim = 1
         self.est_dim = 1
 
     def step(self, y, t):
         y = float(np.atleast_1d(y)[0])
-        evidences = np.array([
-            np.exp(window_predict(m, self.state.buffer, t).logpdf(y))
-            for m in self.pool])
+        log_evs = np.array([window_predict(m, self.state.buffer, t).logpdf(y)
+                            for m in self.pool])
         self.state, fused, _ = intel_step(self.state, self.pool, y, t,
                                           self.wtt, weight_floor=self.floor)
-        return (np.array([fused.mean]), self.state.model_weights.w, evidences)
+        return (np.array([fused.mean]), self.state.model_weights.w, log_evs)
 
 
 def build_engine(config: dict):
-    """Assemble a filtering engine from a parsed config dict."""
+    """Assemble a filtering engine from a parsed config dict.
+
+    The engine's ``step(y, t)`` returns the state estimate, the model
+    weights and the per-model log evidences.  Any bad value raises
+    :class:`~bdemm.errors.ConfigError`.
+    """
     cfg = _Config(config)
     engine_kind = cfg.get("engine", required=True)
-    if engine_kind == "kf":
-        engine = _KfEngine(cfg)
-    elif engine_kind == "smc":
-        engine = _SmcEngine(cfg)
-    elif engine_kind == "intel":
-        engine = _IntelEngine(cfg)
-    else:
-        raise ConfigError("unknown key 'engine' value %r" % engine_kind)
+    try:
+        if engine_kind == "kf":
+            engine = _KfEngine(cfg)
+        elif engine_kind == "smc":
+            engine = _SmcEngine(cfg)
+        elif engine_kind == "intel":
+            engine = _IntelEngine(cfg)
+        else:
+            raise ConfigError("unknown key 'engine' value %r" % (engine_kind,))
+        # the weight settings are the same for every engine: read them once
+        k = len(engine.pool)
+        engine.wtt = _wtt_from_config(cfg, k)
+    except ConfigError:
+        raise
+    except (BdemmError, ValueError) as exc:
+        raise ConfigError("bad %s config: %s" % (engine_kind, exc)) from exc
+    engine.floor = float(cfg.get_number("weight_floor", default=0.0))
+    if not 0.0 <= engine.floor < 1.0 / k:
+        raise ConfigError("key 'weight_floor' must sit in [0, 1/K) = [0, %g)"
+                          % (1.0 / k))
     cfg.check_exhausted()
     return engine
 
@@ -378,8 +391,8 @@ def run_stream(config_path, input_path, output_path) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for i, y in enumerate(observations):
-            est, weights, evidences = engine.step(y, i + 1)
+            est, weights, log_evs = engine.step(y, i + 1)
             writer.writerow([i + 1] + [repr(float(v)) for v in est]
                             + [repr(float(v)) for v in weights]
-                            + [repr(float(v)) for v in evidences])
+                            + [repr(float(v)) for v in np.exp(log_evs)])
     return observations.shape[0]

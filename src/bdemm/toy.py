@@ -98,6 +98,9 @@ class ToyConfig:
             raise ValueError("horizon, runs and particles must be >= 1")
         if self.gauss_noise_var <= 0.0:
             raise ValueError("gaussian noise variance must be positive")
+        # zero is allowed: a zero scale is the noise-free recursion
+        if not (self.gamma_shape >= 0.0 and self.gamma_scale >= 0.0):
+            raise ValueError("gamma shape and scale must be nonnegative")
         object.__setattr__(self, "outlier_steps", frozenset(self.outlier_steps))
         self.wtt_config(2)  # fail at construction, not inside run 0
 

@@ -5,6 +5,8 @@ import warnings
 import pytest
 
 from bdemm.cli import main
+from bdemm.errors import ConfigError
+from bdemm.stream import build_engine, parse_config
 
 KF_CFG = """\
 engine = kf
@@ -114,8 +116,70 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert out.count("ok") >= 8
+KF_PAIR = KF_CFG.replace("kf.models = 1", "kf.models = 2") + """\
+kf.model.2.A = [1.0]
+kf.model.2.Q = [0.1]
+kf.model.2.B = [1.0]
+kf.model.2.R = [100.0]
+"""
+
+SMC_TOY = """\
+engine = smc
+smc.models = 2
+smc.model.1.kind = toy_gaussian
+smc.model.2.kind = toy_uniform
+smc.init.point = [1.0]
+"""
+
+SMC_LINEAR = """\
+engine = smc
+smc.models = 1
+smc.model.1.kind = linear_gaussian
+smc.model.1.A = [1.0]
+smc.model.1.Q = [-1.0]
+smc.model.1.B = [1.0]
+smc.model.1.R = [1.0]
+smc.init.mean = [0.0]
+smc.init.cov = [1.0]
+"""
+
+INTEL_CFG = "engine = intel\n"
+
+
+@pytest.mark.parametrize("text", [
+    KF_PAIR + "weight_floor = 0.6\n",
+    KF_PAIR + "weight_floor = -1\n",
+    KF_PAIR + "wtt.kind = constant\nwtt.constants = [0.2, 0.3, 0.5]\n",
+    KF_PAIR + "kf.init.weights = [1.0]\n",
+    SMC_TOY + "smc.particles = 2.5\n",
+    SMC_TOY + "smc.particles = 0\n",
+    SMC_TOY + "smc.seed = -1\n",
+    SMC_TOY + "smc.seed = abc\n",
+    SMC_TOY + "smc.resampling = bogus\n",
+    SMC_TOY + "smc.gamma_shape = -1\n",
+    SMC_TOY + "smc.model.1.var = -1\n",
+    SMC_LINEAR,
+    INTEL_CFG + "intel.window = abc\n",
+    INTEL_CFG + "intel.window = 0\n",
+    INTEL_CFG + "intel.signal_variance = -1\n",
+], ids=["floor-above-1/K", "floor-negative", "wtt-width", "init-weights-width",
+        "particles-fraction", "particles-zero", "seed-negative", "seed-word",
+        "resampling-unknown", "gamma-shape-negative", "noise-var-negative",
+        "linear-gaussian-Q-negative", "window-word", "window-zero",
+        "signal-variance-negative"])
+def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
+                                                          text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError):
+        build_engine(parse_config(str(cfg)))
+    obs = tmp_path / "obs.csv"
+    obs.write_text("0.1\n0.2\n")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["stream", "--config", str(cfg), "--input", str(obs),
+                   "--out", str(out)])
+    assert rc == 1
+    assert "bdemm stream:" in capsys.readouterr().err
+    assert not out.exists()

@@ -13,7 +13,6 @@ from bdemm import (
     SingularInnovationCovError,
     UnnormalizedTarget,
     effective_sample_size,
-    gaussian_evidence,
     gaussian_log_evidence,
     is_evidence,
 )
@@ -126,17 +125,18 @@ def test_ess_is_scale_invariant():
 
 def test_gaussian_evidence_standard_normal():
     belief = GaussianBelief(0.0, 0.5)
-    ev = gaussian_evidence(0.0, belief, B=1.0, R=0.5)
-    assert ev == pytest.approx(0.39894, abs=1e-5)
-    assert ev == pytest.approx(float(norm.pdf(0.0)), rel=1e-12)
+    log_ev = gaussian_log_evidence(0.0, belief, B=1.0, R=0.5)
+    assert np.exp(log_ev) == pytest.approx(0.39894, abs=1e-5)
+    assert log_ev == pytest.approx(float(norm.logpdf(0.0)), rel=1e-12)
 
 
 def test_gaussian_evidence_prediction_case():
     # predicted state N(0, 2), unit observation map and noise, y = 2:
     # observation density N(2; 0, 3)
-    ev = gaussian_evidence(2.0, GaussianBelief(0.0, 2.0), B=1.0, R=1.0)
-    assert ev == pytest.approx(0.11826, abs=1e-5)
-    assert ev == pytest.approx(float(norm.pdf(2.0, scale=np.sqrt(3.0))), rel=1e-12)
+    log_ev = gaussian_log_evidence(2.0, GaussianBelief(0.0, 2.0), B=1.0, R=1.0)
+    assert np.exp(log_ev) == pytest.approx(0.11826, abs=1e-5)
+    assert log_ev == pytest.approx(
+        float(norm.logpdf(2.0, scale=np.sqrt(3.0))), rel=1e-12)
 
 
 def test_gaussian_log_evidence_matches_scipy_multivariate():
@@ -169,12 +169,12 @@ def test_observation_dimension_checked():
 
 
 def test_linear_domain_underflow_warns():
-    # log evidence about -1800: finite in logs, zero as a double
+    # log evidence about -1800: finite in logs, zero as a double; only the
+    # log value is computed, so nothing underflows or warns
     belief = GaussianBelief(0.0, 0.5)
-    with pytest.warns(RuntimeWarning):
-        ev = gaussian_evidence(60.0, belief, B=1.0, R=0.5)
-    assert ev == 0.0
-    assert gaussian_log_evidence(60.0, belief, 1.0, 0.5) < -1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian_log_evidence(60.0, belief, 1.0, 0.5) < -1000.0
 
 
 @pytest.mark.parametrize("y", [1e160, 1e300])

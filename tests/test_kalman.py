@@ -80,10 +80,10 @@ def test_update_hand_case():
     # predicted N(0, 2), unit map and noise, y = 2:
     # posterior N(4/3, 2/3), evidence N(2; 0, 3)
     model = LinearGaussianModel(A=1.0, Q=0.0, B=1.0, R=1.0)
-    post, ev = kf_update(model, GaussianBelief(0.0, 2.0), 2.0)
+    post, log_ev = kf_update(model, GaussianBelief(0.0, 2.0), 2.0)
     assert post.mean[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert post.cov[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert ev == pytest.approx(0.11826, abs=1e-5)
+    assert np.exp(log_ev) == pytest.approx(0.11826, abs=1e-5)
 
 
 def test_update_dimension_checks():
@@ -252,11 +252,3 @@ def test_pool_size_must_match_weights():
         kf_bdemm_step(state, _two_model_pool()[:1], 0.0, WTTConfig.identity())
     with pytest.raises(DimensionMismatchError):
         KfEnsembleState.initial(GaussianBelief(0.0, 1.0))
-
-
-def test_evidence_fields_are_consistent():
-    pool = _two_model_pool()
-    state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
-    _, _, per = kf_bdemm_step(state, pool, 0.3, WTTConfig.identity())
-    for r in per:
-        assert r.evidence == pytest.approx(float(np.exp(r.log_evidence)), rel=1e-12)

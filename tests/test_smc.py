@@ -16,7 +16,6 @@ from bdemm import (
     additive_noise_ssm,
     gaussian_noise,
     linear_gaussian_ssm,
-    mc_evidence,
     mc_log_evidence,
     propagate,
     resample,
@@ -25,6 +24,7 @@ from bdemm import (
     student_t_noise,
     uniform_noise,
 )
+from bdemm import smc as smc_module
 from bdemm.smc import UNDERFLOW_LOG
 
 
@@ -94,9 +94,23 @@ def test_propagate_rejects_shape_changes():
 
 def test_reweight_equal_likelihoods_stay_uniform():
     e = ParticleEnsemble.equal_weighted([[0.0], [0.0], [0.0]])
-    w, ll = reweight(_shift_model(), e, np.array([0.0]), 1)
+    w, log_ev = reweight(_shift_model(), e, np.array([0.0]), 1)
     assert np.allclose(w, np.full(3, 1.0 / 3.0), atol=1e-15)
-    assert np.allclose(ll, ll[0])
+    # the normalizer of equal likelihoods is that common likelihood
+    assert log_ev == pytest.approx(float(norm.logpdf(0.0)), abs=1e-14)
+
+
+def test_reweight_log_evidence_is_mc_log_evidence_bitwise():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        u = rng.random(n)
+        ens = ParticleEnsemble(rng.standard_normal((n, 1)), u / u.sum())
+        model = _shift_model(obs_var=float(rng.uniform(0.1, 4.0)))
+        y = np.array([rng.normal(0.0, 2.0)])
+        _, log_ev = reweight(model, ens, y, 1)
+        ll = model.log_likelihood(y, ens.particles, 1)
+        assert log_ev == mc_log_evidence(ens.weights, ll)
 
 
 def test_reweight_dead_particles_stay_dead():
@@ -161,23 +175,21 @@ def test_reweight_rejects_nan_and_plus_inf_loglik():
 
 
 def test_mc_evidence_hand_cases():
-    assert mc_evidence([0.5, 0.5], [2.0, 4.0]) == pytest.approx(3.0, rel=1e-12)
-    assert mc_evidence([1.0, 0.0], [5.0, 99.0]) == pytest.approx(5.0, rel=1e-12)
-    assert mc_evidence([1.0], [0.125]) == pytest.approx(0.125, rel=1e-15)
+    assert np.exp(mc_log_evidence([0.5, 0.5], np.log([2.0, 4.0]))) == \
+        pytest.approx(3.0, rel=1e-12)
+    assert np.exp(mc_log_evidence([1.0, 0.0], np.log([5.0, 99.0]))) == \
+        pytest.approx(5.0, rel=1e-12)
+    assert np.exp(mc_log_evidence([1.0], np.log([0.125]))) == \
+        pytest.approx(0.125, rel=1e-15)
 
 
 def test_mc_evidence_all_zero_is_zero_not_an_error():
-    assert mc_evidence([0.5, 0.5], [0.0, 0.0]) == 0.0
     assert mc_log_evidence([0.5, 0.5], [-np.inf, -np.inf]) == -np.inf
     # a dead weight silences even a huge likelihood
     assert mc_log_evidence([0.0, 1.0], [100.0, -np.inf]) == -np.inf
 
 
 def test_mc_evidence_validation():
-    with pytest.raises(ValueError):
-        mc_evidence([1.0], [-0.5])
-    with pytest.raises(ValueError):
-        mc_evidence([1.0], [np.inf])
     with pytest.raises(DimensionMismatchError):
         mc_log_evidence([0.5, 0.5], [0.0])
 
@@ -328,6 +340,33 @@ def test_shared_propagation_matches_per_model_path_bitwise():
         assert np.array_equal(state_s.model_weights.w, state_g.model_weights.w)
 
 
+def test_step_takes_one_log_sum_exp_per_model(monkeypatch):
+    # the evidence is the reweighting normalizer, not a second sum
+    calls = {"evidence": 0, "logsumexp": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(smc_module, "mc_log_evidence",
+                        counting("evidence", smc_module.mc_log_evidence))
+    monkeypatch.setattr(smc_module, "logsumexp",
+                        counting("logsumexp", smc_module.logsumexp))
+    pool = [_random_walk_model(obs_var=1.0), _random_walk_model(obs_var=4.0),
+            additive_noise_ssm(lambda x, t, r: x, lambda x, t: x[:, 0],
+                               student_t_noise(3.0))]
+    state = SmcEnsembleState.initial(np.zeros((40, 1)), k=3)
+    rng = np.random.default_rng(4)
+    steps = 5
+    for t in range(1, steps + 1):
+        state, _, per = smc_bdemm_step(state, pool, 0.2 * t, t,
+                                       WTTConfig.forgetting(0.7), rng)
+        assert all(np.isfinite(r.log_evidence) for r in per)
+    assert calls == {"evidence": 3 * steps, "logsumexp": 3 * steps}
+
+
 def test_ensemble_weights_favor_the_right_noise_model():
     # observations drawn with unit Gaussian noise; the wide-uniform candidate
     # pays a constant density and loses the evidence race
@@ -358,7 +397,6 @@ def test_dead_model_gets_zero_weight_and_neg_inf_evidence():
                                      np.random.default_rng(7))
     assert state.model_weights.w.tolist() == [1.0, 0.0]
     assert per[1].log_evidence == -np.inf
-    assert per[1].evidence == 0.0
     assert np.isfinite(per[1].point_estimate.x_hat[0])  # prior-weighted mean
 
 

@@ -174,7 +174,7 @@ def test_kf_single_model_stream(tmp_path):
         state, est, per = kf_bdemm_step(state, [model], y, WTTConfig.identity())
         cells = lines[1 + i].split(",")
         assert float(cells[1]) == est.x_hat[0]
-        assert float(cells[3]) == per[0].evidence
+        assert float(cells[3]) == np.exp(per[0].log_evidence)
 
 
 def test_kf_two_model_stream_weights_sum_to_one(tmp_path):

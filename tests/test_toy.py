@@ -96,6 +96,10 @@ def test_config_validation():
         ToyConfig(wtt_kind="simulated_annealing")
     with pytest.raises(Exception):
         ToyConfig(forgetting_alpha=1.5)
+    with pytest.raises(ValueError):
+        ToyConfig(gamma_shape=-1.0)
+    with pytest.raises(ValueError):
+        ToyConfig(gamma_scale=-2.0)
 
 
 # ---------------------------------------------------------------------------
