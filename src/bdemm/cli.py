@@ -17,6 +17,7 @@ library error raised by an engine mid-run).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import BdemmError, ConfigError, ParseError
@@ -68,12 +69,16 @@ def _cmd_toy(args) -> int:
         config = ToyConfig(runs=args.runs, particles=args.particles,
                            seed=args.seed, forgetting_alpha=args.alpha,
                            wtt_kind=args.wtt)
-    except (ValueError, BdemmError) as exc:
+        os.makedirs(args.out, exist_ok=True)  # fail before the batch runs
+    except (ValueError, BdemmError, OSError) as exc:
         print("bdemm toy: %s" % exc, file=sys.stderr)
         return 1
     try:
         report = run_toy_experiment(config)
         paths = write_report(report, args.out)
+    except OSError as exc:
+        print("bdemm toy: %s" % exc, file=sys.stderr)
+        return 1
     except BdemmError as exc:
         print("bdemm toy: %s" % exc, file=sys.stderr)
         return 2

@@ -25,10 +25,10 @@ Numerical conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     AllZeroError,
@@ -46,6 +46,7 @@ __all__ = [
     "GaussianBelief",
     "PointEstimate",
     "normalize_weights",
+    "logsumexp",
     "update_model_weights_log",
     "apply_weight_floor",
     "bma_point_estimate",
@@ -241,6 +242,16 @@ def normalize_weights(raw) -> WeightVector:
     if abs(s - 1.0) <= SIMPLEX_ATOL:
         return WeightVector(raw)
     return WeightVector(raw / s)
+
+
+def logsumexp(a) -> float:
+    """``log(sum(exp(a)))``, shifted by the largest entry so nothing
+    overflows; ``-inf`` when every entry is ``-inf`` (``+inf`` if any is)."""
+    a = np.asarray(a, dtype=float)
+    m = float(np.max(a))
+    if not math.isfinite(m):
+        return m
+    return m + math.log(float(np.sum(np.exp(a - m))))
 
 
 def update_model_weights_log(prior: WeightVector, log_evidences,

@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
+from .core import logsumexp
 from .errors import NonFiniteWeightError, SingularInnovationCovError
 
 __all__ = [

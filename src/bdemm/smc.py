@@ -42,16 +42,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     PointEstimate,
     WeightHistory,
     WeightVector,
     bma_point_estimate,
+    logsumexp,
 )
 from .errors import AllZeroError, DimensionMismatchError
 from .evidence import effective_sample_size
+from .kalman import LinearGaussianModel
 from .wtt import WTTConfig, weight_step
 
 logger = logging.getLogger(__name__)
@@ -234,9 +235,7 @@ def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
         raise DimensionMismatchError("weights and likelihoods must align")
     with np.errstate(divide="ignore"):
         lw = np.log(u) + ll
-    if float(np.max(lw)) == -np.inf:
-        return -np.inf
-    return float(logsumexp(lw))
+    return logsumexp(lw)
 
 
 def resample(particles, weights, n_out: int, rng: np.random.Generator,
@@ -348,16 +347,14 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
 def linear_gaussian_ssm(A, Q, B, R) -> GenericStateSpaceModel:
     """Wrap a linear-Gaussian model for the particle engine.
 
+    The matrices are checked as a :class:`~bdemm.kalman.LinearGaussianModel`.
     Useful for validating the particle path against the exact Kalman answer.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    d = A.shape[0]
-    m = B.shape[0]
-    q_chol = np.linalg.cholesky(Q + 1e-300 * np.eye(d))
-    r_chol = np.linalg.cholesky(R + 1e-300 * np.eye(m))
+    model = LinearGaussianModel(A=A, Q=Q, B=B, R=R)
+    A, B = model.A, model.B
+    d, m = model.state_dim, model.obs_dim
+    q_chol = np.linalg.cholesky(model.Q + 1e-300 * np.eye(d))
+    r_chol = np.linalg.cholesky(model.R + 1e-300 * np.eye(m))
     r_logdet = 2.0 * float(np.sum(np.log(np.diag(r_chol))))
     const = -0.5 * (m * np.log(2.0 * np.pi) + r_logdet)
 

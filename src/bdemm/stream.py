@@ -3,9 +3,9 @@
 The config grammar is deliberately tiny.  One ``key = value`` pair per
 line, ``#`` starts a comment, keys are dotted paths, values are scalars
 (int, float, bare word) or bracketed numeric lists like ``[1.0, 0.5]``.
-Matrices are row-major lists; square shapes are inferred from the length.
-Unknown keys are rejected, so typos fail loudly instead of silently running
-a default.
+Matrices are row-major lists; square shapes are inferred from the length
+and ``B`` takes as many rows as ``R``.  Unknown keys are rejected, so typos
+fail loudly instead of silently running a default.
 
 Example::
 
@@ -24,15 +24,18 @@ Example::
     kf.init.mean = [0.0]
     kf.init.cov = [1.0]
 
-Every bad value, missing key or inconsistency raises
-:class:`~bdemm.errors.ConfigError` from :func:`build_engine`, before any
-observation is read.
+Every bad value, missing key or inconsistency, such as candidates that
+differ in dimension, raises :class:`~bdemm.errors.ConfigError` from
+:func:`build_engine`, before any observation is read.
 
 The observation file is a headerless CSV of numbers, one observation vector
-per row.  The output carries one row per input row: step index, state
-estimate, model weights, per-model evidences.  The engines report log
-evidences; the ``ev_k`` columns hold ``exp`` of them, which is 0.0 where it
-underflows.  An input with no data rows produces an empty output file.
+of the pool's dimension per row, read, filtered and written one row at a
+time, so memory stays constant.  The output carries one row per input row:
+step index, state estimate, model weights, per-model evidences.  The
+engines report log evidences; the ``ev_k`` columns hold ``exp`` of them,
+which is 0.0 where it underflows.  An input with no data rows produces an
+empty output file; a bad row raises :class:`~bdemm.errors.ParseError` after
+the rows before it are written.
 """
 
 from __future__ import annotations
@@ -49,14 +52,13 @@ from .kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
 from .smc import (
     RESAMPLING_SCHEMES,
     SmcEnsembleState,
-    additive_noise_ssm,
     gaussian_noise,
     linear_gaussian_ssm,
     smc_bdemm_step,
     student_t_noise,
     uniform_noise,
 )
-from .toy import ToyConfig, toy_observation, toy_transition
+from .toy import ToyConfig, toy_candidate, toy_transition
 from .wtt import WTTConfig
 
 __all__ = ["parse_config", "build_engine", "run_stream"]
@@ -125,17 +127,13 @@ class _Config:
 
     def get_list(self, key, default=None, required=False):
         val = self.get(key, default=default, required=required)
-        if val is None:
-            return None
-        if not isinstance(val, list):
+        if val is not None and not isinstance(val, list):
             raise ConfigError("key %r must be a bracketed list" % key)
         return val
 
     def get_number(self, key, default=None, required=False):
         val = self.get(key, default=default, required=required)
-        if val is None:
-            return None
-        if not isinstance(val, (int, float)):
+        if val is not None and not isinstance(val, (int, float)):
             raise ConfigError("key %r must be a number" % key)
         return val
 
@@ -182,36 +180,46 @@ def _wtt_from_config(cfg: _Config, k: int) -> WTTConfig:
     return build(values)
 
 
+def _linear_model(cfg: _Config, base: str) -> LinearGaussianModel:
+    """One linear-Gaussian candidate; ``B`` takes as many rows as ``R``."""
+    r = _square(cfg.get_list(base + "R", required=True), base + "R")
+    b = cfg.get_list(base + "B", required=True)
+    if len(b) % r.shape[0]:
+        raise ConfigError("key %r length does not fit the obs dim"
+                          % (base + "B",))
+    return LinearGaussianModel(
+        A=_square(cfg.get_list(base + "A", required=True), base + "A"),
+        Q=_square(cfg.get_list(base + "Q", required=True), base + "Q"),
+        B=np.reshape(b, (r.shape[0], -1)),
+        R=r,
+    )
+
+
+def _pool_dims(dims, engine: str):
+    """The (state, obs) dimensions, which every candidate must share."""
+    if len(set(dims)) > 1:
+        raise ConfigError("%s candidates differ in (state, obs) dimension: %s"
+                          % (engine, dims))
+    return dims[0]
+
+
 class _KfEngine:
     def __init__(self, cfg: _Config):
         k = cfg.get_int("kf.models", required=True, minimum=1)
-        self.pool = []
-        for i in range(1, k + 1):
-            base = "kf.model.%d." % i
-            a = _square(cfg.get_list(base + "A", required=True), base + "A")
-            q = _square(cfg.get_list(base + "Q", required=True), base + "Q")
-            r = _square(cfg.get_list(base + "R", required=True), base + "R")
-            b_flat = cfg.get_list(base + "B", required=True)
-            m = r.shape[0]
-            if len(b_flat) % m:
-                raise ConfigError("key %r length does not fit the obs dim"
-                                  % (base + "B",))
-            b = np.asarray(b_flat, dtype=float).reshape(m, -1)
-            self.pool.append(LinearGaussianModel(A=a, Q=q, B=b, R=r))
-        d = self.pool[0].state_dim
+        self.pool = [_linear_model(cfg, "kf.model.%d." % i)
+                     for i in range(1, k + 1)]
+        self.est_dim, self.obs_dim = _pool_dims(
+            [(m.state_dim, m.obs_dim) for m in self.pool], "kf")
         mean = cfg.get_list("kf.init.mean", required=True)
         cov = _square(cfg.get_list("kf.init.cov", required=True), "kf.init.cov")
         init_w = cfg.get_list("kf.init.weights")
-        weights = (WeightVector(np.asarray(init_w, dtype=float))
-                   if init_w else WeightVector.uniform(k))
+        weights = WeightVector(init_w) if init_w else WeightVector.uniform(k)
         if len(weights) != k:
             raise ConfigError("key 'kf.init.weights' must hold one weight per model")
         belief = GaussianBelief(np.asarray(mean, dtype=float), cov)
-        if belief.dim != d:
+        if belief.dim != self.est_dim:
             raise ConfigError("key 'kf.init.mean' does not match the state dim")
         self.state = KfEnsembleState.initial(belief, weights=weights)
-        self.obs_dim = self.pool[0].obs_dim
-        self.est_dim = d
 
     def step(self, y, t):
         self.state, est, per = kf_bdemm_step(self.state, self.pool, y,
@@ -221,35 +229,26 @@ class _KfEngine:
 
 
 def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
-    """One candidate; toy kinds share ``transition``, so the pool
-    propagates its cloud once per step."""
+    """One candidate and its (state, obs) dimensions; toy kinds are 1-d and
+    share ``transition``, so the pool propagates its cloud once per step."""
     kind = cfg.get(base + "kind", required=True)
     if kind == "linear_gaussian":
-        return linear_gaussian_ssm(
-            A=_square(cfg.get_list(base + "A", required=True), base + "A"),
-            Q=_square(cfg.get_list(base + "Q", required=True), base + "Q"),
-            B=np.asarray(cfg.get_list(base + "B", required=True),
-                         dtype=float).reshape(1, -1),
-            R=_square(cfg.get_list(base + "R", required=True), base + "R"),
-        )
-
-    def observation(x, t):
-        return toy_observation(x[:, 0], t, toy)
-
+        m = _linear_model(cfg, base)
+        return (linear_gaussian_ssm(m.A, m.Q, m.B, m.R),
+                (m.state_dim, m.obs_dim))
     if kind == "toy_gaussian":
-        var = cfg.get_number(base + "var", default=toy.gauss_noise_var)
-        return additive_noise_ssm(transition, observation, gaussian_noise(var))
-    if kind == "toy_uniform":
-        low = cfg.get_number(base + "low", default=toy.robust_low)
-        high = cfg.get_number(base + "high", default=toy.robust_high)
-        return additive_noise_ssm(transition, observation,
-                                  uniform_noise(low, high))
-    if kind == "toy_student_t":
-        df = cfg.get_number(base + "df", default=3.0)
-        scale = cfg.get_number(base + "scale", default=1.0)
-        return additive_noise_ssm(transition, observation,
-                                  student_t_noise(df, scale))
-    raise ConfigError("unknown key %r value %r" % (base + "kind", kind))
+        noise = gaussian_noise(
+            cfg.get_number(base + "var", default=toy.gauss_noise_var))
+    elif kind == "toy_uniform":
+        noise = uniform_noise(
+            cfg.get_number(base + "low", default=toy.robust_low),
+            cfg.get_number(base + "high", default=toy.robust_high))
+    elif kind == "toy_student_t":
+        noise = student_t_noise(cfg.get_number(base + "df", default=3.0),
+                                cfg.get_number(base + "scale", default=1.0))
+    else:
+        raise ConfigError("unknown key %r value %r" % (base + "kind", kind))
+    return toy_candidate(toy, transition, noise), (1, 1)
 
 
 class _SmcEngine:
@@ -266,8 +265,10 @@ class _SmcEngine:
             gamma_scale=cfg.get_number("smc.gamma_scale", default=2.0),
         )
         transition = toy_transition(toy)
-        self.pool = [_smc_model(cfg, "smc.model.%d." % i, toy, transition)
-                     for i in range(1, k + 1)]
+        self.pool, dims = zip(*[
+            _smc_model(cfg, "smc.model.%d." % i, toy, transition)
+            for i in range(1, k + 1)])
+        self.est_dim, self.obs_dim = _pool_dims(list(dims), "smc")
         self.rng = np.random.default_rng(seed)
         point = cfg.get_list("smc.init.point")
         if point is not None:
@@ -283,9 +284,10 @@ class _SmcEngine:
                 raise ConfigError("key 'smc.init.cov' must be positive definite")
             particles = mean + self.rng.standard_normal(
                 (n, mean.size)) @ chol.T
+        if particles.shape[1] != self.est_dim:
+            raise ConfigError("key %r does not match the state dim" % (
+                "smc.init.mean" if point is None else "smc.init.point"))
         self.state = SmcEnsembleState.initial(particles, k=k)
-        self.obs_dim = 1
-        self.est_dim = particles.shape[1]
 
     def step(self, y, t):
         self.state, est, per = smc_bdemm_step(
@@ -307,8 +309,7 @@ class _IntelEngine:
         factors = cfg.get_list("intel.noise_factors", default=[1.0, 100.0])
         self.pool = perturb_pool(nominal, factors)
         self.state = IntelState.initial(k=len(self.pool))
-        self.obs_dim = 1
-        self.est_dim = 1
+        self.est_dim = self.obs_dim = 1  # GP candidates are scalar
 
     def step(self, y, t):
         y = float(np.atleast_1d(y)[0])
@@ -352,47 +353,44 @@ def build_engine(config: dict):
     return engine
 
 
-def _read_observations(path, obs_dim):
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise ParseError("row does not parse as numbers", line=lineno)
-            if not all(np.isfinite(values)):
-                raise ParseError("row holds a non-finite value", line=lineno)
-            if len(values) != obs_dim:
-                raise ParseError(
-                    "expected %d column(s), got %d" % (obs_dim, len(values)),
-                    line=lineno)
-            rows.append(values)
-    return np.asarray(rows, dtype=float)
+def _observations(fh, obs_dim):
+    """Yield each data row of an open CSV as a checked float vector."""
+    for lineno, row in enumerate(csv.reader(fh), start=1):
+        if not any(cell.strip() for cell in row):
+            continue
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise ParseError("row does not parse as numbers", line=lineno)
+        if not all(map(math.isfinite, values)):
+            raise ParseError("row holds a non-finite value", line=lineno)
+        if len(values) != obs_dim:
+            raise ParseError(
+                "expected %d column(s), got %d" % (obs_dim, len(values)),
+                line=lineno)
+        yield np.array(values)
 
 
 def run_stream(config_path, input_path, output_path) -> int:
-    """Filter a CSV of observations through a configured engine.
+    """Filter a CSV of observations through a configured engine, one row at
+    a time, so memory does not grow with the stream.
 
     Returns the number of data rows written.  An input with no data rows
-    yields an empty output file and returns 0.
+    yields an empty output file and returns 0.  A bad row raises
+    :class:`~bdemm.errors.ParseError` after the rows before it are written.
     """
     engine = build_engine(parse_config(config_path))
-    observations = _read_observations(input_path, engine.obs_dim)
-    with open(output_path, "w", newline="") as fh:
-        if observations.size == 0:
-            return 0
-        k = len(engine.pool)
-        header = (["step"]
-                  + ["est_%d" % (j + 1) for j in range(engine.est_dim)]
-                  + ["w_%d" % (j + 1) for j in range(k)]
-                  + ["ev_%d" % (j + 1) for j in range(k)])
+    models = range(1, len(engine.pool) + 1)
+    header = (["step"] + ["est_%d" % j for j in range(1, engine.est_dim + 1)]
+              + ["w_%d" % j for j in models] + ["ev_%d" % j for j in models])
+    t = 0
+    with open(input_path, newline="") as src, \
+            open(output_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, y in enumerate(observations):
-            est, weights, log_evs = engine.step(y, i + 1)
-            writer.writerow([i + 1] + [repr(float(v)) for v in est]
-                            + [repr(float(v)) for v in weights]
-                            + [repr(float(v)) for v in np.exp(log_evs)])
-    return observations.shape[0]
+        for t, y in enumerate(_observations(src, engine.obs_dim), start=1):
+            if t == 1:
+                writer.writerow(header)
+            est, weights, log_evs = engine.step(y, t)
+            writer.writerow([t] + [repr(float(v)) for v in np.concatenate(
+                [est, weights, np.exp(log_evs)])])
+    return t

@@ -43,6 +43,7 @@ import numpy as np
 from .core import WeightVector
 from .errors import LengthMismatchError
 from .smc import (
+    RESAMPLING_SCHEMES,
     SmcEnsembleState,
     additive_noise_ssm,
     gaussian_noise,
@@ -62,6 +63,7 @@ __all__ = [
     "gen_toy_series",
     "toy_transition",
     "toy_observation",
+    "toy_candidate",
     "toy_pool",
     "run_toy_experiment",
     "mse",
@@ -96,6 +98,14 @@ class ToyConfig:
     def __post_init__(self):
         if self.horizon < 1 or self.runs < 1 or self.particles < 1:
             raise ValueError("horizon, runs and particles must be >= 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
+        # the two-model ensemble needs floor < 1/K
+        if not 0.0 <= self.weight_floor < 0.5:
+            raise ValueError("weight floor must sit in [0, 1/2)")
+        if self.resampling not in RESAMPLING_SCHEMES:
+            raise ValueError("resampling must be one of %s"
+                             % ", ".join(RESAMPLING_SCHEMES))
         if self.gauss_noise_var <= 0.0:
             raise ValueError("gaussian noise variance must be positive")
         # zero is allowed: a zero scale is the noise-free recursion
@@ -175,22 +185,22 @@ def toy_transition(config: ToyConfig):
     return sample
 
 
-def toy_pool(config: ToyConfig):
-    """The two candidate models (Gaussian noise, wide uniform noise).
-
-    They share the transition, so the ensemble propagates the cloud once.
-    """
-    transition = toy_transition(config)
-
+def toy_candidate(config: ToyConfig, transition, noise_logpdf):
+    """One candidate: ``transition``, the toy observation map, additive noise
+    scored by ``noise_logpdf``.  Candidates built on one ``transition``
+    object share it, so an ensemble of them propagates its cloud once."""
     def observation(x, t):
         return toy_observation(x[:, 0], t, config)
 
-    gauss_model = additive_noise_ssm(transition, observation,
-                                     gaussian_noise(config.gauss_noise_var))
-    unif_model = additive_noise_ssm(transition, observation,
-                                    uniform_noise(config.robust_low,
-                                                  config.robust_high))
-    return [gauss_model, unif_model]
+    return additive_noise_ssm(transition, observation, noise_logpdf)
+
+
+def toy_pool(config: ToyConfig):
+    """The two candidate models (Gaussian noise, wide uniform noise)."""
+    transition = toy_transition(config)
+    noises = (gaussian_noise(config.gauss_noise_var),
+              uniform_noise(config.robust_low, config.robust_high))
+    return [toy_candidate(config, transition, noise) for noise in noises]
 
 
 def mse(estimates, truths) -> float:
@@ -352,7 +362,7 @@ def write_report(report: RunReport, out_dir) -> list:
     with open(path, "w") as fh:
         fh.write("step,w1_avg,w2_avg\n")
         for i in range(report.avg_weights.shape[0]):
-            fh.write("%d,%s,%s\n" % (i + 1, repr(report.avg_weights[i, 0]),
-                                     repr(report.avg_weights[i, 1])))
+            w1, w2 = report.avg_weights[i].tolist()
+            fh.write("%d,%r,%r\n" % (i + 1, w1, w2))
     paths.append(path)
     return paths

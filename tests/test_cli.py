@@ -50,12 +50,22 @@ def test_toy_seed_matters(tmp_path):
 
 
 def test_toy_rejects_bad_parameters(tmp_path, capsys):
-    rc = main(["toy", "--runs", "0", "--out", str(tmp_path / "x")])
-    assert rc == 1
-    assert "error" in capsys.readouterr().err or True  # message on stderr
-    rc = main(["toy", "--alpha", "1.5", "--runs", "1",
-               "--out", str(tmp_path / "y")])
-    assert rc == 1
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cases = [
+        ["--runs", "0", "--out", str(tmp_path / "x")],
+        ["--alpha", "1.5", "--runs", "1", "--out", str(tmp_path / "y")],
+        ["--seed", "-1", "--runs", "1", "--out", str(tmp_path / "z")],
+        ["--runs", "1", "--out", str(afile / "sub")],
+    ]
+    for args in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["toy"] + args)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "bdemm toy:" in captured.err
+        assert "wrote:" not in captured.out
 
 
 def test_stream_subcommand(tmp_path, capsys):
@@ -145,6 +155,15 @@ smc.init.cov = [1.0]
 
 INTEL_CFG = "engine = intel\n"
 
+KF_WIDE = """\
+kf.model.2.A = [1.0, 0.0, 0.0, 1.0]
+kf.model.2.Q = [0.1, 0.0, 0.0, 0.1]
+kf.model.2.B = [1.0, 0.0]
+kf.model.2.R = [100.0]
+"""
+
+SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
+
 
 @pytest.mark.parametrize("text", [
     KF_PAIR + "weight_floor = 0.6\n",
@@ -162,11 +181,17 @@ INTEL_CFG = "engine = intel\n"
     INTEL_CFG + "intel.window = abc\n",
     INTEL_CFG + "intel.window = 0\n",
     INTEL_CFG + "intel.signal_variance = -1\n",
+    KF_CFG.replace("kf.models = 1", "kf.models = 2") + KF_WIDE,
+    SMC_TOY.replace("smc.init.point = [1.0]", "smc.init.point = [1.0, 2.0]"),
+    SMC_LINEAR_OK.replace("mean = [0.0]", "mean = [0.0, 0.0]")
+    .replace("cov = [1.0]", "cov = [1.0, 0.0, 0.0, 1.0]"),
+    SMC_LINEAR_OK.replace("B = [1.0]", "B = [1.0, 2.0]"),
 ], ids=["floor-above-1/K", "floor-negative", "wtt-width", "init-weights-width",
         "particles-fraction", "particles-zero", "seed-negative", "seed-word",
         "resampling-unknown", "gamma-shape-negative", "noise-var-negative",
         "linear-gaussian-Q-negative", "window-word", "window-zero",
-        "signal-variance-negative"])
+        "signal-variance-negative", "kf-candidate-dims-differ",
+        "smc-init-point-dim", "smc-init-mean-dim", "linear-gaussian-B-vs-A"])
 def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
                                                           text):
     cfg = tmp_path / "bad.cfg"

@@ -212,6 +212,20 @@ def test_update_handles_extreme_evidence_spread():
     assert np.all(np.isfinite(post.w))
 
 
+def test_logsumexp_matches_scipy_and_handles_infinities():
+    from scipy.special import logsumexp as scipy_lse
+
+    from bdemm.core import logsumexp
+
+    rng = np.random.default_rng(0)
+    for a in (rng.normal(0.0, 50.0, 200), np.array([-1e308, 0.0, 700.0]),
+              np.array([3.5]), np.array([-np.inf, -2.0, -np.inf])):
+        assert logsumexp(a) == pytest.approx(float(scipy_lse(a)), rel=1e-14)
+    assert logsumexp(np.full(4, -np.inf)) == -np.inf
+    assert logsumexp(np.array([0.0, np.inf])) == np.inf
+    assert isinstance(logsumexp(np.zeros(3)), float)
+
+
 # ---------------------------------------------------------------------------
 # weight floor
 

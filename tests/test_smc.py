@@ -470,6 +470,18 @@ def test_linear_gaussian_ssm_matches_formulas():
     assert np.allclose(ll, ref, atol=1e-12)
 
 
+def test_linear_gaussian_ssm_rejects_mismatched_shapes():
+    cases = [
+        dict(A=[1.0], Q=[1.0], B=[1.0, 2.0], R=[1.0]),  # B wider than A
+        dict(A=np.eye(2), Q=[[1.0]], B=[[1.0, 0.0]], R=[[1.0]]),  # Q vs A
+        dict(A=[0.9], Q=[0.1], B=[[1.0], [1.0]], R=[[1.0]]),  # R vs B
+        dict(A=[[1.0, 0.0]], Q=[0.1], B=[1.0], R=[1.0]),  # A not square
+    ]
+    for case in cases:
+        with pytest.raises(DimensionMismatchError):
+            linear_gaussian_ssm(**case)
+
+
 def test_noise_helpers_match_scipy():
     resid = np.linspace(-3.0, 3.0, 13)
     assert np.allclose(gaussian_noise(4.0)(resid),

@@ -133,6 +133,21 @@ def test_non_finite_value_rejected(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+def test_bad_row_keeps_the_rows_before_it(tmp_path):
+    # one pass: rows 1-2 are filtered and written before row 3 is read
+    cfg = _write(tmp_path, "kf.cfg", KF_SINGLE)
+    bad = _write(tmp_path, "bad.csv", "0.1\n0.2\nbad\n0.4\n")
+    good = _write(tmp_path, "good.csv", "0.1\n0.2\n")
+    out_bad = tmp_path / "bad_out.csv"
+    out_good = tmp_path / "good_out.csv"
+    with pytest.raises(ParseError) as exc:
+        run_stream(cfg, bad, str(out_bad))
+    assert "line 3" in str(exc.value)
+    assert run_stream(cfg, good, str(out_good)) == 2
+    assert out_bad.read_bytes() == out_good.read_bytes()
+    assert len(out_bad.read_text().splitlines()) == 3
+
+
 def test_empty_input_gives_empty_output(tmp_path):
     cfg = _write(tmp_path, "kf.cfg", KF_SINGLE)
     obs = _write(tmp_path, "obs.csv", "")
@@ -270,6 +285,34 @@ smc.init.cov = [1.0]
     lines = out.read_text().splitlines()
     for line in lines[1:]:
         assert float(line.split(",")[2]) == 1.0
+
+
+def test_smc_linear_gaussian_two_column_observations(tmp_path):
+    # B takes R's row count, and the column count comes from the pool
+    lines = ["engine = smc", "smc.models = 2", "smc.particles = 100",
+             "smc.seed = 2", "smc.init.mean = [0.0]", "smc.init.cov = [1.0]"]
+    for i, r in ((1, 0.25), (2, 25.0)):
+        lines += ["smc.model.%d.kind = linear_gaussian" % i,
+                  "smc.model.%d.A = [0.9]" % i, "smc.model.%d.Q = [0.1]" % i,
+                  "smc.model.%d.B = [1.0, 1.0]" % i,
+                  "smc.model.%d.R = [%r, 0.0, 0.0, %r]" % (i, r, r)]
+    cfg = _write(tmp_path, "smc2.cfg", "\n".join(lines) + "\n")
+    rng = np.random.default_rng(3)
+    rows = rng.normal(0.0, 0.5, (30, 2))
+    obs = _write(tmp_path, "obs.csv",
+                 "".join("%r,%r\n" % (float(a), float(b)) for a, b in rows))
+    out = tmp_path / "out.csv"
+    assert run_stream(cfg, obs, str(out)) == 30
+    lines = out.read_text().splitlines()
+    assert lines[0] == "step,est_1,w_1,w_2,ev_1,ev_2"
+    last = [float(c) for c in lines[-1].split(",")]
+    assert abs(last[2] + last[3] - 1.0) <= 1e-9
+    # noise sd 0.5 per column: the R = 0.25 candidate carries the weight
+    assert last[2] > 0.9
+    one_col = _write(tmp_path, "one.csv", "0.1\n")
+    with pytest.raises(ParseError) as exc:
+        run_stream(cfg, one_col, str(tmp_path / "o.csv"))
+    assert "expected 2 column(s)" in str(exc.value)
 
 
 def test_intel_stream_runs(tmp_path):

@@ -100,6 +100,14 @@ def test_config_validation():
         ToyConfig(gamma_shape=-1.0)
     with pytest.raises(ValueError):
         ToyConfig(gamma_scale=-2.0)
+    with pytest.raises(ValueError):
+        ToyConfig(seed=-1)
+    for floor in (-0.01, 0.5, 0.6):
+        with pytest.raises(ValueError):
+            ToyConfig(weight_floor=floor)
+    with pytest.raises(ValueError):
+        ToyConfig(resampling="bogus")
+    ToyConfig(seed=0, weight_floor=0.0, resampling="systematic")
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +234,6 @@ def test_write_report_files(tmp_path):
 
     wlines = (tmp_path / "weights.csv").read_text().splitlines()
     assert len(wlines) == 9  # header + one row per step
+    # plain round-tripping numbers, not numpy reprs
+    cells = wlines[1].split(",")
+    assert [float(c) for c in cells[1:]] == rep.avg_weights[0].tolist()
