@@ -35,6 +35,7 @@ from .errors import (
     FactorizationFailureError,
     LengthMismatchError,
     NegativeEntryError,
+    NonFiniteForecastError,
     NonFiniteWeightError,
     ParseError,
     SingularInnovationCovError,

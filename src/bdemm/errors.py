@@ -40,6 +40,10 @@ class FactorizationFailureError(BdemmError):
     """Cholesky failed even at the maximum jitter level."""
 
 
+class NonFiniteForecastError(BdemmError, ValueError):
+    """A forecast overflowed to a non-finite mean or variance."""
+
+
 class ZeroPrecisionError(BdemmError):
     """A product-of-experts fusion collapsed to zero total precision."""
 

@@ -32,6 +32,7 @@ from .core import WeightHistory, WeightVector
 from .errors import (
     DimensionMismatchError,
     FactorizationFailureError,
+    NonFiniteForecastError,
     ZeroPrecisionError,
 )
 from .evidence import LOG_2PI
@@ -98,7 +99,9 @@ class PredictiveGaussian:
 
     def __post_init__(self):
         if not (np.isfinite(self.mean) and np.isfinite(self.var)):
-            raise ValueError("forecast must be finite")
+            raise NonFiniteForecastError(
+                "forecast is not finite (mean %g, variance %g)"
+                % (self.mean, self.var))
         if self.var <= 0.0:
             raise ValueError("forecast variance must be positive")
         object.__setattr__(self, "mean", float(self.mean))
@@ -113,10 +116,20 @@ class PredictiveGaussian:
 
 @dataclass(frozen=True)
 class IntelState:
-    """Observation buffer + weight history."""
+    """Observation buffer, weight history and the last step's forecasts.
+
+    ``forecasts`` holds one forecast per model of ``pool``, made from
+    ``buffer`` for the time one after its newest entry, and
+    ``log_evidences`` scores the observation the step last absorbed.  All
+    three are empty in a state that carries no forecasts, such as
+    :meth:`initial`'s; :func:`intel_step` then recomputes them.
+    """
 
     buffer: tuple
     history: WeightHistory
+    forecasts: tuple = ()
+    log_evidences: tuple = ()
+    pool: tuple = ()
 
     def __post_init__(self):
         buf = tuple((float(t), float(v)) for t, v in self.buffer)
@@ -165,6 +178,8 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     ------
     FactorizationFailureError
         If the Gram matrix cannot be factorized even at maximum jitter.
+    NonFiniteForecastError
+        If the mean or variance overflows, e.g. on values near 1e308.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -190,10 +205,13 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
             "Gram matrix failed Cholesky at jitter %g * signal variance" % JITTER_MAX)
 
     k_star = _sqexp(model, times, [t_next])[:, 0]
-    resid = values - model.mean_const
-    mean = model.mean_const + k_star @ cho_solve(chol, resid)
-    var = (model.signal_variance + model.noise_var
-           - k_star @ cho_solve(chol, k_star))
+    # values near the float limit overflow here; PredictiveGaussian reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = values - model.mean_const
+        mean = model.mean_const + k_star @ cho_solve(chol, resid,
+                                                     check_finite=False)
+        var = (model.signal_variance + model.noise_var
+               - k_star @ cho_solve(chol, k_star, check_finite=False))
     # cancellation can push a near-zero variance a hair negative
     var = max(float(var), 1e-300)
     return PredictiveGaussian(float(mean), var)
@@ -230,12 +248,15 @@ def poe_combine(predictives, weights: WeightVector) -> PredictiveGaussian:
         raise DimensionMismatchError("one forecast per weight required")
     lam = 0.0
     num = 0.0
-    for wk, p in zip(weights.w, preds):
-        lam += wk / p.var
-        num += wk * p.mean / p.var
-    if lam <= 0.0:
-        raise ZeroPrecisionError("fused forecast has zero precision")
-    return PredictiveGaussian(num / lam, 1.0 / lam)
+    # means near the float limit overflow here; PredictiveGaussian reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for wk, p in zip(weights.w, preds):
+            lam += wk / p.var
+            num += wk * p.mean / p.var
+        if lam <= 0.0:
+            raise ZeroPrecisionError("fused forecast has zero precision")
+        mean = num / lam
+    return PredictiveGaussian(mean, 1.0 / lam)
 
 
 def intel_step(state: IntelState, pool, y_t: float, t: float,
@@ -243,29 +264,38 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     """One observation's worth of GP-ensemble prediction.
 
     The arriving ``y_t`` is scored under each model's standing forecast for
-    time ``t`` (recomputed from the buffer; on the very first step that is
-    the prior N(mean, signal_variance + noise_var)).  Weights update from
-    those evidences, the buffer absorbs ``(t, y_t)``, every model forecasts
+    time ``t``.  That is the forecast the previous step made and ``state``
+    carries, when it was made for this ``t`` by this ``pool``; otherwise it
+    is recomputed from the buffer, and on the very first step it is the
+    prior N(mean, signal_variance + noise_var).  Weights update from those
+    evidences, the buffer absorbs ``(t, y_t)``, every model forecasts
     ``t + 1``, and the forecasts fuse by product of experts with the
-    *next-step predictive* weights as exponents.
+    *next-step predictive* weights as exponents.  So each model factorizes
+    once per observation.
 
     Returns
     -------
     state : IntelState
+        Carries the ``t + 1`` forecasts and this step's log evidences.
     fused : PredictiveGaussian
         Ensemble forecast for time ``t + 1``.
     per_model : list of PredictiveGaussian
         Each model's own forecast for time ``t + 1``.
     """
-    pool = list(pool)
+    pool = tuple(pool)
     if len(pool) != len(state.model_weights):
         raise DimensionMismatchError("pool size does not match weight vector")
+    t = float(t)
     if state.buffer and t <= state.buffer[-1][0]:
         raise ValueError("time stamps must arrive strictly increasing")
     y_t = float(y_t)
 
-    current = [window_predict(m, state.buffer, t) for m in pool]
-    log_evs = np.array([p.logpdf(y_t) for p in current])
+    if (state.buffer and t == state.buffer[-1][0] + 1.0
+            and state.pool == pool):
+        current = state.forecasts
+    else:
+        current = [window_predict(m, state.buffer, t) for m in pool]
+    log_evs = tuple(p.logpdf(y_t) for p in current)
 
     _, history, _ = weight_step(wtt_config, state.history, log_evs,
                                 weight_floor)
@@ -277,7 +307,8 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     fusion_weights = apply_wtt(wtt_config, history)
     fused = poe_combine(per_model, fusion_weights)
 
-    return IntelState(buffer, history), fused, per_model
+    return (IntelState(buffer, history, tuple(per_model), log_evs, pool),
+            fused, per_model)
 
 
 def perturb_pool(nominal: GPTSModel, noise_factors) -> list:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import GaussianBelief, WeightVector
 from .errors import BdemmError, ConfigError, ParseError
-from .gpts import GPTSModel, IntelState, intel_step, perturb_pool, window_predict
+from .gpts import GPTSModel, IntelState, intel_step, perturb_pool
 from .kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
 from .smc import (
     RESAMPLING_SCHEMES,
@@ -313,11 +313,10 @@ class _IntelEngine:
 
     def step(self, y, t):
         y = float(np.atleast_1d(y)[0])
-        log_evs = np.array([window_predict(m, self.state.buffer, t).logpdf(y)
-                            for m in self.pool])
         self.state, fused, _ = intel_step(self.state, self.pool, y, t,
                                           self.wtt, weight_floor=self.floor)
-        return (np.array([fused.mean]), self.state.model_weights.w, log_evs)
+        return (np.array([fused.mean]), self.state.model_weights.w,
+                np.array(self.state.log_evidences))
 
 
 def build_engine(config: dict):

@@ -97,6 +97,31 @@ def test_stream_gp_overflowing_rows_exit_zero(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7
 
 
+@pytest.mark.parametrize("config, rows, written", [
+    ("intel.window = 4\n", "1e308\n1e308\n1e308\n1.0\n", 3),
+    ("intel.mean = 1e308\n", "1e308\n-1e308\n0.0\n", 1),
+    ("intel.signal_variance = 1e308\nintel.noise_variance = 1e308\n"
+     "intel.noise_factors = [1.0]\n", "0.1\n0.2\n", 0),
+    ("intel.lengthscale = 100\n", "1e307\n1e307\n", 0),
+], ids=["window-forecast", "residual", "prior", "fused"])
+def test_stream_gp_forecast_overflow_exits_two(tmp_path, capsys, config,
+                                               rows, written):
+    # a forecast that overflows is a numeric failure, not a traceback
+    cfg = tmp_path / "intel.cfg"
+    cfg.write_text("engine = intel\n" + config)
+    obs = tmp_path / "obs.csv"
+    obs.write_text(rows)
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["stream", "--config", str(cfg), "--input", str(obs),
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("bdemm stream: numeric failure:")
+    # the header and the rows before the failing one
+    assert len(out.read_text().splitlines()) == written + 1
+
+
 def test_stream_config_errors_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("engine = nonsense\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from bdemm import gpts as gpts_module
 from bdemm import (
     DimensionMismatchError,
     GPTSModel,
@@ -259,6 +260,66 @@ def test_intel_step_rejects_stale_timestamps():
         intel_step(state, pool, 0.2, 1.0, WTTConfig.identity())
     with pytest.raises(DimensionMismatchError):
         intel_step(state, pool[:1], 0.2, 2.0, WTTConfig.identity())
+
+
+def _counted_run(monkeypatch, pools, times, values, carry=True):
+    """Step through ``values``; ``pools[i]`` serves step i.  Returns the
+    ``gp_predict_next`` calls per step and each step's weights, fused
+    forecast and log evidences.  With ``carry`` off, every step starts from
+    a state that carries no forecasts."""
+    calls = []
+    original = gpts_module.gp_predict_next
+
+    def counting(*args, **kwargs):
+        calls[-1] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gpts_module, "gp_predict_next", counting)
+    state = IntelState.initial(k=len(pools[0]))
+    outputs = []
+    for pool, t, v in zip(pools, times, values):
+        if not carry:
+            state = IntelState(state.buffer, state.history)
+        calls.append(0)
+        state, fused, per = intel_step(state, pool, float(v), float(t),
+                                       WTTConfig.forgetting(0.8))
+        assert state.forecasts == tuple(per)
+        outputs.append((state.model_weights.w.tobytes(), fused.mean,
+                        fused.var, state.log_evidences))
+    monkeypatch.undo()
+    return calls, outputs
+
+
+def test_intel_step_forecasts_once_per_model_per_step(monkeypatch):
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+                        [1.0, 10.0, 100.0])
+    times, values = _smooth_series(12)
+    calls, outputs = _counted_run(monkeypatch, [pool] * 12, times, values)
+    # the first step scores against the prior; each step forecasts t + 1 once
+    assert calls == [3] * 12
+    fresh_calls, fresh = _counted_run(monkeypatch, [pool] * 12, times, values,
+                                      carry=False)
+    assert fresh_calls == [3] + [6] * 11
+    assert outputs == fresh
+
+
+@pytest.mark.parametrize("times, swap_at, expected", [
+    ([1.0, 2.5, 3.5, 6.0], None, [2, 4, 2, 4]),
+    ([1.0, 2.0, 3.0, 4.0, 5.0], 3, [2, 2, 2, 4, 2]),
+], ids=["time-gaps", "pool-swapped"])
+def test_intel_step_recomputes_forecasts_it_cannot_reuse(monkeypatch, times,
+                                                         swap_at, expected):
+    first = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+                         [1.0, 50.0])
+    second = perturb_pool(GPTSModel(0.5, 1.0, 1.5, 0.04, window=6),
+                          [1.0, 50.0])
+    pools = [second if swap_at is not None and i >= swap_at else first
+             for i in range(len(times))]
+    values = np.sin(0.3 * np.asarray(times))
+    calls, outputs = _counted_run(monkeypatch, pools, times, values)
+    assert calls == expected
+    _, fresh = _counted_run(monkeypatch, pools, times, values, carry=False)
+    assert outputs == fresh
 
 
 def test_perturb_pool():

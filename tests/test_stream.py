@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from bdemm import GaussianBelief, KfEnsembleState, LinearGaussianModel, WTTConfig
+from bdemm import (
+    GaussianBelief,
+    GPTSModel,
+    KfEnsembleState,
+    LinearGaussianModel,
+    WTTConfig,
+    perturb_pool,
+    window_predict,
+)
 from bdemm.errors import ConfigError, ParseError
 from bdemm.kalman import kf_bdemm_step
 from bdemm.stream import build_engine, parse_config, run_stream
@@ -334,6 +342,15 @@ wtt.kind = identity
     last = [float(c) for c in lines[-1].split(",")]
     # a smooth series: the low-noise candidate dominates
     assert last[2] > 0.9
+    # each row's evidences score its value under the forecasts from the
+    # rows before it, not under a stale forecast
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.01, 8), [1.0, 100.0])
+    buffer = ()
+    for t, (y, line) in enumerate(zip(ys, lines[1:]), start=1):
+        expected = np.exp(np.array(
+            [window_predict(m, buffer, t).logpdf(float(y)) for m in pool]))
+        assert [float(c) for c in line.split(",")[4:]] == list(expected)
+        buffer = (buffer + ((float(t), float(y)),))[-8:]
 
 
 def test_output_floats_round_trip(tmp_path):
