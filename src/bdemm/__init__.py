@@ -35,6 +35,7 @@ from .errors import (
     FactorizationFailureError,
     LengthMismatchError,
     NegativeEntryError,
+    NonFiniteBeliefError,
     NonFiniteForecastError,
     NonFiniteWeightError,
     ParseError,
@@ -60,7 +61,6 @@ from .gpts import (
 )
 from .kalman import (
     KfEnsembleState,
-    KfModelResult,
     LinearGaussianModel,
     kf_bdemm_step,
     kf_predict,
@@ -70,7 +70,6 @@ from .smc import (
     GenericStateSpaceModel,
     ParticleEnsemble,
     SmcEnsembleState,
-    SmcModelResult,
     additive_noise_ssm,
     gaussian_noise,
     linear_gaussian_ssm,

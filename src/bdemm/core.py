@@ -34,6 +34,7 @@ from .errors import (
     AllZeroError,
     DimensionMismatchError,
     NegativeEntryError,
+    NonFiniteBeliefError,
 )
 
 SIMPLEX_ATOL = 1e-12
@@ -342,11 +343,19 @@ def collapse_mixture(components, weights: WeightVector) -> GaussianBelief:
 
     The collapsed mean is the weighted mean of the component means (computed
     with the same expression as :func:`bma_point_estimate`, so the two agree
-    exactly); the collapsed covariance adds the spread of the means:
+    exactly); the collapsed covariance adds the spread of the means about it:
 
-        cov = sum_k w_k (cov_k + mu_k mu_k^T) - mu mu^T
+        cov = sum_{k: w_k > 0} w_k (cov_k + d_k d_k^T),   d_k = mu_k - mu
 
-    re-symmetrized before return.
+    re-symmetrized before return.  Centring the means, and scaling each
+    deviation by its weight before squaring it, keeps far-off means (1e154
+    and up) from overflowing a covariance that is itself representable.
+
+    Raises
+    ------
+    NonFiniteBeliefError
+        If the spread itself overflows: the mixture has no representable
+        moment-matched Gaussian.
     """
     comps = list(components)
     if len(comps) != len(weights):
@@ -356,10 +365,19 @@ def collapse_mixture(components, weights: WeightVector) -> GaussianBelief:
         if c.dim != d:
             raise DimensionMismatchError("components differ in dimension")
     means = np.vstack([c.mean for c in comps])
-    mean = weights.w @ means
     cov = np.zeros((d, d))
-    for wk, c in zip(weights.w, comps):
-        cov += wk * (c.cov + np.outer(c.mean, c.mean))
-    cov -= np.outer(mean, mean)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean, cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = weights.w @ means
+        for wk, c in zip(weights.w, comps):
+            if wk > 0.0:
+                dev = c.mean - mean
+                cov += wk * c.cov + np.outer(wk * dev, dev)
+        cov = 0.5 * (cov + cov.T)
+    try:
+        return GaussianBelief(mean, cov)
+    except ValueError as exc:
+        # weighted sums of checked components fail the belief's checks only
+        # where they overflowed
+        raise NonFiniteBeliefError(
+            "mixture collapse overflowed: component means too far apart"
+        ) from exc

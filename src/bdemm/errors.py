@@ -44,6 +44,10 @@ class NonFiniteForecastError(BdemmError, ValueError):
     """A forecast overflowed to a non-finite mean or variance."""
 
 
+class NonFiniteBeliefError(BdemmError, ValueError):
+    """A mixture collapse overflowed: no finite moment-matched Gaussian."""
+
+
 class ZeroPrecisionError(BdemmError):
     """A product-of-experts fusion collapsed to zero total precision."""
 

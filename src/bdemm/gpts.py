@@ -70,6 +70,10 @@ class GPTSModel:
         Observation noise variance (>= 0; zero means noise-free).
     window : int
         Number of most recent observations the model conditions on.
+
+    Every parameter must be finite: a NaN or infinite one raises
+    ``ValueError``, so :func:`perturb_pool` cannot build a model whose
+    scaled noise variance overflows.
     """
 
     mean_const: float
@@ -79,12 +83,15 @@ class GPTSModel:
     window: int
 
     def __post_init__(self):
-        if self.signal_variance <= 0.0:
-            raise ValueError("signal variance must be positive")
-        if self.lengthscale <= 0.0:
-            raise ValueError("lengthscale must be positive")
-        if self.noise_var < 0.0:
-            raise ValueError("noise variance must be nonnegative")
+        # written so that NaN fails every check
+        if not abs(self.mean_const) < np.inf:
+            raise ValueError("mean must be finite")
+        if not 0.0 < self.signal_variance < np.inf:
+            raise ValueError("signal variance must be positive and finite")
+        if not 0.0 < self.lengthscale < np.inf:
+            raise ValueError("lengthscale must be positive and finite")
+        if not 0.0 <= self.noise_var < np.inf:
+            raise ValueError("noise variance must be nonnegative and finite")
         if int(self.window) < 1:
             raise ValueError("window must hold at least one observation")
         object.__setattr__(self, "window", int(self.window))
@@ -119,16 +126,14 @@ class IntelState:
     """Observation buffer, weight history and the last step's forecasts.
 
     ``forecasts`` holds one forecast per model of ``pool``, made from
-    ``buffer`` for the time one after its newest entry, and
-    ``log_evidences`` scores the observation the step last absorbed.  All
-    three are empty in a state that carries no forecasts, such as
-    :meth:`initial`'s; :func:`intel_step` then recomputes them.
+    ``buffer`` for the time one after its newest entry.  Both are empty in
+    a state that carries no forecasts, such as :meth:`initial`'s;
+    :func:`intel_step` then recomputes them.
     """
 
     buffer: tuple
     history: WeightHistory
     forecasts: tuple = ()
-    log_evidences: tuple = ()
     pool: tuple = ()
 
     def __post_init__(self):
@@ -276,11 +281,11 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     Returns
     -------
     state : IntelState
-        Carries the ``t + 1`` forecasts and this step's log evidences.
+        Carries each model's own forecast for time ``t + 1``.
     fused : PredictiveGaussian
         Ensemble forecast for time ``t + 1``.
-    per_model : list of PredictiveGaussian
-        Each model's own forecast for time ``t + 1``.
+    log_evidences : ndarray, shape (K,)
+        Each model's log density of ``y_t``; ``-inf`` where it underflows.
     """
     pool = tuple(pool)
     if len(pool) != len(state.model_weights):
@@ -295,7 +300,7 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
         current = state.forecasts
     else:
         current = [window_predict(m, state.buffer, t) for m in pool]
-    log_evs = tuple(p.logpdf(y_t) for p in current)
+    log_evs = np.array([p.logpdf(y_t) for p in current])
 
     _, history, _ = weight_step(wtt_config, state.history, log_evs,
                                 weight_floor)
@@ -303,12 +308,9 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     max_window = max(m.window for m in pool)
     buffer = (state.buffer + ((t, y_t),))[-max_window:]
 
-    per_model = [window_predict(m, buffer, t + 1.0) for m in pool]
-    fusion_weights = apply_wtt(wtt_config, history)
-    fused = poe_combine(per_model, fusion_weights)
-
-    return (IntelState(buffer, history, tuple(per_model), log_evs, pool),
-            fused, per_model)
+    forecasts = tuple(window_predict(m, buffer, t + 1.0) for m in pool)
+    fused = poe_combine(forecasts, apply_wtt(wtt_config, history))
+    return IntelState(buffer, history, forecasts, pool), fused, log_evs
 
 
 def perturb_pool(nominal: GPTSModel, noise_factors) -> list:

@@ -39,7 +39,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "LinearGaussianModel",
     "KfEnsembleState",
-    "KfModelResult",
     "kf_predict",
     "kf_update",
     "kf_bdemm_step",
@@ -107,14 +106,6 @@ class KfEnsembleState:
         return cls(belief, WeightHistory.start(weights))
 
 
-@dataclass(frozen=True)
-class KfModelResult:
-    """Per-model output of one ensemble step."""
-
-    posterior: GaussianBelief
-    log_evidence: float
-
-
 def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBelief:
     """One-step-ahead prediction: mean -> A mean, cov -> A cov A^T + Q."""
     if belief.dim != model.state_dim:
@@ -158,9 +149,9 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     predictive weights, Bayes' rule updates them with the evidences, and the
     weighted posteriors are moment-matched into the next shared belief,
     whose mean is the point estimate.  If every log evidence is ``-inf`` the
-    step is treated as uninformative: the predictive weights carry forward unchanged
-    and the measurement update is skipped, so the per-model results report
-    the predicted beliefs instead of posteriors conditioned on an
+    step is treated as uninformative: the predictive weights carry forward
+    unchanged and the measurement update is skipped, so the next belief
+    collapses the predicted beliefs instead of posteriors conditioned on an
     observation no candidate can represent.
 
     Returns
@@ -168,7 +159,8 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     state : KfEnsembleState
     estimate : PointEstimate
         The collapsed mean, which is the weight-averaged posterior mean.
-    per_model : list of KfModelResult
+    log_evidences : ndarray, shape (K,)
+        Each model's log evidence for ``y``; ``-inf`` where it underflows.
     """
     pool = list(pool)
     if len(pool) != len(state.weights):
@@ -197,7 +189,4 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     estimate = PointEstimate(belief.mean)
     logger.debug("kf step: max model weight %.3g", float(weights.w.max()))
 
-    new_state = KfEnsembleState(belief, history)
-    per_model = [KfModelResult(p, float(le))
-                 for p, le in zip(posteriors, log_evs)]
-    return new_state, estimate, per_model
+    return KfEnsembleState(belief, history), estimate, log_evs

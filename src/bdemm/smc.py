@@ -67,7 +67,6 @@ __all__ = [
     "GenericStateSpaceModel",
     "ParticleEnsemble",
     "SmcEnsembleState",
-    "SmcModelResult",
     "propagate",
     "reweight",
     "mc_log_evidence",
@@ -164,14 +163,6 @@ class SmcEnsembleState:
         return cls(ens, WeightHistory.start(weights))
 
 
-@dataclass(frozen=True)
-class SmcModelResult:
-    """Per-model output of one ensemble step."""
-
-    point_estimate: PointEstimate
-    log_evidence: float
-
-
 def propagate(model: GenericStateSpaceModel, ensemble: ParticleEnsemble,
               t: int, rng: np.random.Generator) -> ParticleEnsemble:
     """Push every particle through the model's transition; weights carry over."""
@@ -185,7 +176,9 @@ def propagate(model: GenericStateSpaceModel, ensemble: ParticleEnsemble,
 
 
 def _checked_loglik(model, y, particles, t):
-    ll = np.asarray(model.log_likelihood(y, particles, t), dtype=float)
+    # a residual so large that its square overflows scores -inf
+    with np.errstate(over="ignore"):
+        ll = np.asarray(model.log_likelihood(y, particles, t), dtype=float)
     if ll.shape != (particles.shape[0],):
         raise DimensionMismatchError("log likelihood must return one value per particle")
     if np.any(np.isnan(ll)) or np.any(ll == np.inf):
@@ -291,7 +284,9 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     state : SmcEnsembleState
         Ensemble resampled back to N uniform-weight particles.
     estimate : PointEstimate
-    per_model : list of SmcModelResult
+    log_evidences : ndarray, shape (K,)
+        Each model's log evidence for ``y``; ``-inf`` for a model whose
+        likelihood underflows on every particle.
     """
     pool = list(pool)
     k_models = len(pool)
@@ -334,10 +329,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     new_ens = resample(aug_particles, aug_weights, ens.n,
                        np.random.default_rng(seeds[1]), scheme=resampling)
 
-    new_state = SmcEnsembleState(new_ens, history)
-    per_model = [SmcModelResult(est, float(le))
-                 for est, le in zip(estimates, log_evs)]
-    return new_state, estimate, per_model
+    return SmcEnsembleState(new_ens, history), estimate, log_evs
 
 
 # ---------------------------------------------------------------------------

@@ -222,10 +222,9 @@ class _KfEngine:
         self.state = KfEnsembleState.initial(belief, weights=weights)
 
     def step(self, y, t):
-        self.state, est, per = kf_bdemm_step(self.state, self.pool, y,
-                                             self.wtt, weight_floor=self.floor)
-        return (est.x_hat, self.state.weights.w,
-                np.array([r.log_evidence for r in per]))
+        self.state, est, log_evs = kf_bdemm_step(
+            self.state, self.pool, y, self.wtt, weight_floor=self.floor)
+        return est.x_hat, self.state.weights.w, log_evs
 
 
 def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
@@ -290,11 +289,10 @@ class _SmcEngine:
         self.state = SmcEnsembleState.initial(particles, k=k)
 
     def step(self, y, t):
-        self.state, est, per = smc_bdemm_step(
+        self.state, est, log_evs = smc_bdemm_step(
             self.state, self.pool, y, t, self.wtt, self.rng,
             weight_floor=self.floor, resampling=self.resampling)
-        return (est.x_hat, self.state.model_weights.w,
-                np.array([r.log_evidence for r in per]))
+        return est.x_hat, self.state.model_weights.w, log_evs
 
 
 class _IntelEngine:
@@ -313,10 +311,9 @@ class _IntelEngine:
 
     def step(self, y, t):
         y = float(np.atleast_1d(y)[0])
-        self.state, fused, _ = intel_step(self.state, self.pool, y, t,
-                                          self.wtt, weight_floor=self.floor)
-        return (np.array([fused.mean]), self.state.model_weights.w,
-                np.array(self.state.log_evidences))
+        self.state, fused, log_evs = intel_step(
+            self.state, self.pool, y, t, self.wtt, weight_floor=self.floor)
+        return np.array([fused.mean]), self.state.model_weights.w, log_evs
 
 
 def build_engine(config: dict):

@@ -122,6 +122,70 @@ def test_stream_gp_forecast_overflow_exits_two(tmp_path, capsys, config,
     assert len(out.read_text().splitlines()) == written + 1
 
 
+KF_README = """\
+engine = kf
+wtt.kind = forgetting
+wtt.alpha = 0.8
+kf.models = 2
+kf.model.1.A = [1.0]
+kf.model.1.Q = [0.05]
+kf.model.1.B = [1.0]
+kf.model.1.R = [0.04]
+kf.model.2.A = [1.0]
+kf.model.2.Q = [0.05]
+kf.model.2.B = [1.0]
+kf.model.2.R = [4.0]
+kf.init.mean = [0.0]
+kf.init.cov = [1.0]
+"""
+
+# two candidates that move the belief to +-1.5e154 and explain y = 0 equally
+# well: the collapsed variance, ~2.25e308, has no double
+KF_SPLIT = """\
+engine = kf
+kf.models = 2
+kf.model.1.A = [1.0]
+kf.model.1.Q = [1.0]
+kf.model.1.B = [1.0]
+kf.model.1.R = [1e306]
+kf.model.2.A = [-1.0]
+kf.model.2.Q = [1.0]
+kf.model.2.B = [1.0]
+kf.model.2.R = [1e306]
+kf.init.mean = [1.5e154]
+kf.init.cov = [1.0]
+"""
+
+
+def _stream_with_warnings_as_errors(tmp_path, config, rows):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(config)
+    obs = tmp_path / "obs.csv"
+    obs.write_text(rows)
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["stream", "--config", str(cfg), "--input", str(obs),
+                   "--out", str(out)])
+    return rc, out
+
+
+def test_stream_kf_far_off_rows_exit_zero(tmp_path, capsys):
+    # the mixture collapse centres the means before squaring them
+    for rows in ("0.1\n1.5e154\n0.2\n",
+                 "0.1\n1e155\n0.2\n1.3e155\n-1.6e155\n"):
+        rc, out = _stream_with_warnings_as_errors(tmp_path, KF_README, rows)
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == rows.count("\n") + 1
+
+
+def test_stream_kf_collapse_overflow_exits_two(tmp_path, capsys):
+    rc, out = _stream_with_warnings_as_errors(tmp_path, KF_SPLIT, "0.0\n")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("bdemm stream: numeric failure:")
+    assert out.read_text().splitlines() == ["step,est_1,w_1,w_2,ev_1,ev_2"]
+
+
 def test_stream_config_errors_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("engine = nonsense\n")
@@ -206,6 +270,9 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     INTEL_CFG + "intel.window = abc\n",
     INTEL_CFG + "intel.window = 0\n",
     INTEL_CFG + "intel.signal_variance = -1\n",
+    INTEL_CFG + "intel.lengthscale = nan\n",
+    INTEL_CFG + "intel.noise_variance = 1e307\n",
+    INTEL_CFG + "intel.mean = inf\n",
     KF_CFG.replace("kf.models = 1", "kf.models = 2") + KF_WIDE,
     SMC_TOY.replace("smc.init.point = [1.0]", "smc.init.point = [1.0, 2.0]"),
     SMC_LINEAR_OK.replace("mean = [0.0]", "mean = [0.0, 0.0]")
@@ -215,7 +282,9 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
         "particles-fraction", "particles-zero", "seed-negative", "seed-word",
         "resampling-unknown", "gamma-shape-negative", "noise-var-negative",
         "linear-gaussian-Q-negative", "window-word", "window-zero",
-        "signal-variance-negative", "kf-candidate-dims-differ",
+        "signal-variance-negative", "lengthscale-nan",
+        "noise-variance-scaled-to-inf", "mean-infinite",
+        "kf-candidate-dims-differ",
         "smc-init-point-dim", "smc-init-mean-dim", "linear-gaussian-B-vs-A"])
 def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
                                                           text):

@@ -1,5 +1,7 @@
 """Weight arithmetic, belief types, and mixture collapse."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from bdemm import (
     DimensionMismatchError,
     GaussianBelief,
     NegativeEntryError,
+    NonFiniteBeliefError,
     PointEstimate,
     WeightHistory,
     WeightVector,
@@ -322,6 +325,32 @@ def test_collapse_single_component_is_identity():
     out = collapse_mixture([b], WeightVector([1.0]))
     assert np.allclose(out.mean, b.mean, atol=1e-15)
     assert np.allclose(out.cov, b.cov, atol=1e-15)
+
+
+@pytest.mark.parametrize("means, w, cov", [
+    # a zero-weight component adds nothing, however far off
+    ([0.1, 1.5e154], [0.0, 1.0], 1.0),
+    # a tiny weight scales the deviation before it is squared
+    ([0.0, 1.5e154], [1e-98, 1.0], 1.0 + 1e-98 * 1.5e154 * 1.5e154),
+    # huge means whose spread is small: only the spread is squared
+    ([2.0 ** 530, 2.0 ** 530 + 2.0 ** 500], [0.5, 0.5], 1.0 + 2.0 ** 998),
+], ids=["zero-weight", "tiny-weight", "close-huge-means"])
+def test_collapse_of_far_off_means_does_not_overflow(means, w, cov):
+    comps = [GaussianBelief(m, 1.0) for m in means]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = collapse_mixture(comps, WeightVector(w))
+    assert out.mean.tolist() == [float(np.dot(w, means))]
+    assert out.cov[0, 0] == pytest.approx(cov, rel=1e-12)
+
+
+def test_collapse_that_cannot_be_represented_raises_a_library_error():
+    # the true variance, 1.5e154 ** 2 ~ 2.25e308, exceeds the largest double
+    comps = [GaussianBelief(1.5e154, 1.0), GaussianBelief(-1.5e154, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteBeliefError):
+            collapse_mixture(comps, WeightVector([0.5, 0.5]))
 
 
 def test_collapse_rejects_mismatches():

@@ -54,6 +54,13 @@ def test_model_validation():
         GPTSModel(0.0, 1.0, 1.0, -0.1, 5)
     with pytest.raises(ValueError):
         GPTSModel(0.0, 1.0, 1.0, 0.1, 0)
+    # NaN passes a "<= 0" check, so each parameter is also tried at NaN and inf
+    for i in range(4):
+        for bad in (np.nan, np.inf):
+            params = [0.0, 1.0, 1.0, 0.1]
+            params[i] = bad
+            with pytest.raises(ValueError):
+                GPTSModel(*params, window=5)
 
 
 def test_predictive_gaussian():
@@ -207,11 +214,11 @@ def test_intel_step_weights_find_the_right_noise_level():
     state = IntelState.initial(k=2)
     times, values = _smooth_series(20)
     for t, v in zip(times, values):
-        state, fused, per = intel_step(state, pool, float(v), float(t),
-                                       WTTConfig.identity())
+        state, fused, log_evs = intel_step(state, pool, float(v), float(t),
+                                           WTTConfig.identity())
     # the series is smooth: the low-noise candidate wins
     assert state.model_weights.w[0] > 0.99
-    assert len(per) == 2
+    assert len(log_evs) == 2
     assert len(state.history) == 21
 
 
@@ -232,10 +239,10 @@ def test_intel_step_fusion_uses_predictive_weights():
     wtt = WTTConfig.forgetting(0.7)
     times, values = _smooth_series(6)
     for t, v in zip(times, values):
-        state, fused, per = intel_step(state, pool, float(v), float(t), wtt)
-    # recompute the fusion from the returned pieces
+        state, fused, _ = intel_step(state, pool, float(v), float(t), wtt)
+    # recompute the fusion from the state's forecasts and weight history
     fusion_w = apply_wtt(wtt, state.history)
-    ref = poe_combine(per, fusion_w)
+    ref = poe_combine(state.forecasts, fusion_w)
     assert fused.mean == ref.mean
     assert fused.var == ref.var
 
@@ -265,8 +272,8 @@ def test_intel_step_rejects_stale_timestamps():
 def _counted_run(monkeypatch, pools, times, values, carry=True):
     """Step through ``values``; ``pools[i]`` serves step i.  Returns the
     ``gp_predict_next`` calls per step and each step's weights, fused
-    forecast and log evidences.  With ``carry`` off, every step starts from
-    a state that carries no forecasts."""
+    forecast, carried forecasts and log evidences.  With ``carry`` off,
+    every step starts from a state that carries no forecasts."""
     calls = []
     original = gpts_module.gp_predict_next
 
@@ -281,11 +288,11 @@ def _counted_run(monkeypatch, pools, times, values, carry=True):
         if not carry:
             state = IntelState(state.buffer, state.history)
         calls.append(0)
-        state, fused, per = intel_step(state, pool, float(v), float(t),
-                                       WTTConfig.forgetting(0.8))
-        assert state.forecasts == tuple(per)
+        state, fused, log_evs = intel_step(state, pool, float(v), float(t),
+                                           WTTConfig.forgetting(0.8))
+        assert len(state.forecasts) == len(pool)
         outputs.append((state.model_weights.w.tobytes(), fused.mean,
-                        fused.var, state.log_evidences))
+                        fused.var, state.forecasts, log_evs.tobytes()))
     monkeypatch.undo()
     return calls, outputs
 
@@ -335,4 +342,6 @@ def test_perturb_pool():
     zero_noise = GPTSModel(0.0, 1.0, 1.0, 0.0, 5)
     with pytest.raises(ValueError):
         perturb_pool(zero_noise, [1.0, 2.0])
+    with pytest.raises(ValueError):  # 1e307 * 100 overflows to inf
+        perturb_pool(GPTSModel(0.0, 1.0, 1.0, 1e307, 5), [1.0, 100.0])
     assert len(perturb_pool(zero_noise, [1.0])) == 1

@@ -109,7 +109,7 @@ def test_single_model_ensemble_matches_textbook_filter():
         state = KfEnsembleState.initial(GaussianBelief(mean0, cov0), k=1)
         wtt = WTTConfig.identity()
         for y in ys:
-            state, est, per = kf_bdemm_step(state, [model], y, wtt)
+            state, est, _ = kf_bdemm_step(state, [model], y, wtt)
             assert state.weights.w[0] == 1.0  # K=1: weight never moves
 
         ref_means, ref_covs = _textbook_kf(model.A, model.Q, model.B, model.R,
@@ -167,11 +167,14 @@ def test_estimate_equals_collapsed_mean_exactly():
 
 def test_belief_is_the_collapsed_posterior_mixture():
     pool = _two_model_pool()
-    state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
-    state, _, per = kf_bdemm_step(state, pool, 0.8, WTTConfig.identity())
-    ref = collapse_mixture([r.posterior for r in per], state.weights)
+    start = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
+    state, _, log_evs = kf_bdemm_step(start, pool, 0.8, WTTConfig.identity())
+    updates = [kf_update(m, kf_predict(m, start.belief), 0.8) for m in pool]
+    ref = collapse_mixture([posterior for posterior, _ in updates],
+                           state.weights)
     assert np.allclose(state.belief.mean, ref.mean, atol=1e-15)
     assert np.allclose(state.belief.cov, ref.cov, atol=1e-15)
+    assert np.array_equal(log_evs, [log_ev for _, log_ev in updates])
 
 
 def test_identity_wtt_weights_track_evidence_products():
@@ -181,8 +184,8 @@ def test_identity_wtt_weights_track_evidence_products():
     state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
     log_prod = np.zeros(2)
     for y in (0.4, -1.0, 2.2, 0.1):
-        state, _, per = kf_bdemm_step(state, pool, y, WTTConfig.identity())
-        log_prod += [r.log_evidence for r in per]
+        state, _, log_evs = kf_bdemm_step(state, pool, y, WTTConfig.identity())
+        log_prod += log_evs
     expected = np.exp(log_prod - log_prod.max())
     expected = expected * 0.5  # uniform prior
     expected /= expected.sum()
@@ -194,18 +197,23 @@ def test_all_models_underflow_skips_the_step():
     # The step then extracts nothing: predictive weights, predicted beliefs.
     pool = _two_model_pool()
     start = WeightVector([0.7, 0.3])
-    state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), weights=start)
+    prior = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), weights=start)
     with np.errstate(over="ignore"):
-        state, est, per = kf_bdemm_step(state, pool, 1e200, WTTConfig.identity())
+        state, est, log_evs = kf_bdemm_step(prior, pool, 1e200,
+                                            WTTConfig.identity())
     assert np.array_equal(state.weights.w, start.w)
-    assert all(r.log_evidence == -np.inf for r in per)
+    assert log_evs.tolist() == [-np.inf, -np.inf]
     # both candidates share A and Q, so both predict N(0, 1.1) and the
     # collapsed belief is that prediction, untouched by the observation
     assert np.allclose(est.x_hat, [0.0], atol=1e-15)
     assert np.allclose(state.belief.mean, [0.0], atol=1e-15)
     assert np.allclose(state.belief.cov, [[1.1]], atol=1e-12)
-    for r in per:
-        assert np.allclose(r.posterior.mean, [0.0], atol=1e-15)
+    predicted = [kf_predict(m, prior.belief) for m in pool]
+    for p in predicted:
+        assert np.allclose(p.mean, [0.0], atol=1e-15)
+    ref = collapse_mixture(predicted, state.weights)
+    assert np.array_equal(state.belief.mean, ref.mean)
+    assert np.array_equal(state.belief.cov, ref.cov)
 
 
 @pytest.mark.parametrize("y", [1e160, 1e300])
@@ -219,13 +227,13 @@ def test_overflowing_residual_falls_back_without_warning(y):
     predictive = apply_wtt(wtt, state.history)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        new, est, per = kf_bdemm_step(state, pool, y, wtt)
+        new, est, log_evs = kf_bdemm_step(state, pool, y, wtt)
     assert np.array_equal(new.weights.w, predictive.w)
-    for model, r in zip(pool, per):
-        predicted = kf_predict(model, state.belief)
-        assert r.log_evidence == -np.inf
-        assert np.array_equal(r.posterior.mean, predicted.mean)
-        assert np.array_equal(r.posterior.cov, predicted.cov)
+    assert log_evs.tolist() == [-np.inf, -np.inf]
+    predicted = [kf_predict(model, state.belief) for model in pool]
+    ref = collapse_mixture(predicted, new.weights)
+    assert np.array_equal(new.belief.mean, ref.mean)
+    assert np.array_equal(new.belief.cov, ref.cov)
 
 
 def test_weight_floor_keeps_models_alive():

@@ -194,10 +194,11 @@ def test_kf_single_model_stream(tmp_path):
     model = LinearGaussianModel(A=1.0, Q=0.1, B=1.0, R=1.0)
     state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=1)
     for i, y in enumerate(ys):
-        state, est, per = kf_bdemm_step(state, [model], y, WTTConfig.identity())
+        state, est, log_evs = kf_bdemm_step(state, [model], y,
+                                            WTTConfig.identity())
         cells = lines[1 + i].split(",")
         assert float(cells[1]) == est.x_hat[0]
-        assert float(cells[3]) == np.exp(per[0].log_evidence)
+        assert float(cells[3]) == np.exp(log_evs[0])
 
 
 def test_kf_two_model_stream_weights_sum_to_one(tmp_path):
