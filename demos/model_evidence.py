@@ -15,7 +15,6 @@ estimate are exponentiated here to print them next to the truth.
 """
 
 import numpy as np
-from scipy.stats import norm
 
 from bdemm import (
     GaussianBelief,
@@ -23,11 +22,15 @@ from bdemm import (
     UnnormalizedTarget,
     effective_sample_size,
     gaussian_log_evidence,
+    gaussian_noise,
     is_evidence,
     mc_log_evidence,
 )
 
 TRUTH = 1.0 / np.sqrt(4.0 * np.pi)
+
+# log N(r; 0, 1), elementwise
+std_normal = gaussian_noise(1.0)
 
 
 def main():
@@ -40,10 +43,9 @@ def main():
     # prior as proposal, prior x likelihood as unnormalized target
     proposal = Proposal(
         sample=lambda rng, n: rng.standard_normal((n, 1)),
-        log_density=lambda x: norm.logpdf(x[:, 0]))
+        log_density=lambda x: std_normal(x[:, 0]))
     target = UnnormalizedTarget(
-        log_density=lambda x: norm.logpdf(x[:, 0])
-        + norm.logpdf(0.0, loc=x[:, 0]))
+        log_density=lambda x: std_normal(x[:, 0]) + std_normal(0.0 - x[:, 0]))
 
     print()
     print("importance sampling from the prior")
@@ -60,7 +62,7 @@ def main():
     rng = np.random.default_rng(6)
     for n in (100, 10_000, 1_000_000):
         particles = rng.standard_normal(n)
-        log_likes = norm.logpdf(0.0, loc=particles)
+        log_likes = std_normal(0.0 - particles)
         est = np.exp(mc_log_evidence(np.full(n, 1.0 / n), log_likes))
         print("  n=%-9d estimate %.6f   rel error %.2e"
               % (n, est, abs(est - TRUTH) / TRUTH))

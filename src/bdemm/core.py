@@ -160,9 +160,12 @@ def checked_cov(m, name: str = "covariance") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("%s must be finite" % name)
     scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > SYM_ATOL * scale:
+    # entries of opposite sign near the float limit overflow to a rejection
+    with np.errstate(over="ignore"):
+        asymmetry = float(np.abs(m - m.T).max())
+    if asymmetry > SYM_ATOL * scale:
         raise ValueError("%s is not symmetric" % name)
-    m = 0.5 * (m + m.T)
+    m = 0.5 * m + 0.5 * m.T
     if float(np.linalg.eigvalsh(m).min()) < -PSD_ATOL * scale:
         raise ValueError("%s is not positive semidefinite" % name)
     return m

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import logsumexp
 from .errors import NonFiniteWeightError, SingularInnovationCovError
@@ -138,35 +137,39 @@ def gaussian_innovation(y, predictive, B, R):
 
     For a Gaussian state belief pushed through ``y = B x + noise`` with noise
     covariance ``R``, the observation is Gaussian with mean ``B mean`` and
-    covariance ``S = B cov B^T + R``.  Returns ``(chol, resid, log_ev)``: the
-    lower Cholesky factor of ``S`` in :func:`scipy.linalg.cho_factor` form,
-    the residual ``y - B mean`` and the log density of ``y``.  A residual so
-    large that its quadratic form overflows gives ``log_ev = -inf``.
+    covariance ``S = B cov B^T + R``.  Returns ``(S, resid, log_ev)``: the
+    symmetrized ``S``, the residual ``y - B mean`` and the log density of
+    ``y``.  A residual so large that its quadratic form overflows gives
+    ``log_ev = -inf``.
 
     Raises
     ------
     SingularInnovationCovError
-        If ``S`` cannot be Cholesky-factorized.
+        If ``S`` is not finite or cannot be Cholesky-factorized.
     ValueError
         If ``y`` does not match the rows of ``B``.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    s = B @ predictive.cov @ B.T + R
-    s = 0.5 * (s + s.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = B @ predictive.cov @ B.T + R
+    s = 0.5 * s + 0.5 * s.T
     try:
-        chol = cho_factor(s, lower=True)
+        chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationCovError(
             "innovation covariance is not positive definite") from exc
+    # a non-finite S factors without error but leaves its mark on the diagonal
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    if not np.isfinite(logdet):
+        raise SingularInnovationCovError("innovation covariance is not finite")
     resid = y - B @ predictive.mean
     if resid.shape != (s.shape[0],):
         raise ValueError("observation dimension does not match B")
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
     with np.errstate(over="ignore"):
-        quad = resid @ cho_solve(chol, resid)
-    return chol, resid, float(-0.5 * (y.size * LOG_2PI + logdet + quad))
+        quad = resid @ np.linalg.solve(s, resid)
+    return s, resid, float(-0.5 * (y.size * LOG_2PI + logdet + quad))
 
 
 def gaussian_log_evidence(y, predictive, B, R) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
 
 from .core import WeightHistory, WeightVector
 from .errors import (
@@ -175,9 +175,9 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
         mean = mu + k*^T (K + noise I)^{-1} (v - mu)
         var  = k(t*, t*) + noise - k*^T (K + noise I)^{-1} k*
 
-    The solve is a Cholesky factorization with an escalating jitter: starting
-    at ``1e-10 * signal_variance`` and growing tenfold up to
-    ``1e-4 * signal_variance`` before giving up.
+    The Gram matrix takes an escalating jitter, from ``1e-10`` tenfold up to
+    ``1e-4`` times ``signal_variance``, until it passes a Cholesky
+    factorization; one solve on it then serves both right-hand sides.
 
     Raises
     ------
@@ -193,30 +193,28 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("times must be strictly increasing")
 
-    gram = _sqexp(model, times, times)
-    gram[np.diag_indices_from(gram)] += model.noise_var
-    eye = np.eye(times.size)
+    ext = np.append(times, t_next)
+    full = _sqexp(model, ext, ext)
+    full.flat[::ext.size + 1] += model.noise_var  # k(t*, t*) is not read
+    gram, k_star = full[:-1, :-1], full[:-1, -1]
     jitter = JITTER_START
-    chol = None
     while jitter <= JITTER_MAX * (1.0 + 1e-12):
+        jittered = gram + jitter * model.signal_variance * np.eye(times.size)
         try:
-            chol = cho_factor(gram + jitter * model.signal_variance * eye,
-                              lower=True)
+            cho_factor(jittered)
             break
         except np.linalg.LinAlgError:
             jitter *= 10.0
-    if chol is None:
+    else:
         raise FactorizationFailureError(
             "Gram matrix failed Cholesky at jitter %g * signal variance" % JITTER_MAX)
 
-    k_star = _sqexp(model, times, [t_next])[:, 0]
     # values near the float limit overflow here; PredictiveGaussian reports it
     with np.errstate(over="ignore", invalid="ignore"):
         resid = values - model.mean_const
-        mean = model.mean_const + k_star @ cho_solve(chol, resid,
-                                                     check_finite=False)
-        var = (model.signal_variance + model.noise_var
-               - k_star @ cho_solve(chol, k_star, check_finite=False))
+        solved = np.linalg.solve(jittered, np.column_stack((resid, k_star)))
+        mean = model.mean_const + k_star @ solved[:, 0]
+        var = model.signal_variance + model.noise_var - k_star @ solved[:, 1]
     # cancellation can push a near-zero variance a hair negative
     var = max(float(var), 1e-300)
     return PredictiveGaussian(float(mean), var)

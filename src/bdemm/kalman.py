@@ -20,7 +20,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .core import (
     GaussianBelief,
@@ -30,7 +29,7 @@ from .core import (
     checked_cov,
     collapse_mixture,
 )
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteBeliefError
 from .evidence import gaussian_innovation
 from .wtt import WTTConfig, weight_step
 
@@ -107,16 +106,28 @@ class KfEnsembleState:
 
 
 def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBelief:
-    """One-step-ahead prediction: mean -> A mean, cov -> A cov A^T + Q."""
+    """One-step-ahead prediction: mean -> A mean, cov -> A cov A^T + Q.
+
+    Raises
+    ------
+    NonFiniteBeliefError
+        If the predicted mean or covariance is not finite, e.g. because
+        ``A cov A^T`` overflowed.
+    """
     if belief.dim != model.state_dim:
         raise DimensionMismatchError("belief dimension does not match model")
-    mean = model.A @ belief.mean
-    cov = model.A @ belief.cov @ model.A.T + model.Q
-    return GaussianBelief(mean, 0.5 * (cov + cov.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = model.A @ belief.mean
+        cov = model.A @ belief.cov @ model.A.T + model.Q
+    try:
+        return GaussianBelief(mean, 0.5 * cov + 0.5 * cov.T)
+    except ValueError as exc:
+        # the belief's checks fail here only on a non-finite prediction
+        raise NonFiniteBeliefError("predicted belief is not finite") from exc
 
 
 def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
-    """Kalman measurement update plus log evidence, sharing one factorization.
+    """Kalman measurement update plus log evidence from the same innovation.
 
     Returns
     -------
@@ -131,10 +142,10 @@ def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (model.obs_dim,):
         raise DimensionMismatchError("observation dimension does not match model")
-    chol, resid, log_ev = gaussian_innovation(y, predicted, model.B, model.R)
+    s, resid, log_ev = gaussian_innovation(y, predicted, model.B, model.R)
     p = predicted.cov
     # gain G = P B^T S^{-1}, computed as solve(S, B P)^T since P is symmetric
-    gain = cho_solve(chol, model.B @ p).T
+    gain = np.linalg.solve(s, model.B @ p).T
     mean = predicted.mean + gain @ resid
     cov = p - gain @ model.B @ p
     return GaussianBelief(mean, 0.5 * (cov + cov.T)), log_ev

@@ -38,6 +38,7 @@ step propagates the cloud once, bit-identical to propagating it per model.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -404,11 +405,14 @@ def uniform_noise(low: float, high: float):
 
 def student_t_noise(df: float, scale: float = 1.0):
     """Elementwise log density of a scaled Student's t (heavy tails)."""
-    if df <= 0.0 or scale <= 0.0:
-        raise ValueError("df and scale must be positive")
-    from scipy.special import gammaln
-    const = float(gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
-                  - 0.5 * np.log(df * np.pi) - np.log(scale))
+    # written so that NaN fails
+    if not (0.0 < df < np.inf and 0.0 < scale < np.inf):
+        raise ValueError("df and scale must be positive and finite")
+    try:
+        const = float(math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
+                      - 0.5 * np.log(df * np.pi) - np.log(scale))
+    except OverflowError:
+        raise ValueError("df too large: its log-gamma overflows") from None
 
     def logpdf(resid):
         z = resid / scale

@@ -122,6 +122,17 @@ def test_stream_gp_forecast_overflow_exits_two(tmp_path, capsys, config,
     assert len(out.read_text().splitlines()) == written + 1
 
 
+def test_stream_kf_prediction_overflow_exits_two(tmp_path, capsys):
+    # A cov A^T = 1e309 has no double
+    config = (KF_CFG.replace("A = [1.0]", "A = [10.0]")
+              .replace("R = [1.0]", "R = [1e300]")
+              .replace("cov = [1.0]", "cov = [1e307]"))
+    rc, out = _stream_with_warnings_as_errors(tmp_path, config, "0.0\n")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("bdemm stream: numeric failure:")
+    assert out.read_text().splitlines() == ["step,est_1,w_1,ev_1"]
+
+
 KF_README = """\
 engine = kf
 wtt.kind = forgetting

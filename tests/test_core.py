@@ -127,6 +127,17 @@ def test_belief_scale_relative_tolerance():
     GaussianBelief([0.0, 0.0], c)
 
 
+def test_belief_near_the_float_limit_is_kept_without_warning():
+    # halving before adding keeps re-symmetrized entries representable
+    huge = [[1e308, -1e308], [-1e308, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GaussianBelief(0.0, 1e308).cov[0, 0] == 1e308
+        assert np.array_equal(GaussianBelief([0.0, 0.0], huge).cov, huge)
+        with pytest.raises(ValueError, match="not symmetric"):
+            GaussianBelief([0.0, 0.0], [[1.0, 1e308], [-1e308, 1.0]])
+
+
 def test_belief_accepts_scalar_arguments():
     b = GaussianBelief(1.0, 2.0)
     assert b.dim == 1

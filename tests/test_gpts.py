@@ -7,6 +7,7 @@ from scipy.stats import norm
 from bdemm import gpts as gpts_module
 from bdemm import (
     DimensionMismatchError,
+    FactorizationFailureError,
     GPTSModel,
     IntelState,
     PredictiveGaussian,
@@ -132,6 +133,53 @@ def test_prediction_validation():
         gp_predict_next(model, [1.0, 1.0], [0.0, 0.0], 2.0)  # ties
     with pytest.raises(DimensionMismatchError):
         gp_predict_next(model, [1.0, 2.0], [0.0], 3.0)
+
+
+def _failing_cholesky(monkeypatch, failures):
+    """Make the first ``failures`` factorizations fail; returns the matrices
+    every attempt was given."""
+    seen = []
+
+    def factor(m):
+        seen.append(np.array(m))
+        if len(seen) <= failures:
+            raise np.linalg.LinAlgError("forced failure")
+        return np.linalg.cholesky(m)
+
+    monkeypatch.setattr(gpts_module, "cho_factor", factor)
+    return seen
+
+
+@pytest.mark.parametrize("failures", [0, 1, 3, 6])
+def test_jitter_ladder_forecasts_at_the_first_rung_that_factors(monkeypatch,
+                                                                failures):
+    model = GPTSModel(0.5, 1.5, 2.0, 0.1, 10)
+    times = np.arange(10.0)
+    values = np.sin(times)
+    seen = _failing_cholesky(monkeypatch, failures)
+    pred = gp_predict_next(model, times, values, 10.0)
+    assert len(seen) == failures + 1
+    jitter = gpts_module.JITTER_START * 10.0 ** failures
+    k_mat = (_sqexp_ref(model, times, times)
+             + (model.noise_var + jitter * model.signal_variance) * np.eye(10))
+    np.testing.assert_allclose(seen[-1], k_mat, rtol=1e-15, atol=0.0)
+    k_star = _sqexp_ref(model, times, [10.0])[:, 0]
+    resid = values - model.mean_const
+    mean = model.mean_const + k_star @ np.linalg.solve(k_mat, resid)
+    var = (model.signal_variance + model.noise_var
+           - k_star @ np.linalg.solve(k_mat, k_star))
+    assert np.isfinite(pred.mean) and np.isfinite(pred.var)
+    assert pred.mean == pytest.approx(float(mean), abs=1e-12)
+    assert pred.var == pytest.approx(float(var), abs=1e-12)
+
+
+def test_jitter_ladder_gives_up_after_its_last_rung(monkeypatch):
+    model = GPTSModel(0.0, 1.0, 1.0, 0.1, 10)
+    seen = _failing_cholesky(monkeypatch, 100)
+    with pytest.raises(FactorizationFailureError):
+        gp_predict_next(model, [0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 3.0)
+    # 1e-10, 1e-9, ..., 1e-4 times the signal variance
+    assert len(seen) == 7
 
 
 def test_window_predict_empty_buffer_is_the_prior():

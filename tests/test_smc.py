@@ -549,6 +549,16 @@ def test_noise_helper_validation():
         student_t_noise(0.0)
 
 
+@pytest.mark.parametrize("df, scale", [(np.nan, 1.0), (np.inf, 1.0),
+                                       (1e307, 1.0), (3.0, np.inf)])
+def test_student_t_rejects_parameters_without_a_finite_density(df, scale):
+    # 1e307 overflows the log-gamma; NaN and inf would make every density NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            student_t_noise(df, scale)
+
+
 def test_additive_noise_ssm_wires_residuals():
     model = additive_noise_ssm(lambda x, t, rng: x,
                                lambda x, t: 2.0 * x[:, 0],
