@@ -23,6 +23,7 @@ estimates at numpy speed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -139,8 +140,9 @@ def gaussian_innovation(y, predictive, B, R):
     covariance ``R``, the observation is Gaussian with mean ``B mean`` and
     covariance ``S = B cov B^T + R``.  Returns ``(S, resid, log_ev)``: the
     symmetrized ``S``, the residual ``y - B mean`` and the log density of
-    ``y``.  A residual so large that its quadratic form overflows gives
-    ``log_ev = -inf``.
+    ``y``.  A residual so large that its quadratic form overflows, whatever
+    the signs of its entries, gives ``log_ev = -inf``; a NaN in ``y`` gives
+    a NaN ``log_ev``.
 
     Raises
     ------
@@ -167,9 +169,13 @@ def gaussian_innovation(y, predictive, B, R):
     resid = y - B @ predictive.mean
     if resid.shape != (s.shape[0],):
         raise ValueError("observation dimension does not match B")
-    with np.errstate(over="ignore"):
-        quad = resid @ np.linalg.solve(s, resid)
-    return s, resid, float(-0.5 * (y.size * LOG_2PI + logdet + quad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = float(resid @ np.linalg.solve(s, resid))
+    # S is positive definite, so a NaN here from a NaN-free residual is
+    # inf - inf between overflowed terms of a form whose value is +inf
+    if math.isnan(quad) and not np.isnan(resid).any():
+        quad = math.inf
+    return s, resid, -0.5 * (y.size * LOG_2PI + logdet + quad)
 
 
 def gaussian_log_evidence(y, predictive, B, R) -> float:

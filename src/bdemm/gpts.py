@@ -15,6 +15,11 @@ The fusion exponents are the predictive (transition-applied) weights, so a
 model's influence on the next forecast reflects where the weights are
 headed, not where they were.
 
+The kernel is stationary, so a window's Gram matrix depends only on its
+times relative to the forecast time.  Each model keeps its last factorized
+window and factorizes again only when those relative times change: a
+unit-spaced stream with a full window runs no Cholesky at all.
+
 Candidate pools typically come from :func:`perturb_pool`: take a nominal
 model and scale its noise variance by a few factors (say 1x and 100x), so
 the ensemble hedges between trusting and discounting fresh observations.
@@ -23,7 +28,8 @@ Hyperparameters are fixed at construction; nothing is re-estimated online.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
@@ -74,6 +80,10 @@ class GPTSModel:
     Every parameter must be finite: a NaN or infinite one raises
     ``ValueError``, so :func:`perturb_pool` cannot build a model whose
     scaled noise variance overflows.
+
+    The instance also holds a memo of its last factorized window, which
+    :func:`gp_predict_next` keeps; it takes no part in equality, hashing
+    or ``repr``.
     """
 
     mean_const: float
@@ -81,6 +91,9 @@ class GPTSModel:
     lengthscale: float
     noise_var: float
     window: int
+    # (bytes of times - t_next, jittered Gram, k*) of the last window factorized
+    _factored: tuple = field(default=None, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -128,13 +141,17 @@ class IntelState:
     ``forecasts`` holds one forecast per model of ``pool``, made from
     ``buffer`` for the time one after its newest entry.  Both are empty in
     a state that carries no forecasts, such as :meth:`initial`'s;
-    :func:`intel_step` then recomputes them.
+    :func:`intel_step` then recomputes them.  ``predictive`` holds the
+    weights ``wtt_config`` gives from ``history``, the fusion exponents of
+    those forecasts; ``None`` when the state carries none.
     """
 
     buffer: tuple
     history: WeightHistory
     forecasts: tuple = ()
     pool: tuple = ()
+    predictive: WeightVector | None = None
+    wtt_config: WTTConfig | None = None
 
     def __post_init__(self):
         buf = tuple((float(t), float(v)) for t, v in self.buffer)
@@ -161,16 +178,18 @@ def _sqexp(model: GPTSModel, a, b):
     """Squared-exponential kernel matrix between time vectors a and b."""
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[None, :]
-    z = (a - b) / model.lengthscale
-    return model.signal_variance * np.exp(-0.5 * z * z)
+    # a gap whose square overflows is an infinite one: its kernel entry is 0
+    with np.errstate(over="ignore"):
+        z = (a - b) / model.lengthscale
+        return model.signal_variance * np.exp(-0.5 * z * z)
 
 
 def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> PredictiveGaussian:
     """One-step-ahead GP forecast from an observation window.
 
-    Conditions on ``(times, values)`` (strictly increasing times, at most a
-    caller-enforced window of them) and returns the predictive Gaussian at
-    ``t_next``:
+    Conditions on ``(times, values)`` (finite, strictly increasing times, at
+    most a caller-enforced window of them) and returns the predictive
+    Gaussian at a finite ``t_next``:
 
         mean = mu + k*^T (K + noise I)^{-1} (v - mu)
         var  = k(t*, t*) + noise - k*^T (K + noise I)^{-1} k*
@@ -179,8 +198,18 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     ``1e-4`` times ``signal_variance``, until it passes a Cholesky
     factorization; one solve on it then serves both right-hand sides.
 
+    The Gram matrix and ``k*`` are built from the times relative to
+    ``t_next``, and the model keeps the last jittered Gram it accepted.  A
+    window whose relative times are bitwise those of the model's previous
+    one reuses it, so a model factorizes only when its window's times
+    relative to the next time stamp change, and a reused Gram gives bitwise
+    the forecast a fresh factorization would.
+
     Raises
     ------
+    ValueError
+        If a time stamp is not finite, a gap to ``t_next`` overflows, or the
+        times are not strictly increasing (also relative to ``t_next``).
     FactorizationFailureError
         If the Gram matrix cannot be factorized even at maximum jitter.
     NonFiniteForecastError
@@ -190,24 +219,39 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if times.ndim != 1 or times.shape != values.shape or times.size < 1:
         raise DimensionMismatchError("times and values must be matching vectors")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be strictly increasing")
+    # a NaN or infinite time stamp, or a gap to t_next past the float range,
+    # leaves a non-finite relative time
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = times - float(t_next)
+    if not np.isfinite(rel).all():
+        raise ValueError("time stamps must be finite and finitely far apart")
+    key = rel.tobytes()
 
-    ext = np.append(times, t_next)
-    full = _sqexp(model, ext, ext)
-    full.flat[::ext.size + 1] += model.noise_var  # k(t*, t*) is not read
-    gram, k_star = full[:-1, :-1], full[:-1, -1]
-    jitter = JITTER_START
-    while jitter <= JITTER_MAX * (1.0 + 1e-12):
-        jittered = gram + jitter * model.signal_variance * np.eye(times.size)
-        try:
-            cho_factor(jittered)
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+    factored = model._factored
+    if factored is not None and factored[0] == key:
+        _, jittered, k_star = factored
     else:
-        raise FactorizationFailureError(
-            "Gram matrix failed Cholesky at jitter %g * signal variance" % JITTER_MAX)
+        # Rounding is monotone, so strictly increasing relative times imply
+        # strictly increasing times; a reused Gram therefore needs no check.
+        if np.any(rel[1:] <= rel[:-1]):
+            raise ValueError("times must be strictly increasing")
+        ext = np.append(rel, 0.0)
+        full = _sqexp(model, ext, ext)
+        full.flat[::ext.size + 1] += model.noise_var  # k(t*, t*) is not read
+        gram, k_star = full[:-1, :-1], full[:-1, -1]
+        jitter = JITTER_START
+        while jitter <= JITTER_MAX * (1.0 + 1e-12):
+            jittered = gram + jitter * model.signal_variance * np.eye(times.size)
+            try:
+                cho_factor(jittered)
+                break
+            except np.linalg.LinAlgError:
+                jitter *= 10.0
+        else:
+            raise FactorizationFailureError(
+                "Gram matrix failed Cholesky at jitter %g * signal variance"
+                % JITTER_MAX)
+        object.__setattr__(model, "_factored", (key, jittered, k_star))
 
     # values near the float limit overflow here; PredictiveGaussian reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,13 +317,17 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     prior N(mean, signal_variance + noise_var).  Weights update from those
     evidences, the buffer absorbs ``(t, y_t)``, every model forecasts
     ``t + 1``, and the forecasts fuse by product of experts with the
-    *next-step predictive* weights as exponents.  So each model factorizes
-    once per observation.
+    *next-step predictive* weights as exponents.  So each model forecasts
+    once per observation, and factorizes only when its window's times
+    relative to the next time stamp change.  The predictive weights are
+    carried too: the next step's weight update starts from them when its
+    pool is this one and its ``wtt_config`` is the same object.
 
     Returns
     -------
     state : IntelState
-        Carries each model's own forecast for time ``t + 1``.
+        Carries each model's own forecast for time ``t + 1`` and the
+        predictive weights that fused them.
     fused : PredictiveGaussian
         Ensemble forecast for time ``t + 1``.
     log_evidences : ndarray, shape (K,)
@@ -289,26 +337,34 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     if len(pool) != len(state.model_weights):
         raise DimensionMismatchError("pool size does not match weight vector")
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError("time stamps must be finite")
     if state.buffer and t <= state.buffer[-1][0]:
         raise ValueError("time stamps must arrive strictly increasing")
     y_t = float(y_t)
 
-    if (state.buffer and t == state.buffer[-1][0] + 1.0
-            and state.pool == pool):
+    same_pool = state.pool == pool
+    if state.buffer and t == state.buffer[-1][0] + 1.0 and same_pool:
         current = state.forecasts
     else:
         current = [window_predict(m, state.buffer, t) for m in pool]
     log_evs = np.array([p.logpdf(y_t) for p in current])
 
+    # WTTConfig holds arrays, so only the same object is known to be equal
+    carried = (state.predictive
+               if same_pool and state.wtt_config is wtt_config else None)
     _, history, _ = weight_step(wtt_config, state.history, log_evs,
-                                weight_floor)
+                                weight_floor, predictive=carried)
 
     max_window = max(m.window for m in pool)
     buffer = (state.buffer + ((t, y_t),))[-max_window:]
 
     forecasts = tuple(window_predict(m, buffer, t + 1.0) for m in pool)
-    fused = poe_combine(forecasts, apply_wtt(wtt_config, history))
-    return IntelState(buffer, history, forecasts, pool), fused, log_evs
+    predictive = apply_wtt(wtt_config, history)
+    fused = poe_combine(forecasts, predictive)
+    state = IntelState(buffer, history, forecasts, pool, predictive,
+                       wtt_config)
+    return state, fused, log_evs
 
 
 def perturb_pool(nominal: GPTSModel, noise_factors) -> list:

@@ -46,7 +46,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearGaussianModel:
-    """One linear-Gaussian candidate: transition A, Q; observation B, R."""
+    """One linear-Gaussian candidate: transition A, Q; observation B, R.
+
+    Every entry must be finite, and ``Q`` and ``R`` must be covariances;
+    a bad matrix raises ``ValueError`` when the model is built.
+    """
 
     A: np.ndarray
     Q: np.ndarray
@@ -56,6 +60,9 @@ class LinearGaussianModel:
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.A, dtype=float))
         b = np.atleast_2d(np.asarray(self.B, dtype=float))
+        for name, arr in (("A", a), ("B", b)):
+            if not np.isfinite(arr).all():
+                raise ValueError("%s must be finite" % name)
         q = checked_cov(self.Q, "Q")
         r = checked_cov(self.R, "R")
         d = a.shape[0]

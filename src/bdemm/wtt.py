@@ -183,13 +183,15 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
 
 
 def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
-                floor: float = 0.0):
+                floor: float = 0.0, predictive: WeightVector | None = None):
     """One transition-then-Bayes move of the model weights.
 
     The operator turns ``history`` into predictive weights, and
     :func:`~bdemm.core.update_model_weights_log` folds in the per-model log
     evidences (``floor`` is passed through).  If every evidence is zero the
     observation is uninformative: the predictive weights carry forward.
+    A caller that already holds ``apply_wtt(config, history)`` passes it as
+    ``predictive``, and the operator does not run again.
 
     Returns
     -------
@@ -200,7 +202,8 @@ def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     informative : bool
         False when the predictive weights were carried forward.
     """
-    predictive = apply_wtt(config, history)
+    if predictive is None:
+        predictive = apply_wtt(config, history)
     try:
         weights = update_model_weights_log(predictive, log_evidences,
                                            floor=floor)

@@ -313,3 +313,20 @@ def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
     assert rc == 1
     assert "bdemm stream:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("kf.model.1.A = [1.0]", "kf.model.1.A = [nan]"),
+    ("kf.model.1.B = [1.0]", "kf.model.1.B = [inf]"),
+], ids=["A-nan", "B-inf"])
+def test_stream_kf_non_finite_map_exits_one_before_any_row(tmp_path, capsys,
+                                                            line, bad):
+    config = KF_CFG.replace(line, bad)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    with pytest.raises(ConfigError):
+        build_engine(parse_config(str(cfg)))
+    rc, out = _stream_with_warnings_as_errors(tmp_path, config, "0.1\n0.2\n")
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()

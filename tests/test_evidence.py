@@ -183,3 +183,16 @@ def test_overflowing_quadratic_form_gives_minus_inf_quietly(y):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert gaussian_log_evidence(y, belief, 1.0, 1.0) == -np.inf
+
+
+def test_mixed_sign_overflowing_residual_gives_minus_inf_quietly():
+    # solve(S, resid) is [-inf, inf], so the dot alone would be inf - inf
+    belief = GaussianBelief(np.zeros(2), np.zeros((2, 2)))
+    r = np.array([[1e-10, 5e-11], [5e-11, 1e-10]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian_log_evidence([1e300, 1e300], belief, np.eye(2),
+                                     r) == -np.inf
+        # a NaN observation still reads NaN: nothing bounds its density
+        assert np.isnan(gaussian_log_evidence([np.nan, 1e300], belief,
+                                              np.eye(2), r))

@@ -1,10 +1,13 @@
 """Gaussian-process ensemble: prediction, fusion, and the online step."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from bdemm import gpts as gpts_module
+from bdemm import wtt as wtt_module
 from bdemm import (
     DimensionMismatchError,
     FactorizationFailureError,
@@ -393,3 +396,201 @@ def test_perturb_pool():
     with pytest.raises(ValueError):  # 1e307 * 100 overflows to inf
         perturb_pool(GPTSModel(0.0, 1.0, 1.0, 1e307, 5), [1.0, 100.0])
     assert len(perturb_pool(zero_noise, [1.0])) == 1
+
+
+# ---------------------------------------------------------------------------
+# non-finite time stamps
+
+
+@pytest.mark.parametrize("times, t_next", [
+    ([0.0, 1.0, 2.0], np.inf),
+    ([0.0, 1.0, 2.0], -np.inf),
+    ([0.0, 1.0, 2.0], np.nan),
+    ([0.0, np.nan, 2.0], 3.0),
+    ([-np.inf, 1.0, 2.0], 3.0),
+    ([1e308], -1e308),  # the gap to t_next has no double
+], ids=["t_next-inf", "t_next-minus-inf", "t_next-nan", "times-nan",
+        "times-minus-inf", "gap-overflows"])
+def test_non_finite_time_stamps_raise_before_any_factorization(
+        monkeypatch, times, t_next):
+    model = GPTSModel(0.0, 1.0, 1.0, 0.1, 10)
+    seen = _failing_cholesky(monkeypatch, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="time stamps must be finite"):
+            gp_predict_next(model, times, np.zeros(len(times)), t_next)
+    assert seen == []
+    assert model._factored is None
+
+
+def test_gaps_whose_squares_overflow_forecast_quietly():
+    # squared gaps overflow from about 1e154; the spread of the last window
+    # does not fit a double at all
+    model = GPTSModel(0.0, 1.0, 1.0, 0.1, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for times, t_next in (([0.0, 1e200], 2e200), ([-1e308, 1e308], 0.0)):
+            pred = gp_predict_next(model, times, [5.0, 5.0], t_next)
+            assert pred.mean == 0.0
+            assert pred.var == pytest.approx(1.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows_before", [0, 2])
+def test_intel_step_rejects_non_finite_time_stamps(bad, rows_before):
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.1, 5), [1.0, 2.0])
+    state = IntelState.initial(k=2)
+    for t in range(rows_before):
+        state, _, _ = intel_step(state, pool, 0.1, float(t),
+                                 WTTConfig.identity())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="time stamps must be finite"):
+            intel_step(state, pool, 0.2, bad, WTTConfig.identity())
+
+
+# ---------------------------------------------------------------------------
+# the factorized-window memo
+
+
+def test_reused_factorization_gives_bitwise_a_fresh_models_forecast(
+        monkeypatch):
+    params = (0.3, 1.5, 2.0, 0.05, 10)
+    model = GPTSModel(*params)
+    times = np.arange(10.0)
+    gp_predict_next(model, times, np.sin(times), 10.0)
+    seen = _failing_cholesky(monkeypatch, 0)
+    # the same times relative to t_next, other values
+    later, values = times + 37.0, np.cos(times)
+    reused = gp_predict_next(model, later, values, 47.0)
+    assert len(seen) == 0
+    fresh = GPTSModel(*params)
+    direct = gp_predict_next(fresh, later, values, 47.0)
+    assert len(seen) == 1
+    assert (reused.mean, reused.var) == (direct.mean, direct.var)
+    # the memo is not part of the model's value
+    assert model == fresh
+    assert hash(model) == hash(fresh)
+    assert repr(model) == repr(fresh)
+
+
+def test_unit_spaced_stream_runs_no_cholesky_once_the_window_is_full(
+        monkeypatch):
+    window, rows = 6, 20
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=window),
+                        [1.0, 10.0, 100.0])
+    seen = _failing_cholesky(monkeypatch, 0)
+    counts, predicts = [], []
+    original = gpts_module.gp_predict_next
+
+    def counting(*args, **kwargs):
+        predicts[-1] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gpts_module, "gp_predict_next", counting)
+    state = IntelState.initial(k=3)
+    times, values = _smooth_series(rows)
+    for t, v in zip(times, values):
+        before = len(seen)
+        predicts.append(0)
+        state, _, _ = intel_step(state, pool, float(v), float(t),
+                                 WTTConfig.forgetting(0.8))
+        counts.append(len(seen) - before)
+    assert predicts == [3] * rows
+    # each new window length factorizes once per model, the full one too
+    assert counts == [3] * window + [0] * (rows - window)
+
+
+def _irregular_times(rng, n):
+    return np.cumsum(rng.uniform(0.3, 1.7, size=n))
+
+
+def test_irregular_time_grid_misses_and_matches_a_direct_solve(monkeypatch):
+    rng = np.random.default_rng(97)
+    model = GPTSModel(0.2, 1.3, 2.5, 0.08, window=8)
+    times = _irregular_times(rng, 60)
+    values = np.sin(0.4 * times) + rng.normal(0.0, 0.1, size=times.size)
+    seen = _failing_cholesky(monkeypatch, 0)
+    for end in range(model.window, times.size):
+        before = len(seen)
+        window = slice(end - model.window, end)
+        ours = gp_predict_next(model, times[window], values[window],
+                               float(times[end]))
+        mean, var = _direct_predict(model, times[window], values[window],
+                                    float(times[end]))
+        assert ours.mean == pytest.approx(mean, abs=1e-8)
+        assert ours.var == pytest.approx(var, abs=1e-8)
+        assert len(seen) > before  # every forecast factorized
+
+
+def test_each_model_holds_one_window_after_a_long_irregular_run():
+    rng = np.random.default_rng(101)
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+                        [1.0, 10.0, 100.0])
+    state = IntelState.initial(k=3)
+    times = _irregular_times(rng, 500)
+    for t in times:
+        state, _, _ = intel_step(state, pool, float(np.sin(t)), float(t),
+                                 WTTConfig.identity())
+    last = np.array([t for t, _ in state.buffer[-6:]])
+    for model in pool:
+        key, gram, k_star = model._factored
+        assert key == (last - (times[-1] + 1.0)).tobytes()
+        assert gram.shape == (6, 6)
+        assert k_star.shape == (6,)
+
+
+def test_failed_factorization_is_not_memoized(monkeypatch):
+    model = GPTSModel(0.0, 1.0, 1.0, 0.1, 10)
+    seen = _failing_cholesky(monkeypatch, 100)
+    for attempts in (7, 14):
+        with pytest.raises(FactorizationFailureError):
+            gp_predict_next(model, [0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 3.0)
+        assert len(seen) == attempts
+    assert model._factored is None
+
+
+# ---------------------------------------------------------------------------
+# carried predictive weights
+
+
+def _counted_weight_transitions(monkeypatch, configs, pools):
+    calls = []
+    original = wtt_module.apply_wtt
+
+    def counting(*args, **kwargs):
+        calls[-1] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wtt_module, "apply_wtt", counting)
+    monkeypatch.setattr(gpts_module, "apply_wtt", counting)
+    state = IntelState.initial(k=2)
+    times, values = _smooth_series(len(configs))
+    outputs = []
+    for cfg, pool, t, v in zip(configs, pools, times, values):
+        calls.append(0)
+        state, fused, _ = intel_step(state, pool, float(v), float(t), cfg)
+        outputs.append((state.model_weights.w.tobytes(), fused.mean,
+                        fused.var))
+    monkeypatch.undo()
+    return calls, outputs
+
+
+def test_intel_step_runs_the_weight_transition_once_per_step(monkeypatch):
+    rows = 8
+    first = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=4), [1.0, 9.0])
+    second = perturb_pool(GPTSModel(0.1, 1.0, 2.0, 0.04, window=4), [1.0, 9.0])
+    cfg = WTTConfig.polya_urn([2, 3])
+    calls, outputs = _counted_weight_transitions(monkeypatch, [cfg] * rows,
+                                                 [first] * rows)
+    # the first step has no carried weights; later ones reuse the fusion's
+    assert calls == [2] + [1] * (rows - 1)
+    # an equal but distinct config, or another pool, is not trusted
+    fresh, fresh_outputs = _counted_weight_transitions(
+        monkeypatch, [WTTConfig.polya_urn([2, 3]) for _ in range(rows)],
+        [first] * rows)
+    assert fresh == [2] * rows
+    assert fresh_outputs == outputs
+    swapped, _ = _counted_weight_transitions(
+        monkeypatch, [cfg] * rows, [first] * 4 + [second] * 4)
+    assert swapped == [2, 1, 1, 1, 2, 1, 1, 1]

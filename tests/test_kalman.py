@@ -260,3 +260,15 @@ def test_pool_size_must_match_weights():
         kf_bdemm_step(state, _two_model_pool()[:1], 0.0, WTTConfig.identity())
     with pytest.raises(DimensionMismatchError):
         KfEnsembleState.initial(GaussianBelief(0.0, 1.0))
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_maps(name, bad):
+    matrices = {"A": np.eye(2), "Q": np.eye(2), "B": np.eye(2), "R": np.eye(2)}
+    matrices[name] = matrices[name].copy()
+    matrices[name][1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            LinearGaussianModel(**matrices)

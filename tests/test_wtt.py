@@ -256,3 +256,22 @@ def test_weight_step_passes_the_floor_through():
     assert informative
     assert np.array_equal(weights.w, expected.w)
     assert weights.w[1] > 0.04
+
+
+def test_weight_step_starts_from_given_predictive_weights(monkeypatch):
+    from bdemm import wtt as wtt_module
+
+    rng = np.random.default_rng(59)
+    for kind in KINDS:
+        h = _random_history(rng, 3, 4)
+        cfg = _random_config(rng, kind, 3)
+        log_ev = rng.normal(size=3)
+        expected = weight_step(cfg, h, log_ev)
+        predictive = apply_wtt(cfg, h)
+        monkeypatch.setattr(wtt_module, "apply_wtt", None)  # must not run
+        weights, grown, informative = weight_step(cfg, h, log_ev,
+                                                  predictive=predictive)
+        monkeypatch.undo()
+        assert informative
+        assert np.array_equal(weights.w, expected[0].w)
+        assert np.array_equal(grown.cumulative, expected[1].cumulative)
