@@ -16,8 +16,10 @@ evidences (common under sharply peaked likelihoods) do not underflow it.
 Numerical conventions used throughout the package:
 
 * weight vectors must sum to 1 within ``SIMPLEX_ATOL`` (1e-12),
-* covariance matrices are re-symmetrized as ``(A + A.T) / 2`` after every
-  step and must have eigenvalues >= -``PSD_ATOL`` (1e-10),
+* covariance matrices must be symmetric within ``SYM_ATOL`` and have
+  eigenvalues >= -``PSD_ATOL`` (1e-10), both scaled by their magnitude,
+* inputs are validated once, at the boundary: public constructors check
+  them, and values an engine step builds from checked ones are not,
 * a Bayes update in which every prior-times-evidence product is zero raises
   :class:`~bdemm.errors.AllZeroError`; engines catch it and carry the
   predictive weights forward unchanged.
@@ -26,7 +28,7 @@ Numerical conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,6 +66,18 @@ def _frozen(a):
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _trusted(cls, *values):
+    """Build the frozen dataclass ``cls`` from already-checked ``values``,
+    skipping its ``__post_init__``.  Arrays are marked read-only in place, so
+    each must be read-only already or one the caller has just computed."""
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -136,8 +150,8 @@ class WeightHistory:
         """New history with ``weights`` as the latest row (self unchanged)."""
         if len(weights) != self.width:
             raise DimensionMismatchError("appended row has wrong length")
-        return WeightHistory(weights, self.cumulative + weights.w,
-                             self.count + 1)
+        return _trusted(WeightHistory, weights, self.cumulative + weights.w,
+                        self.count + 1)
 
     @property
     def width(self) -> int:
@@ -244,8 +258,10 @@ def normalize_weights(raw) -> WeightVector:
     if s == 0.0:
         raise AllZeroError("cannot normalize an all-zero vector")
     if abs(s - 1.0) <= SIMPLEX_ATOL:
-        return WeightVector(raw)
-    return WeightVector(raw / s)
+        return _trusted(WeightVector, raw.copy())
+    if s == np.inf:
+        raise ValueError("weights must have a finite sum")
+    return _trusted(WeightVector, raw / s)
 
 
 def logsumexp(a) -> float:
@@ -295,8 +311,8 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     w = np.exp(lw - logsumexp(lw))
     w = w / w.sum()
     if floor > 0.0:
-        w = apply_weight_floor(w, floor).w
-    return WeightVector(w)
+        return apply_weight_floor(w, floor)
+    return _trusted(WeightVector, w)
 
 
 def apply_weight_floor(w, floor: float) -> WeightVector:
@@ -305,23 +321,20 @@ def apply_weight_floor(w, floor: float) -> WeightVector:
     if not 0.0 < floor < 1.0 / w.size:
         raise ValueError("floor must sit in (0, 1/K)")
     clamped = np.maximum(w, floor)
-    return WeightVector(clamped / clamped.sum())
+    total = float(clamped.sum())
+    if not math.isfinite(total):
+        raise ValueError("weights must be finite")
+    return _trusted(WeightVector, clamped / total)
 
 
 def _stack_means(estimates):
     """Stack per-model mean vectors into a (K, d) matrix, checking shapes."""
-    means = []
-    d = None
-    for est in estimates:
-        x = est.x_hat if isinstance(est, PointEstimate) else np.atleast_1d(
-            np.asarray(est, dtype=float))
-        if d is None:
-            d = x.size
-        elif x.size != d:
-            raise DimensionMismatchError("estimates differ in dimension")
-        means.append(x)
+    means = [est.x_hat if isinstance(est, PointEstimate)
+             else PointEstimate(est).x_hat for est in estimates]
     if not means:
         raise DimensionMismatchError("need at least one estimate")
+    if any(x.size != means[0].size for x in means):
+        raise DimensionMismatchError("estimates differ in dimension")
     return np.vstack(means)
 
 
@@ -338,7 +351,7 @@ def bma_point_estimate(estimates, weights: WeightVector) -> PointEstimate:
     means = _stack_means(estimates)
     if means.shape[0] != len(weights):
         raise DimensionMismatchError("one estimate per weight required")
-    return PointEstimate(weights.w @ means)
+    return _trusted(PointEstimate, weights.w @ means)
 
 
 def collapse_mixture(components, weights: WeightVector) -> GaussianBelief:
@@ -376,11 +389,7 @@ def collapse_mixture(components, weights: WeightVector) -> GaussianBelief:
                 dev = c.mean - mean
                 cov += wk * c.cov + np.outer(wk * dev, dev)
         cov = 0.5 * (cov + cov.T)
-    try:
-        return GaussianBelief(mean, cov)
-    except ValueError as exc:
-        # weighted sums of checked components fail the belief's checks only
-        # where they overflowed
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise NonFiniteBeliefError(
-            "mixture collapse overflowed: component means too far apart"
-        ) from exc
+            "mixture collapse overflowed: component means too far apart")
+    return _trusted(GaussianBelief, mean, cov)

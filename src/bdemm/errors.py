@@ -45,7 +45,7 @@ class NonFiniteForecastError(BdemmError, ValueError):
 
 
 class NonFiniteBeliefError(BdemmError, ValueError):
-    """A mixture collapse overflowed: no finite moment-matched Gaussian."""
+    """A Gaussian belief overflowed, or its covariance was lost to roundoff."""
 
 
 class ZeroPrecisionError(BdemmError):

@@ -147,7 +147,8 @@ def gaussian_innovation(y, predictive, B, R):
     Raises
     ------
     SingularInnovationCovError
-        If ``S`` is not finite or cannot be Cholesky-factorized.
+        If ``S`` is not finite, cannot be Cholesky-factorized or is
+        singular to working precision.
     ValueError
         If ``y`` does not match the rows of ``B``.
     """
@@ -170,10 +171,13 @@ def gaussian_innovation(y, predictive, B, R):
     if resid.shape != (s.shape[0],):
         raise ValueError("observation dimension does not match B")
     with np.errstate(over="ignore", invalid="ignore"):
-        quad = float(resid @ np.linalg.solve(s, resid))
-    # S is positive definite, so a NaN here from a NaN-free residual is
-    # inf - inf between overflowed terms of a form whose value is +inf
-    if math.isnan(quad) and not np.isnan(resid).any():
+        try:
+            quad = float(resid @ np.linalg.solve(s, resid))
+        except np.linalg.LinAlgError as exc:
+            raise SingularInnovationCovError(
+                "innovation covariance is numerically singular") from exc
+    # S is positive definite: a non-finite form of a NaN-free residual overflowed
+    if not math.isfinite(quad) and not np.isnan(resid).any():
         quad = math.inf
     return s, resid, -0.5 * (y.size * LOG_2PI + logdet + quad)
 

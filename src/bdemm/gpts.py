@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
 
-from .core import WeightHistory, WeightVector
+from .core import WeightHistory, WeightVector, _trusted
 from .errors import (
     DimensionMismatchError,
     FactorizationFailureError,
@@ -362,8 +362,8 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     forecasts = tuple(window_predict(m, buffer, t + 1.0) for m in pool)
     predictive = apply_wtt(wtt_config, history)
     fused = poe_combine(forecasts, predictive)
-    state = IntelState(buffer, history, forecasts, pool, predictive,
-                       wtt_config)
+    state = _trusted(IntelState, buffer, history, forecasts, pool, predictive,
+                     wtt_config)
     return state, fused, log_evs
 
 

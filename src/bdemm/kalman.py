@@ -16,24 +16,24 @@ keeps the state representation from branching into K^t components.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    PSD_ATOL,
     GaussianBelief,
     PointEstimate,
     WeightHistory,
     WeightVector,
+    _frozen,
+    _trusted,
     checked_cov,
     collapse_mixture,
 )
 from .errors import DimensionMismatchError, NonFiniteBeliefError
 from .evidence import gaussian_innovation
 from .wtt import WTTConfig, weight_step
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "LinearGaussianModel",
@@ -76,9 +76,7 @@ class LinearGaussianModel:
         if r.shape != (m, m):
             raise DimensionMismatchError("R must match B")
         for name, arr in (("A", a), ("Q", q), ("B", b), ("R", r)):
-            arr = np.array(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     @property
     def state_dim(self) -> int:
@@ -126,11 +124,10 @@ def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBe
     with np.errstate(over="ignore", invalid="ignore"):
         mean = model.A @ belief.mean
         cov = model.A @ belief.cov @ model.A.T + model.Q
-    try:
-        return GaussianBelief(mean, 0.5 * cov + 0.5 * cov.T)
-    except ValueError as exc:
-        # the belief's checks fail here only on a non-finite prediction
-        raise NonFiniteBeliefError("predicted belief is not finite") from exc
+        cov = 0.5 * cov + 0.5 * cov.T
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NonFiniteBeliefError("predicted belief is not finite")
+    return _trusted(GaussianBelief, mean, cov)
 
 
 def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
@@ -139,10 +136,17 @@ def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
     Returns
     -------
     posterior : GaussianBelief
+        ``predicted`` itself when the log evidence is ``-inf``: such a ``y``
+        is too far out to condition on.
     log_evidence : float
         Log density of ``y`` under the predicted observation distribution
         N(B mean, S), S = B P B^T + R; ``-inf`` if its quadratic form
         overflows.
+
+    Raises
+    ------
+    NonFiniteBeliefError
+        If the posterior overflows, or its covariance cancels to roundoff.
     """
     if predicted.dim != model.state_dim:
         raise DimensionMismatchError("belief dimension does not match model")
@@ -150,12 +154,22 @@ def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
     if y.shape != (model.obs_dim,):
         raise DimensionMismatchError("observation dimension does not match model")
     s, resid, log_ev = gaussian_innovation(y, predicted, model.B, model.R)
+    if log_ev == -np.inf:
+        return predicted, log_ev
     p = predicted.cov
-    # gain G = P B^T S^{-1}, computed as solve(S, B P)^T since P is symmetric
-    gain = np.linalg.solve(s, model.B @ p).T
-    mean = predicted.mean + gain @ resid
-    cov = p - gain @ model.B @ p
-    return GaussianBelief(mean, 0.5 * (cov + cov.T)), log_ev
+    with np.errstate(over="ignore", invalid="ignore"):
+        # gain G = P B^T S^{-1}, as solve(S, B P)^T since P is symmetric
+        gain = np.linalg.solve(s, model.B @ p).T
+        mean = predicted.mean + gain @ resid
+        cov = p - gain @ model.B @ p
+        cov = 0.5 * (cov + cov.T)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NonFiniteBeliefError("posterior belief is not finite")
+    # P - G B P cancels to roundoff when B P B^T dwarfs R by ~1/eps
+    scale = max(1.0, float(np.abs(cov).max()))
+    if float(np.linalg.eigvalsh(cov)[0]) < -PSD_ATOL * scale:
+        raise NonFiniteBeliefError("posterior covariance lost to roundoff")
+    return _trusted(GaussianBelief, mean, cov), log_ev
 
 
 def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
@@ -166,11 +180,10 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     and reports its log evidence; the weight-transition operator proposes
     predictive weights, Bayes' rule updates them with the evidences, and the
     weighted posteriors are moment-matched into the next shared belief,
-    whose mean is the point estimate.  If every log evidence is ``-inf`` the
-    step is treated as uninformative: the predictive weights carry forward
-    unchanged and the measurement update is skipped, so the next belief
-    collapses the predicted beliefs instead of posteriors conditioned on an
-    observation no candidate can represent.
+    whose mean is the point estimate.  A model whose log evidence is
+    ``-inf`` contributes its prediction (see :func:`kf_update`); if every
+    model's is, the step is uninformative: the predictive weights carry
+    forward unchanged and the next belief collapses the predicted beliefs.
 
     Returns
     -------
@@ -183,28 +196,15 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     pool = list(pool)
     if len(pool) != len(state.weights):
         raise DimensionMismatchError("pool size does not match weight vector")
-    predictions = []
     posteriors = []
     log_evs = np.empty(len(pool))
     for k, model in enumerate(pool):
         predicted = kf_predict(model, state.belief)
-        posterior, log_ev = kf_update(model, predicted, y)
-        predictions.append(predicted)
+        posterior, log_evs[k] = kf_update(model, predicted, y)
         posteriors.append(posterior)
-        log_evs[k] = log_ev
 
-    weights, history, informative = weight_step(wtt_config, state.history,
-                                                log_evs, weight_floor)
-    if not informative:
-        # Every evidence underflowed even in the log domain, which takes a
-        # residual so extreme the quadratic form overflows.  Conditioning on
-        # such an observation would push the posterior means out to where
-        # the mixture collapse itself overflows, so the step extracts
-        # nothing from it: predictive weights, predicted beliefs.
-        posteriors = predictions
-
+    weights, history, _ = weight_step(wtt_config, state.history, log_evs,
+                                      weight_floor)
     belief = collapse_mixture(posteriors, weights)
-    estimate = PointEstimate(belief.mean)
-    logger.debug("kf step: max model weight %.3g", float(weights.w.max()))
-
+    estimate = _trusted(PointEstimate, belief.mean)
     return KfEnsembleState(belief, history), estimate, log_evs

@@ -48,6 +48,8 @@ from .core import (
     PointEstimate,
     WeightHistory,
     WeightVector,
+    _frozen,
+    _trusted,
     bma_point_estimate,
     logsumexp,
 )
@@ -118,12 +120,8 @@ class ParticleEnsemble:
             raise ValueError("particle weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("particle weights must sum to 1")
-        p = np.array(p)
-        p.flags.writeable = False
-        w = np.array(w)
-        w.flags.writeable = False
-        object.__setattr__(self, "particles", p)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "particles", _frozen(p))
+        object.__setattr__(self, "weights", _frozen(w))
 
     @classmethod
     def equal_weighted(cls, particles) -> "ParticleEnsemble":
@@ -240,6 +238,7 @@ def resample(particles, weights, n_out: int, rng: np.random.Generator,
     and pick the first index whose cumulative weight exceeds v.
     ``systematic`` uses one uniform offset and a stratified comb
     ``(i + v) / n_out`` instead.  Output weights are uniform ``1/n_out``.
+    ``particles`` must be finite: the output is not checked again.
     """
     if scheme not in RESAMPLING_SCHEMES:
         raise ValueError("unknown resampling scheme %r" % (scheme,))
@@ -262,7 +261,8 @@ def resample(particles, weights, n_out: int, rng: np.random.Generator,
         draws = (np.arange(n_out) + rng.random()) / n_out
     idx = np.searchsorted(cdf, draws, side="right")
     idx = np.minimum(idx, particles.shape[0] - 1)
-    return ParticleEnsemble.equal_weighted(particles[idx])
+    return _trusted(ParticleEnsemble, particles[idx],
+                    np.full(n_out, 1.0 / n_out))
 
 
 def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
@@ -316,7 +316,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
             u = clouds[k].weights
             log_evs[k] = -np.inf
         per_weights.append(u)
-        estimates.append(PointEstimate(u @ clouds[k].particles))
+        estimates.append(_trusted(PointEstimate, u @ clouds[k].particles))
 
     weights, history, _ = weight_step(wtt_config, state.history, log_evs,
                                       weight_floor)

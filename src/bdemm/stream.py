@@ -212,10 +212,10 @@ class _KfEngine:
             [(m.state_dim, m.obs_dim) for m in self.pool], "kf")
         mean = cfg.get_list("kf.init.mean", required=True)
         cov = _square(cfg.get_list("kf.init.cov", required=True), "kf.init.cov")
-        init_w = cfg.get_list("kf.init.weights")
-        weights = WeightVector(init_w) if init_w else WeightVector.uniform(k)
-        if len(weights) != k:
+        init_w = cfg.get_list("kf.init.weights", default=[1.0 / k] * k)
+        if len(init_w) != k:
             raise ConfigError("key 'kf.init.weights' must hold one weight per model")
+        weights = WeightVector(init_w)
         belief = GaussianBelief(np.asarray(mean, dtype=float), cov)
         if belief.dim != self.est_dim:
             raise ConfigError("key 'kf.init.mean' does not match the state dim")

@@ -36,6 +36,7 @@ import numpy as np
 from .core import (
     WeightHistory,
     WeightVector,
+    _frozen,
     normalize_weights,
     update_model_weights_log,
 )
@@ -99,9 +100,7 @@ class WTTConfig:
                 raise ConfigMismatchError("transition matrix entries must be >= 0")
             if float(np.abs(t.sum(axis=1) - 1.0).max()) > MTM_ATOL:
                 raise ConfigMismatchError("transition matrix rows must sum to 1")
-            t = t.copy()
-            t.flags.writeable = False
-            object.__setattr__(self, "matrix", t)
+            object.__setattr__(self, "matrix", _frozen(t))
         elif self.kind == "forgetting":
             if self.alpha is None:
                 raise ConfigMismatchError("forgetting operator needs alpha")
@@ -115,9 +114,7 @@ class WTTConfig:
                 raise ConfigMismatchError("pseudo-counts must be a vector")
             if np.any(b != np.floor(b)) or np.any(b < 1):
                 raise ConfigMismatchError("pseudo-counts must be integers >= 1")
-            b = b.astype(float)
-            b.flags.writeable = False
-            object.__setattr__(self, "beta", b)
+            object.__setattr__(self, "beta", _frozen(b))
 
     @classmethod
     def identity(cls) -> "WTTConfig":

@@ -133,6 +133,20 @@ def test_stream_kf_prediction_overflow_exits_two(tmp_path, capsys):
     assert out.read_text().splitlines() == ["step,est_1,w_1,ev_1"]
 
 
+def test_stream_kf_posterior_overflow_exits_zero(tmp_path, capsys):
+    # the gain (~500) times the residual 1e306 has no double, and neither
+    # has the quadratic form: the model keeps its prediction for that row
+    config = (KF_CFG.replace("Q = [0.1]", "Q = [1.0]")
+              .replace("B = [1.0]", "B = [0.001]")
+              .replace("R = [1.0]", "R = [1e-6]"))
+    rc, out = _stream_with_warnings_as_errors(tmp_path, config,
+                                              "0\n1e306\n0\n")
+    assert rc == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 4
+    assert rows[2] == "2,0.0,1.0,0.0"
+
+
 KF_README = """\
 engine = kf
 wtt.kind = forgetting
@@ -270,6 +284,7 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     KF_PAIR + "weight_floor = -1\n",
     KF_PAIR + "wtt.kind = constant\nwtt.constants = [0.2, 0.3, 0.5]\n",
     KF_PAIR + "kf.init.weights = [1.0]\n",
+    KF_PAIR + "kf.init.weights = []\n",
     SMC_TOY + "smc.particles = 2.5\n",
     SMC_TOY + "smc.particles = 0\n",
     SMC_TOY + "smc.seed = -1\n",
@@ -290,6 +305,7 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     .replace("cov = [1.0]", "cov = [1.0, 0.0, 0.0, 1.0]"),
     SMC_LINEAR_OK.replace("B = [1.0]", "B = [1.0, 2.0]"),
 ], ids=["floor-above-1/K", "floor-negative", "wtt-width", "init-weights-width",
+        "init-weights-empty",
         "particles-fraction", "particles-zero", "seed-negative", "seed-word",
         "resampling-unknown", "gamma-shape-negative", "noise-var-negative",
         "linear-gaussian-Q-negative", "window-word", "window-zero",

@@ -196,3 +196,23 @@ def test_mixed_sign_overflowing_residual_gives_minus_inf_quietly():
         # a NaN observation still reads NaN: nothing bounds its density
         assert np.isnan(gaussian_log_evidence([np.nan, 1e300], belief,
                                               np.eye(2), r))
+
+
+def test_quadratic_form_overflowing_to_minus_inf_gives_minus_inf():
+    # the two terms of resid . solve(S, resid) overflow with opposite signs
+    # and the dot reads -inf, which would make the density +inf
+    belief = GaussianBelief(np.zeros(2), np.zeros((2, 2)))
+    r = np.array([[5.07980005, 1.38135999], [1.38135999, 0.58737582]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian_log_evidence([1.15215143e205, 1.15215143e205], belief,
+                                     np.eye(2), r) == -np.inf
+
+
+def test_innovation_singular_to_working_precision_raises():
+    # Cholesky accepts this S; the elimination in the solve hits a zero pivot
+    belief = GaussianBelief(np.zeros(2), np.zeros((2, 2)))
+    r = np.array([[0.5247914532927936, 1.7199053588004087],
+                  [1.7199053588004087, 5.6366665742553215]])
+    with pytest.raises(SingularInnovationCovError):
+        gaussian_log_evidence([1.0, 1.0], belief, np.eye(2), r)

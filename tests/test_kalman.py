@@ -11,6 +11,7 @@ from bdemm import (
     GaussianBelief,
     KfEnsembleState,
     LinearGaussianModel,
+    NonFiniteBeliefError,
     WeightVector,
     WTTConfig,
     apply_wtt,
@@ -234,6 +235,25 @@ def test_overflowing_residual_falls_back_without_warning(y):
     ref = collapse_mixture(predicted, new.weights)
     assert np.array_equal(new.belief.mean, ref.mean)
     assert np.array_equal(new.belief.cov, ref.cov)
+
+
+def test_update_that_cancels_to_roundoff_raises():
+    # B P B^T dwarfs R by ~1e30, so P - G B P is roundoff, here negative
+    model = LinearGaussianModel(A=1.0, Q=1.0, B=0.8612346669752943, R=1.0)
+    with pytest.raises(NonFiniteBeliefError, match="roundoff"):
+        kf_update(model, GaussianBelief(0.0, 1.0524213559718285e30), 0.5)
+
+
+def test_update_on_an_unrepresentable_observation_keeps_the_prediction():
+    # the gain (~500) times the residual overflows, and so does the
+    # quadratic form: the posterior is the prediction, and nothing warns
+    model = LinearGaussianModel(A=1.0, Q=1.0, B=0.001, R=1e-6)
+    predicted = GaussianBelief(0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        posterior, log_ev = kf_update(model, predicted, 1e306)
+    assert log_ev == -np.inf
+    assert posterior is predicted
 
 
 def test_weight_floor_keeps_models_alive():
