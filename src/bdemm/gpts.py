@@ -15,10 +15,12 @@ The fusion exponents are the predictive (transition-applied) weights, so a
 model's influence on the next forecast reflects where the weights are
 headed, not where they were.
 
-The kernel is stationary, so a window's Gram matrix depends only on its
-times relative to the forecast time.  Each model keeps its last factorized
-window and factorizes again only when those relative times change: a
-unit-spaced stream with a full window runs no Cholesky at all.
+The kernel is stationary, so a window's forecast weights depend only on its
+times relative to the forecast time.  Each model memoizes its last solved
+window, ``a = (K + noise I)^{-1} k*`` and the predictive variance, and
+solves again only when those relative times change; on a hit a forecast is
+one dot product with the window's values.  A unit-spaced stream with a
+full window runs no Cholesky at all.
 
 Candidate pools typically come from :func:`perturb_pool`: take a nominal
 model and scale its noise variance by a few factors (say 1x and 100x), so
@@ -81,7 +83,7 @@ class GPTSModel:
     ``ValueError``, so :func:`perturb_pool` cannot build a model whose
     scaled noise variance overflows.
 
-    The instance also holds a memo of its last factorized window, which
+    The instance also holds a memo of its last solved window, which
     :func:`gp_predict_next` keeps; it takes no part in equality, hashing
     or ``repr``.
     """
@@ -91,7 +93,7 @@ class GPTSModel:
     lengthscale: float
     noise_var: float
     window: int
-    # (bytes of times - t_next, jittered Gram, k*) of the last window factorized
+    # (bytes of times - t_next, K^-1 k*, variance) of the last window solved
     _factored: tuple = field(default=None, init=False, repr=False,
                              compare=False)
 
@@ -136,22 +138,10 @@ class PredictiveGaussian:
 
 @dataclass(frozen=True)
 class IntelState:
-    """Observation buffer, weight history and the last step's forecasts.
-
-    ``forecasts`` holds one forecast per model of ``pool``, made from
-    ``buffer`` for the time one after its newest entry.  Both are empty in
-    a state that carries no forecasts, such as :meth:`initial`'s;
-    :func:`intel_step` then recomputes them.  ``predictive`` holds the
-    weights ``wtt_config`` gives from ``history``, the fusion exponents of
-    those forecasts; ``None`` when the state carries none.
-    """
+    """Observation buffer and weight history of a GP ensemble."""
 
     buffer: tuple
     history: WeightHistory
-    forecasts: tuple = ()
-    pool: tuple = ()
-    predictive: WeightVector | None = None
-    wtt_config: WTTConfig | None = None
 
     def __post_init__(self):
         buf = tuple((float(t), float(v)) for t, v in self.buffer)
@@ -196,14 +186,14 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
 
     The Gram matrix takes an escalating jitter, from ``1e-10`` tenfold up to
     ``1e-4`` times ``signal_variance``, until it passes a Cholesky
-    factorization; one solve on it then serves both right-hand sides.
-
-    The Gram matrix and ``k*`` are built from the times relative to
-    ``t_next``, and the model keeps the last jittered Gram it accepted.  A
-    window whose relative times are bitwise those of the model's previous
-    one reuses it, so a model factorizes only when its window's times
-    relative to the next time stamp change, and a reused Gram gives bitwise
-    the forecast a fresh factorization would.
+    factorization; one solve on it then gives ``a = (K + noise I)^{-1} k*``
+    and the variance, clipped to at least ``1e-300`` against cancellation.
+    Both are built from the times relative to ``t_next`` and memoized on the
+    model.  A window whose relative times are bitwise those of the model's
+    previous one reuses them, so a model factorizes only when its window's
+    times relative to the next time stamp change.  Every forecast, fresh or
+    reused, takes its mean as ``mu + a . (v - mu)``, so a reused window gives
+    bitwise the forecast a fresh model would.
 
     Raises
     ------
@@ -213,7 +203,8 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     FactorizationFailureError
         If the Gram matrix cannot be factorized even at maximum jitter.
     NonFiniteForecastError
-        If the mean or variance overflows, e.g. on values near 1e308.
+        Exactly when ``mu + a . (v - mu)`` or the variance is not finite,
+        e.g. when values near 1e308 overflow the dot product.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -228,11 +219,9 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     key = rel.tobytes()
 
     factored = model._factored
-    if factored is not None and factored[0] == key:
-        _, jittered, k_star = factored
-    else:
+    if factored is None or factored[0] != key:
         # Rounding is monotone, so strictly increasing relative times imply
-        # strictly increasing times; a reused Gram therefore needs no check.
+        # strictly increasing times; a reused window therefore needs no check.
         if np.any(rel[1:] <= rel[:-1]):
             raise ValueError("times must be strictly increasing")
         ext = np.append(rel, 0.0)
@@ -251,17 +240,21 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
             raise FactorizationFailureError(
                 "Gram matrix failed Cholesky at jitter %g * signal variance"
                 % JITTER_MAX)
-        object.__setattr__(model, "_factored", (key, jittered, k_star))
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.linalg.solve(jittered, k_star)
+            var = model.signal_variance + model.noise_var - k_star @ a
+        # cancellation can push a near-zero variance a hair negative
+        factored = (key, a, max(float(var), 1e-300))
+        object.__setattr__(model, "_factored", factored)
 
-    # values near the float limit overflow here; PredictiveGaussian reports it
+    _, a, var = factored
+    # values near the float limit overflow here
     with np.errstate(over="ignore", invalid="ignore"):
-        resid = values - model.mean_const
-        solved = np.linalg.solve(jittered, np.column_stack((resid, k_star)))
-        mean = model.mean_const + k_star @ solved[:, 0]
-        var = model.signal_variance + model.noise_var - k_star @ solved[:, 1]
-    # cancellation can push a near-zero variance a hair negative
-    var = max(float(var), 1e-300)
-    return PredictiveGaussian(float(mean), var)
+        mean = float(model.mean_const + a @ (values - model.mean_const))
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise NonFiniteForecastError(
+            "forecast is not finite (mean %g, variance %g)" % (mean, var))
+    return _trusted(PredictiveGaussian, mean, var)
 
 
 def window_predict(model: GPTSModel, buffer, t_next: float) -> PredictiveGaussian:
@@ -295,39 +288,37 @@ def poe_combine(predictives, weights: WeightVector) -> PredictiveGaussian:
         raise DimensionMismatchError("one forecast per weight required")
     lam = 0.0
     num = 0.0
-    # means near the float limit overflow here; PredictiveGaussian reports it
+    # means near the float limit overflow here
     with np.errstate(over="ignore", invalid="ignore"):
         for wk, p in zip(weights.w, preds):
             lam += wk / p.var
             num += wk * p.mean / p.var
         if lam <= 0.0:
             raise ZeroPrecisionError("fused forecast has zero precision")
-        mean = num / lam
-    return PredictiveGaussian(mean, 1.0 / lam)
+        mean, var = float(num / lam), float(1.0 / lam)
+    if not (math.isfinite(mean) and var > 0.0):
+        raise NonFiniteForecastError(
+            "fused forecast is not finite (mean %g, variance %g)" % (mean, var))
+    return _trusted(PredictiveGaussian, mean, var)
 
 
 def intel_step(state: IntelState, pool, y_t: float, t: float,
                wtt_config: WTTConfig, weight_floor: float = 0.0):
     """One observation's worth of GP-ensemble prediction.
 
-    The arriving ``y_t`` is scored under each model's standing forecast for
-    time ``t``.  That is the forecast the previous step made and ``state``
-    carries, when it was made for this ``t`` by this ``pool``; otherwise it
-    is recomputed from the buffer, and on the very first step it is the
-    prior N(mean, signal_variance + noise_var).  Weights update from those
-    evidences, the buffer absorbs ``(t, y_t)``, every model forecasts
-    ``t + 1``, and the forecasts fuse by product of experts with the
-    *next-step predictive* weights as exponents.  So each model forecasts
-    once per observation, and factorizes only when its window's times
-    relative to the next time stamp change.  The predictive weights are
-    carried too: the next step's weight update starts from them when its
-    pool is this one and its ``wtt_config`` is the same object.
+    Each model scores the arriving ``y_t`` under its forecast for time ``t``
+    from the buffer (the prior N(mean, signal_variance + noise_var) on the
+    very first step).  Weights update from those evidences, the buffer
+    absorbs ``(t, y_t)``, every model forecasts ``t + 1``, and the forecasts
+    fuse by product of experts with the *next-step predictive* weights as
+    exponents.  So each model forecasts twice per observation; the memo of
+    :func:`gp_predict_next` makes both a dot product whenever the window's
+    times relative to the forecast time repeat, as on a unit-spaced grid.
 
     Returns
     -------
     state : IntelState
-        Carries each model's own forecast for time ``t + 1`` and the
-        predictive weights that fused them.
+        The buffer with ``(t, y_t)`` absorbed and the grown weight history.
     fused : PredictiveGaussian
         Ensemble forecast for time ``t + 1``.
     log_evidences : ndarray, shape (K,)
@@ -343,28 +334,17 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
         raise ValueError("time stamps must arrive strictly increasing")
     y_t = float(y_t)
 
-    same_pool = state.pool == pool
-    if state.buffer and t == state.buffer[-1][0] + 1.0 and same_pool:
-        current = state.forecasts
-    else:
-        current = [window_predict(m, state.buffer, t) for m in pool]
-    log_evs = np.array([p.logpdf(y_t) for p in current])
-
-    # WTTConfig holds arrays, so only the same object is known to be equal
-    carried = (state.predictive
-               if same_pool and state.wtt_config is wtt_config else None)
+    log_evs = np.array([window_predict(m, state.buffer, t).logpdf(y_t)
+                        for m in pool])
     _, history, _ = weight_step(wtt_config, state.history, log_evs,
-                                weight_floor, predictive=carried)
+                                weight_floor)
 
     max_window = max(m.window for m in pool)
     buffer = (state.buffer + ((t, y_t),))[-max_window:]
 
-    forecasts = tuple(window_predict(m, buffer, t + 1.0) for m in pool)
-    predictive = apply_wtt(wtt_config, history)
-    fused = poe_combine(forecasts, predictive)
-    state = _trusted(IntelState, buffer, history, forecasts, pool, predictive,
-                     wtt_config)
-    return state, fused, log_evs
+    forecasts = [window_predict(m, buffer, t + 1.0) for m in pool]
+    fused = poe_combine(forecasts, apply_wtt(wtt_config, history))
+    return _trusted(IntelState, buffer, history), fused, log_evs
 
 
 def perturb_pool(nominal: GPTSModel, noise_factors) -> list:

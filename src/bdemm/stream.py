@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .core import GaussianBelief, WeightVector
+from .core import GaussianBelief, WeightVector, checked_cov
 from .errors import BdemmError, ConfigError, ParseError
 from .gpts import GPTSModel, IntelState, intel_step, perturb_pool
 from .kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
@@ -278,7 +278,7 @@ class _SmcEngine:
             cov = _square(cfg.get_list("smc.init.cov", required=True),
                           "smc.init.cov")
             try:
-                chol = np.linalg.cholesky(cov)
+                chol = np.linalg.cholesky(checked_cov(cov, "smc.init.cov"))
             except np.linalg.LinAlgError:
                 raise ConfigError("key 'smc.init.cov' must be positive definite")
             particles = mean + self.rng.standard_normal(

@@ -98,7 +98,8 @@ def test_stream_gp_overflowing_rows_exit_zero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, rows, written", [
-    ("intel.window = 4\n", "1e308\n1e308\n1e308\n1.0\n", 3),
+    ("intel.window = 2\nintel.lengthscale = 100\nintel.noise_variance = 1e-6\n",
+     "1.0\n-1e308\n1e308\n1.0\n", 1),
     ("intel.mean = 1e308\n", "1e308\n-1e308\n0.0\n", 1),
     ("intel.signal_variance = 1e308\nintel.noise_variance = 1e308\n"
      "intel.noise_factors = [1.0]\n", "0.1\n0.2\n", 0),
@@ -120,6 +121,25 @@ def test_stream_gp_forecast_overflow_exits_two(tmp_path, capsys, config,
     assert capsys.readouterr().err.startswith("bdemm stream: numeric failure:")
     # the header and the rows before the failing one
     assert len(out.read_text().splitlines()) == written + 1
+
+
+def test_stream_gp_forecast_with_a_double_exits_zero(tmp_path, capsys):
+    # row 4's forecast mu + a . (v - mu) fits a double, so the row is scored
+    cfg = tmp_path / "intel.cfg"
+    cfg.write_text("engine = intel\nintel.window = 4\n")
+    obs = tmp_path / "obs.csv"
+    obs.write_text("1e308\n1e308\n1e308\n1.0\n")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["stream", "--config", str(cfg), "--input", str(obs),
+                   "--out", str(out)])
+    assert rc == 0
+    assert "wrote 4 row(s)" in capsys.readouterr().out
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) == 4
+    est = float(rows[3].split(",")[header.split(",").index("est_1")])
+    assert est == pytest.approx(-3.09e307, rel=1e-2)
 
 
 def test_stream_kf_prediction_overflow_exits_two(tmp_path, capsys):
@@ -304,6 +324,11 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     SMC_LINEAR_OK.replace("mean = [0.0]", "mean = [0.0, 0.0]")
     .replace("cov = [1.0]", "cov = [1.0, 0.0, 0.0, 1.0]"),
     SMC_LINEAR_OK.replace("B = [1.0]", "B = [1.0, 2.0]"),
+    SMC_LINEAR_OK.replace("mean = [0.0]", "mean = [0.0, 0.0]")
+    .replace("cov = [1.0]", "cov = [1.0, 5.0, 0.0, 1.0]")
+    .replace("A = [1.0]", "A = [1.0, 0.0, 0.0, 1.0]")
+    .replace("Q = [1.0]", "Q = [1.0, 0.0, 0.0, 1.0]")
+    .replace("B = [1.0]", "B = [1.0, 0.0]"),
 ], ids=["floor-above-1/K", "floor-negative", "wtt-width", "init-weights-width",
         "init-weights-empty",
         "particles-fraction", "particles-zero", "seed-negative", "seed-word",
@@ -312,7 +337,8 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
         "signal-variance-negative", "lengthscale-nan",
         "noise-variance-scaled-to-inf", "mean-infinite",
         "kf-candidate-dims-differ",
-        "smc-init-point-dim", "smc-init-mean-dim", "linear-gaussian-B-vs-A"])
+        "smc-init-point-dim", "smc-init-mean-dim", "linear-gaussian-B-vs-A",
+        "smc-init-cov-asymmetric"])
 def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
                                                           text):
     cfg = tmp_path / "bad.cfg"

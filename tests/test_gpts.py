@@ -7,7 +7,6 @@ import pytest
 from scipy.stats import norm
 
 from bdemm import gpts as gpts_module
-from bdemm import wtt as wtt_module
 from bdemm import (
     DimensionMismatchError,
     FactorizationFailureError,
@@ -291,9 +290,10 @@ def test_intel_step_fusion_uses_predictive_weights():
     times, values = _smooth_series(6)
     for t, v in zip(times, values):
         state, fused, _ = intel_step(state, pool, float(v), float(t), wtt)
-    # recompute the fusion from the state's forecasts and weight history
-    fusion_w = apply_wtt(wtt, state.history)
-    ref = poe_combine(state.forecasts, fusion_w)
+    # recompute the fusion from the state's buffer and weight history
+    t_next = state.buffer[-1][0] + 1.0
+    forecasts = [window_predict(m, state.buffer, t_next) for m in pool]
+    ref = poe_combine(forecasts, apply_wtt(wtt, state.history))
     assert fused.mean == ref.mean
     assert fused.var == ref.var
 
@@ -320,11 +320,9 @@ def test_intel_step_rejects_stale_timestamps():
         intel_step(state, pool[:1], 0.2, 2.0, WTTConfig.identity())
 
 
-def _counted_run(monkeypatch, pools, times, values, carry=True):
-    """Step through ``values``; ``pools[i]`` serves step i.  Returns the
-    ``gp_predict_next`` calls per step and each step's weights, fused
-    forecast, carried forecasts and log evidences.  With ``carry`` off,
-    every step starts from a state that carries no forecasts."""
+def _counted_predicts(monkeypatch, pool, times, values):
+    """Step through ``values``; returns the ``gp_predict_next`` calls made
+    in each step."""
     calls = []
     original = gpts_module.gp_predict_next
 
@@ -333,51 +331,49 @@ def _counted_run(monkeypatch, pools, times, values, carry=True):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gpts_module, "gp_predict_next", counting)
-    state = IntelState.initial(k=len(pools[0]))
-    outputs = []
-    for pool, t, v in zip(pools, times, values):
-        if not carry:
-            state = IntelState(state.buffer, state.history)
+    state = IntelState.initial(k=len(pool))
+    for t, v in zip(times, values):
         calls.append(0)
-        state, fused, log_evs = intel_step(state, pool, float(v), float(t),
-                                           WTTConfig.forgetting(0.8))
-        assert len(state.forecasts) == len(pool)
-        outputs.append((state.model_weights.w.tobytes(), fused.mean,
-                        fused.var, state.forecasts, log_evs.tobytes()))
+        state, _, _ = intel_step(state, pool, float(v), float(t),
+                                 WTTConfig.forgetting(0.8))
     monkeypatch.undo()
-    return calls, outputs
+    return calls
 
 
-def test_intel_step_forecasts_once_per_model_per_step(monkeypatch):
+def test_intel_step_forecasts_twice_per_model_per_step(monkeypatch):
     pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
                         [1.0, 10.0, 100.0])
     times, values = _smooth_series(12)
-    calls, outputs = _counted_run(monkeypatch, [pool] * 12, times, values)
-    # the first step scores against the prior; each step forecasts t + 1 once
-    assert calls == [3] * 12
-    fresh_calls, fresh = _counted_run(monkeypatch, [pool] * 12, times, values,
-                                      carry=False)
-    assert fresh_calls == [3] + [6] * 11
-    assert outputs == fresh
+    calls = _counted_predicts(monkeypatch, pool, times, values)
+    # the first step scores against the prior; later ones score y_t from the
+    # buffer, and every step forecasts t + 1
+    assert calls == [3] + [6] * 11
 
 
-@pytest.mark.parametrize("times, swap_at, expected", [
-    ([1.0, 2.5, 3.5, 6.0], None, [2, 4, 2, 4]),
-    ([1.0, 2.0, 3.0, 4.0, 5.0], 3, [2, 2, 2, 4, 2]),
-], ids=["time-gaps", "pool-swapped"])
-def test_intel_step_recomputes_forecasts_it_cannot_reuse(monkeypatch, times,
-                                                         swap_at, expected):
-    first = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
-                         [1.0, 50.0])
-    second = perturb_pool(GPTSModel(0.5, 1.0, 1.5, 0.04, window=6),
-                          [1.0, 50.0])
-    pools = [second if swap_at is not None and i >= swap_at else first
-             for i in range(len(times))]
-    values = np.sin(0.3 * np.asarray(times))
-    calls, outputs = _counted_run(monkeypatch, pools, times, values)
-    assert calls == expected
-    _, fresh = _counted_run(monkeypatch, pools, times, values, carry=False)
-    assert outputs == fresh
+@pytest.mark.parametrize("grid", ["unit", "half-spaced", "irregular"])
+def test_memoized_windows_give_bitwise_a_fresh_pools_run(grid):
+    rng = np.random.default_rng(103)
+    steps = {"unit": np.ones(60), "half-spaced": np.full(60, 0.5),
+             "irregular": rng.uniform(0.3, 1.7, size=60)}[grid]
+    times = np.cumsum(steps)
+    values = np.sin(0.3 * times) + rng.normal(0.0, 0.1, size=times.size)
+    nominal = GPTSModel(0.1, 1.0, 2.0, 0.04, window=6)
+    factors = [1.0, 10.0, 100.0]
+    wtt = WTTConfig.polya_urn([1, 2, 3])
+    pool = perturb_pool(nominal, factors)
+    memo_state = fresh_state = IntelState.initial(k=3)
+    for t, v in zip(times, values):
+        memo_state, memo_fused, memo_evs = intel_step(
+            memo_state, pool, float(v), float(t), wtt)
+        fresh_state, fresh_fused, fresh_evs = intel_step(
+            fresh_state, perturb_pool(nominal, factors), float(v), float(t),
+            wtt)
+        assert memo_state.buffer == fresh_state.buffer
+        assert (memo_state.model_weights.w.tobytes()
+                == fresh_state.model_weights.w.tobytes())
+        assert (memo_fused.mean, memo_fused.var) == (fresh_fused.mean,
+                                                     fresh_fused.var)
+        assert memo_evs.tobytes() == fresh_evs.tobytes()
 
 
 def test_perturb_pool():
@@ -496,7 +492,7 @@ def test_unit_spaced_stream_runs_no_cholesky_once_the_window_is_full(
         state, _, _ = intel_step(state, pool, float(v), float(t),
                                  WTTConfig.forgetting(0.8))
         counts.append(len(seen) - before)
-    assert predicts == [3] * rows
+    assert predicts == [3] + [6] * (rows - 1)
     # each new window length factorizes once per model, the full one too
     assert counts == [3] * window + [0] * (rows - window)
 
@@ -534,10 +530,10 @@ def test_each_model_holds_one_window_after_a_long_irregular_run():
                                  WTTConfig.identity())
     last = np.array([t for t, _ in state.buffer[-6:]])
     for model in pool:
-        key, gram, k_star = model._factored
+        key, a, var = model._factored
         assert key == (last - (times[-1] + 1.0)).tobytes()
-        assert gram.shape == (6, 6)
-        assert k_star.shape == (6,)
+        assert a.shape == (6,)
+        assert var > 0.0
 
 
 def test_failed_factorization_is_not_memoized(monkeypatch):
@@ -548,49 +544,3 @@ def test_failed_factorization_is_not_memoized(monkeypatch):
             gp_predict_next(model, [0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 3.0)
         assert len(seen) == attempts
     assert model._factored is None
-
-
-# ---------------------------------------------------------------------------
-# carried predictive weights
-
-
-def _counted_weight_transitions(monkeypatch, configs, pools):
-    calls = []
-    original = wtt_module.apply_wtt
-
-    def counting(*args, **kwargs):
-        calls[-1] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(wtt_module, "apply_wtt", counting)
-    monkeypatch.setattr(gpts_module, "apply_wtt", counting)
-    state = IntelState.initial(k=2)
-    times, values = _smooth_series(len(configs))
-    outputs = []
-    for cfg, pool, t, v in zip(configs, pools, times, values):
-        calls.append(0)
-        state, fused, _ = intel_step(state, pool, float(v), float(t), cfg)
-        outputs.append((state.model_weights.w.tobytes(), fused.mean,
-                        fused.var))
-    monkeypatch.undo()
-    return calls, outputs
-
-
-def test_intel_step_runs_the_weight_transition_once_per_step(monkeypatch):
-    rows = 8
-    first = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=4), [1.0, 9.0])
-    second = perturb_pool(GPTSModel(0.1, 1.0, 2.0, 0.04, window=4), [1.0, 9.0])
-    cfg = WTTConfig.polya_urn([2, 3])
-    calls, outputs = _counted_weight_transitions(monkeypatch, [cfg] * rows,
-                                                 [first] * rows)
-    # the first step has no carried weights; later ones reuse the fusion's
-    assert calls == [2] + [1] * (rows - 1)
-    # an equal but distinct config, or another pool, is not trusted
-    fresh, fresh_outputs = _counted_weight_transitions(
-        monkeypatch, [WTTConfig.polya_urn([2, 3]) for _ in range(rows)],
-        [first] * rows)
-    assert fresh == [2] * rows
-    assert fresh_outputs == outputs
-    swapped, _ = _counted_weight_transitions(
-        monkeypatch, [cfg] * rows, [first] * 4 + [second] * 4)
-    assert swapped == [2, 1, 1, 1, 2, 1, 1, 1]
