@@ -57,7 +57,6 @@ from .gpts import (
     intel_step,
     perturb_pool,
     poe_combine,
-    window_predict,
 )
 from .kalman import (
     KfEnsembleState,

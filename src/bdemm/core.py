@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -68,15 +69,20 @@ def _frozen(a):
     return out
 
 
+@cache
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
 def _trusted(cls, *values):
     """Build the frozen dataclass ``cls`` from already-checked ``values``,
     skipping its ``__post_init__``.  Arrays are marked read-only in place, so
     each must be read-only already or one the caller has just computed."""
     obj = object.__new__(cls)
-    for f, value in zip(fields(cls), values, strict=True):
+    for name, value in zip(_field_names(cls), values, strict=True):
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-        object.__setattr__(obj, f.name, value)
+        object.__setattr__(obj, name, value)
     return obj
 
 

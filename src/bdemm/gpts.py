@@ -3,10 +3,10 @@
 Each candidate model is a Gaussian-process regressor over a sliding window
 of the most recent observations: squared-exponential kernel, constant mean,
 additive observation noise.  At every step each model issues a one-step
-ahead predictive Gaussian; when the observation arrives, its density under
-that prediction is the model's evidence, weights move transition-then-Bayes
-as everywhere else in the package, and the per-model predictions for the
-*next* point are fused into one Gaussian by a weighted product of experts:
+ahead predictive Gaussian; the observation's density under it is the
+model's evidence, weights move transition-then-Bayes as everywhere else in
+the package, and the predictions for the *next* point are fused into one
+Gaussian by a weighted product of experts:
 
     precision  = sum_k weight_k / var_k
     mean       = sum_k (weight_k * mean_k / var_k) / precision
@@ -16,10 +16,10 @@ model's influence on the next forecast reflects where the weights are
 headed, not where they were.
 
 The kernel is stationary, so a window's forecast weights depend only on its
-times relative to the forecast time.  Each model memoizes its last solved
-window, ``a = (K + noise I)^{-1} k*`` and the predictive variance, and
-solves again only when those relative times change; on a hit a forecast is
-one dot product with the window's values.  A unit-spaced stream with a
+times relative to the forecast time.  The pool is solved for those at once,
+rows ``A[k] = (K_k + noise_k I)^-1 k*_k`` and the variances, and the last
+``SOLVE_CACHE_SIZE`` solves are cached; on a hit the K forecast means are
+one row-wise product ``mu + A (v - mu)``, so a unit-spaced stream with a
 full window runs no Cholesky at all.
 
 Candidate pools typically come from :func:`perturb_pool`: take a nominal
@@ -31,12 +31,14 @@ Hyperparameters are fixed at construction; nothing is re-estimated online.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
 
-from .core import WeightHistory, WeightVector, _trusted
+from .core import WeightHistory, WeightVector, _frozen, _trusted
 from .errors import (
     DimensionMismatchError,
     FactorizationFailureError,
@@ -49,6 +51,8 @@ from .wtt import WTTConfig, apply_wtt, weight_step
 # jitter ladder, as multiples of the signal variance
 JITTER_START = 1e-10
 JITTER_MAX = 1e-4
+# solved (pool, window) pairs kept; a steady stream needs one or two
+SOLVE_CACHE_SIZE = 8
 
 __all__ = [
     "GPTSModel",
@@ -58,7 +62,6 @@ __all__ = [
     "poe_combine",
     "intel_step",
     "perturb_pool",
-    "window_predict",
 ]
 
 
@@ -81,11 +84,7 @@ class GPTSModel:
 
     Every parameter must be finite: a NaN or infinite one raises
     ``ValueError``, so :func:`perturb_pool` cannot build a model whose
-    scaled noise variance overflows.
-
-    The instance also holds a memo of its last solved window, which
-    :func:`gp_predict_next` keeps; it takes no part in equality, hashing
-    or ``repr``.
+    scaled noise variance overflows.  Solves are cached by model value.
     """
 
     mean_const: float
@@ -93,9 +92,6 @@ class GPTSModel:
     lengthscale: float
     noise_var: float
     window: int
-    # (bytes of times - t_next, K^-1 k*, variance) of the last window solved
-    _factored: tuple = field(default=None, init=False, repr=False,
-                             compare=False)
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -110,6 +106,13 @@ class GPTSModel:
         if int(self.window) < 1:
             raise ValueError("window must hold at least one observation")
         object.__setattr__(self, "window", int(self.window))
+
+
+def _log_density(y, mean, var):
+    """Elementwise log N(y; mean, var); -inf where the residual overflows."""
+    with np.errstate(over="ignore"):
+        resid = y - mean
+        return -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,7 @@ class PredictiveGaussian:
 
     def logpdf(self, y: float) -> float:
         """Log density at ``y``; ``-inf`` where the squared residual overflows."""
-        with np.errstate(over="ignore"):
-            sq = np.float64(y - self.mean) ** 2
-        return float(-0.5 * (LOG_2PI + np.log(self.var) + sq / self.var))
+        return float(_log_density(np.float64(y), self.mean, self.var))
 
 
 @dataclass(frozen=True)
@@ -164,36 +165,98 @@ class IntelState:
         return cls((), WeightHistory.start(weights))
 
 
-def _sqexp(model: GPTSModel, a, b):
-    """Squared-exponential kernel matrix between time vectors a and b."""
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[None, :]
-    # a gap whose square overflows is an infinite one: its kernel entry is 0
-    with np.errstate(over="ignore"):
-        z = (a - b) / model.lengthscale
-        return model.signal_variance * np.exp(-0.5 * z * z)
+@lru_cache(maxsize=SOLVE_CACHE_SIZE)
+def _pool_solve(pool: tuple, key: bytes):
+    """Read-only ``(mu, A, var)`` of ``pool`` for the window whose times
+    relative to the forecast time have the bytes ``key``: the (K,) prior
+    means, the (K, W) rows ``a_k = (K_k + noise_k I)^-1 k*_k`` of each
+    model's last ``window`` times, zero-padded on the left, and the (K,)
+    variances.  Each Gram matrix takes a jitter from 1e-10 tenfold up to
+    1e-4 times ``signal_variance`` until it passes a Cholesky
+    factorization; an empty window gives the priors."""
+    rel = np.frombuffer(key)
+    # Rounding is monotone, so strictly increasing relative times imply
+    # strictly increasing times; a cached window therefore needs no check.
+    if not (np.isfinite(rel).all() and (rel[1:] > rel[:-1]).all()):
+        raise ValueError("time stamps must be finite, finitely far apart "
+                         "and strictly increasing")
+    mu = np.array([m.mean_const for m in pool], dtype=float)
+    A, var = np.zeros((len(pool), rel.size)), np.empty(len(pool))
+    # a variance past the float range is caught by the forecast
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, model in enumerate(pool):
+            ext = np.append(rel[-model.window:], 0.0)
+            n = ext.size - 1
+            # a gap whose square overflows is an infinite one: its entry is 0
+            z = (ext[:, None] - ext) / model.lengthscale
+            full = model.signal_variance * np.exp(-0.5 * z * z)
+            full.flat[::n + 2] += model.noise_var
+            gram, k_star = full[:-1, :-1], full[:-1, -1]
+            a = k_star  # empty: the prior
+            if n:
+                jitter = JITTER_START
+                while jitter <= JITTER_MAX * (1.0 + 1e-12):
+                    jittered = gram + jitter * model.signal_variance * np.eye(n)
+                    try:
+                        cho_factor(jittered)
+                        break
+                    except np.linalg.LinAlgError:
+                        jitter *= 10.0
+                else:
+                    raise FactorizationFailureError(
+                        "Gram matrix failed Cholesky at maximum jitter")
+                a = np.linalg.solve(jittered, k_star)
+            A[k, rel.size - n:] = a
+            var[k] = full[-1, -1] - k_star @ a
+    # cancellation can push a near-zero variance a hair negative
+    return _frozen(mu), _frozen(A), _frozen(np.maximum(var, 1e-300))
+
+
+def _forecast(pool: tuple, pairs, t_next: float):
+    """The (K,) means ``mu + A (v - mu)`` and variances of the pool's
+    forecasts at ``t_next`` from one window of ``(time, value)`` pairs."""
+    times, values = np.fromiter(chain.from_iterable(pairs), float,
+                                2 * len(pairs)).reshape(-1, 2).T
+    # a NaN or infinite time stamp, or a gap to t_next past the float range,
+    # leaves a non-finite relative time, which the solve rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, A, var = _pool_solve(pool, (times - t_next).tobytes())
+        # values near the float limit overflow here
+        means = mu + (A * (values - mu[:, None])).sum(axis=1)
+    if not np.isfinite((means, var)).all():
+        raise NonFiniteForecastError("forecast is not finite (means %s, "
+                                     "variances %s)" % (means, var))
+    return means, var
+
+
+def _fuse(means, variances, w) -> PredictiveGaussian:
+    """Product of experts N(means[k], variances[k]) ** w[k], renormalized."""
+    # means near the float limit overflow here
+    with np.errstate(over="ignore", invalid="ignore"):
+        precision = w / variances
+        lam = precision.sum()
+        if lam <= 0.0:
+            raise ZeroPrecisionError("fused forecast has zero precision")
+        mean, var = float((precision * means).sum() / lam), float(1.0 / lam)
+    if not (math.isfinite(mean) and var > 0.0):
+        raise NonFiniteForecastError(
+            "fused forecast is not finite (mean %g, variance %g)" % (mean, var))
+    return _trusted(PredictiveGaussian, mean, var)
 
 
 def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> PredictiveGaussian:
     """One-step-ahead GP forecast from an observation window.
 
-    Conditions on ``(times, values)`` (finite, strictly increasing times, at
-    most a caller-enforced window of them) and returns the predictive
-    Gaussian at a finite ``t_next``:
+    Conditions on the last ``model.window`` of ``(times, values)`` (finite,
+    strictly increasing times) and returns the predictive Gaussian at a
+    finite ``t_next``:
 
         mean = mu + k*^T (K + noise I)^{-1} (v - mu)
         var  = k(t*, t*) + noise - k*^T (K + noise I)^{-1} k*
 
-    The Gram matrix takes an escalating jitter, from ``1e-10`` tenfold up to
-    ``1e-4`` times ``signal_variance``, until it passes a Cholesky
-    factorization; one solve on it then gives ``a = (K + noise I)^{-1} k*``
-    and the variance, clipped to at least ``1e-300`` against cancellation.
-    Both are built from the times relative to ``t_next`` and memoized on the
-    model.  A window whose relative times are bitwise those of the model's
-    previous one reuses them, so a model factorizes only when its window's
-    times relative to the next time stamp change.  Every forecast, fresh or
-    reused, takes its mean as ``mu + a . (v - mu)``, so a reused window gives
-    bitwise the forecast a fresh model would.
+    It is the ensemble's forecast for a pool of one, so a window whose times
+    relative to ``t_next`` are cached runs no factorization and gives bitwise
+    a fresh solve's forecast ``mu + a . (v - mu)``.
 
     Raises
     ------
@@ -210,62 +273,9 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if times.ndim != 1 or times.shape != values.shape or times.size < 1:
         raise DimensionMismatchError("times and values must be matching vectors")
-    # a NaN or infinite time stamp, or a gap to t_next past the float range,
-    # leaves a non-finite relative time
-    with np.errstate(over="ignore", invalid="ignore"):
-        rel = times - float(t_next)
-    if not np.isfinite(rel).all():
-        raise ValueError("time stamps must be finite and finitely far apart")
-    key = rel.tobytes()
-
-    factored = model._factored
-    if factored is None or factored[0] != key:
-        # Rounding is monotone, so strictly increasing relative times imply
-        # strictly increasing times; a reused window therefore needs no check.
-        if np.any(rel[1:] <= rel[:-1]):
-            raise ValueError("times must be strictly increasing")
-        ext = np.append(rel, 0.0)
-        full = _sqexp(model, ext, ext)
-        full.flat[::ext.size + 1] += model.noise_var  # k(t*, t*) is not read
-        gram, k_star = full[:-1, :-1], full[:-1, -1]
-        jitter = JITTER_START
-        while jitter <= JITTER_MAX * (1.0 + 1e-12):
-            jittered = gram + jitter * model.signal_variance * np.eye(times.size)
-            try:
-                cho_factor(jittered)
-                break
-            except np.linalg.LinAlgError:
-                jitter *= 10.0
-        else:
-            raise FactorizationFailureError(
-                "Gram matrix failed Cholesky at jitter %g * signal variance"
-                % JITTER_MAX)
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = np.linalg.solve(jittered, k_star)
-            var = model.signal_variance + model.noise_var - k_star @ a
-        # cancellation can push a near-zero variance a hair negative
-        factored = (key, a, max(float(var), 1e-300))
-        object.__setattr__(model, "_factored", factored)
-
-    _, a, var = factored
-    # values near the float limit overflow here
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(model.mean_const + a @ (values - model.mean_const))
-    if not (math.isfinite(mean) and math.isfinite(var)):
-        raise NonFiniteForecastError(
-            "forecast is not finite (mean %g, variance %g)" % (mean, var))
-    return _trusted(PredictiveGaussian, mean, var)
-
-
-def window_predict(model: GPTSModel, buffer, t_next: float) -> PredictiveGaussian:
-    """Model's forecast at ``t_next`` from the shared buffer (prior if empty)."""
-    if not buffer:
-        return PredictiveGaussian(model.mean_const,
-                                  model.signal_variance + model.noise_var)
-    tail = buffer[-model.window:]
-    times = [t for t, _ in tail]
-    values = [v for _, v in tail]
-    return gp_predict_next(model, times, values, t_next)
+    (mean,), (var,) = _forecast((model,), np.column_stack((times, values)),
+                                float(t_next))
+    return _trusted(PredictiveGaussian, float(mean), float(var))
 
 
 def poe_combine(predictives, weights: WeightVector) -> PredictiveGaussian:
@@ -286,34 +296,26 @@ def poe_combine(predictives, weights: WeightVector) -> PredictiveGaussian:
     preds = list(predictives)
     if len(preds) != len(weights):
         raise DimensionMismatchError("one forecast per weight required")
-    lam = 0.0
-    num = 0.0
-    # means near the float limit overflow here
-    with np.errstate(over="ignore", invalid="ignore"):
-        for wk, p in zip(weights.w, preds):
-            lam += wk / p.var
-            num += wk * p.mean / p.var
-        if lam <= 0.0:
-            raise ZeroPrecisionError("fused forecast has zero precision")
-        mean, var = float(num / lam), float(1.0 / lam)
-    if not (math.isfinite(mean) and var > 0.0):
-        raise NonFiniteForecastError(
-            "fused forecast is not finite (mean %g, variance %g)" % (mean, var))
-    return _trusted(PredictiveGaussian, mean, var)
+    return _fuse(np.array([p.mean for p in preds]),
+                 np.array([p.var for p in preds]), weights.w)
 
 
 def intel_step(state: IntelState, pool, y_t: float, t: float,
                wtt_config: WTTConfig, weight_floor: float = 0.0):
     """One observation's worth of GP-ensemble prediction.
 
-    Each model scores the arriving ``y_t`` under its forecast for time ``t``
-    from the buffer (the prior N(mean, signal_variance + noise_var) on the
+    The pool scores the arriving ``y_t`` under its forecasts for time ``t``
+    from the buffer (the priors N(mean, signal_variance + noise_var) on the
     very first step).  Weights update from those evidences, the buffer
-    absorbs ``(t, y_t)``, every model forecasts ``t + 1``, and the forecasts
+    absorbs ``(t, y_t)``, the pool forecasts ``t + 1``, and the forecasts
     fuse by product of experts with the *next-step predictive* weights as
-    exponents.  So each model forecasts twice per observation; the memo of
-    :func:`gp_predict_next` makes both a dot product whenever the window's
-    times relative to the forecast time repeat, as on a unit-spaced grid.
+    exponents.  Each forecast is one cached pool solve plus a row-wise
+    product, so it runs no factorization while the window's times relative
+    to the forecast time repeat, as on a unit-spaced grid.  Models may
+    differ in every parameter; the buffer keeps the longest window, and a
+    shorter one weighs the values before its own by zero, so a residual
+    ``v - mu`` that overflows anywhere in the buffer raises
+    ``NonFiniteForecastError``.
 
     Returns
     -------
@@ -334,16 +336,13 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
         raise ValueError("time stamps must arrive strictly increasing")
     y_t = float(y_t)
 
-    log_evs = np.array([window_predict(m, state.buffer, t).logpdf(y_t)
-                        for m in pool])
+    log_evs = _log_density(y_t, *_forecast(pool, state.buffer, t))
     _, history, _ = weight_step(wtt_config, state.history, log_evs,
                                 weight_floor)
 
-    max_window = max(m.window for m in pool)
-    buffer = (state.buffer + ((t, y_t),))[-max_window:]
-
-    forecasts = [window_predict(m, buffer, t + 1.0) for m in pool]
-    fused = poe_combine(forecasts, apply_wtt(wtt_config, history))
+    buffer = (state.buffer + ((t, y_t),))[-max(m.window for m in pool):]
+    fused = _fuse(*_forecast(pool, buffer, t + 1.0),
+                  apply_wtt(wtt_config, history).w)
     return _trusted(IntelState, buffer, history), fused, log_evs
 
 

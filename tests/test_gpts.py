@@ -20,7 +20,6 @@ from bdemm import (
     intel_step,
     perturb_pool,
     poe_combine,
-    window_predict,
 )
 
 
@@ -184,21 +183,14 @@ def test_jitter_ladder_gives_up_after_its_last_rung(monkeypatch):
     assert len(seen) == 7
 
 
-def test_window_predict_empty_buffer_is_the_prior():
-    model = GPTSModel(1.5, 2.0, 1.0, 0.5, 10)
-    pred = window_predict(model, (), 7.0)
-    assert pred.mean == 1.5
-    assert pred.var == 2.5
-
-
-def test_window_predict_uses_only_the_tail():
+def test_prediction_conditions_on_the_models_window_only():
     model = GPTSModel(0.0, 1.0, 1.0, 0.1, window=3)
-    buffer = tuple((float(t), float(np.sin(t))) for t in range(8))
-    full = window_predict(model, buffer, 8.0)
-    tail = buffer[-3:]
-    direct = gp_predict_next(model, [t for t, _ in tail], [v for _, v in tail], 8.0)
-    assert full.mean == direct.mean
-    assert full.var == direct.var
+    times = np.arange(8.0)
+    full = gp_predict_next(model, times, np.sin(times), 8.0)
+    tail = gp_predict_next(model, times[-3:], np.sin(times[-3:]), 8.0)
+    # the weights on the older values are zeros, summed in a longer row
+    assert full.mean == pytest.approx(tail.mean, rel=0.0, abs=1e-15)
+    assert full.var == tail.var
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +283,9 @@ def test_intel_step_fusion_uses_predictive_weights():
     for t, v in zip(times, values):
         state, fused, _ = intel_step(state, pool, float(v), float(t), wtt)
     # recompute the fusion from the state's buffer and weight history
-    t_next = state.buffer[-1][0] + 1.0
-    forecasts = [window_predict(m, state.buffer, t_next) for m in pool]
+    times, values = np.array(state.buffer).T
+    forecasts = [gp_predict_next(m, times, values, times[-1] + 1.0)
+                 for m in pool]
     ref = poe_combine(forecasts, apply_wtt(wtt, state.history))
     assert fused.mean == ref.mean
     assert fused.var == ref.var
@@ -320,34 +313,25 @@ def test_intel_step_rejects_stale_timestamps():
         intel_step(state, pool[:1], 0.2, 2.0, WTTConfig.identity())
 
 
-def _counted_predicts(monkeypatch, pool, times, values):
-    """Step through ``values``; returns the ``gp_predict_next`` calls made
-    in each step."""
-    calls = []
-    original = gpts_module.gp_predict_next
-
-    def counting(*args, **kwargs):
-        calls[-1] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(gpts_module, "gp_predict_next", counting)
-    state = IntelState.initial(k=len(pool))
-    for t, v in zip(times, values):
-        calls.append(0)
-        state, _, _ = intel_step(state, pool, float(v), float(t),
-                                 WTTConfig.forgetting(0.8))
-    monkeypatch.undo()
-    return calls
+def _solve_lookups():
+    """Pool solves looked up so far, cached or not."""
+    info = gpts_module._pool_solve.cache_info()
+    return info.hits + info.misses
 
 
-def test_intel_step_forecasts_twice_per_model_per_step(monkeypatch):
+def test_intel_step_forecasts_twice_per_model_per_step():
     pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
                         [1.0, 10.0, 100.0])
-    times, values = _smooth_series(12)
-    calls = _counted_predicts(monkeypatch, pool, times, values)
-    # the first step scores against the prior; later ones score y_t from the
-    # buffer, and every step forecasts t + 1
-    assert calls == [3] + [6] * 11
+    state = IntelState.initial(k=3)
+    calls = []
+    for t, v in zip(*_smooth_series(12)):
+        before = _solve_lookups()
+        state, _, _ = intel_step(state, pool, float(v), float(t),
+                                 WTTConfig.forgetting(0.8))
+        calls.append(_solve_lookups() - before)
+    # every step scores y_t (against the priors on the first) and forecasts
+    # t + 1, each time for the whole pool at once
+    assert calls == [2] * 12
 
 
 @pytest.mark.parametrize("grid", ["unit", "half-spaced", "irregular"])
@@ -361,19 +345,24 @@ def test_memoized_windows_give_bitwise_a_fresh_pools_run(grid):
     factors = [1.0, 10.0, 100.0]
     wtt = WTTConfig.polya_urn([1, 2, 3])
     pool = perturb_pool(nominal, factors)
-    memo_state = fresh_state = IntelState.initial(k=3)
-    for t, v in zip(times, values):
-        memo_state, memo_fused, memo_evs = intel_step(
-            memo_state, pool, float(v), float(t), wtt)
-        fresh_state, fresh_fused, fresh_evs = intel_step(
-            fresh_state, perturb_pool(nominal, factors), float(v), float(t),
-            wtt)
-        assert memo_state.buffer == fresh_state.buffer
-        assert (memo_state.model_weights.w.tobytes()
-                == fresh_state.model_weights.w.tobytes())
-        assert (memo_fused.mean, memo_fused.var) == (fresh_fused.mean,
-                                                     fresh_fused.var)
-        assert memo_evs.tobytes() == fresh_evs.tobytes()
+
+    def run(fresh):
+        state, out = IntelState.initial(k=3), []
+        for t, v in zip(times, values):
+            if fresh:
+                gpts_module._pool_solve.cache_clear()
+            state, fused, evs = intel_step(
+                state, perturb_pool(nominal, factors) if fresh else pool,
+                float(v), float(t), wtt)
+            out.append((state.buffer, state.model_weights.w.tobytes(),
+                        fused.mean, fused.var, evs.tobytes()))
+        return out
+
+    memo = run(fresh=False)
+    # an irregular grid never repeats a window
+    hits = gpts_module._pool_solve.cache_info().hits
+    assert (hits > 0) == (grid != "irregular")
+    assert memo == run(fresh=True)
 
 
 def test_perturb_pool():
@@ -416,7 +405,7 @@ def test_non_finite_time_stamps_raise_before_any_factorization(
         with pytest.raises(ValueError, match="time stamps must be finite"):
             gp_predict_next(model, times, np.zeros(len(times)), t_next)
     assert seen == []
-    assert model._factored is None
+    assert gpts_module._pool_solve.cache_info().currsize == 0
 
 
 def test_gaps_whose_squares_overflow_forecast_quietly():
@@ -446,7 +435,7 @@ def test_intel_step_rejects_non_finite_time_stamps(bad, rows_before):
 
 
 # ---------------------------------------------------------------------------
-# the factorized-window memo
+# the solve cache
 
 
 def test_reused_factorization_gives_bitwise_a_fresh_models_forecast(
@@ -460,11 +449,14 @@ def test_reused_factorization_gives_bitwise_a_fresh_models_forecast(
     later, values = times + 37.0, np.cos(times)
     reused = gp_predict_next(model, later, values, 47.0)
     assert len(seen) == 0
+    gpts_module._pool_solve.cache_clear()
     fresh = GPTSModel(*params)
     direct = gp_predict_next(fresh, later, values, 47.0)
     assert len(seen) == 1
     assert (reused.mean, reused.var) == (direct.mean, direct.var)
-    # the memo is not part of the model's value
+    # the cache is keyed by value: an equal model hits it
+    gp_predict_next(GPTSModel(*params), later, values, 47.0)
+    assert len(seen) == 1
     assert model == fresh
     assert hash(model) == hash(fresh)
     assert repr(model) == repr(fresh)
@@ -476,25 +468,21 @@ def test_unit_spaced_stream_runs_no_cholesky_once_the_window_is_full(
     pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=window),
                         [1.0, 10.0, 100.0])
     seen = _failing_cholesky(monkeypatch, 0)
-    counts, predicts = [], []
-    original = gpts_module.gp_predict_next
-
-    def counting(*args, **kwargs):
-        predicts[-1] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(gpts_module, "gp_predict_next", counting)
+    counts, lookups = [], []
     state = IntelState.initial(k=3)
     times, values = _smooth_series(rows)
     for t, v in zip(times, values):
-        before = len(seen)
-        predicts.append(0)
+        before, looked_up = len(seen), _solve_lookups()
         state, _, _ = intel_step(state, pool, float(v), float(t),
                                  WTTConfig.forgetting(0.8))
         counts.append(len(seen) - before)
-    assert predicts == [3] + [6] * (rows - 1)
-    # each new window length factorizes once per model, the full one too
+        lookups.append(_solve_lookups() - looked_up)
+    assert lookups == [2] * rows
+    # each new window length factorizes once per model, the full one too;
+    # the priors of the first step take none
     assert counts == [3] * window + [0] * (rows - window)
+    # scoring y_t and forecasting t + 1 share one window on this grid
+    assert gpts_module._pool_solve.cache_info().currsize == window + 1
 
 
 def _irregular_times(rng, n):
@@ -519,21 +507,37 @@ def test_irregular_time_grid_misses_and_matches_a_direct_solve(monkeypatch):
         assert len(seen) > before  # every forecast factorized
 
 
-def test_each_model_holds_one_window_after_a_long_irregular_run():
-    rng = np.random.default_rng(101)
+def _irregular_run(rows):
     pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
                         [1.0, 10.0, 100.0])
     state = IntelState.initial(k=3)
-    times = _irregular_times(rng, 500)
+    times = _irregular_times(np.random.default_rng(101), rows)
     for t in times:
         state, _, _ = intel_step(state, pool, float(np.sin(t)), float(t),
                                  WTTConfig.identity())
+    return tuple(pool), state, times
+
+
+def test_each_model_holds_one_window_after_a_long_irregular_run():
+    pool, state, times = _irregular_run(500)
     last = np.array([t for t, _ in state.buffer[-6:]])
-    for model in pool:
-        key, a, var = model._factored
-        assert key == (last - (times[-1] + 1.0)).tobytes()
-        assert a.shape == (6,)
-        assert var > 0.0
+    hits = gpts_module._pool_solve.cache_info().hits
+    _, A, var = gpts_module._pool_solve(
+        pool, (last - (times[-1] + 1.0)).tobytes())
+    assert gpts_module._pool_solve.cache_info().hits == hits + 1
+    # one row of forecast weights per model, read-only
+    assert A.shape == (3, 6)
+    assert (var > 0.0).all()
+    assert not (A.flags.writeable or var.flags.writeable)
+
+
+def test_solve_cache_stays_bounded_over_a_long_irregular_run():
+    _irregular_run(500)
+    info = gpts_module._pool_solve.cache_info()
+    # every forecast time misses, yet the cache keeps its fixed size
+    assert info.misses > 500
+    assert info.maxsize == gpts_module.SOLVE_CACHE_SIZE
+    assert info.currsize <= gpts_module.SOLVE_CACHE_SIZE
 
 
 def test_failed_factorization_is_not_memoized(monkeypatch):
@@ -543,4 +547,43 @@ def test_failed_factorization_is_not_memoized(monkeypatch):
         with pytest.raises(FactorizationFailureError):
             gp_predict_next(model, [0.0, 1.0, 2.0], [0.1, 0.2, 0.3], 3.0)
         assert len(seen) == attempts
-    assert model._factored is None
+    assert gpts_module._pool_solve.cache_info().currsize == 0
+
+
+def test_mixed_pool_matches_each_models_own_forecast():
+    # means, lengthscales, noise levels and windows all differ
+    pool = [GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+            GPTSModel(0.5, 1.5, 1.0, 0.2, window=3),
+            GPTSModel(-0.3, 0.8, 4.0, 0.01, window=1)]
+    wtt = WTTConfig.forgetting(0.9)
+    rng = np.random.default_rng(107)
+    state = IntelState.initial(k=3)
+    for t in _irregular_times(rng, 40):
+        y = float(np.sin(0.4 * t) + rng.normal(0.0, 0.1))
+        times, values = (np.array(state.buffer).reshape(-1, 2).T
+                         if state.buffer else ([], []))
+        scored = [gp_predict_next(m, times, values, t) if state.buffer
+                  else PredictiveGaussian(m.mean_const,
+                                          m.signal_variance + m.noise_var)
+                  for m in pool]
+        state, fused, log_evs = intel_step(state, pool, y, float(t), wtt)
+        np.testing.assert_allclose(log_evs, [p.logpdf(y) for p in scored],
+                                   rtol=0.0, atol=1e-12)
+        # each model's own tail, not the shared buffer
+        times, values = np.array(state.buffer).T
+        ref = poe_combine([gp_predict_next(m, times[-m.window:],
+                                           values[-m.window:], t + 1.0)
+                           for m in pool], apply_wtt(wtt, state.history))
+        assert fused.mean == pytest.approx(ref.mean, rel=0.0, abs=1e-12)
+        assert fused.var == pytest.approx(ref.var, rel=0.0, abs=1e-12)
+
+
+def test_log_density_of_an_overflowing_residual_is_minus_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PredictiveGaussian(-1e308, 1.0).logpdf(1e308) == -np.inf
+        assert PredictiveGaussian(0.0, 1e-300).logpdf(1e10) == -np.inf
+        pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 1e-6, 3), [1.0, 2.0])
+        _, _, log_evs = intel_step(IntelState.initial(k=2), pool, 1e200, 0.0,
+                                   WTTConfig.identity())
+    assert (log_evs == -np.inf).all()

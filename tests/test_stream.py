@@ -8,9 +8,10 @@ from bdemm import (
     GPTSModel,
     KfEnsembleState,
     LinearGaussianModel,
+    PredictiveGaussian,
     WTTConfig,
+    gp_predict_next,
     perturb_pool,
-    window_predict,
 )
 from bdemm.errors import ConfigError, ParseError
 from bdemm.kalman import kf_bdemm_step
@@ -346,12 +347,15 @@ wtt.kind = identity
     # each row's evidences score its value under the forecasts from the
     # rows before it, not under a stale forecast
     pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.01, 8), [1.0, 100.0])
-    buffer = ()
+    times, values = [], []
     for t, (y, line) in enumerate(zip(ys, lines[1:]), start=1):
-        expected = np.exp(np.array(
-            [window_predict(m, buffer, t).logpdf(float(y)) for m in pool]))
+        forecasts = [gp_predict_next(m, times, values, t) if times
+                     else PredictiveGaussian(m.mean_const,
+                                             m.signal_variance + m.noise_var)
+                     for m in pool]
+        expected = np.exp([f.logpdf(float(y)) for f in forecasts])
         assert [float(c) for c in line.split(",")[4:]] == list(expected)
-        buffer = (buffer + ((float(t), float(y)),))[-8:]
+        times, values = (times + [float(t)])[-8:], (values + [float(y)])[-8:]
 
 
 def test_output_floats_round_trip(tmp_path):
