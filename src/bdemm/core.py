@@ -145,6 +145,9 @@ class WeightHistory:
         cum = np.asarray(self.cumulative, dtype=float)
         if cum.shape != (len(self.last),):
             raise DimensionMismatchError("cumulative sums must be one per model")
+        # the urn operator renormalizes them without re-checking
+        if not (np.all(np.isfinite(cum)) and np.all(cum >= 0.0)):
+            raise ValueError("cumulative sums must be finite and nonnegative")
         object.__setattr__(self, "cumulative", _frozen(cum))
 
     @classmethod
@@ -263,10 +266,18 @@ def normalize_weights(raw) -> WeightVector:
     s = float(raw.sum())
     if s == 0.0:
         raise AllZeroError("cannot normalize an all-zero vector")
-    if abs(s - 1.0) <= SIMPLEX_ATOL:
-        return _trusted(WeightVector, raw.copy())
     if s == np.inf:
         raise ValueError("weights must have a finite sum")
+    return _on_simplex(raw.copy())
+
+
+def _on_simplex(raw: np.ndarray) -> WeightVector:
+    """Trusted weights from a fresh, finite, nonnegative vector with a
+    positive finite sum: ``raw`` itself when that sum is 1 within
+    ``SIMPLEX_ATOL``, else ``raw`` divided by it."""
+    s = float(raw.sum())
+    if abs(s - 1.0) <= SIMPLEX_ATOL:
+        return _trusted(WeightVector, raw)
     return _trusted(WeightVector, raw / s)
 
 
@@ -307,15 +318,19 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     log_ev = np.atleast_1d(np.asarray(log_evidences, dtype=float))
     if log_ev.shape != prior.w.shape:
         raise DimensionMismatchError("one evidence per model required")
-    if np.any(np.isnan(log_ev)) or np.any(log_ev == np.inf):
-        raise ValueError("log evidences must be < +inf and not NaN")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         lw = np.log(prior.w) + log_ev
-    m = float(np.max(lw))
+    # a NaN or +inf evidence leaves a NaN or +inf maximum
+    m = float(lw.max())
+    if not m < np.inf:
+        raise ValueError("log evidences must be < +inf and not NaN")
     if m == -np.inf:
         raise AllZeroError("all prior-times-evidence products are zero")
-    w = np.exp(lw - logsumexp(lw))
-    w = w / w.sum()
+    # through the log-sum-exp, then by the sum: one exp(lw - m) / sum rounds
+    # the weights differently, and a Kalman stream whose covariance update
+    # cancels to roundoff then ends on another row
+    w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
+    w /= w.sum()
     if floor > 0.0:
         return apply_weight_floor(w, floor)
     return _trusted(WeightVector, w)
@@ -386,14 +401,22 @@ def collapse_mixture(components, weights: WeightVector) -> GaussianBelief:
     for c in comps:
         if c.dim != d:
             raise DimensionMismatchError("components differ in dimension")
-    means = np.vstack([c.mean for c in comps])
-    cov = np.zeros((d, d))
+    return _collapse(np.stack([c.mean for c in comps]),
+                     np.stack([c.cov for c in comps]), weights.w)
+
+
+def _collapse(means, covs, w) -> GaussianBelief:
+    """:func:`collapse_mixture` of (K, d) ``means`` and (K, d, d) ``covs``
+    under the (K,) weights ``w``, on arrays."""
+    live = w > 0.0
+    wl = w[live]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = weights.w @ means
-        for wk, c in zip(weights.w, comps):
-            if wk > 0.0:
-                dev = c.mean - mean
-                cov += wk * c.cov + np.outer(wk * dev, dev)
+        mean = w @ means
+        dev = means[live] - mean
+        spread = (wl[:, None] * dev)[:, :, None] * dev[:, None, :]
+        # summed over k in order, rounding as adding one component at a
+        # time does: Kalman streams at the roundoff limit turn on it
+        cov = (wl[:, None, None] * covs[live] + spread).sum(axis=0)
         cov = 0.5 * (cov + cov.T)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise NonFiniteBeliefError(

@@ -4,8 +4,9 @@ The engines' weight updates take log evidences, and the kernels here give
 them: :func:`gaussian_innovation` (through :func:`gaussian_log_evidence`) is
 the closed form for the linear-Gaussian case, where the evidence of an
 observation is a Gaussian density under the predicted observation
-distribution, and it also serves the Kalman update.  The particle engine's
-evidence is the normalizer of its reweighting step
+distribution; it takes a stack of K beliefs and also solves for their
+Kalman gains, so one call serves a whole Kalman pool's update.  The
+particle engine's evidence is the normalizer of its reweighting step
 (:func:`bdemm.smc.mc_log_evidence`).
 
 :func:`is_evidence` is the generic importance sampler: draw from a proposal,
@@ -23,7 +24,6 @@ estimates at numpy speed.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -133,58 +133,74 @@ def effective_sample_size(weights) -> float:
     return float(1.0 / np.sum(wbar * wbar))
 
 
-def gaussian_innovation(y, predictive, B, R):
-    """Innovation terms of a Gaussian belief under a linear observation.
+def gaussian_innovation(y, means, covs, B, R):
+    """Innovation terms of K Gaussian beliefs, each under its own linear map.
 
-    For a Gaussian state belief pushed through ``y = B x + noise`` with noise
-    covariance ``R``, the observation is Gaussian with mean ``B mean`` and
-    covariance ``S = B cov B^T + R``.  Returns ``(S, resid, log_ev)``: the
-    symmetrized ``S``, the residual ``y - B mean`` and the log density of
-    ``y``.  A residual so large that its quadratic form overflows, whatever
-    the signs of its entries, gives ``log_ev = -inf``; a NaN in ``y`` gives
-    a NaN ``log_ev``.
+    For a Gaussian state belief N(mean_k, cov_k) pushed through
+    ``y = B_k x + noise`` with noise covariance ``R_k``, the observation is
+    Gaussian with mean ``B_k mean_k`` and covariance
+    ``S_k = B_k cov_k B_k^T + R_k``.  Takes (K, d) ``means``, (K, d, d)
+    ``covs``, (K, m, d) ``B``, (K, m, m) ``R`` and one (m,) ``y``, and
+    returns ``(log_ev, resid, gain_t)``: the (K,) log densities of ``y``,
+    the (K, m) residuals ``y - B_k mean_k`` and the (K, m, d) solves
+    ``S_k^{-1} B_k cov_k``, the transposed Kalman gains.  One factorization
+    and two solves of the stack serve all K.  A residual so large that its
+    quadratic form overflows, whatever the signs of its entries, gives
+    ``log_ev = -inf``; a NaN in ``y`` gives a NaN ``log_ev``.
 
     Raises
     ------
     SingularInnovationCovError
-        If ``S`` is not finite, cannot be Cholesky-factorized or is
+        If any ``S_k`` is not finite, cannot be Cholesky-factorized or is
         singular to working precision.
     ValueError
         If ``y`` does not match the rows of ``B``.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = B @ predictive.cov @ B.T + R
-    s = 0.5 * s + 0.5 * s.T
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovationCovError(
-            "innovation covariance is not positive definite") from exc
-    # a non-finite S factors without error but leaves its mark on the diagonal
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    if not np.isfinite(logdet):
-        raise SingularInnovationCovError("innovation covariance is not finite")
-    resid = y - B @ predictive.mean
-    if resid.shape != (s.shape[0],):
+    if y.shape != B.shape[1:2]:
         raise ValueError("observation dimension does not match B")
     with np.errstate(over="ignore", invalid="ignore"):
+        bp = B @ covs
+        s = bp @ B.swapaxes(1, 2) + R
+        s = 0.5 * s + 0.5 * s.swapaxes(1, 2)
+        resid = y - (B @ means[:, :, None])[:, :, 0]
         try:
-            quad = float(resid @ np.linalg.solve(s, resid))
+            chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError as exc:
+            raise SingularInnovationCovError(
+                "innovation covariance is not positive definite") from exc
+        # a non-finite S factors without error but leaves its mark on the
+        # diagonal
+        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        if not np.isfinite(logdet).all():
+            raise SingularInnovationCovError(
+                "innovation covariance is not finite")
+        try:
+            # two solves, not one of [resid | B P]: LAPACK divides by a 1x1
+            # S for one right-hand side but multiplies by its reciprocal for
+            # several, and an update cancelling to roundoff turns on that bit
+            sol = np.linalg.solve(s, resid[:, :, None])
+            gain_t = np.linalg.solve(s, bp)
         except np.linalg.LinAlgError as exc:
             raise SingularInnovationCovError(
                 "innovation covariance is numerically singular") from exc
+        quad = (resid[:, None, :] @ sol)[:, 0, 0]
     # S is positive definite: a non-finite form of a NaN-free residual overflowed
-    if not math.isfinite(quad) and not np.isnan(resid).any():
-        quad = math.inf
-    return s, resid, -0.5 * (y.size * LOG_2PI + logdet + quad)
+    overflowed = ~np.isfinite(quad)
+    if overflowed.any():
+        quad[overflowed & ~np.isnan(resid).any(axis=1)] = np.inf
+    return -0.5 * (y.size * LOG_2PI + logdet + quad), resid, gain_t
 
 
 def gaussian_log_evidence(y, predictive, B, R) -> float:
     """Log density of ``y`` under the predicted observation distribution.
 
-    See :func:`gaussian_innovation`, whose third result this is.
+    The K = 1 call of :func:`gaussian_innovation`: the first of its results
+    for the one belief ``predictive`` under ``y = B x + noise``, noise
+    covariance ``R``.
     """
-    return gaussian_innovation(y, predictive, B, R)[2]
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    log_ev = gaussian_innovation(y, predictive.mean[None], predictive.cov[None],
+                                 B[None], R[None])[0]
+    return float(log_ev[0])

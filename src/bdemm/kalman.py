@@ -12,11 +12,19 @@ move through a weight-transition operator, get a Bayes update from the log
 evidences, and the posterior mixture is moment-matched back down to a single
 Gaussian that seeds all K models at the next step.  That collapse is what
 keeps the state representation from branching into K^t components.
+
+A step runs the whole pool at once.  The pool's matrices are stacked once
+(and cached) into (K, ., .) arrays, so one batched predict, one batched
+innovation (one factorization, two solves), one batched update with one
+stacked roundoff check, and one array collapse serve all K models: a row's
+count of numpy calls does not grow with K.  :func:`kf_predict` and
+:func:`kf_update` are the K = 1 calls of the same kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,10 +34,10 @@ from .core import (
     PointEstimate,
     WeightHistory,
     WeightVector,
+    _collapse,
     _frozen,
     _trusted,
     checked_cov,
-    collapse_mixture,
 )
 from .errors import DimensionMismatchError, NonFiniteBeliefError
 from .evidence import gaussian_innovation
@@ -44,12 +52,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearGaussianModel:
     """One linear-Gaussian candidate: transition A, Q; observation B, R.
 
     Every entry must be finite, and ``Q`` and ``R`` must be covariances;
-    a bad matrix raises ``ValueError`` when the model is built.
+    a bad matrix raises ``ValueError`` when the model is built.  Models
+    compare and hash by identity, which is what the pool-stacking cache
+    keys on.
     """
 
     A: np.ndarray
@@ -110,6 +120,68 @@ class KfEnsembleState:
         return cls(belief, WeightHistory.start(weights))
 
 
+@lru_cache(maxsize=8)
+def _stacked(pool: tuple):
+    """The pool's ``A, Q, B, R`` stacked into (K, d, d), (K, d, d),
+    (K, m, d) and (K, m, m) arrays.  The cache holds the models, so their
+    identities are not reused while a stack is kept."""
+    d, m = pool[0].state_dim, pool[0].obs_dim
+    if any(model.state_dim != d or model.obs_dim != m for model in pool):
+        raise DimensionMismatchError(
+            "pool models differ in state or observation dimension")
+    return tuple(_frozen(np.stack([getattr(model, name) for model in pool]))
+                 for name in "AQBR")
+
+
+def _observation(belief: GaussianBelief, B, y) -> np.ndarray:
+    """``y`` as a vector, checked with ``belief`` against the (K, m, d) ``B``."""
+    if belief.dim != B.shape[2]:
+        raise DimensionMismatchError("belief dimension does not match model")
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != B.shape[1:2]:
+        raise DimensionMismatchError("observation dimension does not match model")
+    return y
+
+
+def _predict(A, Q, belief: GaussianBelief):
+    """Every model's prediction from one shared belief: (K, d) means
+    ``A_k mean`` and (K, d, d) covariances ``A_k cov A_k^T + Q_k``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = A @ belief.mean
+        covs = A @ belief.cov @ A.swapaxes(1, 2) + Q
+        covs = 0.5 * covs + 0.5 * covs.swapaxes(1, 2)
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise NonFiniteBeliefError("predicted belief is not finite")
+    return means, covs
+
+
+def _update(means, covs, B, R, y):
+    """Measurement update of K predicted beliefs on one ``y``.
+
+    Returns the (K, d) posterior means, (K, d, d) covariances and (K,) log
+    evidences.  A model whose log evidence is ``-inf`` keeps its prediction.
+    """
+    log_ev, resid, gain_t = gaussian_innovation(y, means, covs, B, R)
+    kept = log_ev == -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        # gain G = P B^T S^{-1}, as solve(S, B P)^T since P is symmetric
+        gain = gain_t.swapaxes(1, 2)
+        post_means = means + (gain @ resid[:, :, None])[:, :, 0]
+        post_covs = covs - gain @ B @ covs
+        post_covs = 0.5 * (post_covs + post_covs.swapaxes(1, 2))
+    if kept.any():
+        post_means[kept] = means[kept]
+        post_covs[kept] = covs[kept]
+    if not (np.isfinite(post_means).all() and np.isfinite(post_covs).all()):
+        raise NonFiniteBeliefError("posterior belief is not finite")
+    # P - G B P cancels to roundoff when B P B^T dwarfs R by ~1/eps
+    scale = np.maximum(1.0, np.abs(post_covs).max(axis=(1, 2)))
+    lost = np.linalg.eigvalsh(post_covs)[:, 0] < -PSD_ATOL * scale
+    if (lost & ~kept).any():
+        raise NonFiniteBeliefError("posterior covariance lost to roundoff")
+    return post_means, post_covs, log_ev
+
+
 def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBelief:
     """One-step-ahead prediction: mean -> A mean, cov -> A cov A^T + Q.
 
@@ -121,13 +193,8 @@ def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBe
     """
     if belief.dim != model.state_dim:
         raise DimensionMismatchError("belief dimension does not match model")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = model.A @ belief.mean
-        cov = model.A @ belief.cov @ model.A.T + model.Q
-        cov = 0.5 * cov + 0.5 * cov.T
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise NonFiniteBeliefError("predicted belief is not finite")
-    return _trusted(GaussianBelief, mean, cov)
+    means, covs = _predict(model.A[None], model.Q[None], belief)
+    return _trusted(GaussianBelief, means[0], covs[0])
 
 
 def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
@@ -148,28 +215,14 @@ def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
     NonFiniteBeliefError
         If the posterior overflows, or its covariance cancels to roundoff.
     """
-    if predicted.dim != model.state_dim:
-        raise DimensionMismatchError("belief dimension does not match model")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (model.obs_dim,):
-        raise DimensionMismatchError("observation dimension does not match model")
-    s, resid, log_ev = gaussian_innovation(y, predicted, model.B, model.R)
+    B = model.B[None]
+    y = _observation(predicted, B, y)
+    means, covs, log_evs = _update(predicted.mean[None], predicted.cov[None],
+                                   B, model.R[None], y)
+    log_ev = float(log_evs[0])
     if log_ev == -np.inf:
         return predicted, log_ev
-    p = predicted.cov
-    with np.errstate(over="ignore", invalid="ignore"):
-        # gain G = P B^T S^{-1}, as solve(S, B P)^T since P is symmetric
-        gain = np.linalg.solve(s, model.B @ p).T
-        mean = predicted.mean + gain @ resid
-        cov = p - gain @ model.B @ p
-        cov = 0.5 * (cov + cov.T)
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise NonFiniteBeliefError("posterior belief is not finite")
-    # P - G B P cancels to roundoff when B P B^T dwarfs R by ~1/eps
-    scale = max(1.0, float(np.abs(cov).max()))
-    if float(np.linalg.eigvalsh(cov)[0]) < -PSD_ATOL * scale:
-        raise NonFiniteBeliefError("posterior covariance lost to roundoff")
-    return _trusted(GaussianBelief, mean, cov), log_ev
+    return _trusted(GaussianBelief, means[0], covs[0]), log_ev
 
 
 def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
@@ -177,13 +230,14 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     """One observation's worth of ensemble filtering over K linear models.
 
     Every model predicts from the shared collapsed belief, updates on ``y``
-    and reports its log evidence; the weight-transition operator proposes
-    predictive weights, Bayes' rule updates them with the evidences, and the
-    weighted posteriors are moment-matched into the next shared belief,
-    whose mean is the point estimate.  A model whose log evidence is
-    ``-inf`` contributes its prediction (see :func:`kf_update`); if every
-    model's is, the step is uninformative: the predictive weights carry
-    forward unchanged and the next belief collapses the predicted beliefs.
+    and reports its log evidence, all K at once on the pool's stacked
+    matrices; the weight-transition operator proposes predictive weights,
+    Bayes' rule updates them with the evidences, and the weighted posteriors
+    are moment-matched into the next shared belief, whose mean is the point
+    estimate.  A model whose log evidence is ``-inf`` contributes its
+    prediction (see :func:`kf_update`); if every model's is, the step is
+    uninformative: the predictive weights carry forward unchanged and the
+    next belief collapses the predicted beliefs.
 
     Returns
     -------
@@ -192,19 +246,24 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         The collapsed mean, which is the weight-averaged posterior mean.
     log_evidences : ndarray, shape (K,)
         Each model's log evidence for ``y``; ``-inf`` where it underflows.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the pool's size differs from the weights', its models differ in
+        state or observation dimension, or ``state`` or ``y`` does not
+        match them.
     """
-    pool = list(pool)
+    pool = tuple(pool)
     if len(pool) != len(state.weights):
         raise DimensionMismatchError("pool size does not match weight vector")
-    posteriors = []
-    log_evs = np.empty(len(pool))
-    for k, model in enumerate(pool):
-        predicted = kf_predict(model, state.belief)
-        posterior, log_evs[k] = kf_update(model, predicted, y)
-        posteriors.append(posterior)
+    A, Q, B, R = _stacked(pool)
+    y = _observation(state.belief, B, y)
+    means, covs = _predict(A, Q, state.belief)
+    means, covs, log_evs = _update(means, covs, B, R, y)
 
     weights, history, _ = weight_step(wtt_config, state.history, log_evs,
                                       weight_floor)
-    belief = collapse_mixture(posteriors, weights)
+    belief = _collapse(means, covs, weights.w)
     estimate = _trusted(PointEstimate, belief.mean)
     return KfEnsembleState(belief, history), estimate, log_evs

@@ -37,7 +37,7 @@ from .core import (
     WeightHistory,
     WeightVector,
     _frozen,
-    normalize_weights,
+    _on_simplex,
     update_model_weights_log,
 )
 from .errors import AllZeroError, ConfigMismatchError
@@ -143,7 +143,9 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
     """Run one weight-transition step: posterior history in, predictive out.
 
     ``identity``, ``markov`` and ``forgetting`` read the latest row,
-    ``polya_urn`` the running column sums, ``constant`` neither.
+    ``polya_urn`` the running column sums, ``constant`` neither.  The
+    history's weights were validated when they were built, so the operators
+    renormalize without re-checking them.
 
     Raises
     ------
@@ -165,16 +167,16 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
         if config.matrix.shape != (k, k):
             raise ConfigMismatchError("transition matrix shape != (K, K)")
         # w'_j = sum_i w_i T_ij; rows of T sum to 1 so w' stays on the simplex
-        return normalize_weights(last.w @ config.matrix)
+        return _on_simplex(last.w @ config.matrix)
 
     if config.kind == "forgetting":
         # 0^alpha = 0: a model with exactly zero weight stays dead
-        return normalize_weights(np.power(last.w, config.alpha))
+        return _on_simplex(np.power(last.w, config.alpha))
 
     if config.kind == "polya_urn":
         if config.beta.shape != (k,):
             raise ConfigMismatchError("pseudo-count length != number of models")
-        return normalize_weights(config.beta + history.cumulative)
+        return _on_simplex(config.beta + history.cumulative)
 
     raise ConfigMismatchError("unknown operator %r" % (config.kind,))
 

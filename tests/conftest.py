@@ -2,11 +2,12 @@
 
 import pytest
 
-from bdemm import gpts
+from bdemm import gpts, kalman
 
 
 @pytest.fixture(autouse=True)
-def _empty_gp_solve_cache():
+def _empty_caches():
     # tests that count factorizations must not hit a window an earlier test
-    # solved
+    # solved, nor tests that count stackings a pool an earlier test stacked
     gpts._pool_solve.cache_clear()
+    kalman._stacked.cache_clear()

@@ -91,6 +91,12 @@ def test_history_rejects_mismatched_rows():
         WeightHistory((np.array([0.5, 0.5]),), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_history_rejects_bad_cumulative_sums(bad):
+    with pytest.raises(ValueError, match="cumulative"):
+        WeightHistory(WeightVector([0.5, 0.5]), np.array([0.5, bad]))
+
+
 def test_history_cumulative_matches_column_sums():
     rng = np.random.default_rng(3)
     h = WeightHistory.start(WeightVector.uniform(3))
@@ -217,6 +223,11 @@ def test_update_rejects_nan_and_plus_inf():
         update_model_weights_log(prior, [0.0, np.inf])
     with pytest.raises(DimensionMismatchError):
         update_model_weights_log(prior, [0.0])
+    # a dead model's +inf evidence is rejected too, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            update_model_weights_log(WeightVector([0.0, 1.0]), [np.inf, 0.0])
 
 
 def test_update_handles_extreme_evidence_spread():

@@ -16,10 +16,14 @@ from bdemm import (
     WTTConfig,
     apply_wtt,
     collapse_mixture,
+    default_markov_matrix,
     kf_bdemm_step,
     kf_predict,
     kf_update,
+    weight_step,
 )
+from bdemm import kalman
+from bdemm.wtt import KINDS
 
 
 def _textbook_kf(A, Q, B, R, mean, cov, ys):
@@ -64,6 +68,20 @@ def test_model_validation():
                             B=np.array([[1.0, 0.0]]), R=[[1.0]])
     assert m.state_dim == 2
     assert m.obs_dim == 1
+
+
+def test_models_compare_and_hash_by_identity():
+    # equal matrices are still two models; neither == nor hash may raise
+    def build():
+        return LinearGaussianModel(A=np.eye(2), Q=np.eye(2), B=np.eye(2),
+                                   R=np.eye(2))
+
+    m, twin = build(), build()
+    assert m == m
+    assert not m == twin
+    assert m != twin
+    assert hash(m) == hash(m)
+    assert len({m, twin, m}) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +310,84 @@ def test_model_rejects_non_finite_maps(name, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="%s must be finite" % name):
             LinearGaussianModel(**matrices)
+
+
+# ---------------------------------------------------------------------------
+# the stacked step against the per-model recursion
+
+
+def _wtt_of_kind(kind, rng, k):
+    if kind == "identity":
+        return WTTConfig.identity()
+    if kind == "constant":
+        return WTTConfig.constant(rng.dirichlet(np.ones(k)))
+    if kind == "markov":
+        return WTTConfig.markov(default_markov_matrix(k, rng.uniform(0.5, 1.0)))
+    if kind == "forgetting":
+        return WTTConfig.forgetting(rng.uniform(0.1, 1.0))
+    return WTTConfig.polya_urn(rng.integers(1, 5, size=k))
+
+
+def _per_model_step(state, pool, y, wtt, floor):
+    """One ensemble step as a loop over the models: predict and update each
+    one, then collapse the weighted posteriors with the textbook moments."""
+    updates = [kf_update(m, kf_predict(m, state.belief), y) for m in pool]
+    log_evs = np.array([log_ev for _, log_ev in updates])
+    weights, _, _ = weight_step(wtt, state.history, log_evs, floor)
+    means = [post.mean for post, _ in updates]
+    mean = sum(wk * mk for wk, mk in zip(weights.w, means))
+    cov = sum(wk * (post.cov + np.outer(mk - mean, mk - mean))
+              for wk, mk, (post, _) in zip(weights.w, means, updates))
+    return mean, cov, weights.w, log_evs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_step_matches_the_per_model_recursion(kind, d):
+    rng = np.random.default_rng([KINDS.index(kind), d])
+    k = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 3))
+    pool = [_random_model(rng, d, m) for _ in range(k)]
+    wtt = _wtt_of_kind(kind, rng, k)
+    # with a floor on every other case
+    floor = rng.uniform(0.0, 0.5 / k) if (KINDS.index(kind) + d) % 2 else 0.0
+    state = KfEnsembleState.initial(
+        GaussianBelief(rng.standard_normal(d), np.eye(d)),
+        weights=WeightVector(rng.dirichlet(np.ones(k))))
+    for y in rng.standard_normal((200, m)) * 2.0:
+        mean, cov, w, log_evs = _per_model_step(state, pool, y, wtt, floor)
+        state, est, got_log_evs = kf_bdemm_step(state, pool, y, wtt,
+                                                weight_floor=floor)
+        np.testing.assert_allclose(state.belief.mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.belief.cov, cov, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.weights.w, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_log_evs, log_evs, rtol=1e-12, atol=0)
+        if d == 1:
+            assert np.array_equal(got_log_evs, log_evs)
+
+
+@pytest.mark.parametrize("dims", [[(1, 1), (2, 1)], [(2, 1), (2, 2)]],
+                         ids=["state", "observation"])
+def test_pool_of_mixed_dimensions_raises_a_library_error(dims):
+    rng = np.random.default_rng(5)
+    pool = [_random_model(rng, d, m) for d, m in dims]
+    d = dims[0][0]
+    state = KfEnsembleState.initial(GaussianBelief(np.zeros(d), np.eye(d)), k=2)
+    with pytest.raises(DimensionMismatchError, match="differ"):
+        kf_bdemm_step(state, pool, np.zeros(dims[0][1]), WTTConfig.identity())
+
+
+def test_pool_is_stacked_once_per_stream():
+    pool = _two_model_pool()
+    state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
+    for y in np.linspace(-1.0, 1.0, 50):
+        state, _, _ = kf_bdemm_step(state, pool, float(y),
+                                    WTTConfig.forgetting(0.9))
+    info = kalman._stacked.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+
+
+def test_nan_observation_raises():
+    state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
+    with pytest.raises(NonFiniteBeliefError):
+        kf_bdemm_step(state, _two_model_pool(), np.nan, WTTConfig.identity())
