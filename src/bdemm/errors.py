@@ -28,8 +28,9 @@ class ConfigMismatchError(BdemmError):
     """A weight-transition config lacks, or disagrees with, a required parameter."""
 
 
-class NonFiniteWeightError(BdemmError):
-    """An importance weight came out NaN or +inf (target/proposal mismatch)."""
+class NonFiniteWeightError(BdemmError, ValueError):
+    """An importance weight came out NaN or +inf: a target/proposal mismatch,
+    or a particle log likelihood that is NaN or +inf."""
 
 
 class SingularInnovationCovError(BdemmError):

@@ -31,7 +31,11 @@ from typing import Callable
 import numpy as np
 
 from .core import logsumexp
-from .errors import NonFiniteWeightError, SingularInnovationCovError
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteWeightError,
+    SingularInnovationCovError,
+)
 
 __all__ = [
     "UnnormalizedTarget",
@@ -197,10 +201,20 @@ def gaussian_log_evidence(y, predictive, B, R) -> float:
     The K = 1 call of :func:`gaussian_innovation`: the first of its results
     for the one belief ``predictive`` under ``y = B x + noise``, noise
     covariance ``R``.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``B`` is not (m, d) for the belief's dimension d, or ``R`` is not
+        (m, m).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
+    if B.ndim != 2 or B.shape[1] != predictive.dim:
+        raise DimensionMismatchError("B must have one column per state dimension")
+    if R.shape != (B.shape[0], B.shape[0]):
+        raise DimensionMismatchError("R must be (m, m) for the m rows of B")
     log_ev = gaussian_innovation(y, predictive.mean[None], predictive.cov[None],
                                  B[None], R[None])[0]
     return float(log_ev[0])

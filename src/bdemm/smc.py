@@ -22,17 +22,17 @@ per-particle maps; the batch axis only buys numpy speed.
 
 Randomness protocol
 -------------------
-:func:`smc_bdemm_step` draws exactly two integers from the caller's
-generator per step, in this order::
-
-    seeds = rng.integers(2**63, size=2)   # [propagation, resampling]
-
-Transition sampling runs on ``default_rng(seeds[0])`` -- a *fresh* generator
-per model, all seeded identically -- and the resampler on
-``default_rng(seeds[1])``.  Two consequences: results are reproducible from
-the master seed alone, and models that share a transition see identical
-draws, so when every model holds the same ``sample_transition`` object the
-step propagates the cloud once, bit-identical to propagating it per model.
+:func:`smc_bdemm_step` draws from the caller's generator directly and
+creates none of its own.  Models are grouped by ``sample_transition``
+object, and each distinct transition propagates the cloud once.  Before
+the first one runs the step takes a snapshot of
+``rng.bit_generator.state``, and it restores that snapshot before each
+further one, so every transition starts from the same draws.  Resampling
+then continues from the generator where the last propagation left it.
+Two consequences: results are reproducible from the master seed alone,
+and models that share a transition, or hold twins of it (distinct objects
+that draw the same way), see identical draws, so sharing one transition
+object is bit-identical to giving each model its own copy.
 """
 
 from __future__ import annotations
@@ -50,10 +50,13 @@ from .core import (
     WeightVector,
     _frozen,
     _trusted,
-    bma_point_estimate,
-    logsumexp,
 )
-from .errors import AllZeroError, DimensionMismatchError
+from .errors import (
+    AllZeroError,
+    DimensionMismatchError,
+    NonFiniteBeliefError,
+    NonFiniteWeightError,
+)
 from .evidence import effective_sample_size
 from .kalman import LinearGaussianModel
 from .wtt import WTTConfig, weight_step
@@ -164,25 +167,57 @@ class SmcEnsembleState:
 
 def propagate(model: GenericStateSpaceModel, ensemble: ParticleEnsemble,
               t: int, rng: np.random.Generator) -> ParticleEnsemble:
-    """Push every particle through the model's transition; weights carry over."""
+    """Push every particle through the model's transition; weights carry over.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the transition changes the cloud's shape.
+    NonFiniteBeliefError
+        If a moved particle is NaN or infinite (the transition overflowed).
+    """
     moved = np.asarray(model.sample_transition(ensemble.particles, t, rng),
                        dtype=float)
     if moved.ndim == 1:
         moved = moved[:, None]
     if moved.shape != ensemble.particles.shape:
         raise DimensionMismatchError("transition changed the cloud's shape")
-    return ParticleEnsemble(moved, ensemble.weights)
+    if not np.isfinite(moved).all():
+        raise NonFiniteBeliefError("propagated particles are not finite")
+    return _trusted(ParticleEnsemble, moved, ensemble.weights)
 
 
-def _checked_loglik(model, y, particles, t):
-    # a residual so large that its square overflows scores -inf
-    with np.errstate(over="ignore"):
-        ll = np.asarray(model.log_likelihood(y, particles, t), dtype=float)
-    if ll.shape != (particles.shape[0],):
-        raise DimensionMismatchError("log likelihood must return one value per particle")
-    if np.any(np.isnan(ll)) or np.any(ll == np.inf):
-        raise ValueError("log likelihoods must be < +inf and not NaN")
+def _likelihood_rows(models, clouds, y, t) -> np.ndarray:
+    """The (K, N) log likelihoods of ``y``, row k under model k on cloud k."""
+    ll = np.empty((len(models), clouds[0].shape[0]))
+    for k, (model, cloud) in enumerate(zip(models, clouds)):
+        row = np.asarray(model.log_likelihood(y, cloud, t), dtype=float)
+        if row.shape != ll.shape[1:]:
+            raise DimensionMismatchError(
+                "log likelihood must return one value per particle")
+        ll[k] = row
     return ll
+
+
+def _normalize_rows(lw: np.ndarray):
+    """Normalize each row of the (K, N) log weights ``lw`` in the log domain.
+
+    Returns the (K, N) normalized weights, the (K,) log normalizers (each a
+    log-sum-exp, ``-inf`` for an all ``-inf`` row) and the (K,) row maxima.
+    Callers hold the ``errstate`` that silences the ``-inf`` arithmetic.
+
+    Raises
+    ------
+    NonFiniteWeightError
+        If a log weight is NaN or ``+inf``.
+    """
+    top = lw.max(axis=1)
+    if not (top < np.inf).all():  # NaN fails too
+        raise NonFiniteWeightError("log likelihoods must be < +inf and not NaN")
+    shift = np.where(top > -np.inf, top, 0.0)
+    e = np.exp(lw - shift[:, None])
+    total = e.sum(axis=1)
+    return e / total[:, None], shift + np.log(total), top
 
 
 def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
@@ -192,27 +227,27 @@ def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
     New weights are ``u_i ∝ u_prev_i * p(y | x_i)``, normalized in the log
     domain.  The normalizer is the model's log evidence,
     :func:`mc_log_evidence` of the incoming weights and the likelihoods, and
-    is returned with the weights.
+    is returned with the weights.  This is the one-model call of the kernel
+    :func:`smc_bdemm_step` runs on the whole pool.
 
     Raises
     ------
     AllZeroError
         If every product underflows (no particle explains the observation).
+    NonFiniteWeightError
+        If a log likelihood is NaN or ``+inf``.
     """
-    ll = _checked_loglik(model, y, propagated.particles, t)
-    with np.errstate(divide="ignore"):
-        lw = np.log(propagated.weights) + ll
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ll = _likelihood_rows([model], [propagated.particles], y, t)
+        u, log_ev, top = _normalize_rows(np.log(propagated.weights) + ll)
     # Underflow is judged in the linear domain: if even the largest product
     # u_i * p(y|x_i) rounds to exactly zero as a double, the observation is
     # unrepresentable under this model and carries no usable information.
     # Normalizing such weights anyway would amount to inventing a posterior
     # from pure rounding noise, so the caller gets to decide the fallback.
-    if float(np.max(lw)) < UNDERFLOW_LOG:
+    if top[0] < UNDERFLOW_LOG:
         raise AllZeroError("all particle weights underflowed")
-    log_ev = mc_log_evidence(propagated.weights, ll)
-    w = np.exp(lw - log_ev)
-    w = w / w.sum()
-    return w, log_ev
+    return u[0], float(log_ev[0])
 
 
 def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
@@ -220,14 +255,18 @@ def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
 
     With uniform incoming weights this is the log of the plain average of
     the likelihood values.
+
+    Raises
+    ------
+    NonFiniteWeightError
+        If a log likelihood is NaN or ``+inf``.
     """
     u = np.atleast_1d(np.asarray(incoming_weights, dtype=float))
     ll = np.atleast_1d(np.asarray(log_likelihoods, dtype=float))
     if u.shape != ll.shape:
         raise DimensionMismatchError("weights and likelihoods must align")
-    with np.errstate(divide="ignore"):
-        lw = np.log(u) + ll
-    return logsumexp(lw)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_normalize_rows((np.log(u) + ll).reshape(1, -1))[1][0])
 
 
 def resample(particles, weights, n_out: int, rng: np.random.Generator,
@@ -270,15 +309,18 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
                    weight_floor: float = 0.0, resampling: str = "multinomial"):
     """One observation's worth of ensemble particle filtering.
 
-    See the module docstring for the randomness protocol; when every model
-    holds the same ``sample_transition`` object the cloud is propagated once
-    and shared.  Per-model point estimates are posterior weighted means
-    (minimum mean squared error estimates); the ensemble estimate mixes them
-    with the updated model weights.  If *every* model's likelihood
-    underflows on all particles, the step keeps the predictive model
-    weights, scores each model with its incoming particle weights and
-    resamples from that predictive mixture -- the last mixture with finite
-    weights.
+    The step runs the whole pool at once.  Each distinct
+    ``sample_transition`` object propagates the cloud once, from the same
+    generator state (the module docstring's randomness protocol), and the
+    models holding it share the moved cloud.  The K likelihood rows are
+    reweighted as one (K, N) array, and the augmented set is resampled
+    once.  Per-model point estimates are posterior weighted means (minimum
+    mean squared error estimates), one row each of ``(K, N) @ cloud``; the
+    ensemble estimate mixes them with the updated model weights.  A model
+    whose likelihood underflows on every particle keeps its incoming
+    particle weights and scores ``-inf``.  If *every* model does, the step
+    keeps the predictive model weights and resamples from that predictive
+    mixture -- the last mixture with finite weights.
 
     Returns
     -------
@@ -286,8 +328,16 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
         Ensemble resampled back to N uniform-weight particles.
     estimate : PointEstimate
     log_evidences : ndarray, shape (K,)
-        Each model's log evidence for ``y``; ``-inf`` for a model whose
-        likelihood underflows on every particle.
+        Each model's log evidence for ``y``, :func:`mc_log_evidence` of the
+        incoming particle weights and its likelihoods; ``-inf`` for a model
+        whose likelihood underflows on every particle.
+
+    Raises
+    ------
+    NonFiniteBeliefError
+        If a transition moves a particle to NaN or infinity.
+    NonFiniteWeightError
+        If a log likelihood is NaN or ``+inf``.
     """
     pool = list(pool)
     k_models = len(pool)
@@ -295,40 +345,44 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
         raise DimensionMismatchError("pool size does not match weight vector")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     ens = state.ensemble
-    seeds = rng.integers(2 ** 63, size=2)
 
-    transition = pool[0].sample_transition
-    if all(m.sample_transition is transition for m in pool):
-        moved = propagate(pool[0], ens, t, np.random.default_rng(seeds[0]))
-        clouds = [moved] * k_models
-    else:
-        clouds = [propagate(m, ens, t, np.random.default_rng(seeds[0]))
-                  for m in pool]
+    # the first model holding each distinct transition propagates for all;
+    # the list keeps every object, and so its id, alive until the grouping
+    transitions = [model.sample_transition for model in pool]
+    first = {}
+    owner = [first.setdefault(id(f), k) for k, f in enumerate(transitions)]
+    snapshot = rng.bit_generator.state if len(first) > 1 else None
+    moved = {}
+    for k in first.values():
+        if moved:
+            rng.bit_generator.state = snapshot
+        moved[k] = propagate(pool[k], ens, t, rng).particles
+    clouds = [moved[k] for k in owner]
+    aug_particles = np.concatenate(clouds)
+    # (N, d) when shared, else (K, N, d): either way each model's estimate is
+    # one (1, N) @ (N, d) product, so sharing does not change its rounding
+    cloud = clouds[0] if len(moved) == 1 else aug_particles.reshape(
+        (k_models,) + ens.particles.shape)
 
-    log_evs = np.empty(k_models)
-    per_weights = []
-    estimates = []
-    for k, model in enumerate(pool):
-        try:
-            u, log_evs[k] = reweight(model, clouds[k], y, t)
-        except AllZeroError:
-            # model explains nothing this step: dead weight, prior estimate
-            u = clouds[k].weights
-            log_evs[k] = -np.inf
-        per_weights.append(u)
-        estimates.append(_trusted(PointEstimate, u @ clouds[k].particles))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ll = _likelihood_rows(pool, clouds, y, t)
+        u, log_evs, top = _normalize_rows(np.log(ens.weights) + ll)
+    dead = top < UNDERFLOW_LOG  # see reweight
+    if dead.any():
+        u[dead] = ens.weights
+        log_evs[dead] = -np.inf
 
     weights, history, _ = weight_step(wtt_config, state.history, log_evs,
                                       weight_floor)
-    estimate = bma_point_estimate(estimates, weights)
+    estimates = (u[:, None, :] @ cloud)[:, 0]
+    estimate = _trusted(PointEstimate, weights.w @ estimates)
 
-    aug_particles = np.vstack([c.particles for c in clouds])
-    aug_weights = np.concatenate([wk * u for wk, u in zip(weights.w, per_weights)])
+    aug_weights = (weights.w[:, None] * u).ravel()
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("smc step %d: ess %.1f of %d", t,
                      effective_sample_size(aug_weights), aug_weights.size)
-    new_ens = resample(aug_particles, aug_weights, ens.n,
-                       np.random.default_rng(seeds[1]), scheme=resampling)
+    new_ens = resample(aug_particles, aug_weights, ens.n, rng,
+                       scheme=resampling)
 
     return SmcEnsembleState(new_ens, history), estimate, log_evs
 
@@ -353,7 +407,9 @@ def linear_gaussian_ssm(A, Q, B, R) -> GenericStateSpaceModel:
 
     def sample_transition(x, t, rng):
         noise = rng.standard_normal((x.shape[0], d)) @ q_chol.T
-        return x @ A.T + noise
+        # an overflow reads inf or NaN, which propagate rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x @ A.T + noise
 
     def log_likelihood(y, x, t):
         resid = y[None, :] - x @ B.T

@@ -231,6 +231,26 @@ def test_stream_kf_collapse_overflow_exits_two(tmp_path, capsys):
     assert out.read_text().splitlines() == ["step,est_1,w_1,w_2,ev_1,ev_2"]
 
 
+def test_stream_smc_transition_overflow_exits_two(tmp_path, capsys):
+    # row 1 moves the cloud to about 1e200, row 2 to about 1e400: no double
+    config = """\
+engine = smc
+smc.models = 1
+smc.particles = 20
+smc.model.1.kind = linear_gaussian
+smc.model.1.A = [1e200]
+smc.model.1.Q = [1.0]
+smc.model.1.B = [1.0]
+smc.model.1.R = [1.0]
+smc.init.mean = [0.0]
+smc.init.cov = [1.0]
+"""
+    rc, out = _stream_with_warnings_as_errors(tmp_path, config, "0.0\n0.0\n")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("bdemm stream: numeric failure:")
+    assert len(out.read_text().splitlines()) == 2  # the header and row 1
+
+
 def test_stream_config_errors_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("engine = nonsense\n")

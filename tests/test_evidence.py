@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from bdemm import (
+    DimensionMismatchError,
     GaussianBelief,
     NonFiniteWeightError,
     Proposal,
@@ -166,6 +167,19 @@ def test_observation_dimension_checked():
     belief = GaussianBelief([0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
         gaussian_log_evidence([1.0, 1.0], belief, B=np.array([[1.0, 0.0]]), R=1.0)
+
+
+@pytest.mark.parametrize("y, B, R", [
+    (0.0, 1.0, 1.0),                         # B has one column, the belief two
+    ([0.0, 0.0], np.eye(2), np.eye(3)),      # R wider than B's two rows
+    (0.0, np.array([[1.0, 0.0]]), np.eye(2)),  # R wider than B's one row
+], ids=["B-columns", "R-vs-B-square", "R-vs-B-rows"])
+def test_model_dimensions_checked_against_the_belief(y, B, R):
+    belief = GaussianBelief([0.0, 0.0], np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError):
+            gaussian_log_evidence(y, belief, B=B, R=R)
 
 
 def test_linear_domain_underflow_warns():

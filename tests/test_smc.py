@@ -4,13 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 from scipy.stats import norm, t as student_t
 
 from bdemm import (
     AllZeroError,
+    BdemmError,
     DimensionMismatchError,
     GenericStateSpaceModel,
+    NonFiniteBeliefError,
+    NonFiniteWeightError,
     ParticleEnsemble,
     SmcEnsembleState,
     WeightVector,
@@ -27,7 +29,6 @@ from bdemm import (
     student_t_noise,
     uniform_noise,
 )
-from bdemm import smc as smc_module
 from bdemm.smc import UNDERFLOW_LOG
 
 
@@ -83,6 +84,21 @@ def test_propagate_applies_the_transition():
     out = propagate(_shift_model(delta=3.0), e, 1, np.random.default_rng(0))
     assert np.array_equal(out.particles, [[3.0], [4.0], [5.0]])
     assert np.array_equal(out.weights, e.weights)
+
+
+def test_propagate_rejects_non_finite_particles():
+    for bad in (np.nan, np.inf):
+        model = GenericStateSpaceModel(
+            sample_transition=lambda x, t, rng: x + bad,
+            log_likelihood=lambda y, x, t: np.zeros(x.shape[0]),
+        )
+        e = ParticleEnsemble.equal_weighted([[0.0], [1.0]])
+        with pytest.raises(NonFiniteBeliefError):
+            propagate(model, e, 1, np.random.default_rng(0))
+        state = SmcEnsembleState.initial(e.particles, k=1)
+        with pytest.raises(NonFiniteBeliefError):
+            smc_bdemm_step(state, [model], 0.0, 1, WTTConfig.identity(),
+                           np.random.default_rng(0))
 
 
 def test_propagate_rejects_shape_changes():
@@ -160,6 +176,30 @@ def test_reweight_underflow_threshold_is_linear_not_log():
     assert np.allclose(w, [0.5, 0.5], atol=1e-15)
     with pytest.raises(AllZeroError):
         reweight(make(UNDERFLOW_LOG + np.log(2.0) - 1.0), e, np.array([0.0]), 1)
+
+
+def test_non_finite_loglik_raises_a_library_error():
+    # NaN or +inf in any model's row, a dead particle's included
+    good = _shift_model()
+    for bad in (np.nan, np.inf):
+        model = GenericStateSpaceModel(
+            sample_transition=lambda x, t, rng: x,
+            log_likelihood=lambda y, x, t: np.where(x[:, 0] > 0.5, bad, 0.0),
+        )
+        e = ParticleEnsemble([[0.0], [1.0]], [1.0, 0.0])
+        with pytest.raises(NonFiniteWeightError):
+            reweight(model, e, np.array([0.0]), 1)
+        state = SmcEnsembleState(e, SmcEnsembleState.initial(
+            e.particles, k=2).history)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteWeightError):
+                smc_bdemm_step(state, [good, model], 0.0, 1,
+                               WTTConfig.identity(), np.random.default_rng(0))
+    with pytest.raises(NonFiniteWeightError):
+        mc_log_evidence([0.5, 0.5], [0.0, np.nan])
+    assert issubclass(NonFiniteWeightError, BdemmError)
+    assert issubclass(NonFiniteWeightError, ValueError)
 
 
 def test_reweight_rejects_nan_and_plus_inf_loglik():
@@ -272,31 +312,33 @@ def test_resample_validation():
 
 
 def _reference_single_model_step(model, particles, weights, y, t, rng, n_out):
-    """Mirror of the documented randomness protocol for K = 1."""
-    seeds = rng.integers(2 ** 63, size=2)
-    moved = model.sample_transition(particles, t, np.random.default_rng(seeds[0]))
+    """Mirror of the documented randomness protocol for K = 1: the transition
+    and then the resampler draw straight from ``rng``."""
+    moved = model.sample_transition(particles, t, rng)
     ll = model.log_likelihood(np.atleast_1d(y), moved, t)
     with np.errstate(divide="ignore"):
         lw = np.log(weights) + ll
-    u = np.exp(lw - logsumexp(lw))
-    u = u / u.sum()
+    e = np.exp(lw - lw.max())
+    u = e / e.sum()
     estimate = u @ moved
     cdf = np.cumsum(u)
     cdf = cdf / cdf[-1]
     cdf[-1] = 1.0
-    draws = np.random.default_rng(seeds[1]).random(n_out)
+    draws = rng.random(n_out)
     idx = np.minimum(np.searchsorted(cdf, draws, side="right"), moved.shape[0] - 1)
     return moved[idx], estimate
 
 
 def _model_estimates(pool, ensemble, y, t, rng):
     """Each model's own posterior mean, rebuilt through the documented
-    randomness protocol; a model that explains nothing keeps its incoming
-    particle weights."""
-    seeds = rng.integers(2 ** 63, size=2)
+    randomness protocol (every transition starts from the same generator
+    state); a model that explains nothing keeps its incoming particle
+    weights."""
+    snapshot = rng.bit_generator.state
     estimates = []
     for model in pool:
-        moved = propagate(model, ensemble, t, np.random.default_rng(seeds[0]))
+        rng.bit_generator.state = snapshot
+        moved = propagate(model, ensemble, t, rng)
         try:
             u, _ = reweight(model, moved, np.atleast_1d(y), t)
         except AllZeroError:
@@ -359,31 +401,119 @@ def test_shared_propagation_matches_per_model_path_bitwise():
         assert np.array_equal(state_s.model_weights.w, state_g.model_weights.w)
 
 
-def test_step_takes_one_log_sum_exp_per_model(monkeypatch):
-    # the evidence is the reweighting normalizer, not a second sum
-    calls = {"evidence": 0, "logsumexp": 0}
+def _counted(calls, name, transition):
+    def sample(x, t, rng):
+        calls.append(name)
+        return transition(x, t, rng)
+    return sample
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
-    monkeypatch.setattr(smc_module, "mc_log_evidence",
-                        counting("evidence", smc_module.mc_log_evidence))
-    monkeypatch.setattr(smc_module, "logsumexp",
-                        counting("logsumexp", smc_module.logsumexp))
-    pool = [_random_walk_model(obs_var=1.0), _random_walk_model(obs_var=4.0),
-            additive_noise_ssm(lambda x, t, r: x, lambda x, t: x[:, 0],
-                               student_t_noise(3.0))]
-    state = SmcEnsembleState.initial(np.zeros((40, 1)), k=3)
+def test_step_propagates_once_per_distinct_transition():
+    # a and a_shared hold one transition object, so their pool propagates
+    # twice per row; twin_a holds a copy of it, so its pool propagates three
+    # times, from the same generator state, and comes out bit for bit the same
+    calls = []
+    walk = _random_walk_model(step_var=0.5).sample_transition
+    drift = _random_walk_model(step_var=4.0).sample_transition
+    lik = [_random_walk_model(obs_var=v).log_likelihood for v in (1.0, 2.0, 9.0)]
+    shared = _counted(calls, "a", walk)
+    a = GenericStateSpaceModel(shared, lik[0])
+    a_shared = GenericStateSpaceModel(shared, lik[1])
+    twin_a = GenericStateSpaceModel(_counted(calls, "a", walk), lik[1])
+    b = GenericStateSpaceModel(_counted(calls, "b", drift), lik[2])
+    wtt = WTTConfig.forgetting(0.8)
+    runs = {}
+    pools = {"shared": ([a, a_shared, b], ["a", "b"]),
+             "twin": ([a, twin_a, b], ["a", "a", "b"])}
+    for name, (pool, propagations) in pools.items():
+        rng = np.random.default_rng(17)
+        state = SmcEnsembleState.initial(rng.standard_normal((60, 1)), k=3)
+        out = []
+        for t in range(1, 21):
+            del calls[:]
+            state, est, log_evs = smc_bdemm_step(state, pool, 0.3 * t, t,
+                                                 wtt, rng)
+            assert sorted(calls) == propagations
+            out.append((state.ensemble.particles, state.model_weights.w,
+                        est.x_hat, log_evs))
+        runs[name] = out
+    for got, want in zip(runs["twin"], runs["shared"]):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+def test_same_master_seed_repeats_bit_for_bit(scheme):
+    pool = [_random_walk_model(obs_var=1.0), _random_walk_model(step_var=2.0),
+            additive_noise_ssm(lambda x, t, r: x + r.standard_t(3.0, x.shape),
+                               lambda x, t: x[:, 0], student_t_noise(3.0))]
+
+    def run():
+        rng = np.random.default_rng(2024)
+        data = np.random.default_rng(5).normal(0.0, 2.0, 50)
+        state = SmcEnsembleState.initial(rng.standard_normal((80, 1)), k=3)
+        out = []
+        for t, y in enumerate(data, start=1):
+            state, est, log_evs = smc_bdemm_step(
+                state, pool, y, t, WTTConfig.forgetting(0.7), rng,
+                resampling=scheme)
+            out.append((state.ensemble.particles, state.model_weights.w,
+                        est.x_hat, log_evs))
+        return out
+
+    for got, want in zip(run(), run()):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_step_creates_no_generator(monkeypatch):
+    # every draw comes from the caller's generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("the step created a generator")
+
+    pool = [_random_walk_model(), _random_walk_model(step_var=1.0)]
+    state = SmcEnsembleState.initial(np.zeros((30, 1)), k=2)
+    rng = np.random.default_rng(6)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    for t in range(1, 4):
+        state, _, _ = smc_bdemm_step(state, pool, 0.1, t,
+                                     WTTConfig.identity(), rng,
+                                     resampling="systematic")
+
+
+def test_step_log_evidences_are_mc_log_evidence_bitwise():
+    # each model's evidence is the normalizer of its own reweighting row,
+    # against the incoming particle weights; the uniform candidate's
+    # support misses the far row, so it dies there with -inf
+    seen = {}
+
+    def recorded(k, noise):
+        model = additive_noise_ssm(lambda x, t, r: x + r.normal(0.0, 0.5, x.shape),
+                                   lambda x, t: x[:, 0], noise)
+
+        def log_likelihood(y, x, t):
+            seen[k] = model.log_likelihood(y, x, t)
+            return seen[k]
+
+        return GenericStateSpaceModel(model.sample_transition, log_likelihood)
+
+    pool = [recorded(0, gaussian_noise(1.0)), recorded(1, student_t_noise(3.0)),
+            recorded(2, uniform_noise(-3.0, 3.0))]
     rng = np.random.default_rng(4)
-    steps = 5
-    for t in range(1, steps + 1):
-        state, _, log_evs = smc_bdemm_step(state, pool, 0.2 * t, t,
+    u = rng.random(40)
+    state = SmcEnsembleState(
+        ParticleEnsemble(rng.standard_normal((40, 1)), u / u.sum()),
+        SmcEnsembleState.initial(np.zeros((1, 1)), k=3).history)
+    dead = 0
+    for t, y in enumerate([0.2, 40.0, -0.7, 1.5, 0.1], start=1):
+        incoming = state.ensemble.weights
+        state, _, log_evs = smc_bdemm_step(state, pool, y, t,
                                            WTTConfig.forgetting(0.7), rng)
-        assert log_evs.shape == (3,) and np.all(np.isfinite(log_evs))
-    assert calls == {"evidence": 3 * steps, "logsumexp": 3 * steps}
+        for k in range(3):
+            assert log_evs[k] == mc_log_evidence(incoming, seen[k])
+        dead += log_evs[2] == -np.inf
+    assert dead == 1
 
 
 def test_ensemble_weights_favor_the_right_noise_model():
