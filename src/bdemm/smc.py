@@ -27,8 +27,13 @@ creates none of its own.  Models are grouped by ``sample_transition``
 object, and each distinct transition propagates the cloud once.  Before
 the first one runs the step takes a snapshot of
 ``rng.bit_generator.state``, and it restores that snapshot before each
-further one, so every transition starts from the same draws.  Resampling
-then continues from the generator where the last propagation left it.
+further one, so every transition starts from the same draws.  After the
+last propagation the step advances the generator by :data:`DRAW_STRIDE`
+draws, and resampling continues from there.  So the resampling draws, and
+everything the next step draws, lie past every value any transition of
+this step used (as long as a transition draws fewer than ``DRAW_STRIDE``
+values), however unequally the transitions draw.  This needs a bit
+generator with ``advance``, such as numpy's default ``PCG64``.
 Two consequences: results are reproducible from the master seed alone,
 and models that share a transition, or hold twins of it (distinct objects
 that draw the same way), see identical draws, so sharing one transition
@@ -69,6 +74,10 @@ RESAMPLING_SCHEMES = ("multinomial", "systematic")
 # is exactly 0.0 after exponentiation, i.e. a genuine linear-domain underflow.
 UNDERFLOW_LOG = float(np.log(np.nextafter(0.0, 1.0)))
 
+# Draws the step skips after its propagations (the randomness protocol):
+# more than any transition draws in one step.
+DRAW_STRIDE = 2**64
+
 __all__ = [
     "GenericStateSpaceModel",
     "ParticleEnsemble",
@@ -84,6 +93,7 @@ __all__ = [
     "uniform_noise",
     "student_t_noise",
     "RESAMPLING_SCHEMES",
+    "DRAW_STRIDE",
 ]
 
 
@@ -311,8 +321,9 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
 
     The step runs the whole pool at once.  Each distinct
     ``sample_transition`` object propagates the cloud once, from the same
-    generator state (the module docstring's randomness protocol), and the
-    models holding it share the moved cloud.  The K likelihood rows are
+    generator state, and the models holding it share the moved cloud; then
+    the generator skips :data:`DRAW_STRIDE` draws before resampling (the
+    module docstring's randomness protocol).  The K likelihood rows are
     reweighted as one (K, N) array, and the augmented set is resampled
     once.  Per-model point estimates are posterior weighted means (minimum
     mean squared error estimates), one row each of ``(K, N) @ cloud``; the
@@ -334,11 +345,17 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
 
     Raises
     ------
+    TypeError
+        If ``rng``'s bit generator has no ``advance`` method.
     NonFiniteBeliefError
         If a transition moves a particle to NaN or infinity.
     NonFiniteWeightError
         If a log likelihood is NaN or ``+inf``.
     """
+    advance = getattr(rng.bit_generator, "advance", None)
+    if advance is None:
+        raise TypeError("the particle step needs a bit generator with "
+                        "advance(), such as numpy's default PCG64")
     pool = list(pool)
     k_models = len(pool)
     if k_models != len(state.model_weights):
@@ -359,10 +376,9 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
         moved[k] = propagate(pool[k], ens, t, rng).particles
     clouds = [moved[k] for k in owner]
     aug_particles = np.concatenate(clouds)
-    # (N, d) when shared, else (K, N, d): either way each model's estimate is
-    # one (1, N) @ (N, d) product, so sharing does not change its rounding
-    cloud = clouds[0] if len(moved) == 1 else aug_particles.reshape(
-        (k_models,) + ens.particles.shape)
+    # each model's estimate is one (1, N) @ (N, d) product, so sharing a
+    # cloud does not change its rounding
+    cloud = aug_particles.reshape((k_models,) + ens.particles.shape)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ll = _likelihood_rows(pool, clouds, y, t)
@@ -381,6 +397,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("smc step %d: ess %.1f of %d", t,
                      effective_sample_size(aug_weights), aug_weights.size)
+    advance(DRAW_STRIDE)  # past every transition's draws, however many
     new_ens = resample(aug_particles, aug_weights, ens.n, rng,
                        scheme=resampling)
 

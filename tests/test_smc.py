@@ -1,5 +1,6 @@
 """Particle engine: reweighting, resampling, and the ensemble step."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -29,7 +30,8 @@ from bdemm import (
     student_t_noise,
     uniform_noise,
 )
-from bdemm.smc import UNDERFLOW_LOG
+from bdemm import smc
+from bdemm.smc import DRAW_STRIDE, UNDERFLOW_LOG
 
 
 def _shift_model(delta=1.0, obs_var=1.0):
@@ -313,7 +315,8 @@ def test_resample_validation():
 
 def _reference_single_model_step(model, particles, weights, y, t, rng, n_out):
     """Mirror of the documented randomness protocol for K = 1: the transition
-    and then the resampler draw straight from ``rng``."""
+    draws straight from ``rng``, which then skips ``DRAW_STRIDE`` draws
+    before the resampler draws."""
     moved = model.sample_transition(particles, t, rng)
     ll = model.log_likelihood(np.atleast_1d(y), moved, t)
     with np.errstate(divide="ignore"):
@@ -324,6 +327,7 @@ def _reference_single_model_step(model, particles, weights, y, t, rng, n_out):
     cdf = np.cumsum(u)
     cdf = cdf / cdf[-1]
     cdf[-1] = 1.0
+    rng.bit_generator.advance(DRAW_STRIDE)
     draws = rng.random(n_out)
     idx = np.minimum(np.searchsorted(cdf, draws, side="right"), moved.shape[0] - 1)
     return moved[idx], estimate
@@ -464,6 +468,55 @@ def test_same_master_seed_repeats_bit_for_bit(scheme):
     for got, want in zip(run(), run()):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def test_no_draw_is_used_twice_however_unequally_transitions_draw(monkeypatch):
+    # the first transition draws two uniforms per particle, the second one:
+    # neither the resampling draws nor any later step's transitions may
+    # reuse a value the first one already turned into particles
+    drawn = []
+
+    def heavy(x, t, rng):
+        u = rng.random((x.shape[0], 2))
+        drawn.append(u.ravel())
+        return x + u[:, :1] - u[:, 1:]
+
+    def light(x, t, rng):
+        u = rng.random((x.shape[0], 1))
+        drawn.append(u.ravel())
+        return x + u - 0.5
+
+    def spy(particles, weights, n_out, rng, scheme="multinomial"):
+        drawn.append(copy.deepcopy(rng).random(n_out))
+        return resample(particles, weights, n_out, rng, scheme)
+
+    monkeypatch.setattr(smc, "resample", spy)
+    obs = lambda x, t: x[:, 0]
+    pool = [additive_noise_ssm(heavy, obs, gaussian_noise(1.0)),
+            additive_noise_ssm(light, obs, gaussian_noise(2.0))]
+    state = SmcEnsembleState.initial(np.zeros((25, 1)), k=2)
+    rng = np.random.default_rng(12)
+    for t in range(1, 11):
+        state, _, _ = smc_bdemm_step(state, pool, 0.1 * t, t,
+                                     WTTConfig.identity(), rng)
+    # per row: heavy, light, resampling; light repeats heavy's first draws
+    assert len(drawn) == 30
+    for heavy_u, light_u in zip(drawn[0::3], drawn[1::3]):
+        assert np.array_equal(light_u, heavy_u[:25])
+    values = np.concatenate([u for i, u in enumerate(drawn) if i % 3 != 1])
+    assert np.unique(values).size == values.size == 10 * (50 + 25)
+
+
+def test_step_needs_a_bit_generator_that_advances():
+    calls = []
+    model = GenericStateSpaceModel(
+        _counted(calls, "a", _random_walk_model().sample_transition),
+        _random_walk_model().log_likelihood)
+    state = SmcEnsembleState.initial(np.zeros((10, 1)), k=1)
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="advance"):
+        smc_bdemm_step(state, [model], 0.0, 1, WTTConfig.identity(), rng)
+    assert calls == []
 
 
 def test_step_creates_no_generator(monkeypatch):
