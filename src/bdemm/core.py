@@ -50,7 +50,6 @@ __all__ = [
     "GaussianBelief",
     "PointEstimate",
     "normalize_weights",
-    "logsumexp",
     "update_model_weights_log",
     "apply_weight_floor",
     "bma_point_estimate",
@@ -170,6 +169,16 @@ class WeightHistory:
         return self.count
 
 
+def _start_history(k, weights) -> WeightHistory:
+    """An engine's opening history: ``weights`` if given, else uniform
+    weights over ``k`` models."""
+    if weights is None:
+        if k is None:
+            raise DimensionMismatchError("give either k or weights")
+        weights = WeightVector.uniform(k)
+    return WeightHistory.start(weights)
+
+
 def checked_cov(m, name: str = "covariance") -> np.ndarray:
     """Validate a covariance matrix and return it re-symmetrized.
 
@@ -281,16 +290,6 @@ def _on_simplex(raw: np.ndarray) -> WeightVector:
     return _trusted(WeightVector, raw / s)
 
 
-def logsumexp(a) -> float:
-    """``log(sum(exp(a)))``, shifted by the largest entry so nothing
-    overflows; ``-inf`` when every entry is ``-inf`` (``+inf`` if any is)."""
-    a = np.asarray(a, dtype=float)
-    m = float(np.max(a))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(a - m))))
-
-
 def update_model_weights_log(prior: WeightVector, log_evidences,
                              floor: float = 0.0) -> WeightVector:
     """Bayes update of model weights from log evidences.
@@ -326,9 +325,10 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
         raise ValueError("log evidences must be < +inf and not NaN")
     if m == -np.inf:
         raise AllZeroError("all prior-times-evidence products are zero")
-    # through the log-sum-exp, then by the sum: one exp(lw - m) / sum rounds
-    # the weights differently, and a Kalman stream whose covariance update
-    # cancels to roundoff then ends on another row
+    # not through the Monte Carlo evidence kernel: its one exp(lw - m) / sum
+    # rounds the weights differently from this log-sum-exp-then-sum, and
+    # Kalman streams whose covariance update cancels to roundoff then end
+    # on other rows
     w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
     w /= w.sum()
     if floor > 0.0:

@@ -5,16 +5,17 @@ them: :func:`gaussian_innovation` (through :func:`gaussian_log_evidence`) is
 the closed form for the linear-Gaussian case, where the evidence of an
 observation is a Gaussian density under the predicted observation
 distribution; it takes a stack of K beliefs and also solves for their
-Kalman gains, so one call serves a whole Kalman pool's update.  The
-particle engine's evidence is the normalizer of its reweighting step
-(:func:`bdemm.smc.mc_log_evidence`).
+Kalman gains, so one call serves a whole Kalman pool's update.  Every Monte
+Carlo evidence, an importance-sampling average of likelihoods, normalizes
+through one log-domain kernel, :func:`_log_normalize`: the particle
+engine's reweighting (:mod:`bdemm.smc`) and :func:`is_evidence`.
 
 :func:`is_evidence` is the generic importance sampler: draw from a proposal,
-weight by target-over-proposal, average through a log-sum-exp.  It estimates
+weight by target-over-proposal, average through that kernel.  It estimates
 the normalizing constant of an unnormalized target density, which is the
 model evidence when the target is prior-times-likelihood.  It reports the
 estimate in the linear domain: 0.0 with a ``RuntimeWarning`` if that
-underflows.
+underflows, a ``NonFiniteWeightError`` if it or a weight overflows.
 
 The callables inside :class:`UnnormalizedTarget` and :class:`Proposal` are
 vectorized over a leading batch axis: ``sample(rng, n)`` returns an (n, d)
@@ -30,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 
-from .core import logsumexp
 from .errors import (
     DimensionMismatchError,
     NonFiniteWeightError,
@@ -72,22 +72,43 @@ class Proposal:
     log_density: Callable
 
 
+def _log_normalize(lw: np.ndarray):
+    """Normalize log weights over their last axis, in the log domain.
+
+    Returns the weights, the log normalizers (row log-sum-exps) and the row
+    maxima that shift each row before it is exponentiated.  A row whose
+    maximum is ``-inf`` comes out NaN in the first two; callers branch on
+    the maximum and hold the ``errstate`` that silences its arithmetic.
+
+    Raises
+    ------
+    NonFiniteWeightError
+        If a log weight is NaN or ``+inf``.
+    """
+    top = lw.max(axis=-1, keepdims=True)
+    if not (top < np.inf).all():  # NaN fails too
+        raise NonFiniteWeightError("log weights must be < +inf and not NaN")
+    e = np.exp(lw - top)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, (top + np.log(total))[..., 0], top[..., 0]
+
+
 def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
                 rng: np.random.Generator):
     """Importance-sampling estimate of a normalizing constant.
 
     Draws ``n`` points from ``proposal``, forms log weights
     ``target.log_density(x) - proposal.log_density(x)`` and averages them
-    through a log-sum-exp, so enormous dynamic ranges in the weights do not
-    break the estimate.  When the target equals the proposal's own
-    normalized density every weight is exactly one and the estimate is
-    exactly 1.0 for any ``n``.
+    through the log-domain kernel every Monte Carlo evidence shares, so
+    enormous dynamic ranges in the weights do not break the estimate.  When
+    the target equals the proposal's own normalized density every weight
+    is exactly one and the estimate is exactly 1.0 for any ``n``.
 
     Returns
     -------
     estimate : float
         Linear-domain estimate of the normalizing constant.  0.0 (with a
-        ``RuntimeWarning``) if every weight underflowed.
+        ``RuntimeWarning``) if it underflows, every weight zero included.
     importance_weights : ndarray, shape (n,)
         Linear-domain weights, for diagnostics such as
         :func:`effective_sample_size`.  Individual entries may underflow to
@@ -97,7 +118,9 @@ def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
     ------
     NonFiniteWeightError
         If any log weight comes out NaN or +inf, which means the proposal
-        does not actually cover the target.
+        does not actually cover the target, or if a weight or the estimate
+        overflows the linear domain; :func:`bdemm.smc.mc_log_evidence`
+        gives the log estimate the message names.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -109,17 +132,19 @@ def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
              - np.asarray(proposal.log_density(x), dtype=float))
     if log_w.shape != (n,):
         raise ValueError("log densities must return one value per sample")
-    if np.any(np.isnan(log_w)) or np.any(log_w == np.inf):
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_z, top = _log_normalize(log_w)[1:]
+        log_estimate = float(log_z - np.log(n))
+        estimate = float(np.exp(log_estimate))
+    # the largest double's log: any weight above it is +inf as a double
+    if top > np.log(np.finfo(float).max) or estimate == np.inf:
         raise NonFiniteWeightError(
-            "importance weight is NaN or +inf; proposal does not cover target")
-    if float(np.max(log_w)) == -np.inf:
-        warnings.warn("all importance weights underflowed; returning 0",
-                      RuntimeWarning, stacklevel=2)
-        return 0.0, np.zeros(n)
-    estimate = float(np.exp(logsumexp(log_w) - np.log(n)))
-    if estimate == 0.0:
+            "weights overflow the linear domain (log estimate %r); "
+            "bdemm.smc.mc_log_evidence gives the log value" % log_estimate)
+    if not estimate > 0.0:  # NaN when every weight is zero
         warnings.warn("evidence underflowed in the linear domain; returning 0",
                       RuntimeWarning, stacklevel=2)
+        return 0.0, np.exp(log_w)
     return estimate, np.exp(log_w)
 
 
@@ -130,11 +155,11 @@ def effective_sample_size(weights) -> float:
     Diagnostic only; nothing in the package branches on it.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
-    s = float(w.sum())
-    if s <= 0.0:
+    top = float(w.max(initial=0.0))
+    if top <= 0.0:
         return 0.0
-    wbar = w / s
-    return float(1.0 / np.sum(wbar * wbar))
+    v = w / top  # the ESS is scale-free, and so huge weights cannot overflow
+    return float(v.sum() ** 2 / np.sum(v * v))
 
 
 def gaussian_innovation(y, means, covs, B, R):
@@ -157,11 +182,7 @@ def gaussian_innovation(y, means, covs, B, R):
     SingularInnovationCovError
         If any ``S_k`` is not finite, cannot be Cholesky-factorized or is
         singular to working precision.
-    ValueError
-        If ``y`` does not match the rows of ``B``.
     """
-    if y.shape != B.shape[1:2]:
-        raise ValueError("observation dimension does not match B")
     with np.errstate(over="ignore", invalid="ignore"):
         bp = B @ covs
         s = bp @ B.swapaxes(1, 2) + R
@@ -205,14 +226,16 @@ def gaussian_log_evidence(y, predictive, B, R) -> float:
     Raises
     ------
     DimensionMismatchError
-        If ``B`` is not (m, d) for the belief's dimension d, or ``R`` is not
-        (m, m).
+        If ``B`` is not (m, d) for the belief's dimension d, ``y`` is not
+        (m,), or ``R`` is not (m, m).
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     if B.ndim != 2 or B.shape[1] != predictive.dim:
         raise DimensionMismatchError("B must have one column per state dimension")
+    if y.shape != B.shape[:1]:
+        raise DimensionMismatchError("y must have one entry per row of B")
     if R.shape != (B.shape[0], B.shape[0]):
         raise DimensionMismatchError("R must be (m, m) for the m rows of B")
     log_ev = gaussian_innovation(y, predictive.mean[None], predictive.cov[None],

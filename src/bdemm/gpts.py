@@ -38,7 +38,7 @@ from itertools import chain
 import numpy as np
 from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
 
-from .core import WeightHistory, WeightVector, _frozen, _trusted
+from .core import WeightHistory, WeightVector, _frozen, _start_history, _trusted
 from .errors import (
     DimensionMismatchError,
     FactorizationFailureError,
@@ -158,11 +158,7 @@ class IntelState:
 
     @classmethod
     def initial(cls, k: int = None, weights: WeightVector = None) -> "IntelState":
-        if weights is None:
-            if k is None:
-                raise DimensionMismatchError("give either k or weights")
-            weights = WeightVector.uniform(k)
-        return cls((), WeightHistory.start(weights))
+        return cls((), _start_history(k, weights))
 
 
 @lru_cache(maxsize=SOLVE_CACHE_SIZE)

@@ -36,6 +36,7 @@ from .core import (
     WeightVector,
     _collapse,
     _frozen,
+    _start_history,
     _trusted,
     checked_cov,
 )
@@ -113,11 +114,7 @@ class KfEnsembleState:
     def initial(cls, belief: GaussianBelief, k: int = None,
                 weights: WeightVector = None) -> "KfEnsembleState":
         """Fresh state: uniform weights over ``k`` models unless given."""
-        if weights is None:
-            if k is None:
-                raise DimensionMismatchError("give either k or weights")
-            weights = WeightVector.uniform(k)
-        return cls(belief, WeightHistory.start(weights))
+        return cls(belief, _start_history(k, weights))
 
 
 @lru_cache(maxsize=8)

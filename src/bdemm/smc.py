@@ -2,10 +2,12 @@
 
 Each candidate model k supplies a transition sampler and a log likelihood;
 nothing else is assumed about it.  A single particle cloud is shared by the
-whole pool.  Per step and per model the cloud is propagated through the
-model's transition and reweighted by its likelihood; the normalizer of that
-reweighting, the likelihood average under the incoming particle weights, is
-the model's (log) evidence.
+whole pool.  Each step propagates the cloud once per distinct transition,
+and the models holding a transition share its moved cloud; then every
+model's likelihood reweights its cloud, all K as one (K, N) array through
+the log-domain kernel of :mod:`bdemm.evidence`.  The normalizer of a
+model's reweighting, the likelihood average under the incoming particle
+weights, is its (log) evidence.
 Model weights then get the usual transition-then-Bayes treatment, and the
 clouds are merged back into one: every (model, particle) pair enters an
 augmented set with weight ``model_weight * particle_weight``, from which N
@@ -54,15 +56,15 @@ from .core import (
     WeightHistory,
     WeightVector,
     _frozen,
+    _start_history,
     _trusted,
 )
 from .errors import (
     AllZeroError,
     DimensionMismatchError,
     NonFiniteBeliefError,
-    NonFiniteWeightError,
 )
-from .evidence import effective_sample_size
+from .evidence import _log_normalize, effective_sample_size
 from .kalman import LinearGaussianModel
 from .wtt import WTTConfig, weight_step
 
@@ -167,12 +169,8 @@ class SmcEnsembleState:
     def initial(cls, particles, k: int = None,
                 weights: WeightVector = None) -> "SmcEnsembleState":
         """Fresh state from an initial cloud; uniform model weights by default."""
-        if weights is None:
-            if k is None:
-                raise DimensionMismatchError("give either k or weights")
-            weights = WeightVector.uniform(k)
-        ens = ParticleEnsemble.equal_weighted(particles)
-        return cls(ens, WeightHistory.start(weights))
+        return cls(ParticleEnsemble.equal_weighted(particles),
+                   _start_history(k, weights))
 
 
 def propagate(model: GenericStateSpaceModel, ensemble: ParticleEnsemble,
@@ -209,27 +207,6 @@ def _likelihood_rows(models, clouds, y, t) -> np.ndarray:
     return ll
 
 
-def _normalize_rows(lw: np.ndarray):
-    """Normalize each row of the (K, N) log weights ``lw`` in the log domain.
-
-    Returns the (K, N) normalized weights, the (K,) log normalizers (each a
-    log-sum-exp, ``-inf`` for an all ``-inf`` row) and the (K,) row maxima.
-    Callers hold the ``errstate`` that silences the ``-inf`` arithmetic.
-
-    Raises
-    ------
-    NonFiniteWeightError
-        If a log weight is NaN or ``+inf``.
-    """
-    top = lw.max(axis=1)
-    if not (top < np.inf).all():  # NaN fails too
-        raise NonFiniteWeightError("log likelihoods must be < +inf and not NaN")
-    shift = np.where(top > -np.inf, top, 0.0)
-    e = np.exp(lw - shift[:, None])
-    total = e.sum(axis=1)
-    return e / total[:, None], shift + np.log(total), top
-
-
 def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
              y, t: int):
     """Fold the observation into the particle weights.
@@ -249,7 +226,7 @@ def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ll = _likelihood_rows([model], [propagated.particles], y, t)
-        u, log_ev, top = _normalize_rows(np.log(propagated.weights) + ll)
+        u, log_ev, top = _log_normalize(np.log(propagated.weights) + ll)
     # Underflow is judged in the linear domain: if even the largest product
     # u_i * p(y|x_i) rounds to exactly zero as a double, the observation is
     # unrepresentable under this model and carries no usable information.
@@ -276,7 +253,8 @@ def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
     if u.shape != ll.shape:
         raise DimensionMismatchError("weights and likelihoods must align")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_normalize_rows((np.log(u) + ll).reshape(1, -1))[1][0])
+        _, log_ev, top = _log_normalize(np.log(u) + ll)
+    return float(log_ev) if top > -np.inf else -np.inf
 
 
 def resample(particles, weights, n_out: int, rng: np.random.Generator,
@@ -382,7 +360,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ll = _likelihood_rows(pool, clouds, y, t)
-        u, log_evs, top = _normalize_rows(np.log(ens.weights) + ll)
+        u, log_evs, top = _log_normalize(np.log(ens.weights) + ll)
     dead = top < UNDERFLOW_LOG  # see reweight
     if dead.any():
         u[dead] = ens.weights

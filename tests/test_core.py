@@ -11,6 +11,7 @@ from bdemm import (
     GaussianBelief,
     NegativeEntryError,
     NonFiniteBeliefError,
+    NonFiniteWeightError,
     PointEstimate,
     WeightHistory,
     WeightVector,
@@ -238,17 +239,24 @@ def test_update_handles_extreme_evidence_spread():
 
 
 def test_logsumexp_matches_scipy_and_handles_infinities():
+    # the one log-domain kernel behind every Monte Carlo evidence
     from scipy.special import logsumexp as scipy_lse
 
-    from bdemm.core import logsumexp
+    from bdemm.evidence import _log_normalize
 
     rng = np.random.default_rng(0)
     for a in (rng.normal(0.0, 50.0, 200), np.array([-1e308, 0.0, 700.0]),
               np.array([3.5]), np.array([-np.inf, -2.0, -np.inf])):
-        assert logsumexp(a) == pytest.approx(float(scipy_lse(a)), rel=1e-14)
-    assert logsumexp(np.full(4, -np.inf)) == -np.inf
-    assert logsumexp(np.array([0.0, np.inf])) == np.inf
-    assert isinstance(logsumexp(np.zeros(3)), float)
+        w, log_z, top = _log_normalize(a)
+        assert float(log_z) == pytest.approx(float(scipy_lse(a)), rel=1e-14)
+        assert top == a.max()
+        assert w == pytest.approx(np.exp(a - scipy_lse(a)), rel=1e-12)
+    # an all -inf row: every weight zero, flagged by its -inf maximum
+    with np.errstate(invalid="ignore"):
+        top = _log_normalize(np.full((2, 4), -np.inf))[2]
+    assert np.array_equal(top, [-np.inf, -np.inf])
+    with pytest.raises(NonFiniteWeightError):
+        _log_normalize(np.array([0.0, np.inf]))
 
 
 # ---------------------------------------------------------------------------

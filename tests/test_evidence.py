@@ -80,6 +80,23 @@ def test_all_underflowed_weights_warn_and_return_zero():
     assert np.array_equal(w, np.zeros(50))
 
 
+def test_overflowing_weights_raise_quietly():
+    # the largest double is exp(709.78...): a weight of exp(709) is finite,
+    # one of exp(710) is +inf in the linear domain
+    prop = _std_normal_proposal()
+
+    def scaled(log_c):
+        return UnnormalizedTarget(lambda x: prop.log_density(x) + log_c)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, w = is_evidence(scaled(709.0), prop, 10, np.random.default_rng(4))
+        assert est == pytest.approx(np.exp(709.0), rel=1e-12)
+        assert np.isfinite(w).all()
+        with pytest.raises(NonFiniteWeightError, match="mc_log_evidence"):
+            is_evidence(scaled(710.0), prop, 10, np.random.default_rng(4))
+
+
 def test_sample_count_validation():
     prop = _std_normal_proposal()
     target = UnnormalizedTarget(log_density=prop.log_density)
@@ -111,6 +128,15 @@ def test_ess_bounds():
     one_hot[3] = 5.0
     assert effective_sample_size(one_hot) == pytest.approx(1.0, rel=1e-12)
     assert effective_sample_size(np.zeros(4)) == 0.0
+
+
+def test_ess_of_huge_weights_does_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert effective_sample_size([1e308, 1e308]) == 2.0
+    w = np.random.default_rng(6).random(50)
+    assert effective_sample_size(w) == pytest.approx(
+        float(1.0 / np.sum((w / w.sum()) ** 2)), rel=1e-12)
 
 
 def test_ess_is_scale_invariant():
@@ -163,17 +189,12 @@ def test_singular_innovation_raises():
         gaussian_log_evidence(0.0, belief, B=1.0, R=0.0)
 
 
-def test_observation_dimension_checked():
-    belief = GaussianBelief([0.0, 0.0], np.eye(2))
-    with pytest.raises(ValueError):
-        gaussian_log_evidence([1.0, 1.0], belief, B=np.array([[1.0, 0.0]]), R=1.0)
-
-
 @pytest.mark.parametrize("y, B, R", [
     (0.0, 1.0, 1.0),                         # B has one column, the belief two
     ([0.0, 0.0], np.eye(2), np.eye(3)),      # R wider than B's two rows
     (0.0, np.array([[1.0, 0.0]]), np.eye(2)),  # R wider than B's one row
-], ids=["B-columns", "R-vs-B-square", "R-vs-B-rows"])
+    ([1.0, 1.0], np.array([[1.0, 0.0]]), 1.0),  # y longer than B's one row
+], ids=["B-columns", "R-vs-B-square", "R-vs-B-rows", "y-vs-B-rows"])
 def test_model_dimensions_checked_against_the_belief(y, B, R):
     belief = GaussianBelief([0.0, 0.0], np.eye(2))
     with warnings.catch_warnings():
