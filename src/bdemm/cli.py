@@ -40,17 +40,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     toy = sub.add_parser("toy", help="run the robust-filtering benchmark")
-    toy.add_argument("--runs", type=int, default=30,
-                     help="independent Monte Carlo runs (default 30)")
-    toy.add_argument("--particles", type=int, default=200,
-                     help="particles per filter (default 200)")
-    toy.add_argument("--seed", type=int, default=0,
-                     help="master seed (default 0)")
-    toy.add_argument("--alpha", type=float, default=0.5,
-                     help="forgetting exponent (default 0.5)")
-    toy.add_argument("--wtt", default="forgetting",
+    toy.add_argument("--runs", type=int, default=ToyConfig.runs,
+                     help="independent Monte Carlo runs (default %(default)s)")
+    toy.add_argument("--particles", type=int, default=ToyConfig.particles,
+                     help="particles per filter (default %(default)s)")
+    toy.add_argument("--seed", type=int, default=ToyConfig.seed,
+                     help="master seed (default %(default)s)")
+    toy.add_argument("--alpha", type=float, default=ToyConfig.forgetting_alpha,
+                     help="forgetting exponent (default %(default)s)")
+    toy.add_argument("--wtt", default=ToyConfig.wtt_kind,
                      choices=KINDS,
-                     help="weight-transition operator (default forgetting)")
+                     help="weight-transition operator (default %(default)s)")
     toy.add_argument("--out", required=True, metavar="DIR",
                      help="directory for summary.txt, runs.csv, weights.csv")
 

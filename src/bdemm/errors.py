@@ -20,8 +20,8 @@ class NegativeEntryError(BdemmError):
     """A quantity that must be nonnegative has a negative entry."""
 
 
-class DimensionMismatchError(BdemmError):
-    """Array shapes are inconsistent with each other."""
+class DimensionMismatchError(BdemmError, ValueError):
+    """Array shapes disagree, or an array that must hold data is empty."""
 
 
 class ConfigMismatchError(BdemmError):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NegativeEntryError,
     NonFiniteWeightError,
     SingularInnovationCovError,
 )
@@ -116,6 +117,8 @@ def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
 
     Raises
     ------
+    DimensionMismatchError
+        If ``n < 1`` or a log density does not give one value per sample.
     NonFiniteWeightError
         If any log weight comes out NaN or +inf, which means the proposal
         does not actually cover the target, or if a weight or the estimate
@@ -123,15 +126,16 @@ def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
         gives the log estimate the message names.
     """
     if n < 1:
-        raise ValueError("need at least one sample")
+        raise DimensionMismatchError("need at least one sample")
     x = proposal.sample(rng, n)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim == 1:
         x = x[:, None]
-    log_w = (np.asarray(target.log_density(x), dtype=float)
-             - np.asarray(proposal.log_density(x), dtype=float))
-    if log_w.shape != (n,):
-        raise ValueError("log densities must return one value per sample")
+    log_target = np.asarray(target.log_density(x), dtype=float)
+    log_proposal = np.asarray(proposal.log_density(x), dtype=float)
+    if not log_target.shape == log_proposal.shape == (n,):
+        raise DimensionMismatchError("need one log density per sample")
+    log_w = log_target - log_proposal
     with np.errstate(over="ignore", invalid="ignore"):
         log_z, top = _log_normalize(log_w)[1:]
         log_estimate = float(log_z - np.log(n))
@@ -153,9 +157,20 @@ def effective_sample_size(weights) -> float:
 
     Ranges from 1 (one weight carries everything) to ``n`` (flat weights).
     Diagnostic only; nothing in the package branches on it.
+
+    Raises
+    ------
+    NonFiniteWeightError
+        If a weight is NaN or infinite.
+    NegativeEntryError
+        If a weight is negative.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     top = float(w.max(initial=0.0))
+    if not top < np.inf:  # NaN fails too
+        raise NonFiniteWeightError("weights must be finite")
+    if w.min(initial=0.0) < 0.0:
+        raise NegativeEntryError("weights must be nonnegative")
     if top <= 0.0:
         return 0.0
     v = w / top  # the ESS is scale-free, and so huge weights cannot overflow

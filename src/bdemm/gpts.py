@@ -146,8 +146,9 @@ class IntelState:
 
     def __post_init__(self):
         buf = tuple((float(t), float(v)) for t, v in self.buffer)
-        times = [t for t, _ in buf]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if not all(map(math.isfinite, chain.from_iterable(buf))):
+            raise ValueError("buffer times and values must be finite")
+        if any(b[0] <= a[0] for a, b in zip(buf, buf[1:])):
             raise ValueError("buffer timestamps must be strictly increasing")
         object.__setattr__(self, "buffer", buf)
 

@@ -62,15 +62,15 @@ from .core import (
 from .errors import (
     AllZeroError,
     DimensionMismatchError,
+    NegativeEntryError,
     NonFiniteBeliefError,
+    NonFiniteWeightError,
 )
 from .evidence import _log_normalize, effective_sample_size
 from .kalman import LinearGaussianModel
 from .wtt import WTTConfig, weight_step
 
 logger = logging.getLogger(__name__)
-
-RESAMPLING_SCHEMES = ("multinomial", "systematic")
 
 # Log of the smallest positive double (subnormal).  A log weight below this
 # is exactly 0.0 after exponentiation, i.e. a genuine linear-domain underflow.
@@ -94,7 +94,6 @@ __all__ = [
     "gaussian_noise",
     "uniform_noise",
     "student_t_noise",
-    "RESAMPLING_SCHEMES",
     "DRAW_STRIDE",
 ]
 
@@ -257,59 +256,55 @@ def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
     return float(log_ev) if top > -np.inf else -np.inf
 
 
-def resample(particles, weights, n_out: int, rng: np.random.Generator,
-             scheme: str = "multinomial") -> ParticleEnsemble:
+def resample(particles, weights, n_out: int,
+             rng: np.random.Generator) -> ParticleEnsemble:
     """Draw ``n_out`` particles (with replacement) from a weighted set.
 
-    ``multinomial`` inverts the weight CDF at iid uniforms: draw v ~ U(0,1)
-    and pick the first index whose cumulative weight exceeds v.
-    ``systematic`` uses one uniform offset and a stratified comb
-    ``(i + v) / n_out`` instead.  Output weights are uniform ``1/n_out``.
-    ``particles`` must be finite: the output is not checked again.
+    Multinomial: each of ``n_out`` iid uniforms picks the first index whose
+    normalized cumulative weight exceeds it; output weights are ``1/n_out``.
+    ``particles`` must be finite: the output is not checked again.  A
+    negative weight raises ``NegativeEntryError``, a NaN or infinite weight
+    or total ``NonFiniteWeightError`` and all-zero weights ``AllZeroError``.
     """
-    if scheme not in RESAMPLING_SCHEMES:
-        raise ValueError("unknown resampling scheme %r" % (scheme,))
     particles = np.asarray(particles, dtype=float)
     if particles.ndim == 1:
         particles = particles[:, None]
     w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.shape != (particles.shape[0],):
-        raise DimensionMismatchError("one weight per particle required")
+    if w.shape != (particles.shape[0],) or not w.size:
+        raise DimensionMismatchError("one weight per particle, and at least "
+                                     "one particle, required")
     if n_out < 1:
         raise ValueError("need at least one output particle")
-    cdf = np.cumsum(w)
-    if cdf[-1] <= 0.0:
-        raise AllZeroError("cannot resample from an all-zero weight set")
+    if w.min() < 0.0:
+        raise NegativeEntryError("particle weights must be nonnegative")
+    with np.errstate(over="ignore"):  # an overflowing total fails below
+        cdf = np.cumsum(w)
+    if not 0.0 < cdf[-1] < np.inf:  # NaN fails too
+        if cdf[-1] == 0.0:
+            raise AllZeroError("cannot resample from an all-zero weight set")
+        raise NonFiniteWeightError("particle weight total is not finite")
     cdf = cdf / cdf[-1]
-    cdf[-1] = 1.0  # guard the top edge against roundoff
-    if scheme == "multinomial":
-        draws = rng.random(n_out)
-    else:
-        draws = (np.arange(n_out) + rng.random()) / n_out
-    idx = np.searchsorted(cdf, draws, side="right")
-    idx = np.minimum(idx, particles.shape[0] - 1)
+    cdf[-1] = 1.0  # every uniform in [0, 1) then picks an index below n
+    idx = np.searchsorted(cdf, rng.random(n_out), side="right")
     return _trusted(ParticleEnsemble, particles[idx],
                     np.full(n_out, 1.0 / n_out))
 
 
 def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
                    wtt_config: WTTConfig, rng: np.random.Generator,
-                   weight_floor: float = 0.0, resampling: str = "multinomial"):
+                   weight_floor: float = 0.0):
     """One observation's worth of ensemble particle filtering.
 
-    The step runs the whole pool at once.  Each distinct
-    ``sample_transition`` object propagates the cloud once, from the same
-    generator state, and the models holding it share the moved cloud; then
-    the generator skips :data:`DRAW_STRIDE` draws before resampling (the
-    module docstring's randomness protocol).  The K likelihood rows are
-    reweighted as one (K, N) array, and the augmented set is resampled
-    once.  Per-model point estimates are posterior weighted means (minimum
-    mean squared error estimates), one row each of ``(K, N) @ cloud``; the
-    ensemble estimate mixes them with the updated model weights.  A model
-    whose likelihood underflows on every particle keeps its incoming
-    particle weights and scores ``-inf``.  If *every* model does, the step
-    keeps the predictive model weights and resamples from that predictive
-    mixture -- the last mixture with finite weights.
+    The step runs the whole pool at once, as the module docstring says: one
+    propagation per distinct ``sample_transition`` object under its
+    randomness protocol, one (K, N) reweighting and one multinomial
+    resample of the augmented set.  Per-model point estimates are posterior
+    weighted means (minimum mean squared error estimates), one row each of
+    ``(K, N) @ cloud``; the ensemble estimate mixes them with the updated
+    model weights.  A model whose likelihood underflows on every particle
+    keeps its incoming particle weights and scores ``-inf``.  If *every*
+    model does, the step keeps the predictive model weights and resamples
+    from that predictive mixture -- the last mixture with finite weights.
 
     Returns
     -------
@@ -376,8 +371,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
         logger.debug("smc step %d: ess %.1f of %d", t,
                      effective_sample_size(aug_weights), aug_weights.size)
     advance(DRAW_STRIDE)  # past every transition's draws, however many
-    new_ens = resample(aug_particles, aug_weights, ens.n, rng,
-                       scheme=resampling)
+    new_ens = resample(aug_particles, aug_weights, ens.n, rng)
 
     return SmcEnsembleState(new_ens, history), estimate, log_evs
 

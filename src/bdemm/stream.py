@@ -50,7 +50,6 @@ from .errors import BdemmError, ConfigError, ParseError
 from .gpts import GPTSModel, IntelState, intel_step, perturb_pool
 from .kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
 from .smc import (
-    RESAMPLING_SCHEMES,
     SmcEnsembleState,
     gaussian_noise,
     linear_gaussian_ssm,
@@ -255,10 +254,6 @@ class _SmcEngine:
         k = cfg.get_int("smc.models", required=True, minimum=1)
         n = cfg.get_int("smc.particles", default=200, minimum=1)
         seed = cfg.get_int("smc.seed", default=0)
-        self.resampling = cfg.get("smc.resampling", default="multinomial")
-        if self.resampling not in RESAMPLING_SCHEMES:
-            raise ConfigError("key 'smc.resampling' must be one of %s"
-                              % ", ".join(RESAMPLING_SCHEMES))
         toy = ToyConfig(
             gamma_shape=cfg.get_number("smc.gamma_shape", default=3.0),
             gamma_scale=cfg.get_number("smc.gamma_scale", default=2.0),
@@ -291,7 +286,7 @@ class _SmcEngine:
     def step(self, y, t):
         self.state, est, log_evs = smc_bdemm_step(
             self.state, self.pool, y, t, self.wtt, self.rng,
-            weight_floor=self.floor, resampling=self.resampling)
+            weight_floor=self.floor)
         return est.x_hat, self.state.model_weights.w, log_evs
 
 

@@ -43,7 +43,6 @@ import numpy as np
 from .core import WeightVector
 from .errors import LengthMismatchError
 from .smc import (
-    RESAMPLING_SCHEMES,
     SmcEnsembleState,
     additive_noise_ssm,
     gaussian_noise,
@@ -93,7 +92,6 @@ class ToyConfig:
     wtt_kind: str = "forgetting"
     forgetting_alpha: float = 0.5
     weight_floor: float = 0.02
-    resampling: str = "multinomial"
 
     def __post_init__(self):
         if self.horizon < 1 or self.runs < 1 or self.particles < 1:
@@ -103,9 +101,6 @@ class ToyConfig:
         # the two-model ensemble needs floor < 1/K
         if not 0.0 <= self.weight_floor < 0.5:
             raise ValueError("weight floor must sit in [0, 1/2)")
-        if self.resampling not in RESAMPLING_SCHEMES:
-            raise ValueError("resampling must be one of %s"
-                             % ", ".join(RESAMPLING_SCHEMES))
         if self.gauss_noise_var <= 0.0:
             raise ValueError("gaussian noise variance must be positive")
         # zero is allowed: a zero scale is the noise-free recursion
@@ -226,8 +221,7 @@ def _run_filter(pool, observations, config: ToyConfig, wtt, rng):
     for i in range(t_count):
         state, est, _ = smc_bdemm_step(state, pool, observations[i], i + 1,
                                        wtt, rng,
-                                       weight_floor=config.weight_floor,
-                                       resampling=config.resampling)
+                                       weight_floor=config.weight_floor)
         estimates[i] = est.x_hat[0]
         weight_rows[i] = state.model_weights.w
     return estimates, weight_rows

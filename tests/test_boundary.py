@@ -139,11 +139,9 @@ def test_smc_steps_return_values_their_constructors_accept(seed):
             for m in (_random_linear_model(rng, 1, 1) for _ in range(k))]
     wtt, floor = _random_wtt(rng, k), _random_floor(rng, k)
     state = SmcEnsembleState.initial(rng.standard_normal((50, 1)), k=k)
-    scheme = ("multinomial", "systematic")[seed % 2]
 
     def step(state, t, y):
-        return smc_bdemm_step(state, pool, y, t, wtt, rng, weight_floor=floor,
-                              resampling=scheme)
+        return smc_bdemm_step(state, pool, y, t, wtt, rng, weight_floor=floor)
 
     for state, est in _run(step, state, _random_rows(rng, 40, 2.0)):
         ens = state.ensemble

@@ -4,9 +4,10 @@ import warnings
 
 import pytest
 
-from bdemm.cli import main
+from bdemm.cli import _build_parser, main
 from bdemm.errors import ConfigError
 from bdemm.stream import build_engine, parse_config
+from bdemm.toy import ToyConfig
 
 KF_CFG = """\
 engine = kf
@@ -29,6 +30,14 @@ def test_toy_subcommand_writes_reports(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "ensemble" in stdout
     assert "wrote:" in stdout
+
+
+def test_toy_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["toy", "--out", "report"])
+    defaults = ToyConfig()
+    assert (args.runs, args.particles, args.seed, args.alpha, args.wtt) == (
+        defaults.runs, defaults.particles, defaults.seed,
+        defaults.forgetting_alpha, defaults.wtt_kind)
 
 
 def test_toy_same_seed_is_byte_identical(tmp_path):
@@ -391,4 +400,13 @@ def test_stream_kf_non_finite_map_exits_one_before_any_row(tmp_path, capsys,
     rc, out = _stream_with_warnings_as_errors(tmp_path, config, "0.1\n0.2\n")
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stream_smc_resampling_is_an_unknown_key(tmp_path, capsys):
+    # multinomial is the only resampler, so no key selects one
+    config = SMC_TOY + "smc.resampling = multinomial\n"
+    rc, out = _stream_with_warnings_as_errors(tmp_path, config, "0.1\n")
+    assert rc == 1
+    assert "unknown key 'smc.resampling'" in capsys.readouterr().err
     assert not out.exists()

@@ -9,6 +9,7 @@ from scipy.stats import multivariate_normal, norm
 from bdemm import (
     DimensionMismatchError,
     GaussianBelief,
+    NegativeEntryError,
     NonFiniteWeightError,
     Proposal,
     SingularInnovationCovError,
@@ -104,6 +105,22 @@ def test_sample_count_validation():
         is_evidence(target, prop, 0, np.random.default_rng(0))
 
 
+def test_sample_count_and_density_shapes_raise_library_errors():
+    prop = _std_normal_proposal()
+    good = prop.log_density
+    wide = lambda x: np.append(good(x), 0.0)
+    column = lambda x: good(x)[:, None]
+    cases = [(good, prop, 0), (wide, prop, 10), (column, prop, 10),
+             (good, Proposal(prop.sample, wide), 10),
+             (good, Proposal(prop.sample, column), 10)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for log_density, proposal, n in cases:
+            with pytest.raises(DimensionMismatchError):
+                is_evidence(UnnormalizedTarget(log_density), proposal, n,
+                            np.random.default_rng(0))
+
+
 def test_estimate_variance_shrinks_with_n():
     # crude but effective: spread of estimates over seeds drops with n
     truth = float(norm.pdf(0.0, scale=np.sqrt(2.0)))
@@ -137,6 +154,19 @@ def test_ess_of_huge_weights_does_not_overflow():
     w = np.random.default_rng(6).random(50)
     assert effective_sample_size(w) == pytest.approx(
         float(1.0 / np.sum((w / w.sum()) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("weights, error", [
+    ([np.nan, 1.0], NonFiniteWeightError),
+    ([np.inf, 1.0], NonFiniteWeightError),
+    ([-1.0, 2.0], NegativeEntryError),
+    ([-np.inf, 1.0], NegativeEntryError),
+], ids=["nan", "inf", "negative", "minus-inf"])
+def test_ess_rejects_bad_weights(weights, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            effective_sample_size(weights)
 
 
 def test_ess_is_scale_invariant():

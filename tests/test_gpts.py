@@ -85,6 +85,20 @@ def test_intel_state_buffer_must_increase():
         IntelState.initial()
 
 
+@pytest.mark.parametrize("buffer", [
+    ((np.nan, 1.0), (1.0, 2.0)),
+    ((0.0, np.inf), (1.0, 2.0)),
+    ((0.0, 1.0), (np.inf, 2.0)),
+    ((0.0, 1.0), (1.0, -np.inf)),
+], ids=["time-nan", "value-inf", "time-inf", "value-minus-inf"])
+def test_intel_state_buffer_must_be_finite(buffer):
+    history = IntelState.initial(k=1).history
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            IntelState(buffer, history)
+
+
 # ---------------------------------------------------------------------------
 # GP prediction
 

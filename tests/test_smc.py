@@ -12,6 +12,7 @@ from bdemm import (
     BdemmError,
     DimensionMismatchError,
     GenericStateSpaceModel,
+    NegativeEntryError,
     NonFiniteBeliefError,
     NonFiniteWeightError,
     ParticleEnsemble,
@@ -256,10 +257,9 @@ def test_mc_log_evidence_matches_direct_sum():
 
 def test_resample_degenerate_weights_copy_one_particle():
     parts = np.array([[0.0], [1.0], [2.0]])
-    for scheme in ("multinomial", "systematic"):
-        out = resample(parts, [1.0, 0.0, 0.0], 5, np.random.default_rng(0), scheme)
-        assert np.array_equal(out.particles, np.zeros((5, 1)))
-        assert np.array_equal(out.weights, np.full(5, 0.2))
+    out = resample(parts, [1.0, 0.0, 0.0], 5, np.random.default_rng(0))
+    assert np.array_equal(out.particles, np.zeros((5, 1)))
+    assert np.array_equal(out.weights, np.full(5, 0.2))
 
 
 def test_resample_single_particle_replicates():
@@ -279,34 +279,34 @@ def test_resample_multinomial_frequencies_track_weights():
     assert abs(frac - 0.5) < 0.01
 
 
-def test_resample_systematic_uniform_weights_copy_everyone_once():
-    # one comb point lands in each equal-width cell
-    parts = np.arange(10.0)[:, None]
-    out = resample(parts, np.full(10, 0.1), 10, np.random.default_rng(5),
-                   scheme="systematic")
-    assert np.array_equal(np.sort(out.particles[:, 0]), parts[:, 0])
-
-
-def test_resample_systematic_counts_stay_within_one_of_expectation():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        n = int(rng.integers(2, 20))
-        w = rng.random(n)
-        w /= w.sum()
-        out = resample(np.arange(float(n))[:, None], w, 1000, rng, "systematic")
-        counts = np.bincount(out.particles[:, 0].astype(int), minlength=n)
-        assert np.all(np.abs(counts - 1000 * w) <= 1.0)
-
-
 def test_resample_validation():
     with pytest.raises(AllZeroError):
         resample([[0.0], [1.0]], [0.0, 0.0], 2, np.random.default_rng(0))
     with pytest.raises(ValueError):
         resample([[0.0]], [1.0], 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        resample([[0.0]], [1.0], 2, np.random.default_rng(0), scheme="stratified")
     with pytest.raises(DimensionMismatchError):
         resample([[0.0], [1.0]], [1.0], 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("weights, error", [
+    ([np.nan, 1.0], NonFiniteWeightError),
+    ([np.inf, 1.0], NonFiniteWeightError),
+    ([1e308, 1e308], NonFiniteWeightError),
+    ([-0.5, 1.5], NegativeEntryError),
+    ([-np.inf, 1.0], NegativeEntryError),
+], ids=["nan", "inf", "total-overflows", "negative", "minus-inf"])
+def test_resample_rejects_bad_weights(weights, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            resample([[0.0], [1.0]], weights, 4, np.random.default_rng(0))
+
+
+def test_resample_rejects_an_empty_set():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError):
+            resample(np.empty((0, 1)), [], 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +446,7 @@ def test_step_propagates_once_per_distinct_transition():
             assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
-def test_same_master_seed_repeats_bit_for_bit(scheme):
+def test_same_master_seed_repeats_bit_for_bit():
     pool = [_random_walk_model(obs_var=1.0), _random_walk_model(step_var=2.0),
             additive_noise_ssm(lambda x, t, r: x + r.standard_t(3.0, x.shape),
                                lambda x, t: x[:, 0], student_t_noise(3.0))]
@@ -459,8 +458,7 @@ def test_same_master_seed_repeats_bit_for_bit(scheme):
         out = []
         for t, y in enumerate(data, start=1):
             state, est, log_evs = smc_bdemm_step(
-                state, pool, y, t, WTTConfig.forgetting(0.7), rng,
-                resampling=scheme)
+                state, pool, y, t, WTTConfig.forgetting(0.7), rng)
             out.append((state.ensemble.particles, state.model_weights.w,
                         est.x_hat, log_evs))
         return out
@@ -486,9 +484,9 @@ def test_no_draw_is_used_twice_however_unequally_transitions_draw(monkeypatch):
         drawn.append(u.ravel())
         return x + u - 0.5
 
-    def spy(particles, weights, n_out, rng, scheme="multinomial"):
+    def spy(particles, weights, n_out, rng):
         drawn.append(copy.deepcopy(rng).random(n_out))
-        return resample(particles, weights, n_out, rng, scheme)
+        return resample(particles, weights, n_out, rng)
 
     monkeypatch.setattr(smc, "resample", spy)
     obs = lambda x, t: x[:, 0]
@@ -531,8 +529,7 @@ def test_step_creates_no_generator(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     for t in range(1, 4):
         state, _, _ = smc_bdemm_step(state, pool, 0.1, t,
-                                     WTTConfig.identity(), rng,
-                                     resampling="systematic")
+                                     WTTConfig.identity(), rng)
 
 
 def test_step_log_evidences_are_mc_log_evidence_bitwise():

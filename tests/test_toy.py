@@ -105,9 +105,7 @@ def test_config_validation():
     for floor in (-0.01, 0.5, 0.6):
         with pytest.raises(ValueError):
             ToyConfig(weight_floor=floor)
-    with pytest.raises(ValueError):
-        ToyConfig(resampling="bogus")
-    ToyConfig(seed=0, weight_floor=0.0, resampling="systematic")
+    ToyConfig(seed=0, weight_floor=0.0)
 
 
 # ---------------------------------------------------------------------------
