@@ -20,10 +20,8 @@ from .core import (
     PointEstimate,
     WeightHistory,
     WeightVector,
-    apply_weight_floor,
     bma_point_estimate,
     collapse_mixture,
-    normalize_weights,
     update_model_weights_log,
 )
 from .errors import (
@@ -63,7 +61,6 @@ from .kalman import (
     LinearGaussianModel,
     kf_bdemm_step,
     kf_predict,
-    kf_update,
 )
 from .smc import (
     GenericStateSpaceModel,

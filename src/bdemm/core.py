@@ -21,8 +21,8 @@ Numerical conventions used throughout the package:
 * inputs are validated once, at the boundary: public constructors check
   them, and values an engine step builds from checked ones are not,
 * a Bayes update in which every prior-times-evidence product is zero raises
-  :class:`~bdemm.errors.AllZeroError`; engines catch it and carry the
-  predictive weights forward unchanged.
+  :class:`~bdemm.errors.AllZeroError`; :func:`bdemm.wtt.weight_step`
+  catches it and carries the predictive weights forward unchanged.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ __all__ = [
     "WeightHistory",
     "GaussianBelief",
     "PointEstimate",
-    "normalize_weights",
     "update_model_weights_log",
-    "apply_weight_floor",
     "bma_point_estimate",
     "collapse_mixture",
     "checked_cov",
@@ -252,34 +250,6 @@ class PointEstimate:
         return self.x_hat.size
 
 
-def normalize_weights(raw) -> WeightVector:
-    """Project a nonnegative vector onto the simplex by dividing by its sum.
-
-    If the input already sums to 1 within ``SIMPLEX_ATOL`` the entries are
-    passed through untouched, which makes the function exactly idempotent.
-
-    Raises
-    ------
-    NegativeEntryError
-        If any entry is negative.
-    AllZeroError
-        If every entry is zero.
-    """
-    raw = np.atleast_1d(np.asarray(raw, dtype=float))
-    if raw.ndim != 1 or raw.size < 1:
-        raise DimensionMismatchError("weights must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("weights must be finite")
-    if np.any(raw < 0.0):
-        raise NegativeEntryError("cannot normalize a vector with negative entries")
-    s = float(raw.sum())
-    if s == 0.0:
-        raise AllZeroError("cannot normalize an all-zero vector")
-    if s == np.inf:
-        raise ValueError("weights must have a finite sum")
-    return _on_simplex(raw.copy())
-
-
 def _on_simplex(raw: np.ndarray) -> WeightVector:
     """Trusted weights from a fresh, finite, nonnegative vector with a
     positive finite sum: ``raw`` itself when that sum is 1 within
@@ -306,14 +276,20 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     log_evidences : array_like, shape (K,)
         Log marginal likelihood of the new observation under each model.
     floor : float, optional
-        If positive, posterior weights are clamped to at least ``floor`` and
-        renormalized.  Off by default.
+        Must sit in ``[0, 1/K)``.  If positive, posterior weights are clamped
+        to at least ``floor`` and renormalized; 0 (the default) is off.
 
     Raises
     ------
+    ValueError
+        If ``floor`` is NaN, negative or at least ``1/K``, whatever the
+        evidences.
     AllZeroError
         If every product ``prior_k * evidence_k`` is zero.
     """
+    if not 0.0 <= floor < 1.0 / prior.w.size:  # NaN fails too
+        raise ValueError("floor must sit in [0, 1/K) = [0, %g), got %r"
+                         % (1.0 / prior.w.size, floor))
     log_ev = np.atleast_1d(np.asarray(log_evidences, dtype=float))
     if log_ev.shape != prior.w.shape:
         raise DimensionMismatchError("one evidence per model required")
@@ -332,20 +308,9 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
     w /= w.sum()
     if floor > 0.0:
-        return apply_weight_floor(w, floor)
+        w = np.maximum(w, floor)
+        w /= w.sum()
     return _trusted(WeightVector, w)
-
-
-def apply_weight_floor(w, floor: float) -> WeightVector:
-    """Clamp weights to at least ``floor`` and renormalize."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if not 0.0 < floor < 1.0 / w.size:
-        raise ValueError("floor must sit in (0, 1/K)")
-    clamped = np.maximum(w, floor)
-    total = float(clamped.sum())
-    if not math.isfinite(total):
-        raise ValueError("weights must be finite")
-    return _trusted(WeightVector, clamped / total)
 
 
 def _stack_means(estimates):

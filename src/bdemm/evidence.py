@@ -25,6 +25,7 @@ estimates at numpy speed.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -118,15 +119,17 @@ def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
     Raises
     ------
     DimensionMismatchError
-        If ``n < 1`` or a log density does not give one value per sample.
+        If ``n`` is not an integer (Python's or numpy's) of at least 1, or a
+        log density does not give one value per sample.
     NonFiniteWeightError
         If any log weight comes out NaN or +inf, which means the proposal
         does not actually cover the target, or if a weight or the estimate
         overflows the linear domain; :func:`bdemm.smc.mc_log_evidence`
         gives the log estimate the message names.
     """
-    if n < 1:
-        raise DimensionMismatchError("need at least one sample")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DimensionMismatchError(
+            "need a whole number of samples, at least one (got %r)" % (n,))
     x = proposal.sample(rng, n)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim == 1:

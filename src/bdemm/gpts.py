@@ -312,7 +312,8 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     differ in every parameter; the buffer keeps the longest window, and a
     shorter one weighs the values before its own by zero, so a residual
     ``v - mu`` that overflows anywhere in the buffer raises
-    ``NonFiniteForecastError``.
+    ``NonFiniteForecastError``.  A non-finite ``t`` or ``y_t`` raises
+    ``ValueError`` before anything is scored or buffered.
 
     Returns
     -------
@@ -332,6 +333,8 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     if state.buffer and t <= state.buffer[-1][0]:
         raise ValueError("time stamps must arrive strictly increasing")
     y_t = float(y_t)
+    if not math.isfinite(y_t):
+        raise ValueError("observations must be finite (got %r)" % y_t)
 
     log_evs = _log_density(y_t, *_forecast(pool, state.buffer, t))
     _, history, _ = weight_step(wtt_config, state.history, log_evs,

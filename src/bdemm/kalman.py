@@ -17,8 +17,8 @@ A step runs the whole pool at once.  The pool's matrices are stacked once
 (and cached) into (K, ., .) arrays, so one batched predict, one batched
 innovation (one factorization, two solves), one batched update with one
 stacked roundoff check, and one array collapse serve all K models: a row's
-count of numpy calls does not grow with K.  :func:`kf_predict` and
-:func:`kf_update` are the K = 1 calls of the same kernels.
+count of numpy calls does not grow with K.  :func:`kf_predict` is the K = 1
+call of the predict kernel, and a one-model pool runs the textbook filter.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "LinearGaussianModel",
     "KfEnsembleState",
     "kf_predict",
-    "kf_update",
     "kf_bdemm_step",
 ]
 
@@ -194,34 +193,6 @@ def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBe
     return _trusted(GaussianBelief, means[0], covs[0])
 
 
-def kf_update(model: LinearGaussianModel, predicted: GaussianBelief, y):
-    """Kalman measurement update plus log evidence from the same innovation.
-
-    Returns
-    -------
-    posterior : GaussianBelief
-        ``predicted`` itself when the log evidence is ``-inf``: such a ``y``
-        is too far out to condition on.
-    log_evidence : float
-        Log density of ``y`` under the predicted observation distribution
-        N(B mean, S), S = B P B^T + R; ``-inf`` if its quadratic form
-        overflows.
-
-    Raises
-    ------
-    NonFiniteBeliefError
-        If the posterior overflows, or its covariance cancels to roundoff.
-    """
-    B = model.B[None]
-    y = _observation(predicted, B, y)
-    means, covs, log_evs = _update(predicted.mean[None], predicted.cov[None],
-                                   B, model.R[None], y)
-    log_ev = float(log_evs[0])
-    if log_ev == -np.inf:
-        return predicted, log_ev
-    return _trusted(GaussianBelief, means[0], covs[0]), log_ev
-
-
 def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
                   weight_floor: float = 0.0):
     """One observation's worth of ensemble filtering over K linear models.
@@ -231,10 +202,11 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     matrices; the weight-transition operator proposes predictive weights,
     Bayes' rule updates them with the evidences, and the weighted posteriors
     are moment-matched into the next shared belief, whose mean is the point
-    estimate.  A model whose log evidence is ``-inf`` contributes its
-    prediction (see :func:`kf_update`); if every model's is, the step is
-    uninformative: the predictive weights carry forward unchanged and the
-    next belief collapses the predicted beliefs.
+    estimate.  A model whose log evidence is ``-inf`` (its quadratic form
+    overflows: ``y`` is too far out to condition on) contributes its
+    prediction; if every model's is, the step is uninformative: the
+    predictive weights carry forward unchanged and the next belief collapses
+    the predicted beliefs.
 
     Returns
     -------
@@ -250,6 +222,9 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         If the pool's size differs from the weights', its models differ in
         state or observation dimension, or ``state`` or ``y`` does not
         match them.
+    NonFiniteBeliefError
+        If a prediction, a posterior or the collapse overflows, or a
+        posterior covariance cancels to roundoff.
     """
     pool = tuple(pool)
     if len(pool) != len(state.weights):

@@ -262,13 +262,16 @@ def resample(particles, weights, n_out: int,
 
     Multinomial: each of ``n_out`` iid uniforms picks the first index whose
     normalized cumulative weight exceeds it; output weights are ``1/n_out``.
-    ``particles`` must be finite: the output is not checked again.  A
+    ``particles`` must be finite and of shape (N,) or (N, d) (another rank
+    raises ``DimensionMismatchError``): the output is not checked again.  A
     negative weight raises ``NegativeEntryError``, a NaN or infinite weight
     or total ``NonFiniteWeightError`` and all-zero weights ``AllZeroError``.
     """
     particles = np.asarray(particles, dtype=float)
     if particles.ndim == 1:
         particles = particles[:, None]
+    if particles.ndim != 2:
+        raise DimensionMismatchError("particles must be (N,) or (N, d)")
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if w.shape != (particles.shape[0],) or not w.size:
         raise DimensionMismatchError("one weight per particle, and at least "

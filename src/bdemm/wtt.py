@@ -187,8 +187,9 @@ def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
 
     The operator turns ``history`` into predictive weights, and
     :func:`~bdemm.core.update_model_weights_log` folds in the per-model log
-    evidences (``floor`` is passed through).  If every evidence is zero the
-    observation is uninformative: the predictive weights carry forward.
+    evidences (``floor`` is passed through; outside ``[0, 1/K)`` it raises
+    ``ValueError``).  If every evidence is zero the observation is
+    uninformative: the predictive weights carry forward.
 
     Returns
     -------

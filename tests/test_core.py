@@ -9,17 +9,20 @@ from bdemm import (
     AllZeroError,
     DimensionMismatchError,
     GaussianBelief,
+    KfEnsembleState,
+    LinearGaussianModel,
     NegativeEntryError,
     NonFiniteBeliefError,
     NonFiniteWeightError,
     PointEstimate,
     WeightHistory,
     WeightVector,
-    apply_weight_floor,
+    WTTConfig,
     bma_point_estimate,
     collapse_mixture,
-    normalize_weights,
+    kf_bdemm_step,
     update_model_weights_log,
+    weight_step,
 )
 
 
@@ -158,33 +161,6 @@ def test_point_estimate_validation():
 
 
 # ---------------------------------------------------------------------------
-# normalize_weights
-
-
-def test_normalize_divides_by_sum():
-    wv = normalize_weights([2.0, 6.0])
-    assert wv.w.tolist() == [0.25, 0.75]
-
-
-def test_normalize_is_exactly_idempotent():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        raw = rng.random(rng.integers(1, 8))
-        once = normalize_weights(raw)
-        twice = normalize_weights(once.w)
-        assert np.array_equal(once.w, twice.w)
-
-
-def test_normalize_error_cases():
-    with pytest.raises(NegativeEntryError):
-        normalize_weights([1.0, -1.0])
-    with pytest.raises(AllZeroError):
-        normalize_weights([0.0, 0.0])
-    with pytest.raises(ValueError):
-        normalize_weights([1.0, np.inf])
-
-
-# ---------------------------------------------------------------------------
 # Bayes weight updates
 
 
@@ -264,15 +240,38 @@ def test_logsumexp_matches_scipy_and_handles_infinities():
 
 
 def test_floor_clamps_then_renormalizes():
-    out = apply_weight_floor([0.99, 0.01], 0.1)
+    out = update_model_weights_log(WeightVector([0.99, 0.01]), [0.0, 0.0],
+                                   floor=0.1)
     assert np.allclose(out.w, [0.99 / 1.09, 0.1 / 1.09], atol=1e-15)
 
 
 def test_floor_domain():
+    prior = WeightVector([0.99, 0.01])
+    # a zero floor is off
+    off = update_model_weights_log(prior, [0.0, -3.0], floor=0.0)
+    assert np.array_equal(off.w, update_model_weights_log(prior, [0.0, -3.0]).w)
+    assert off.w[1] < 0.001
     with pytest.raises(ValueError):
-        apply_weight_floor([0.5, 0.5], 0.0)
-    with pytest.raises(ValueError):
-        apply_weight_floor([0.5, 0.5], 0.5)  # 1/K exactly
+        update_model_weights_log(prior, [0.0, 0.0], floor=0.5)  # 1/K exactly
+
+
+@pytest.mark.parametrize("floor", [-0.5, np.nan, 0.5],
+                         ids=["negative", "nan", "one-over-k"])
+def test_floor_outside_its_range_raises_on_every_path(floor):
+    prior = WeightVector([0.5, 0.5])
+    kf_state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
+    pool = [LinearGaussianModel(A=1.0, Q=0.1, B=1.0, R=r) for r in (1.0, 4.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for log_ev in ([-1.0, -3.0], [-np.inf, -np.inf]):  # all-zero too
+            with pytest.raises(ValueError, match="floor"):
+                update_model_weights_log(prior, log_ev, floor=floor)
+            with pytest.raises(ValueError, match="floor"):
+                weight_step(WTTConfig.identity(), WeightHistory.start(prior),
+                            log_ev, floor)
+        with pytest.raises(ValueError, match="floor"):
+            kf_bdemm_step(kf_state, pool, 0.3, WTTConfig.identity(),
+                          weight_floor=floor)
 
 
 def test_floor_through_update():

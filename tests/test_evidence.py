@@ -103,6 +103,11 @@ def test_sample_count_validation():
     target = UnnormalizedTarget(log_density=prop.log_density)
     with pytest.raises(ValueError):
         is_evidence(target, prop, 0, np.random.default_rng(0))
+    # a numpy integer is a whole number of samples
+    estimate, weights = is_evidence(target, prop, np.int64(3),
+                                    np.random.default_rng(0))
+    assert estimate == 1.0
+    assert weights.shape == (3,)
 
 
 def test_sample_count_and_density_shapes_raise_library_errors():
@@ -110,7 +115,8 @@ def test_sample_count_and_density_shapes_raise_library_errors():
     good = prop.log_density
     wide = lambda x: np.append(good(x), 0.0)
     column = lambda x: good(x)[:, None]
-    cases = [(good, prop, 0), (wide, prop, 10), (column, prop, 10),
+    cases = [(good, prop, 0), (good, prop, 2.5), (good, prop, 3.0),
+             (wide, prop, 10), (column, prop, 10),
              (good, Proposal(prop.sample, wide), 10),
              (good, Proposal(prop.sample, column), 10)]
     with warnings.catch_warnings():

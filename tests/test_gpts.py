@@ -448,6 +448,23 @@ def test_intel_step_rejects_non_finite_time_stamps(bad, rows_before):
             intel_step(state, pool, 0.2, bad, WTTConfig.identity())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows_before", [0, 1])
+def test_intel_step_rejects_a_non_finite_observation(bad, rows_before):
+    # named as the observation on the first row, scored by the priors, and
+    # on the second, scored by a forecast from the buffer
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.1, 5), [1.0, 2.0])
+    state = IntelState.initial(k=2)
+    for t in range(rows_before):
+        state, _, _ = intel_step(state, pool, 0.1, float(t),
+                                 WTTConfig.identity())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="observations must be finite"):
+            intel_step(state, pool, bad, float(rows_before),
+                       WTTConfig.identity())
+
+
 # ---------------------------------------------------------------------------
 # the solve cache
 

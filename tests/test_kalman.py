@@ -19,25 +19,35 @@ from bdemm import (
     default_markov_matrix,
     kf_bdemm_step,
     kf_predict,
-    kf_update,
     weight_step,
 )
 from bdemm import kalman
 from bdemm.wtt import KINDS
 
 
-def _textbook_kf(A, Q, B, R, mean, cov, ys):
-    """Reference filter written with plain inverses, nothing shared."""
+def _textbook_step(model, mean, cov, y):
+    """Reference predict-then-update of one model, written with plain
+    inverses, nothing shared: the posterior mean and covariance and the log
+    density of ``y`` under the predicted observation."""
+    A, Q, B, R = model.A, model.Q, model.B, model.R
+    mean = A @ mean
+    cov = A @ cov @ A.T + Q
+    s = B @ cov @ B.T + R
+    s_inv = np.linalg.inv(s)
+    resid = np.atleast_1d(y) - B @ mean
+    gain = cov @ B.T @ s_inv
+    log_ev = -0.5 * (resid.size * np.log(2.0 * np.pi)
+                     + np.linalg.slogdet(s)[1] + resid @ s_inv @ resid)
+    return mean + gain @ resid, (np.eye(mean.size) - gain @ B) @ cov, log_ev
+
+
+def _textbook_kf(model, mean, cov, ys):
+    """Reference filter: :func:`_textbook_step` along ``ys``."""
     means, covs = [], []
     for y in ys:
-        mean = A @ mean
-        cov = A @ cov @ A.T + Q
-        s = B @ cov @ B.T + R
-        gain = cov @ B.T @ np.linalg.inv(s)
-        mean = mean + gain @ (np.atleast_1d(y) - B @ mean)
-        cov = (np.eye(cov.shape[0]) - gain @ B) @ cov
-        means.append(mean.copy())
-        covs.append(cov.copy())
+        mean, cov, _ = _textbook_step(model, mean, cov, y)
+        means.append(mean)
+        covs.append(cov)
     return means, covs
 
 
@@ -95,11 +105,19 @@ def test_predict_hand_case():
     assert out.cov[0, 0] == pytest.approx(4.5, abs=1e-15)
 
 
+def _one_model_step(model, belief, y):
+    """A one-model ensemble step from ``belief``: the next belief and the
+    model's log evidence."""
+    state, _, log_evs = kf_bdemm_step(KfEnsembleState.initial(belief, k=1),
+                                      [model], y, WTTConfig.identity())
+    return state.belief, log_evs[0]
+
+
 def test_update_hand_case():
-    # predicted N(0, 2), unit map and noise, y = 2:
+    # Q = 0, so the prediction is N(0, 2); unit map and noise, y = 2:
     # posterior N(4/3, 2/3), evidence N(2; 0, 3)
     model = LinearGaussianModel(A=1.0, Q=0.0, B=1.0, R=1.0)
-    post, log_ev = kf_update(model, GaussianBelief(0.0, 2.0), 2.0)
+    post, log_ev = _one_model_step(model, GaussianBelief(0.0, 2.0), 2.0)
     assert post.mean[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert post.cov[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert np.exp(log_ev) == pytest.approx(0.11826, abs=1e-5)
@@ -109,9 +127,10 @@ def test_update_dimension_checks():
     model = LinearGaussianModel(A=np.eye(2), Q=np.eye(2),
                                 B=np.array([[1.0, 0.0]]), R=[[1.0]])
     with pytest.raises(DimensionMismatchError):
-        kf_update(model, GaussianBelief(0.0, 1.0), 1.0)  # belief is 1-d
+        _one_model_step(model, GaussianBelief(0.0, 1.0), 1.0)  # belief is 1-d
     with pytest.raises(DimensionMismatchError):
-        kf_update(model, GaussianBelief([0.0, 0.0], np.eye(2)), [1.0, 1.0])
+        _one_model_step(model, GaussianBelief([0.0, 0.0], np.eye(2)),
+                        [1.0, 1.0])
 
 
 def test_single_model_ensemble_matches_textbook_filter():
@@ -131,8 +150,7 @@ def test_single_model_ensemble_matches_textbook_filter():
             state, est, _ = kf_bdemm_step(state, [model], y, wtt)
             assert state.weights.w[0] == 1.0  # K=1: weight never moves
 
-        ref_means, ref_covs = _textbook_kf(model.A, model.Q, model.B, model.R,
-                                           mean0, cov0, ys)
+        ref_means, ref_covs = _textbook_kf(model, mean0, cov0, ys)
         assert np.allclose(state.belief.mean, ref_means[-1], atol=1e-10)
         assert np.allclose(state.belief.cov, ref_covs[-1], atol=1e-10)
 
@@ -148,8 +166,7 @@ def test_single_model_long_run_stays_tight():
     for y in ys:
         state, est, _ = kf_bdemm_step(state, [model], y, WTTConfig.identity())
         traj.append(state.belief.mean.copy())
-    ref_means, _ = _textbook_kf(model.A, model.Q, model.B, model.R,
-                                mean0, cov0, ys)
+    ref_means, _ = _textbook_kf(model, mean0, cov0, ys)
     worst = max(float(np.abs(a - b).max()) for a, b in zip(traj, ref_means))
     assert worst < 1e-10
 
@@ -188,12 +205,14 @@ def test_belief_is_the_collapsed_posterior_mixture():
     pool = _two_model_pool()
     start = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
     state, _, log_evs = kf_bdemm_step(start, pool, 0.8, WTTConfig.identity())
-    updates = [kf_update(m, kf_predict(m, start.belief), 0.8) for m in pool]
-    ref = collapse_mixture([posterior for posterior, _ in updates],
-                           state.weights)
+    updates = [_textbook_step(m, start.belief.mean, start.belief.cov, 0.8)
+               for m in pool]
+    ref = collapse_mixture([GaussianBelief(mean, cov)
+                            for mean, cov, _ in updates], state.weights)
     assert np.allclose(state.belief.mean, ref.mean, atol=1e-15)
     assert np.allclose(state.belief.cov, ref.cov, atol=1e-15)
-    assert np.array_equal(log_evs, [log_ev for _, log_ev in updates])
+    assert log_evs == pytest.approx([log_ev for _, _, log_ev in updates],
+                                    rel=1e-15)
 
 
 def test_identity_wtt_weights_track_evidence_products():
@@ -256,22 +275,25 @@ def test_overflowing_residual_falls_back_without_warning(y):
 
 
 def test_update_that_cancels_to_roundoff_raises():
-    # B P B^T dwarfs R by ~1e30, so P - G B P is roundoff, here negative
+    # B P B^T dwarfs R by ~1e30, so P - G B P is roundoff, here negative;
+    # Q = 1 is lost in rounding, so the prediction is the starting belief
     model = LinearGaussianModel(A=1.0, Q=1.0, B=0.8612346669752943, R=1.0)
     with pytest.raises(NonFiniteBeliefError, match="roundoff"):
-        kf_update(model, GaussianBelief(0.0, 1.0524213559718285e30), 0.5)
+        _one_model_step(model, GaussianBelief(0.0, 1.0524213559718285e30), 0.5)
 
 
 def test_update_on_an_unrepresentable_observation_keeps_the_prediction():
     # the gain (~500) times the residual overflows, and so does the
-    # quadratic form: the posterior is the prediction, and nothing warns
+    # quadratic form: the next belief is the prediction N(0, 1), and
+    # nothing warns
     model = LinearGaussianModel(A=1.0, Q=1.0, B=0.001, R=1e-6)
-    predicted = GaussianBelief(0.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        posterior, log_ev = kf_update(model, predicted, 1e306)
+        posterior, log_ev = _one_model_step(model, GaussianBelief(0.0, 0.0),
+                                            1e306)
     assert log_ev == -np.inf
-    assert posterior is predicted
+    assert posterior.mean.tolist() == [0.0]
+    assert posterior.cov.tolist() == [[1.0]]
 
 
 def test_weight_floor_keeps_models_alive():
@@ -329,15 +351,16 @@ def _wtt_of_kind(kind, rng, k):
 
 
 def _per_model_step(state, pool, y, wtt, floor):
-    """One ensemble step as a loop over the models: predict and update each
-    one, then collapse the weighted posteriors with the textbook moments."""
-    updates = [kf_update(m, kf_predict(m, state.belief), y) for m in pool]
-    log_evs = np.array([log_ev for _, log_ev in updates])
+    """One ensemble step as a loop over the models: the textbook recursion
+    for each one, then the weighted posteriors collapsed with the textbook
+    moments."""
+    updates = [_textbook_step(m, state.belief.mean, state.belief.cov, y)
+               for m in pool]
+    log_evs = np.array([log_ev for _, _, log_ev in updates])
     weights, _, _ = weight_step(wtt, state.history, log_evs, floor)
-    means = [post.mean for post, _ in updates]
-    mean = sum(wk * mk for wk, mk in zip(weights.w, means))
-    cov = sum(wk * (post.cov + np.outer(mk - mean, mk - mean))
-              for wk, mk, (post, _) in zip(weights.w, means, updates))
+    mean = sum(wk * mk for wk, (mk, _, _) in zip(weights.w, updates))
+    cov = sum(wk * (ck + np.outer(mk - mean, mk - mean))
+              for wk, (mk, ck, _) in zip(weights.w, updates))
     return mean, cov, weights.w, log_evs
 
 
@@ -356,6 +379,10 @@ def test_stacked_step_matches_the_per_model_recursion(kind, d):
         weights=WeightVector(rng.dirichlet(np.ones(k))))
     for y in rng.standard_normal((200, m)) * 2.0:
         mean, cov, w, log_evs = _per_model_step(state, pool, y, wtt, floor)
+        if d == 1:
+            # a model's evidence does not depend on the pool it sits in
+            alone = [_one_model_step(model, state.belief, y)[1]
+                     for model in pool]
         state, est, got_log_evs = kf_bdemm_step(state, pool, y, wtt,
                                                 weight_floor=floor)
         np.testing.assert_allclose(state.belief.mean, mean, rtol=0, atol=1e-12)
@@ -363,7 +390,7 @@ def test_stacked_step_matches_the_per_model_recursion(kind, d):
         np.testing.assert_allclose(state.weights.w, w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_log_evs, log_evs, rtol=1e-12, atol=0)
         if d == 1:
-            assert np.array_equal(got_log_evs, log_evs)
+            assert np.array_equal(got_log_evs, alone)
 
 
 @pytest.mark.parametrize("dims", [[(1, 1), (2, 1)], [(2, 1), (2, 2)]],

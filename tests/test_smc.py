@@ -309,6 +309,15 @@ def test_resample_rejects_an_empty_set():
             resample(np.empty((0, 1)), [], 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("particles", [np.zeros((2, 1, 1)), np.float64(0.0)],
+                         ids=["rank-3", "rank-0"])
+def test_resample_rejects_particles_of_the_wrong_rank(particles):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match="particles must be"):
+            resample(particles, [0.5, 0.5], 2, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # the ensemble step
 
