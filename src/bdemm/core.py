@@ -20,9 +20,12 @@ Numerical conventions used throughout the package:
   eigenvalues >= -``PSD_ATOL`` (1e-10), both scaled by their magnitude,
 * inputs are validated once, at the boundary: public constructors check
   them, and values an engine step builds from checked ones are not,
-* a Bayes update in which every prior-times-evidence product is zero raises
-  :class:`~bdemm.errors.AllZeroError`; :func:`bdemm.wtt.weight_step`
-  catches it and carries the predictive weights forward unchanged.
+* a Bayes update in which every prior-times-evidence product is zero is
+  uninformative: the array kernel that every engine runs through
+  :func:`bdemm.wtt.weight_step` reports it, and the step carries the
+  predictive weights forward unchanged; only the public
+  :func:`update_model_weights_log` raises
+  :class:`~bdemm.errors.AllZeroError` for it.
 """
 
 from __future__ import annotations
@@ -250,14 +253,35 @@ class PointEstimate:
         return self.x_hat.size
 
 
-def _on_simplex(raw: np.ndarray) -> WeightVector:
-    """Trusted weights from a fresh, finite, nonnegative vector with a
-    positive finite sum: ``raw`` itself when that sum is 1 within
-    ``SIMPLEX_ATOL``, else ``raw`` divided by it."""
-    s = float(raw.sum())
-    if abs(s - 1.0) <= SIMPLEX_ATOL:
-        return _trusted(WeightVector, raw)
-    return _trusted(WeightVector, raw / s)
+def _bayes(w: np.ndarray, log_evidences, floor: float):
+    """Posterior weights of the predictive weights ``w`` (on the simplex)
+    under ``log_evidences``, as a fresh array, or ``None`` when every
+    product ``w_k * evidence_k`` is zero; see
+    :func:`update_model_weights_log` for the rules and errors."""
+    if not 0.0 <= floor < 1.0 / w.size:  # NaN fails too
+        raise ValueError("floor must sit in [0, 1/K) = [0, %g), got %r"
+                         % (1.0 / w.size, floor))
+    log_ev = np.atleast_1d(np.asarray(log_evidences, dtype=float))
+    if log_ev.shape != w.shape:
+        raise DimensionMismatchError("one evidence per model required")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lw = np.log(w) + log_ev
+    # a NaN or +inf evidence leaves a NaN or +inf maximum
+    m = float(lw.max())
+    if not m < np.inf:
+        raise ValueError("log evidences must be < +inf and not NaN")
+    if m == -np.inf:
+        return None
+    # not through the Monte Carlo evidence kernel: its one exp(lw - m) / sum
+    # rounds the weights differently from this log-sum-exp-then-sum, and
+    # Kalman streams whose covariance update cancels to roundoff then end
+    # on other rows
+    w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
+    w /= w.sum()
+    if floor > 0.0:
+        w = np.maximum(w, floor)
+        w /= w.sum()
+    return w
 
 
 def update_model_weights_log(prior: WeightVector, log_evidences,
@@ -287,29 +311,9 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     AllZeroError
         If every product ``prior_k * evidence_k`` is zero.
     """
-    if not 0.0 <= floor < 1.0 / prior.w.size:  # NaN fails too
-        raise ValueError("floor must sit in [0, 1/K) = [0, %g), got %r"
-                         % (1.0 / prior.w.size, floor))
-    log_ev = np.atleast_1d(np.asarray(log_evidences, dtype=float))
-    if log_ev.shape != prior.w.shape:
-        raise DimensionMismatchError("one evidence per model required")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lw = np.log(prior.w) + log_ev
-    # a NaN or +inf evidence leaves a NaN or +inf maximum
-    m = float(lw.max())
-    if not m < np.inf:
-        raise ValueError("log evidences must be < +inf and not NaN")
-    if m == -np.inf:
+    w = _bayes(prior.w, log_evidences, floor)
+    if w is None:
         raise AllZeroError("all prior-times-evidence products are zero")
-    # not through the Monte Carlo evidence kernel: its one exp(lw - m) / sum
-    # rounds the weights differently from this log-sum-exp-then-sum, and
-    # Kalman streams whose covariance update cancels to roundoff then end
-    # on other rows
-    w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
-    w /= w.sum()
-    if floor > 0.0:
-        w = np.maximum(w, floor)
-        w /= w.sum()
     return _trusted(WeightVector, w)
 
 

@@ -46,7 +46,7 @@ from .errors import (
     ZeroPrecisionError,
 )
 from .evidence import LOG_2PI
-from .wtt import WTTConfig, apply_wtt, weight_step
+from .wtt import WTTConfig, _transition, weight_step
 
 # jitter ladder, as multiples of the signal variance
 JITTER_START = 1e-10
@@ -170,7 +170,9 @@ def _pool_solve(pool: tuple, key: bytes):
     model's last ``window`` times, zero-padded on the left, and the (K,)
     variances.  Each Gram matrix takes a jitter from 1e-10 tenfold up to
     1e-4 times ``signal_variance`` until it passes a Cholesky
-    factorization; an empty window gives the priors."""
+    factorization; an empty window gives the priors.  A variance past the
+    float range raises ``NonFiniteForecastError`` here, once per solve, so
+    a forecast from a cached solve checks only its means."""
     rel = np.frombuffer(key)
     # Rounding is monotone, so strictly increasing relative times imply
     # strictly increasing times; a cached window therefore needs no check.
@@ -179,7 +181,6 @@ def _pool_solve(pool: tuple, key: bytes):
                          "and strictly increasing")
     mu = np.array([m.mean_const for m in pool], dtype=float)
     A, var = np.zeros((len(pool), rel.size)), np.empty(len(pool))
-    # a variance past the float range is caught by the forecast
     with np.errstate(over="ignore", invalid="ignore"):
         for k, model in enumerate(pool):
             ext = np.append(rel[-model.window:], 0.0)
@@ -206,7 +207,11 @@ def _pool_solve(pool: tuple, key: bytes):
             A[k, rel.size - n:] = a
             var[k] = full[-1, -1] - k_star @ a
     # cancellation can push a near-zero variance a hair negative
-    return _frozen(mu), _frozen(A), _frozen(np.maximum(var, 1e-300))
+    var = np.maximum(var, 1e-300)
+    if not np.isfinite(var).all():
+        raise NonFiniteForecastError(
+            "forecast is not finite (variances %s)" % (var,))
+    return _frozen(mu), _frozen(A), _frozen(var)
 
 
 def _forecast(pool: tuple, pairs, t_next: float):
@@ -220,7 +225,7 @@ def _forecast(pool: tuple, pairs, t_next: float):
         mu, A, var = _pool_solve(pool, (times - t_next).tobytes())
         # values near the float limit overflow here
         means = mu + (A * (values - mu[:, None])).sum(axis=1)
-    if not np.isfinite((means, var)).all():
+    if not np.isfinite(means).all():
         raise NonFiniteForecastError("forecast is not finite (means %s, "
                                      "variances %s)" % (means, var))
     return means, var
@@ -342,7 +347,7 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
 
     buffer = (state.buffer + ((t, y_t),))[-max(m.window for m in pool):]
     fused = _fuse(*_forecast(pool, buffer, t + 1.0),
-                  apply_wtt(wtt_config, history).w)
+                  _transition(wtt_config, history))
     return _trusted(IntelState, buffer, history), fused, log_evs
 
 

@@ -382,6 +382,6 @@ def run_stream(config_path, input_path, output_path) -> int:
             if t == 1:
                 writer.writerow(header)
             est, weights, log_evs = engine.step(y, t)
-            writer.writerow([t] + [repr(float(v)) for v in np.concatenate(
-                [est, weights, np.exp(log_evs)])])
+            writer.writerow([t] + est.tolist() + weights.tolist()
+                            + np.exp(log_evs).tolist())
     return t

@@ -25,22 +25,29 @@ provided:
 Every operator maps the simplex to the simplex; none of them looks at data.
 :func:`weight_step` runs one whole move of the dynamic ensemble, the
 operator followed by Bayes' rule; every engine updates its weights with it.
+Both moves run on plain arrays (the operator kernel here, the Bayes kernel
+in :mod:`bdemm.core`), so a step builds one posterior ``WeightVector`` and
+one ``WeightHistory`` and nothing else; :func:`apply_wtt` and
+:func:`~bdemm.core.update_model_weights_log` are the one-call public forms
+of the two kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    SIMPLEX_ATOL,
     WeightHistory,
     WeightVector,
+    _bayes,
     _frozen,
-    _on_simplex,
-    update_model_weights_log,
+    _trusted,
 )
-from .errors import AllZeroError, ConfigMismatchError
+from .errors import ConfigMismatchError
 
 KINDS = ("identity", "constant", "markov", "forgetting", "polya_urn")
 
@@ -71,10 +78,14 @@ def default_markov_matrix(k: int, stay: float = 0.9) -> np.ndarray:
 class WTTConfig:
     """Which weight-transition operator to run, plus its parameters.
 
-    Build instances through the classmethods (:meth:`identity`,
-    :meth:`constant`, :meth:`markov`, :meth:`forgetting`, :meth:`polya_urn`)
-    rather than the raw constructor; they validate the parameter that the
-    chosen operator needs.
+    The classmethods (:meth:`identity`, :meth:`constant`, :meth:`markov`,
+    :meth:`forgetting`, :meth:`polya_urn`) are the short forms; the raw
+    constructor validates the same way.  The chosen operator's parameter is
+    checked and stored in the form the operator reads: ``constants`` as a
+    :class:`~bdemm.core.WeightVector`, ``matrix`` and ``beta`` as read-only
+    float arrays and ``alpha`` as a float.  Anything else raises
+    :class:`~bdemm.errors.ConfigMismatchError`, or the ``WeightVector``
+    error for bad constants.
     """
 
     kind: str
@@ -90,6 +101,9 @@ class WTTConfig:
         if self.kind == "constant":
             if self.constants is None:
                 raise ConfigMismatchError("constant operator needs its weight vector")
+            if not isinstance(self.constants, WeightVector):
+                object.__setattr__(self, "constants", WeightVector(
+                    np.asarray(self.constants, dtype=float)))
         elif self.kind == "markov":
             if self.matrix is None:
                 raise ConfigMismatchError("markov operator needs a transition matrix")
@@ -104,14 +118,29 @@ class WTTConfig:
         elif self.kind == "forgetting":
             if self.alpha is None:
                 raise ConfigMismatchError("forgetting operator needs alpha")
-            if not 0.0 < float(self.alpha) <= 1.0:
+            try:
+                if np.ndim(self.alpha) != 0:
+                    raise TypeError
+                alpha = float(self.alpha)
+            except (TypeError, ValueError):
+                raise ConfigMismatchError("alpha must be a real scalar, got %r"
+                                          % (self.alpha,)) from None
+            if not 0.0 < alpha <= 1.0:
                 raise ConfigMismatchError("alpha must sit in (0, 1]")
+            object.__setattr__(self, "alpha", alpha)
         elif self.kind == "polya_urn":
             if self.beta is None:
                 raise ConfigMismatchError("polya urn needs pseudo-counts")
-            b = np.atleast_1d(np.asarray(self.beta))
+            b = np.atleast_1d(np.asarray(self.beta, dtype=float))
             if b.ndim != 1 or b.size < 1:
                 raise ConfigMismatchError("pseudo-counts must be a vector")
+            # the operator divides by the counts' total plus the column
+            # sums; a non-finite count leaves a non-finite total too
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = float(b.sum())
+            if not math.isfinite(total):
+                raise ConfigMismatchError(
+                    "pseudo-counts and their total must be finite")
             if np.any(b != np.floor(b)) or np.any(b < 1):
                 raise ConfigMismatchError("pseudo-counts must be integers >= 1")
             object.__setattr__(self, "beta", _frozen(b))
@@ -122,8 +151,6 @@ class WTTConfig:
 
     @classmethod
     def constant(cls, constants) -> "WTTConfig":
-        if not isinstance(constants, WeightVector):
-            constants = WeightVector(np.asarray(constants, dtype=float))
         return cls("constant", constants=constants)
 
     @classmethod
@@ -132,11 +159,58 @@ class WTTConfig:
 
     @classmethod
     def forgetting(cls, alpha: float) -> "WTTConfig":
-        return cls("forgetting", alpha=float(alpha))
+        return cls("forgetting", alpha=alpha)
 
     @classmethod
     def polya_urn(cls, beta) -> "WTTConfig":
         return cls("polya_urn", beta=beta)
+
+
+def _transition(config: WTTConfig, history: WeightHistory) -> np.ndarray:
+    """The operator kernel: predictive weights of ``history`` as an array.
+
+    ``identity`` returns ``history.last.w`` itself and ``constant``
+    ``config.constants.w``; the others return a fresh array, divided by its
+    sum unless that sum is 1 within ``SIMPLEX_ATOL``.  Only the width of
+    the config's parameter is checked against the history; the weights and
+    the parameter were validated when they were built.
+    """
+    last = history.last.w
+    kind = config.kind
+
+    if kind == "identity":
+        return last
+    if kind == "constant":
+        if config.constants.w.shape != last.shape:
+            raise ConfigMismatchError("constant vector length != number of models")
+        return config.constants.w
+    if kind == "markov":
+        if config.matrix.shape != (last.size, last.size):
+            raise ConfigMismatchError("transition matrix shape != (K, K)")
+        # w'_j = sum_i w_i T_ij; rows of T sum to 1 so w' stays on the simplex
+        raw = last @ config.matrix
+    elif kind == "forgetting":
+        # 0^alpha = 0: a model with exactly zero weight stays dead
+        raw = np.power(last, config.alpha)
+    elif kind == "polya_urn":
+        if config.beta.shape != last.shape:
+            raise ConfigMismatchError("pseudo-count length != number of models")
+        raw = config.beta + history.cumulative
+    else:
+        raise ConfigMismatchError("unknown operator %r" % (kind,))
+    s = float(raw.sum())
+    return raw if abs(s - 1.0) <= SIMPLEX_ATOL else raw / s
+
+
+def _as_weights(w: np.ndarray, config: WTTConfig,
+                history: WeightHistory) -> WeightVector:
+    """The operator kernel's array ``w`` as a ``WeightVector``: the one that
+    already holds it when it is the history's or the constant operator's."""
+    if w is history.last.w:
+        return history.last
+    if config.kind == "constant":
+        return config.constants
+    return _trusted(WeightVector, w)
 
 
 def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
@@ -152,44 +226,20 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
     ConfigMismatchError
         If the config's parameter disagrees with the history width.
     """
-    last = history.last
-    k = history.width
-
-    if config.kind == "identity":
-        return last
-
-    if config.kind == "constant":
-        if len(config.constants) != k:
-            raise ConfigMismatchError("constant vector length != number of models")
-        return config.constants
-
-    if config.kind == "markov":
-        if config.matrix.shape != (k, k):
-            raise ConfigMismatchError("transition matrix shape != (K, K)")
-        # w'_j = sum_i w_i T_ij; rows of T sum to 1 so w' stays on the simplex
-        return _on_simplex(last.w @ config.matrix)
-
-    if config.kind == "forgetting":
-        # 0^alpha = 0: a model with exactly zero weight stays dead
-        return _on_simplex(np.power(last.w, config.alpha))
-
-    if config.kind == "polya_urn":
-        if config.beta.shape != (k,):
-            raise ConfigMismatchError("pseudo-count length != number of models")
-        return _on_simplex(config.beta + history.cumulative)
-
-    raise ConfigMismatchError("unknown operator %r" % (config.kind,))
+    return _as_weights(_transition(config, history), config, history)
 
 
 def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
                 floor: float = 0.0):
     """One transition-then-Bayes move of the model weights.
 
-    The operator turns ``history`` into predictive weights, and
-    :func:`~bdemm.core.update_model_weights_log` folds in the per-model log
-    evidences (``floor`` is passed through; outside ``[0, 1/K)`` it raises
-    ``ValueError``).  If every evidence is zero the observation is
-    uninformative: the predictive weights carry forward.
+    The operator turns ``history`` into predictive weights, and Bayes' rule
+    folds in the per-model log evidences as
+    :func:`~bdemm.core.update_model_weights_log` does (``floor`` is passed
+    through; outside ``[0, 1/K)`` it raises ``ValueError``).  If every
+    evidence is zero the observation is uninformative: the predictive
+    weights carry forward.  Both moves run on arrays, so the call builds one
+    ``WeightVector`` and one ``WeightHistory``.
 
     Returns
     -------
@@ -200,11 +250,14 @@ def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     informative : bool
         False when the predictive weights were carried forward.
     """
-    predictive = apply_wtt(config, history)
-    try:
-        weights = update_model_weights_log(predictive, log_evidences,
-                                           floor=floor)
-        informative = True
-    except AllZeroError:
-        weights, informative = predictive, False
-    return weights, history.append(weights), informative
+    predictive = _transition(config, history)
+    w = _bayes(predictive, log_evidences, floor)
+    informative = w is not None
+    if informative:
+        weights = _trusted(WeightVector, w)
+    else:
+        w = predictive
+        weights = _as_weights(w, config, history)
+    grown = _trusted(WeightHistory, weights, history.cumulative + w,
+                     history.count + 1)
+    return weights, grown, informative

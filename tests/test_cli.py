@@ -332,6 +332,8 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     KF_PAIR + "weight_floor = 0.6\n",
     KF_PAIR + "weight_floor = -1\n",
     KF_PAIR + "wtt.kind = constant\nwtt.constants = [0.2, 0.3, 0.5]\n",
+    KF_PAIR + "wtt.kind = polya_urn\nwtt.beta = [1e308, 1e308]\n",
+    KF_PAIR + "wtt.kind = polya_urn\nwtt.beta = [inf, 1]\n",
     KF_PAIR + "kf.init.weights = [1.0]\n",
     KF_PAIR + "kf.init.weights = []\n",
     SMC_TOY + "smc.particles = 2.5\n",
@@ -358,7 +360,8 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     .replace("A = [1.0]", "A = [1.0, 0.0, 0.0, 1.0]")
     .replace("Q = [1.0]", "Q = [1.0, 0.0, 0.0, 1.0]")
     .replace("B = [1.0]", "B = [1.0, 0.0]"),
-], ids=["floor-above-1/K", "floor-negative", "wtt-width", "init-weights-width",
+], ids=["floor-above-1/K", "floor-negative", "wtt-width",
+        "urn-total-overflows", "urn-count-infinite", "init-weights-width",
         "init-weights-empty",
         "particles-fraction", "particles-zero", "seed-negative", "seed-word",
         "resampling-unknown", "gamma-shape-negative", "noise-var-negative",

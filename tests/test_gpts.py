@@ -12,6 +12,7 @@ from bdemm import (
     FactorizationFailureError,
     GPTSModel,
     IntelState,
+    NonFiniteForecastError,
     PredictiveGaussian,
     WeightVector,
     WTTConfig,
@@ -618,3 +619,24 @@ def test_log_density_of_an_overflowing_residual_is_minus_inf():
         _, _, log_evs = intel_step(IntelState.initial(k=2), pool, 1e200, 0.0,
                                    WTTConfig.identity())
     assert (log_evs == -np.inf).all()
+
+
+def test_a_variance_past_the_float_range_raises_from_every_forecast():
+    # signal plus noise variance, the prior's variance, has no double
+    pool = (GPTSModel(0.0, 1e308, 1.0, 1e308, 3),)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):  # a solve that raised is not cached
+            with pytest.raises(NonFiniteForecastError, match="variances"):
+                intel_step(IntelState.initial(k=1), pool, 0.0, 0.0,
+                           WTTConfig.identity())
+
+
+def test_a_mean_past_the_float_range_raises():
+    # a long lengthscale extrapolates linearly: weights near (-1, 2)
+    model = GPTSModel(0.0, 1.0, 100.0, 1e-12, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gp_predict_next(model, [0.0, 1.0], [0.0, 1e300], 2.0).mean > 1e300
+        with pytest.raises(NonFiniteForecastError, match="means"):
+            gp_predict_next(model, [0.0, 1.0], [0.0, 1e308], 2.0)

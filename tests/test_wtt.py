@@ -1,8 +1,12 @@
 """Weight-transition operators."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import bdemm.wtt
 from bdemm import (
     WeightHistory,
     WeightVector,
@@ -12,7 +16,8 @@ from bdemm import (
     update_model_weights_log,
     weight_step,
 )
-from bdemm.errors import ConfigMismatchError
+from bdemm.core import SIMPLEX_ATOL
+from bdemm.errors import AllZeroError, ConfigMismatchError, DimensionMismatchError
 from bdemm.wtt import KINDS
 
 
@@ -256,3 +261,224 @@ def test_weight_step_passes_the_floor_through():
     assert informative
     assert np.array_equal(weights.w, expected.w)
     assert weights.w[1] > 0.04
+
+
+# ---------------------------------------------------------------------------
+# weight_step against the object-by-object move it replaced
+
+
+def _reference_apply(config, history):
+    """Operator step building a WeightVector, as weight_step once did."""
+    last, k = history.last, history.width
+    if config.kind == "identity":
+        return last
+    if config.kind == "constant":
+        if len(config.constants) != k:
+            raise ConfigMismatchError("constant vector length != number of models")
+        return config.constants
+    if config.kind == "markov":
+        if config.matrix.shape != (k, k):
+            raise ConfigMismatchError("transition matrix shape != (K, K)")
+        raw = last.w @ config.matrix
+    elif config.kind == "forgetting":
+        raw = np.power(last.w, config.alpha)
+    else:
+        if config.beta.shape != (k,):
+            raise ConfigMismatchError("pseudo-count length != number of models")
+        raw = config.beta + history.cumulative
+    s = float(raw.sum())
+    return WeightVector(raw if abs(s - 1.0) <= SIMPLEX_ATOL else raw / s)
+
+
+def _reference_update(prior, log_evidences, floor):
+    """Two-stage log-sum-exp Bayes update, raising on an all-zero row."""
+    if not 0.0 <= floor < 1.0 / prior.w.size:
+        raise ValueError("floor out of range")
+    log_ev = np.atleast_1d(np.asarray(log_evidences, dtype=float))
+    if log_ev.shape != prior.w.shape:
+        raise DimensionMismatchError("one evidence per model required")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lw = np.log(prior.w) + log_ev
+    m = float(lw.max())
+    if not m < np.inf:
+        raise ValueError("log evidences must be < +inf and not NaN")
+    if m == -np.inf:
+        raise AllZeroError("all prior-times-evidence products are zero")
+    w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
+    w /= w.sum()
+    if floor > 0.0:
+        w = np.maximum(w, floor)
+        w /= w.sum()
+    return WeightVector(w)
+
+
+def _reference_weight_step(config, history, log_evidences, floor):
+    predictive = _reference_apply(config, history)
+    try:
+        weights = _reference_update(predictive, log_evidences, floor)
+        informative = True
+    except AllZeroError:
+        weights, informative = predictive, False
+    return weights, history.append(weights), informative
+
+
+def _with_zero_models(rng, k, row):
+    """``row`` with up to k - 1 random entries zeroed and renormalized."""
+    row = np.array(row)
+    row[rng.permutation(k)[:int(rng.integers(0, k))]] = 0.0
+    return row / row.sum()
+
+
+def _random_evidences(rng, predictive):
+    log_ev = rng.normal(0.0, 30.0, size=predictive.size)
+    pick = rng.random()
+    if pick < 0.2:
+        log_ev[rng.random(predictive.size) < 0.5] = -np.inf
+    elif pick < 0.3:
+        log_ev[:] = -np.inf
+    elif pick < 0.4:
+        # every model that still has weight explains nothing
+        log_ev[predictive > 0.0] = -np.inf
+    elif pick < 0.5:
+        log_ev -= 800.0  # exp of every entry underflows
+    return log_ev
+
+
+def test_weight_step_is_bitwise_the_object_by_object_move():
+    rng = np.random.default_rng(61)
+    uninformative = 0
+    for case in range(3000):
+        kind = KINDS[case % len(KINDS)]
+        k = 1 + (case // len(KINDS)) % 8
+        cfg = _random_config(rng, kind, k)
+        h = _random_history(rng, k, int(rng.integers(0, 4)))
+        if rng.random() < 0.4:
+            h = h.append(WeightVector(_with_zero_models(rng, k, h.last.w)))
+        if kind == "constant" and rng.random() < 0.4:
+            cfg = WTTConfig.constant(_with_zero_models(rng, k, cfg.constants.w))
+        floor = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 1.0 / k))
+        log_ev = _random_evidences(rng, _reference_apply(cfg, h).w)
+
+        expected = _reference_weight_step(cfg, h, log_ev, floor)
+        weights, grown, informative = weight_step(cfg, h, log_ev, floor)
+        assert informative == expected[2]
+        assert weights.w.tobytes() == expected[0].w.tobytes()
+        assert grown.last is weights
+        assert grown.cumulative.tobytes() == expected[1].cumulative.tobytes()
+        assert len(grown) == len(expected[1])
+        uninformative += not informative
+    assert uninformative > 300
+
+
+def _error_class(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+    return None
+
+
+def test_weight_step_raises_what_the_object_by_object_move_raised():
+    rng = np.random.default_rng(67)
+    h2, h3 = _random_history(rng, 2, 2), _random_history(rng, 3, 2)
+    cases = [(_random_config(rng, kind, 2), h2, log_ev, floor)
+             for kind in KINDS
+             for log_ev, floor in (
+                 ([0.0, np.nan], 0.0), ([np.inf, 0.0], 0.0),
+                 ([np.nan, -np.inf], 0.1), ([0.0, 0.0, 0.0], 0.0), ([0.0], 0.0),
+                 ([[0.0, 0.0]], 0.0), ([0.0, 0.0], -0.1), ([0.0, 0.0], 0.5),
+                 ([-np.inf, -np.inf], np.nan), ([-np.inf, -np.inf], 0.5))]
+    # a parameter that disagrees with the history's width
+    cases += [(_random_config(rng, kind, 3), h2, [0.0, 0.0], 0.0)
+              for kind in ("constant", "markov", "polya_urn")]
+    cases += [(_random_config(rng, kind, 2), h3, [0.0, 0.0, 0.0], 0.0)
+              for kind in ("constant", "markov", "polya_urn")]
+    for args in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = _error_class(_reference_weight_step, *args)
+            assert expected is not None
+            assert _error_class(weight_step, *args) is expected
+
+
+def test_weight_step_builds_one_vector_and_one_history(monkeypatch):
+    built, raised = [], []
+    trusted = bdemm.wtt._trusted
+    monkeypatch.setattr(bdemm.wtt, "_trusted",
+                        lambda cls, *v: built.append(cls) or trusted(cls, *v))
+    init = AllZeroError.__init__
+    monkeypatch.setattr(AllZeroError, "__init__",
+                        lambda self, *a: raised.append(a) or init(self, *a))
+    rng = np.random.default_rng(71)
+    for kind in KINDS:
+        cfg, h = _random_config(rng, kind, 3), _random_history(rng, 3, 2)
+        for log_ev in ([0.0, -1.0, -2.0], [-np.inf] * 3):
+            built.clear()
+            weight_step(cfg, h, log_ev, 0.1)
+            assert built.count(WeightVector) <= 1
+            assert built.count(WeightHistory) == 1
+            assert len(built) <= 2
+    assert raised == []
+
+
+def test_all_zero_step_reuses_the_operators_own_vector():
+    rng = np.random.default_rng(73)
+    h = _random_history(rng, 2, 2)
+    dead = [-np.inf, -np.inf]
+    assert weight_step(WTTConfig.identity(), h, dead)[0] is h.last
+    cfg = WTTConfig.constant([0.25, 0.75])
+    assert weight_step(cfg, h, dead)[0] is cfg.constants
+
+
+# ---------------------------------------------------------------------------
+# raw-constructor parameters
+
+
+def test_raw_constructor_stores_what_the_operators_read():
+    h = _history_from_rows([[0.9, 0.1]])
+    log_ev = [0.0, -1.0]
+    raw = WTTConfig("constant", constants=[0.25, 0.75])
+    assert isinstance(raw.constants, WeightVector)
+    assert (weight_step(raw, h, log_ev)[0].w.tobytes()
+            == weight_step(WTTConfig.constant([0.25, 0.75]), h,
+                           log_ev)[0].w.tobytes())
+    raw = WTTConfig("forgetting", alpha="0.5")
+    assert type(raw.alpha) is float and raw.alpha == 0.5
+    assert (weight_step(raw, h, log_ev)[0].w.tobytes()
+            == weight_step(WTTConfig.forgetting(0.5), h, log_ev)[0].w.tobytes())
+    assert type(WTTConfig.forgetting(np.float32(0.5)).alpha) is float
+
+
+@pytest.mark.parametrize("alpha", [np.array([0.5, 0.7]), np.array([0.5]),
+                                   [0.5], "half", 1j],
+                         ids=["vector", "one-element", "list", "word",
+                              "complex"])
+def test_non_scalar_alpha_raises_config_mismatch(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigMismatchError):
+            WTTConfig("forgetting", alpha=alpha)
+        with pytest.raises(ConfigMismatchError):
+            WTTConfig.forgetting(alpha)
+
+
+@pytest.mark.parametrize("beta", [[1e308, 1e308], [np.inf, 1], [np.nan, 1],
+                                  [-np.inf, 1]],
+                         ids=["total-overflows", "infinite", "nan",
+                              "minus-infinite"])
+def test_polya_urn_pseudo_counts_must_be_finite(beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigMismatchError, match="finite"):
+            WTTConfig.polya_urn(beta)
+
+
+def test_polya_urn_with_large_finite_counts_stays_on_the_simplex():
+    cfg = WTTConfig.polya_urn([8e307, 8e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights, _, informative = weight_step(
+            cfg, _history_from_rows([[0.9, 0.1]]), [0.0, -1.0])
+    assert informative
+    assert abs(float(weights.w.sum()) - 1.0) <= SIMPLEX_ATOL
+    assert weights.w[0] > weights.w[1] > 0.0
