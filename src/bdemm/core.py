@@ -21,18 +21,23 @@ Numerical conventions used throughout the package:
 * inputs are validated once, at the boundary: public constructors check
   them, and values an engine step builds from checked ones are not,
 * a Bayes update in which every prior-times-evidence product is zero is
-  uninformative: the array kernel that every engine runs through
-  :func:`bdemm.wtt.weight_step` reports it, and the step carries the
-  predictive weights forward unchanged; only the public
+  uninformative: the Bayes kernel, which every engine step runs inside
+  the kernel of :func:`bdemm.wtt.weight_step`, reports it, and the step
+  carries the predictive weights forward unchanged; only the public
   :func:`update_model_weights_log` raises
-  :class:`~bdemm.errors.AllZeroError` for it.
+  :class:`~bdemm.errors.AllZeroError` for it,
+* numpy's floating-point error state is set once, to ignore everything, by
+  each engine step and each public function that reaches a step's array
+  kernels (:func:`_quiet`); the kernels never touch it and check their
+  results explicitly, and a caller's ``np.seterr`` or ``np.errstate``
+  settings do not reach inside.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, wraps
 
 import numpy as np
 
@@ -60,6 +65,21 @@ __all__ = [
     "SYM_ATOL",
     "PSD_ATOL",
 ]
+
+
+def _quiet(fn):
+    """Run ``fn`` under a fresh ``np.errstate(all="ignore")`` per call.
+
+    The one floating-point error scope of a public entry point: the array
+    kernels it reaches run under it and check their results themselves.  A
+    fresh context each call, not one shared instance, so that a nested call
+    restores its caller's state on every numpy version.
+    """
+    @wraps(fn)
+    def scoped(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return scoped
 
 
 def _frozen(a):
@@ -257,15 +277,15 @@ def _bayes(w: np.ndarray, log_evidences, floor: float):
     """Posterior weights of the predictive weights ``w`` (on the simplex)
     under ``log_evidences``, as a fresh array, or ``None`` when every
     product ``w_k * evidence_k`` is zero; see
-    :func:`update_model_weights_log` for the rules and errors."""
+    :func:`update_model_weights_log` for the rules and errors.  Runs under
+    its caller's error scope."""
     if not 0.0 <= floor < 1.0 / w.size:  # NaN fails too
         raise ValueError("floor must sit in [0, 1/K) = [0, %g), got %r"
                          % (1.0 / w.size, floor))
     log_ev = np.atleast_1d(np.asarray(log_evidences, dtype=float))
     if log_ev.shape != w.shape:
         raise DimensionMismatchError("one evidence per model required")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lw = np.log(w) + log_ev
+    lw = np.log(w) + log_ev
     # a NaN or +inf evidence leaves a NaN or +inf maximum
     m = float(lw.max())
     if not m < np.inf:
@@ -284,6 +304,7 @@ def _bayes(w: np.ndarray, log_evidences, floor: float):
     return w
 
 
+@_quiet
 def update_model_weights_log(prior: WeightVector, log_evidences,
                              floor: float = 0.0) -> WeightVector:
     """Bayes update of model weights from log evidences.
@@ -328,6 +349,7 @@ def _stack_means(estimates):
     return np.vstack(means)
 
 
+@_quiet
 def bma_point_estimate(estimates, weights: WeightVector) -> PointEstimate:
     """Weight-averaged point estimate over per-model estimates.
 
@@ -344,6 +366,7 @@ def bma_point_estimate(estimates, weights: WeightVector) -> PointEstimate:
     return _trusted(PointEstimate, weights.w @ means)
 
 
+@_quiet
 def collapse_mixture(components, weights: WeightVector) -> GaussianBelief:
     """Moment-match a Gaussian mixture down to a single Gaussian.
 
@@ -376,17 +399,17 @@ def collapse_mixture(components, weights: WeightVector) -> GaussianBelief:
 
 def _collapse(means, covs, w) -> GaussianBelief:
     """:func:`collapse_mixture` of (K, d) ``means`` and (K, d, d) ``covs``
-    under the (K,) weights ``w``, on arrays."""
+    under the (K,) weights ``w``, on arrays, under its caller's error
+    scope."""
     live = w > 0.0
     wl = w[live]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = w @ means
-        dev = means[live] - mean
-        spread = (wl[:, None] * dev)[:, :, None] * dev[:, None, :]
-        # summed over k in order, rounding as adding one component at a
-        # time does: Kalman streams at the roundoff limit turn on it
-        cov = (wl[:, None, None] * covs[live] + spread).sum(axis=0)
-        cov = 0.5 * (cov + cov.T)
+    mean = w @ means
+    dev = means[live] - mean
+    spread = (wl[:, None] * dev)[:, :, None] * dev[:, None, :]
+    # summed over k in order, rounding as adding one component at a time
+    # does: Kalman streams at the roundoff limit turn on it
+    cov = (wl[:, None, None] * covs[live] + spread).sum(axis=0)
+    cov = 0.5 * (cov + cov.T)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise NonFiniteBeliefError(
             "mixture collapse overflowed: component means too far apart")

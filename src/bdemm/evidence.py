@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _quiet
 from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -80,7 +81,7 @@ def _log_normalize(lw: np.ndarray):
     Returns the weights, the log normalizers (row log-sum-exps) and the row
     maxima that shift each row before it is exponentiated.  A row whose
     maximum is ``-inf`` comes out NaN in the first two; callers branch on
-    the maximum and hold the ``errstate`` that silences its arithmetic.
+    the maximum, and the kernel runs under their error scope.
 
     Raises
     ------
@@ -95,6 +96,7 @@ def _log_normalize(lw: np.ndarray):
     return e / total, (top + np.log(total))[..., 0], top[..., 0]
 
 
+@_quiet
 def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
                 rng: np.random.Generator):
     """Importance-sampling estimate of a normalizing constant.
@@ -139,10 +141,9 @@ def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
     if not log_target.shape == log_proposal.shape == (n,):
         raise DimensionMismatchError("need one log density per sample")
     log_w = log_target - log_proposal
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_z, top = _log_normalize(log_w)[1:]
-        log_estimate = float(log_z - np.log(n))
-        estimate = float(np.exp(log_estimate))
+    log_z, top = _log_normalize(log_w)[1:]
+    log_estimate = float(log_z - np.log(n))
+    estimate = float(np.exp(log_estimate))
     # the largest double's log: any weight above it is +inf as a double
     if top > np.log(np.finfo(float).max) or estimate == np.inf:
         raise NonFiniteWeightError(
@@ -155,6 +156,7 @@ def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
     return estimate, np.exp(log_w)
 
 
+@_quiet
 def effective_sample_size(weights) -> float:
     """ESS diagnostic ``1 / sum(wbar_i^2)`` on normalized weights.
 
@@ -193,7 +195,8 @@ def gaussian_innovation(y, means, covs, B, R):
     ``S_k^{-1} B_k cov_k``, the transposed Kalman gains.  One factorization
     and two solves of the stack serve all K.  A residual so large that its
     quadratic form overflows, whatever the signs of its entries, gives
-    ``log_ev = -inf``; a NaN in ``y`` gives a NaN ``log_ev``.
+    ``log_ev = -inf``; a NaN in ``y`` gives a NaN ``log_ev``.  Runs under
+    its caller's error scope.
 
     Raises
     ------
@@ -201,32 +204,31 @@ def gaussian_innovation(y, means, covs, B, R):
         If any ``S_k`` is not finite, cannot be Cholesky-factorized or is
         singular to working precision.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        bp = B @ covs
-        s = bp @ B.swapaxes(1, 2) + R
-        s = 0.5 * s + 0.5 * s.swapaxes(1, 2)
-        resid = y - (B @ means[:, :, None])[:, :, 0]
-        try:
-            chol = np.linalg.cholesky(s)
-        except np.linalg.LinAlgError as exc:
-            raise SingularInnovationCovError(
-                "innovation covariance is not positive definite") from exc
-        # a non-finite S factors without error but leaves its mark on the
-        # diagonal
-        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        if not np.isfinite(logdet).all():
-            raise SingularInnovationCovError(
-                "innovation covariance is not finite")
-        try:
-            # two solves, not one of [resid | B P]: LAPACK divides by a 1x1
-            # S for one right-hand side but multiplies by its reciprocal for
-            # several, and an update cancelling to roundoff turns on that bit
-            sol = np.linalg.solve(s, resid[:, :, None])
-            gain_t = np.linalg.solve(s, bp)
-        except np.linalg.LinAlgError as exc:
-            raise SingularInnovationCovError(
-                "innovation covariance is numerically singular") from exc
-        quad = (resid[:, None, :] @ sol)[:, 0, 0]
+    bp = B @ covs
+    s = bp @ B.swapaxes(1, 2) + R
+    s = 0.5 * s + 0.5 * s.swapaxes(1, 2)
+    resid = y - (B @ means[:, :, None])[:, :, 0]
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovationCovError(
+            "innovation covariance is not positive definite") from exc
+    # a non-finite S factors without error but leaves its mark on the
+    # diagonal
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    if not np.isfinite(logdet).all():
+        raise SingularInnovationCovError(
+            "innovation covariance is not finite")
+    try:
+        # two solves, not one of [resid | B P]: LAPACK divides by a 1x1
+        # S for one right-hand side but multiplies by its reciprocal for
+        # several, and an update cancelling to roundoff turns on that bit
+        sol = np.linalg.solve(s, resid[:, :, None])
+        gain_t = np.linalg.solve(s, bp)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovationCovError(
+            "innovation covariance is numerically singular") from exc
+    quad = (resid[:, None, :] @ sol)[:, 0, 0]
     # S is positive definite: a non-finite form of a NaN-free residual overflowed
     overflowed = ~np.isfinite(quad)
     if overflowed.any():
@@ -234,6 +236,7 @@ def gaussian_innovation(y, means, covs, B, R):
     return -0.5 * (y.size * LOG_2PI + logdet + quad), resid, gain_t
 
 
+@_quiet
 def gaussian_log_evidence(y, predictive, B, R) -> float:
     """Log density of ``y`` under the predicted observation distribution.
 

@@ -31,14 +31,21 @@ Hyperparameters are fixed at construction; nothing is re-estimated online.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
 
-from .core import WeightHistory, WeightVector, _frozen, _start_history, _trusted
+from .core import (
+    WeightHistory,
+    WeightVector,
+    _frozen,
+    _quiet,
+    _start_history,
+    _trusted,
+)
 from .errors import (
     DimensionMismatchError,
     FactorizationFailureError,
@@ -46,7 +53,7 @@ from .errors import (
     ZeroPrecisionError,
 )
 from .evidence import LOG_2PI
-from .wtt import WTTConfig, _transition, weight_step
+from .wtt import WTTConfig, _transition, _weight_step
 
 # jitter ladder, as multiples of the signal variance
 JITTER_START = 1e-10
@@ -84,7 +91,8 @@ class GPTSModel:
 
     Every parameter must be finite: a NaN or infinite one raises
     ``ValueError``, so :func:`perturb_pool` cannot build a model whose
-    scaled noise variance overflows.  Solves are cached by model value.
+    scaled noise variance overflows.  Solves are cached by model value;
+    the value hash is computed once, when the model is built.
     """
 
     mean_const: float
@@ -92,6 +100,7 @@ class GPTSModel:
     lengthscale: float
     noise_var: float
     window: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -106,13 +115,19 @@ class GPTSModel:
         if int(self.window) < 1:
             raise ValueError("window must hold at least one observation")
         object.__setattr__(self, "window", int(self.window))
+        object.__setattr__(self, "_hash", hash((
+            self.mean_const, self.signal_variance, self.lengthscale,
+            self.noise_var, self.window)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _log_density(y, mean, var):
-    """Elementwise log N(y; mean, var); -inf where the residual overflows."""
-    with np.errstate(over="ignore"):
-        resid = y - mean
-        return -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
+    """Elementwise log N(y; mean, var); -inf where the residual overflows.
+    Runs under its caller's error scope."""
+    resid = y - mean
+    return -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
 
 
 @dataclass(frozen=True)
@@ -132,6 +147,7 @@ class PredictiveGaussian:
         object.__setattr__(self, "mean", float(self.mean))
         object.__setattr__(self, "var", float(self.var))
 
+    @_quiet
     def logpdf(self, y: float) -> float:
         """Log density at ``y``; ``-inf`` where the squared residual overflows."""
         return float(_log_density(np.float64(y), self.mean, self.var))
@@ -172,7 +188,8 @@ def _pool_solve(pool: tuple, key: bytes):
     1e-4 times ``signal_variance`` until it passes a Cholesky
     factorization; an empty window gives the priors.  A variance past the
     float range raises ``NonFiniteForecastError`` here, once per solve, so
-    a forecast from a cached solve checks only its means."""
+    a forecast from a cached solve checks only its means.  Runs under its
+    caller's error scope."""
     rel = np.frombuffer(key)
     # Rounding is monotone, so strictly increasing relative times imply
     # strictly increasing times; a cached window therefore needs no check.
@@ -181,31 +198,30 @@ def _pool_solve(pool: tuple, key: bytes):
                          "and strictly increasing")
     mu = np.array([m.mean_const for m in pool], dtype=float)
     A, var = np.zeros((len(pool), rel.size)), np.empty(len(pool))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, model in enumerate(pool):
-            ext = np.append(rel[-model.window:], 0.0)
-            n = ext.size - 1
-            # a gap whose square overflows is an infinite one: its entry is 0
-            z = (ext[:, None] - ext) / model.lengthscale
-            full = model.signal_variance * np.exp(-0.5 * z * z)
-            full.flat[::n + 2] += model.noise_var
-            gram, k_star = full[:-1, :-1], full[:-1, -1]
-            a = k_star  # empty: the prior
-            if n:
-                jitter = JITTER_START
-                while jitter <= JITTER_MAX * (1.0 + 1e-12):
-                    jittered = gram + jitter * model.signal_variance * np.eye(n)
-                    try:
-                        cho_factor(jittered)
-                        break
-                    except np.linalg.LinAlgError:
-                        jitter *= 10.0
-                else:
-                    raise FactorizationFailureError(
-                        "Gram matrix failed Cholesky at maximum jitter")
-                a = np.linalg.solve(jittered, k_star)
-            A[k, rel.size - n:] = a
-            var[k] = full[-1, -1] - k_star @ a
+    for k, model in enumerate(pool):
+        ext = np.append(rel[-model.window:], 0.0)
+        n = ext.size - 1
+        # a gap whose square overflows is an infinite one: its entry is 0
+        z = (ext[:, None] - ext) / model.lengthscale
+        full = model.signal_variance * np.exp(-0.5 * z * z)
+        full.flat[::n + 2] += model.noise_var
+        gram, k_star = full[:-1, :-1], full[:-1, -1]
+        a = k_star  # empty: the prior
+        if n:
+            jitter = JITTER_START
+            while jitter <= JITTER_MAX * (1.0 + 1e-12):
+                jittered = gram + jitter * model.signal_variance * np.eye(n)
+                try:
+                    cho_factor(jittered)
+                    break
+                except np.linalg.LinAlgError:
+                    jitter *= 10.0
+            else:
+                raise FactorizationFailureError(
+                    "Gram matrix failed Cholesky at maximum jitter")
+            a = np.linalg.solve(jittered, k_star)
+        A[k, rel.size - n:] = a
+        var[k] = full[-1, -1] - k_star @ a
     # cancellation can push a near-zero variance a hair negative
     var = np.maximum(var, 1e-300)
     if not np.isfinite(var).all():
@@ -216,15 +232,15 @@ def _pool_solve(pool: tuple, key: bytes):
 
 def _forecast(pool: tuple, pairs, t_next: float):
     """The (K,) means ``mu + A (v - mu)`` and variances of the pool's
-    forecasts at ``t_next`` from one window of ``(time, value)`` pairs."""
+    forecasts at ``t_next`` from one window of ``(time, value)`` pairs,
+    under its caller's error scope."""
     times, values = np.fromiter(chain.from_iterable(pairs), float,
                                 2 * len(pairs)).reshape(-1, 2).T
     # a NaN or infinite time stamp, or a gap to t_next past the float range,
     # leaves a non-finite relative time, which the solve rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu, A, var = _pool_solve(pool, (times - t_next).tobytes())
-        # values near the float limit overflow here
-        means = mu + (A * (values - mu[:, None])).sum(axis=1)
+    mu, A, var = _pool_solve(pool, (times - t_next).tobytes())
+    # values near the float limit overflow here
+    means = mu + (A * (values - mu[:, None])).sum(axis=1)
     if not np.isfinite(means).all():
         raise NonFiniteForecastError("forecast is not finite (means %s, "
                                      "variances %s)" % (means, var))
@@ -232,20 +248,21 @@ def _forecast(pool: tuple, pairs, t_next: float):
 
 
 def _fuse(means, variances, w) -> PredictiveGaussian:
-    """Product of experts N(means[k], variances[k]) ** w[k], renormalized."""
+    """Product of experts N(means[k], variances[k]) ** w[k], renormalized,
+    under its caller's error scope."""
+    precision = w / variances
+    lam = precision.sum()
+    if lam <= 0.0:
+        raise ZeroPrecisionError("fused forecast has zero precision")
     # means near the float limit overflow here
-    with np.errstate(over="ignore", invalid="ignore"):
-        precision = w / variances
-        lam = precision.sum()
-        if lam <= 0.0:
-            raise ZeroPrecisionError("fused forecast has zero precision")
-        mean, var = float((precision * means).sum() / lam), float(1.0 / lam)
+    mean, var = float((precision * means).sum() / lam), float(1.0 / lam)
     if not (math.isfinite(mean) and var > 0.0):
         raise NonFiniteForecastError(
             "fused forecast is not finite (mean %g, variance %g)" % (mean, var))
     return _trusted(PredictiveGaussian, mean, var)
 
 
+@_quiet
 def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> PredictiveGaussian:
     """One-step-ahead GP forecast from an observation window.
 
@@ -280,6 +297,7 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     return _trusted(PredictiveGaussian, float(mean), float(var))
 
 
+@_quiet
 def poe_combine(predictives, weights: WeightVector) -> PredictiveGaussian:
     """Weighted product-of-experts fusion of scalar Gaussian forecasts.
 
@@ -302,6 +320,7 @@ def poe_combine(predictives, weights: WeightVector) -> PredictiveGaussian:
                  np.array([p.var for p in preds]), weights.w)
 
 
+@_quiet
 def intel_step(state: IntelState, pool, y_t: float, t: float,
                wtt_config: WTTConfig, weight_floor: float = 0.0):
     """One observation's worth of GP-ensemble prediction.
@@ -342,8 +361,8 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
         raise ValueError("observations must be finite (got %r)" % y_t)
 
     log_evs = _log_density(y_t, *_forecast(pool, state.buffer, t))
-    _, history, _ = weight_step(wtt_config, state.history, log_evs,
-                                weight_floor)
+    _, history, _ = _weight_step(wtt_config, state.history, log_evs,
+                                 weight_floor)
 
     buffer = (state.buffer + ((t, y_t),))[-max(m.window for m in pool):]
     fused = _fuse(*_forecast(pool, buffer, t + 1.0),

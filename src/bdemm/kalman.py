@@ -36,13 +36,14 @@ from .core import (
     WeightVector,
     _collapse,
     _frozen,
+    _quiet,
     _start_history,
     _trusted,
     checked_cov,
 )
 from .errors import DimensionMismatchError, NonFiniteBeliefError
 from .evidence import gaussian_innovation
-from .wtt import WTTConfig, weight_step
+from .wtt import WTTConfig, _weight_step
 
 __all__ = [
     "LinearGaussianModel",
@@ -141,11 +142,11 @@ def _observation(belief: GaussianBelief, B, y) -> np.ndarray:
 
 def _predict(A, Q, belief: GaussianBelief):
     """Every model's prediction from one shared belief: (K, d) means
-    ``A_k mean`` and (K, d, d) covariances ``A_k cov A_k^T + Q_k``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = A @ belief.mean
-        covs = A @ belief.cov @ A.swapaxes(1, 2) + Q
-        covs = 0.5 * covs + 0.5 * covs.swapaxes(1, 2)
+    ``A_k mean`` and (K, d, d) covariances ``A_k cov A_k^T + Q_k``, under
+    its caller's error scope."""
+    means = A @ belief.mean
+    covs = A @ belief.cov @ A.swapaxes(1, 2) + Q
+    covs = 0.5 * covs + 0.5 * covs.swapaxes(1, 2)
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise NonFiniteBeliefError("predicted belief is not finite")
     return means, covs
@@ -156,15 +157,15 @@ def _update(means, covs, B, R, y):
 
     Returns the (K, d) posterior means, (K, d, d) covariances and (K,) log
     evidences.  A model whose log evidence is ``-inf`` keeps its prediction.
+    Runs under its caller's error scope.
     """
     log_ev, resid, gain_t = gaussian_innovation(y, means, covs, B, R)
     kept = log_ev == -np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        # gain G = P B^T S^{-1}, as solve(S, B P)^T since P is symmetric
-        gain = gain_t.swapaxes(1, 2)
-        post_means = means + (gain @ resid[:, :, None])[:, :, 0]
-        post_covs = covs - gain @ B @ covs
-        post_covs = 0.5 * (post_covs + post_covs.swapaxes(1, 2))
+    # gain G = P B^T S^{-1}, as solve(S, B P)^T since P is symmetric
+    gain = gain_t.swapaxes(1, 2)
+    post_means = means + (gain @ resid[:, :, None])[:, :, 0]
+    post_covs = covs - gain @ B @ covs
+    post_covs = 0.5 * (post_covs + post_covs.swapaxes(1, 2))
     if kept.any():
         post_means[kept] = means[kept]
         post_covs[kept] = covs[kept]
@@ -178,6 +179,7 @@ def _update(means, covs, B, R, y):
     return post_means, post_covs, log_ev
 
 
+@_quiet
 def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBelief:
     """One-step-ahead prediction: mean -> A mean, cov -> A cov A^T + Q.
 
@@ -193,6 +195,7 @@ def kf_predict(model: LinearGaussianModel, belief: GaussianBelief) -> GaussianBe
     return _trusted(GaussianBelief, means[0], covs[0])
 
 
+@_quiet
 def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
                   weight_floor: float = 0.0):
     """One observation's worth of ensemble filtering over K linear models.
@@ -234,8 +237,8 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     means, covs = _predict(A, Q, state.belief)
     means, covs, log_evs = _update(means, covs, B, R, y)
 
-    weights, history, _ = weight_step(wtt_config, state.history, log_evs,
-                                      weight_floor)
+    weights, history, _ = _weight_step(wtt_config, state.history, log_evs,
+                                       weight_floor)
     belief = _collapse(means, covs, weights.w)
     estimate = _trusted(PointEstimate, belief.mean)
     return KfEnsembleState(belief, history), estimate, log_evs

@@ -20,7 +20,9 @@ Vectorization convention
 whole cloud at once: ``x`` is an (N, d) array, the transition returns
 (N, d) with row i drawn from the model's transition density at particle i,
 and the likelihood returns (N,) log values.  Semantically these are still
-per-particle maps; the batch axis only buys numpy speed.
+per-particle maps; the batch axis only buys numpy speed.  The step calls
+them under its floating-point error scope, where numpy ignores every
+error, and checks what they return instead.
 
 Randomness protocol
 -------------------
@@ -56,6 +58,7 @@ from .core import (
     WeightHistory,
     WeightVector,
     _frozen,
+    _quiet,
     _start_history,
     _trusted,
 )
@@ -68,7 +71,7 @@ from .errors import (
 )
 from .evidence import _log_normalize, effective_sample_size
 from .kalman import LinearGaussianModel
-from .wtt import WTTConfig, weight_step
+from .wtt import WTTConfig, _weight_step
 
 logger = logging.getLogger(__name__)
 
@@ -206,6 +209,7 @@ def _likelihood_rows(models, clouds, y, t) -> np.ndarray:
     return ll
 
 
+@_quiet
 def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
              y, t: int):
     """Fold the observation into the particle weights.
@@ -223,9 +227,8 @@ def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
     NonFiniteWeightError
         If a log likelihood is NaN or ``+inf``.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ll = _likelihood_rows([model], [propagated.particles], y, t)
-        u, log_ev, top = _log_normalize(np.log(propagated.weights) + ll)
+    ll = _likelihood_rows([model], [propagated.particles], y, t)
+    u, log_ev, top = _log_normalize(np.log(propagated.weights) + ll)
     # Underflow is judged in the linear domain: if even the largest product
     # u_i * p(y|x_i) rounds to exactly zero as a double, the observation is
     # unrepresentable under this model and carries no usable information.
@@ -236,6 +239,7 @@ def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
     return u[0], float(log_ev[0])
 
 
+@_quiet
 def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
     """Log of ``sum_i u_i p(y | x_i)``; ``-inf`` when it underflows entirely.
 
@@ -251,11 +255,11 @@ def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
     ll = np.atleast_1d(np.asarray(log_likelihoods, dtype=float))
     if u.shape != ll.shape:
         raise DimensionMismatchError("weights and likelihoods must align")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, log_ev, top = _log_normalize(np.log(u) + ll)
+    _, log_ev, top = _log_normalize(np.log(u) + ll)
     return float(log_ev) if top > -np.inf else -np.inf
 
 
+@_quiet
 def resample(particles, weights, n_out: int,
              rng: np.random.Generator) -> ParticleEnsemble:
     """Draw ``n_out`` particles (with replacement) from a weighted set.
@@ -280,8 +284,7 @@ def resample(particles, weights, n_out: int,
         raise ValueError("need at least one output particle")
     if w.min() < 0.0:
         raise NegativeEntryError("particle weights must be nonnegative")
-    with np.errstate(over="ignore"):  # an overflowing total fails below
-        cdf = np.cumsum(w)
+    cdf = np.cumsum(w)  # an overflowing total fails below
     if not 0.0 < cdf[-1] < np.inf:  # NaN fails too
         if cdf[-1] == 0.0:
             raise AllZeroError("cannot resample from an all-zero weight set")
@@ -293,6 +296,7 @@ def resample(particles, weights, n_out: int,
                     np.full(n_out, 1.0 / n_out))
 
 
+@_quiet
 def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
                    wtt_config: WTTConfig, rng: np.random.Generator,
                    weight_floor: float = 0.0):
@@ -356,16 +360,15 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     # cloud does not change its rounding
     cloud = aug_particles.reshape((k_models,) + ens.particles.shape)
 
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ll = _likelihood_rows(pool, clouds, y, t)
-        u, log_evs, top = _log_normalize(np.log(ens.weights) + ll)
+    ll = _likelihood_rows(pool, clouds, y, t)
+    u, log_evs, top = _log_normalize(np.log(ens.weights) + ll)
     dead = top < UNDERFLOW_LOG  # see reweight
     if dead.any():
         u[dead] = ens.weights
         log_evs[dead] = -np.inf
 
-    weights, history, _ = weight_step(wtt_config, state.history, log_evs,
-                                      weight_floor)
+    weights, history, _ = _weight_step(wtt_config, state.history, log_evs,
+                                       weight_floor)
     estimates = (u[:, None, :] @ cloud)[:, 0]
     estimate = _trusted(PointEstimate, weights.w @ estimates)
 

@@ -24,9 +24,10 @@ provided:
 
 Every operator maps the simplex to the simplex; none of them looks at data.
 :func:`weight_step` runs one whole move of the dynamic ensemble, the
-operator followed by Bayes' rule; every engine updates its weights with it.
-Both moves run on plain arrays (the operator kernel here, the Bayes kernel
-in :mod:`bdemm.core`), so a step builds one posterior ``WeightVector`` and
+operator followed by Bayes' rule; every engine step runs its kernel,
+``_weight_step``, under the step's own error scope.  Both moves run on
+plain arrays (the operator kernel here, the Bayes kernel in
+:mod:`bdemm.core`), so a step builds one posterior ``WeightVector`` and
 one ``WeightHistory`` and nothing else; :func:`apply_wtt` and
 :func:`~bdemm.core.update_model_weights_log` are the one-call public forms
 of the two kernels.
@@ -45,6 +46,7 @@ from .core import (
     WeightVector,
     _bayes,
     _frozen,
+    _quiet,
     _trusted,
 )
 from .errors import ConfigMismatchError
@@ -213,6 +215,7 @@ def _as_weights(w: np.ndarray, config: WTTConfig,
     return _trusted(WeightVector, w)
 
 
+@_quiet
 def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
     """Run one weight-transition step: posterior history in, predictive out.
 
@@ -229,6 +232,24 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
     return _as_weights(_transition(config, history), config, history)
 
 
+def _weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
+                 floor: float):
+    """The move kernel of :func:`weight_step`, which every engine step runs
+    under its own error scope."""
+    predictive = _transition(config, history)
+    w = _bayes(predictive, log_evidences, floor)
+    informative = w is not None
+    if informative:
+        weights = _trusted(WeightVector, w)
+    else:
+        w = predictive
+        weights = _as_weights(w, config, history)
+    grown = _trusted(WeightHistory, weights, history.cumulative + w,
+                     history.count + 1)
+    return weights, grown, informative
+
+
+@_quiet
 def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
                 floor: float = 0.0):
     """One transition-then-Bayes move of the model weights.
@@ -250,14 +271,4 @@ def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     informative : bool
         False when the predictive weights were carried forward.
     """
-    predictive = _transition(config, history)
-    w = _bayes(predictive, log_evidences, floor)
-    informative = w is not None
-    if informative:
-        weights = _trusted(WeightVector, w)
-    else:
-        w = predictive
-        weights = _as_weights(w, config, history)
-    grown = _trusted(WeightHistory, weights, history.cumulative + w,
-                     history.count + 1)
-    return weights, grown, informative
+    return _weight_step(config, history, log_evidences, floor)

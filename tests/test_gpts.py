@@ -486,12 +486,17 @@ def test_reused_factorization_gives_bitwise_a_fresh_models_forecast(
     direct = gp_predict_next(fresh, later, values, 47.0)
     assert len(seen) == 1
     assert (reused.mean, reused.var) == (direct.mean, direct.var)
-    # the cache is keyed by value: an equal model hits it
-    gp_predict_next(GPTSModel(*params), later, values, 47.0)
+    # the cache is keyed by value: an equal model, built apart, hits it
+    hits = gpts_module._pool_solve.cache_info().hits
+    gp_predict_next(GPTSModel(*params[:4], 10.0), later, values, 47.0)
     assert len(seen) == 1
+    assert gpts_module._pool_solve.cache_info().hits == hits + 1
     assert model == fresh
-    assert hash(model) == hash(fresh)
-    assert repr(model) == repr(fresh)
+    # the field-tuple hash, computed once when the model is built
+    assert hash(model) == hash(fresh) == hash(params)
+    assert repr(model) == repr(fresh) == (
+        "GPTSModel(mean_const=0.3, signal_variance=1.5, lengthscale=2.0, "
+        "noise_var=0.05, window=10)")
 
 
 def test_unit_spaced_stream_runs_no_cholesky_once_the_window_is_full(
