@@ -26,11 +26,12 @@ Numerical conventions used throughout the package:
   carries the predictive weights forward unchanged; only the public
   :func:`update_model_weights_log` raises
   :class:`~bdemm.errors.AllZeroError` for it,
-* numpy's floating-point error state is set once, to ignore everything, by
-  each engine step and each public function that reaches a step's array
-  kernels (:func:`_quiet`); the kernels never touch it and check their
-  results explicitly, and a caller's ``np.seterr`` or ``np.errstate``
-  settings do not reach inside.
+* one floating-point error rule: every public function and constructor
+  that computes on caller values runs with numpy's error state set to
+  ignore everything (:func:`_quiet`) and checks its results explicitly;
+  kernels and model callables run under their caller's scope, which every
+  engine step provides.  So no numpy warning escapes, and a caller's
+  ``np.seterr`` or ``np.errstate`` settings do not reach inside.
 """
 
 from __future__ import annotations
@@ -68,12 +69,13 @@ __all__ = [
 
 
 def _quiet(fn):
-    """Run ``fn`` under a fresh ``np.errstate(all="ignore")`` per call.
+    """Run ``fn`` with numpy's error state set to ignore everything.
 
-    The one floating-point error scope of a public entry point: the array
-    kernels it reaches run under it and check their results themselves.  A
-    fresh context each call, not one shared instance, so that a nested call
-    restores its caller's state on every numpy version.
+    The one floating-point error scope of a public function or constructor:
+    it and the kernels it reaches run under it and check their results
+    themselves.  A fresh ``np.errstate`` each call, not one shared
+    instance, so that a nested call restores its caller's state on every
+    numpy version.
     """
     @wraps(fn)
     def scoped(*args, **kwargs):
@@ -119,6 +121,7 @@ class WeightVector:
 
     w: np.ndarray
 
+    @_quiet
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.w, dtype=float))
         if w.ndim != 1 or w.size < 1:
@@ -200,6 +203,14 @@ def _start_history(k, weights) -> WeightHistory:
     return WeightHistory.start(weights)
 
 
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """``(a + a^T) / 2`` over the last two axes, halved before the sum so
+    that entries near the float limit do not overflow."""
+    half = 0.5 * a
+    return half + half.swapaxes(-1, -2)
+
+
+@_quiet
 def checked_cov(m, name: str = "covariance") -> np.ndarray:
     """Validate a covariance matrix and return it re-symmetrized.
 
@@ -214,11 +225,9 @@ def checked_cov(m, name: str = "covariance") -> np.ndarray:
         raise ValueError("%s must be finite" % name)
     scale = max(1.0, float(np.abs(m).max()))
     # entries of opposite sign near the float limit overflow to a rejection
-    with np.errstate(over="ignore"):
-        asymmetry = float(np.abs(m - m.T).max())
-    if asymmetry > SYM_ATOL * scale:
+    if float(np.abs(m - m.T).max()) > SYM_ATOL * scale:
         raise ValueError("%s is not symmetric" % name)
-    m = 0.5 * m + 0.5 * m.T
+    m = _symmetrized(m)
     if float(np.linalg.eigvalsh(m).min()) < -PSD_ATOL * scale:
         raise ValueError("%s is not positive semidefinite" % name)
     return m
@@ -409,7 +418,7 @@ def _collapse(means, covs, w) -> GaussianBelief:
     # summed over k in order, rounding as adding one component at a time
     # does: Kalman streams at the roundoff limit turn on it
     cov = (wl[:, None, None] * covs[live] + spread).sum(axis=0)
-    cov = 0.5 * (cov + cov.T)
+    cov = _symmetrized(cov)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise NonFiniteBeliefError(
             "mixture collapse overflowed: component means too far apart")

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _quiet
+from .core import _quiet, _symmetrized
 from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -206,7 +206,7 @@ def gaussian_innovation(y, means, covs, B, R):
     """
     bp = B @ covs
     s = bp @ B.swapaxes(1, 2) + R
-    s = 0.5 * s + 0.5 * s.swapaxes(1, 2)
+    s = _symmetrized(s)
     resid = y - (B @ means[:, :, None])[:, :, 0]
     try:
         chol = np.linalg.cholesky(s)

@@ -370,6 +370,7 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     return _trusted(IntelState, buffer, history), fused, log_evs
 
 
+@_quiet
 def perturb_pool(nominal: GPTSModel, noise_factors) -> list:
     """Candidate pool built by scaling the nominal noise variance.
 

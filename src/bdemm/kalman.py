@@ -38,6 +38,7 @@ from .core import (
     _frozen,
     _quiet,
     _start_history,
+    _symmetrized,
     _trusted,
     checked_cov,
 )
@@ -146,7 +147,7 @@ def _predict(A, Q, belief: GaussianBelief):
     its caller's error scope."""
     means = A @ belief.mean
     covs = A @ belief.cov @ A.swapaxes(1, 2) + Q
-    covs = 0.5 * covs + 0.5 * covs.swapaxes(1, 2)
+    covs = _symmetrized(covs)
     if not (np.isfinite(means).all() and np.isfinite(covs).all()):
         raise NonFiniteBeliefError("predicted belief is not finite")
     return means, covs
@@ -165,7 +166,7 @@ def _update(means, covs, B, R, y):
     gain = gain_t.swapaxes(1, 2)
     post_means = means + (gain @ resid[:, :, None])[:, :, 0]
     post_covs = covs - gain @ B @ covs
-    post_covs = 0.5 * (post_covs + post_covs.swapaxes(1, 2))
+    post_covs = _symmetrized(post_covs)
     if kept.any():
         post_means[kept] = means[kept]
         post_covs[kept] = covs[kept]

@@ -20,9 +20,12 @@ Vectorization convention
 whole cloud at once: ``x`` is an (N, d) array, the transition returns
 (N, d) with row i drawn from the model's transition density at particle i,
 and the likelihood returns (N,) log values.  Semantically these are still
-per-particle maps; the batch axis only buys numpy speed.  The step calls
-them under its floating-point error scope, where numpy ignores every
-error, and checks what they return instead.
+per-particle maps; the batch axis only buys numpy speed.  Like every
+model callable they run under their caller's floating-point error scope:
+the step's, where numpy ignores every error, and the step checks what they
+return instead.  :func:`propagate` runs on every row and enters no scope
+of its own, so :func:`linear_gaussian_ssm`'s transition, whose matrix
+product can overflow on finite input, sets its own.
 
 Randomness protocol
 -------------------
@@ -122,6 +125,7 @@ class ParticleEnsemble:
     particles: np.ndarray
     weights: np.ndarray
 
+    @_quiet
     def __post_init__(self):
         p = np.asarray(self.particles, dtype=float)
         if p.ndim == 1:
@@ -430,6 +434,7 @@ def additive_noise_ssm(transition, observation, noise_logpdf) -> GenericStateSpa
     return GenericStateSpaceModel(transition, log_likelihood)
 
 
+@_quiet
 def gaussian_noise(var: float):
     """Elementwise log N(0, var) density."""
     if var <= 0.0:
@@ -442,6 +447,7 @@ def gaussian_noise(var: float):
     return logpdf
 
 
+@_quiet
 def uniform_noise(low: float, high: float):
     """Elementwise log density of U(low, high): flat inside, -inf outside."""
     if not high > low:

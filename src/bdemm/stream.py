@@ -33,9 +33,9 @@ of the pool's dimension per row, read, filtered and written one row at a
 time, so memory stays constant.  The output carries one row per input row:
 step index, state estimate, model weights, per-model evidences.  The
 engines report log evidences; the ``ev_k`` columns hold ``exp`` of them,
-which is 0.0 where it underflows.  An input with no data rows produces an
-empty output file; a bad row raises :class:`~bdemm.errors.ParseError` after
-the rows before it are written.
+which is 0.0 where it underflows and ``inf`` where it overflows.  An input
+with no data rows produces an empty output file; a bad row raises
+:class:`~bdemm.errors.ParseError` after the rows before it are written.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .core import GaussianBelief, WeightVector, checked_cov
+from .core import GaussianBelief, WeightVector, _quiet, checked_cov
 from .errors import BdemmError, ConfigError, ParseError
 from .gpts import GPTSModel, IntelState, intel_step, perturb_pool
 from .kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
@@ -362,6 +362,7 @@ def _observations(fh, obs_dim):
         yield np.array(values)
 
 
+@_quiet
 def run_stream(config_path, input_path, output_path) -> int:
     """Filter a CSV of observations through a configured engine, one row at
     a time, so memory does not grow with the stream.

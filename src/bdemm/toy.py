@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightVector
+from .core import WeightVector, _quiet
 from .errors import LengthMismatchError
 from .smc import (
     SmcEnsembleState,
@@ -131,6 +131,7 @@ def toy_observation(x, t: int, config: ToyConfig = ToyConfig()):
     return 0.2 * x - 2.0
 
 
+@_quiet
 def gen_toy_series(config: ToyConfig, rng):
     """Simulate one benchmark series.
 
@@ -198,6 +199,7 @@ def toy_pool(config: ToyConfig):
     return [toy_candidate(config, transition, noise) for noise in noises]
 
 
+@_quiet
 def mse(estimates, truths) -> float:
     """Mean squared error between two aligned sequences."""
     est = np.atleast_1d(np.asarray(estimates, dtype=float))
@@ -311,11 +313,14 @@ def summary_text(report: RunReport) -> str:
     """Human-readable table of the aggregate results."""
     cfg = report.config
     ok_runs = cfg.runs - len(report.failures)
+    wtt = cfg.wtt_kind  # alpha only where the operator reads it
+    if wtt == "forgetting":
+        wtt += " (alpha=%s)" % cfg.forgetting_alpha
     lines = [
         "robust filtering benchmark",
         "runs: %d ok, %d failed | horizon %d | particles %d | seed %d"
         % (ok_runs, len(report.failures), cfg.horizon, cfg.particles, cfg.seed),
-        "weight transition: %s (alpha=%s)" % (cfg.wtt_kind, cfg.forgetting_alpha),
+        "weight transition: " + wtt,
         "",
         "%-15s %12s %12s" % ("algorithm", "mean MSE", "var MSE"),
     ]

@@ -55,6 +55,10 @@ KINDS = ("identity", "constant", "markov", "forgetting", "polya_urn")
 
 MTM_ATOL = 1e-12
 
+# each operator parameter and the one operator that reads it
+_PARAMETERS = {"constants": "constant", "matrix": "markov",
+               "alpha": "forgetting", "beta": "polya_urn"}
+
 __all__ = ["WTTConfig", "apply_wtt", "weight_step", "default_markov_matrix",
            "KINDS"]
 
@@ -85,7 +89,8 @@ class WTTConfig:
     constructor validates the same way.  The chosen operator's parameter is
     checked and stored in the form the operator reads: ``constants`` as a
     :class:`~bdemm.core.WeightVector`, ``matrix`` and ``beta`` as read-only
-    float arrays and ``alpha`` as a float.  Anything else raises
+    float arrays and ``alpha`` as a float.  Anything else, including a
+    parameter the chosen operator does not read, raises
     :class:`~bdemm.errors.ConfigMismatchError`, or the ``WeightVector``
     error for bad constants.
     """
@@ -96,10 +101,15 @@ class WTTConfig:
     alpha: float | None = None
     beta: np.ndarray | None = None
 
+    @_quiet
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigMismatchError(
                 "unknown operator %r (choose from %s)" % (self.kind, ", ".join(KINDS)))
+        for name, reader in _PARAMETERS.items():
+            if getattr(self, name) is not None and self.kind != reader:
+                raise ConfigMismatchError("%s operator does not read %s"
+                                          % (self.kind, name))
         if self.kind == "constant":
             if self.constants is None:
                 raise ConfigMismatchError("constant operator needs its weight vector")
@@ -138,9 +148,7 @@ class WTTConfig:
                 raise ConfigMismatchError("pseudo-counts must be a vector")
             # the operator divides by the counts' total plus the column
             # sums; a non-finite count leaves a non-finite total too
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = float(b.sum())
-            if not math.isfinite(total):
+            if not math.isfinite(float(b.sum())):
                 raise ConfigMismatchError(
                     "pseudo-counts and their total must be finite")
             if np.any(b != np.floor(b)) or np.any(b < 1):

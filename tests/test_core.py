@@ -373,6 +373,15 @@ def test_collapse_of_far_off_means_does_not_overflow(means, w, cov):
     assert out.cov[0, 0] == pytest.approx(cov, rel=1e-12)
 
 
+def test_collapse_of_equal_means_keeps_a_covariance_near_the_float_limit():
+    # cov + cov^T would overflow; the symmetrization halves before adding
+    comps = [GaussianBelief(0.0, 9.5e307)] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = collapse_mixture(comps, WeightVector([0.5, 0.5]))
+    assert out.cov.tolist() == [[9.5e307]]
+
+
 def test_collapse_that_cannot_be_represented_raises_a_library_error():
     # the true variance, 1.5e154 ** 2 ~ 2.25e308, exceeds the largest double
     comps = [GaussianBelief(1.5e154, 1.0), GaussianBelief(-1.5e154, 1.0)]

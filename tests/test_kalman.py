@@ -418,3 +418,14 @@ def test_nan_observation_raises():
     state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
     with pytest.raises(NonFiniteBeliefError):
         kf_bdemm_step(state, _two_model_pool(), np.nan, WTTConfig.identity())
+
+
+def test_posterior_covariance_near_the_float_limit_stays_finite():
+    # the observation barely informs the state, so the posterior keeps the
+    # prior covariance, whose doubling would overflow
+    model = LinearGaussianModel(A=1.0, Q=1.0, B=1e-200, R=1.0)
+    state = KfEnsembleState.initial(GaussianBelief(0.0, 9.5e307), k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, _, _ = kf_bdemm_step(state, [model], 0.0, WTTConfig.identity())
+    assert state.belief.cov.tolist() == [[9.5e307]]

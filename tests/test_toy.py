@@ -211,6 +211,15 @@ def test_ensemble_hands_weight_to_the_uniform_model_on_outliers():
 # report files
 
 
+@pytest.mark.parametrize("kind", ["forgetting", "identity", "markov"])
+def test_summary_reports_alpha_only_for_the_forgetting_operator(kind):
+    rep = run_toy_experiment(ToyConfig(runs=1, horizon=2, particles=5,
+                                       wtt_kind=kind, forgetting_alpha=0.25))
+    line = summary_text(rep).splitlines()[2]
+    want = {"forgetting": "forgetting (alpha=0.25)"}.get(kind, kind)
+    assert line == "weight transition: " + want
+
+
 def test_write_report_files(tmp_path):
     cfg = ToyConfig(runs=2, horizon=8, particles=30)
     rep = run_toy_experiment(cfg)

@@ -449,6 +449,20 @@ def test_raw_constructor_stores_what_the_operators_read():
     assert type(WTTConfig.forgetting(np.float32(0.5)).alpha) is float
 
 
+@pytest.mark.parametrize("kind, params, extra", [
+    ("forgetting", dict(alpha=0.5), dict(matrix=[[2.0]])),
+    ("identity", {}, dict(beta=[0.5])),
+    ("markov", dict(matrix=[[1.0]]), dict(alpha=0.5)),
+    ("polya_urn", dict(beta=[1]), dict(constants=[1.0])),
+    ("constant", dict(constants=[1.0]), dict(beta=[1])),
+], ids=["forgetting", "identity", "markov", "polya_urn", "constant"])
+def test_a_parameter_the_operator_does_not_read_raises(kind, params, extra):
+    WTTConfig(kind, **params)
+    (field,) = extra
+    with pytest.raises(ConfigMismatchError, match=field):
+        WTTConfig(kind, **params, **extra)
+
+
 @pytest.mark.parametrize("alpha", [np.array([0.5, 0.7]), np.array([0.5]),
                                    [0.5], "half", 1j],
                          ids=["vector", "one-element", "list", "word",
