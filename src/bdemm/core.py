@@ -91,6 +91,17 @@ def _frozen(a):
     return out
 
 
+def _count(n, error, message) -> int:
+    """``n`` as an ``int`` if it is a whole number of at least 1, a
+    whole-valued float included; anything else raises ``error(message)``."""
+    try:
+        if int(n) == n >= 1:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
+        pass
+    raise error(message)
+
+
 @cache
 def _field_names(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
@@ -140,9 +151,10 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, k: int) -> "WeightVector":
-        """Uniform weights over ``k`` models."""
-        if k < 1:
-            raise DimensionMismatchError("need at least one model")
+        """Uniform weights over ``k`` models; ``k`` not a whole number of at
+        least 1 raises ``DimensionMismatchError``."""
+        k = _count(k, DimensionMismatchError,
+                   "need a whole number of models, at least one")
         return cls(np.full(k, 1.0 / k))
 
 

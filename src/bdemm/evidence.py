@@ -228,12 +228,23 @@ def gaussian_innovation(y, means, covs, B, R):
     except np.linalg.LinAlgError as exc:
         raise SingularInnovationCovError(
             "innovation covariance is numerically singular") from exc
-    quad = (resid[:, None, :] @ sol)[:, 0, 0]
-    # S is positive definite: a non-finite form of a NaN-free residual overflowed
+    quad = _overflowed_to_inf((resid[:, None, :] @ sol)[:, 0, 0], resid)
+    return -0.5 * (y.size * LOG_2PI + logdet + quad), resid, gain_t
+
+
+def _overflowed_to_inf(quad: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """Set to ``+inf``, in place, each non-finite entry of ``quad`` whose row
+    of ``resid`` holds no NaN, and return ``quad``.
+
+    ``quad[i]`` is the quadratic form of ``resid[i]`` under a positive
+    definite matrix, so it cannot be negative: when it is not finite for a
+    NaN-free residual, it overflowed, even where ``inf - inf`` inside the
+    solve made it NaN, and the residual's log density is ``-inf``.
+    """
     overflowed = ~np.isfinite(quad)
     if overflowed.any():
-        quad[overflowed & ~np.isnan(resid).any(axis=1)] = np.inf
-    return -0.5 * (y.size * LOG_2PI + logdet + quad), resid, gain_t
+        quad[overflowed & ~np.isnan(resid).any(axis=-1)] = np.inf
+    return quad
 
 
 @_quiet

@@ -41,6 +41,7 @@ from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
 from .core import (
     WeightHistory,
     WeightVector,
+    _count,
     _frozen,
     _quiet,
     _start_history,
@@ -87,7 +88,8 @@ class GPTSModel:
     noise_var : float
         Observation noise variance (>= 0; zero means noise-free).
     window : int
-        Number of most recent observations the model conditions on.
+        Number of most recent observations the model conditions on, a
+        whole number of at least 1 (a whole-valued float is taken as one).
 
     Every parameter must be finite: a NaN or infinite one raises
     ``ValueError``, so :func:`perturb_pool` cannot build a model whose
@@ -112,9 +114,9 @@ class GPTSModel:
             raise ValueError("lengthscale must be positive and finite")
         if not 0.0 <= self.noise_var < np.inf:
             raise ValueError("noise variance must be nonnegative and finite")
-        if int(self.window) < 1:
-            raise ValueError("window must hold at least one observation")
-        object.__setattr__(self, "window", int(self.window))
+        object.__setattr__(self, "window", _count(
+            self.window, ValueError,
+            "window must hold a whole number of observations, at least one"))
         object.__setattr__(self, "_hash", hash((
             self.mean_const, self.signal_variance, self.lengthscale,
             self.noise_var, self.window)))

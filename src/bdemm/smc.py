@@ -57,9 +57,11 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    SIMPLEX_ATOL,
     PointEstimate,
     WeightHistory,
     WeightVector,
+    _count,
     _frozen,
     _quiet,
     _start_history,
@@ -72,7 +74,11 @@ from .errors import (
     NonFiniteBeliefError,
     NonFiniteWeightError,
 )
-from .evidence import _log_normalize, effective_sample_size
+from .evidence import (
+    _log_normalize,
+    _overflowed_to_inf,
+    effective_sample_size,
+)
 from .kalman import LinearGaussianModel
 from .wtt import WTTConfig, _weight_step
 
@@ -139,8 +145,9 @@ class ParticleEnsemble:
             raise ValueError("particles and weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("particle weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError("particle weights must sum to 1")
+        if abs(float(w.sum()) - 1.0) > SIMPLEX_ATOL:
+            raise ValueError("particle weights must sum to 1 within %g"
+                             % SIMPLEX_ATOL)
         object.__setattr__(self, "particles", _frozen(p))
         object.__setattr__(self, "weights", _frozen(w))
 
@@ -252,13 +259,16 @@ def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
 
     Raises
     ------
+    DimensionMismatchError
+        If the two are not vectors of one equal, nonzero length.
     NonFiniteWeightError
         If a log likelihood is NaN or ``+inf``.
     """
     u = np.atleast_1d(np.asarray(incoming_weights, dtype=float))
     ll = np.atleast_1d(np.asarray(log_likelihoods, dtype=float))
-    if u.shape != ll.shape:
-        raise DimensionMismatchError("weights and likelihoods must align")
+    if u.shape != ll.shape or u.ndim != 1 or not u.size:
+        raise DimensionMismatchError(
+            "weights and likelihoods must be aligned, non-empty vectors")
     _, log_ev, top = _log_normalize(np.log(u) + ll)
     return float(log_ev) if top > -np.inf else -np.inf
 
@@ -270,6 +280,7 @@ def resample(particles, weights, n_out: int,
 
     Multinomial: each of ``n_out`` iid uniforms picks the first index whose
     normalized cumulative weight exceeds it; output weights are ``1/n_out``.
+    ``n_out`` not a whole number of at least 1 raises ``ValueError``.
     ``particles`` must be finite and of shape (N,) or (N, d) (another rank
     raises ``DimensionMismatchError``): the output is not checked again.  A
     negative weight raises ``NegativeEntryError``, a NaN or infinite weight
@@ -284,8 +295,8 @@ def resample(particles, weights, n_out: int,
     if w.shape != (particles.shape[0],) or not w.size:
         raise DimensionMismatchError("one weight per particle, and at least "
                                      "one particle, required")
-    if n_out < 1:
-        raise ValueError("need at least one output particle")
+    n_out = _count(n_out, ValueError,
+                   "need a whole number of output particles, at least one")
     if w.min() < 0.0:
         raise NegativeEntryError("particle weights must be nonnegative")
     cdf = np.cumsum(w)  # an overflowing total fails below
@@ -395,6 +406,8 @@ def linear_gaussian_ssm(A, Q, B, R) -> GenericStateSpaceModel:
 
     The matrices are checked as a :class:`~bdemm.kalman.LinearGaussianModel`.
     Useful for validating the particle path against the exact Kalman answer.
+    As in :func:`~bdemm.evidence.gaussian_innovation`, a residual whose
+    quadratic form overflows has log likelihood ``-inf``.
     """
     model = LinearGaussianModel(A=A, Q=Q, B=B, R=R)
     A, B = model.A, model.B
@@ -413,7 +426,7 @@ def linear_gaussian_ssm(A, Q, B, R) -> GenericStateSpaceModel:
     def log_likelihood(y, x, t):
         resid = y[None, :] - x @ B.T
         z = np.linalg.solve(r_chol, resid.T)
-        return const - 0.5 * np.sum(z * z, axis=0)
+        return const - 0.5 * _overflowed_to_inf(np.sum(z * z, axis=0), resid)
 
     return GenericStateSpaceModel(sample_transition, log_likelihood)
 

@@ -156,27 +156,28 @@ def _square(values, key):
     return np.asarray(values, dtype=float).reshape(d, d)
 
 
+# the config key of each operator's parameter; identity reads none
+_WTT_KEYS = {"constant": "wtt.constants", "markov": "wtt.matrix",
+             "forgetting": "wtt.alpha", "polya_urn": "wtt.beta"}
+
+
 def _wtt_from_config(cfg: _Config, k: int) -> WTTConfig:
     kind = cfg.get("wtt.kind", default="identity")
     if kind == "identity":
-        return WTTConfig.identity()
-    if kind == "forgetting":
-        return WTTConfig.forgetting(cfg.get_number("wtt.alpha", required=True))
-    # the other operators carry one parameter entry per model (markov: K x K)
-    params = {
-        "constant": ("wtt.constants", k, WTTConfig.constant),
-        "markov": ("wtt.matrix", k * k,
-                   lambda v: WTTConfig.markov(np.reshape(v, (k, k)))),
-        "polya_urn": ("wtt.beta", k, WTTConfig.polya_urn),
-    }
-    if not isinstance(kind, str) or kind not in params:
+        return WTTConfig(kind)
+    if not isinstance(kind, str) or kind not in _WTT_KEYS:
         raise ConfigError("unknown key 'wtt.kind' value %r" % (kind,))
-    key, size, build = params[kind]
+    key = _WTT_KEYS[kind]
+    if kind == "forgetting":
+        return WTTConfig(kind, cfg.get_number(key, required=True))
+    # the other operators carry one parameter entry per model (markov: K x K)
+    size = k * k if kind == "markov" else k
     values = cfg.get_list(key, required=True)
     if len(values) != size:
         raise ConfigError("key %r must hold %d values for %d models"
                           % (key, size, k))
-    return build(values)
+    return WTTConfig(kind, np.reshape(values, (k, k)) if kind == "markov"
+                     else values)
 
 
 def _linear_model(cfg: _Config, base: str) -> LinearGaussianModel:

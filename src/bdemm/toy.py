@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightVector, _quiet
+from .core import WeightVector, _count, _quiet
 from .errors import LengthMismatchError
 from .smc import (
     SmcEnsembleState,
@@ -94,8 +94,10 @@ class ToyConfig:
     weight_floor: float = 0.02
 
     def __post_init__(self):
-        if self.horizon < 1 or self.runs < 1 or self.particles < 1:
-            raise ValueError("horizon, runs and particles must be >= 1")
+        for name in ("horizon", "runs", "particles"):
+            object.__setattr__(self, name, _count(
+                getattr(self, name), ValueError,
+                "horizon, runs and particles must be whole numbers >= 1"))
         if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
         # the two-model ensemble needs floor < 1/K
@@ -201,11 +203,18 @@ def toy_pool(config: ToyConfig):
 
 @_quiet
 def mse(estimates, truths) -> float:
-    """Mean squared error between two aligned sequences."""
+    """Mean squared error between two aligned sequences.
+
+    Raises
+    ------
+    LengthMismatchError
+        If the two are not 1-d sequences of one equal, nonzero length.
+    """
     est = np.atleast_1d(np.asarray(estimates, dtype=float))
     tru = np.atleast_1d(np.asarray(truths, dtype=float))
-    if est.shape != tru.shape:
-        raise LengthMismatchError("estimates and truths must align")
+    if est.shape != tru.shape or est.ndim != 1:
+        raise LengthMismatchError("estimates and truths must align as 1-d "
+                                  "sequences")
     if est.size == 0:
         raise LengthMismatchError("need at least one step")
     diff = est - tru

@@ -23,12 +23,14 @@ provided:
     integer pseudo-counts.  Models with a strong track record keep mass.
 
 Every operator maps the simplex to the simplex; none of them looks at data.
+A :class:`WTTConfig` is ``(kind, param)``, the operator and the one
+parameter it reads; against a history only the width of an array parameter
+is checked, with one :class:`~bdemm.errors.ConfigMismatchError` message.
 :func:`weight_step` runs one whole move of the dynamic ensemble, the
 operator followed by Bayes' rule; every engine step runs its kernel,
 ``_weight_step``, under the step's own error scope.  Both moves run on
-plain arrays (the operator kernel here, the Bayes kernel in
-:mod:`bdemm.core`), so a step builds one posterior ``WeightVector`` and
-one ``WeightHistory`` and nothing else; :func:`apply_wtt` and
+plain arrays, so a step builds one posterior ``WeightVector`` and one
+``WeightHistory``; :func:`apply_wtt` and
 :func:`~bdemm.core.update_model_weights_log` are the one-call public forms
 of the two kernels.
 """
@@ -45,6 +47,7 @@ from .core import (
     WeightHistory,
     WeightVector,
     _bayes,
+    _count,
     _frozen,
     _quiet,
     _trusted,
@@ -52,12 +55,6 @@ from .core import (
 from .errors import ConfigMismatchError
 
 KINDS = ("identity", "constant", "markov", "forgetting", "polya_urn")
-
-MTM_ATOL = 1e-12
-
-# each operator parameter and the one operator that reads it
-_PARAMETERS = {"constants": "constant", "matrix": "markov",
-               "alpha": "forgetting", "beta": "polya_urn"}
 
 __all__ = ["WTTConfig", "apply_wtt", "weight_step", "default_markov_matrix",
            "KINDS"]
@@ -67,10 +64,10 @@ def default_markov_matrix(k: int, stay: float = 0.9) -> np.ndarray:
     """Row-stochastic matrix keeping ``stay`` on the diagonal.
 
     Off-diagonal mass is spread evenly, ``(1 - stay) / (k - 1)`` per entry.
-    With ``k = 1`` the only valid matrix is ``[[1.0]]``.
+    With ``k = 1`` the only valid matrix is ``[[1.0]]``.  ``k`` not a whole
+    number of at least 1 raises ``ConfigMismatchError``.
     """
-    if k < 1:
-        raise ConfigMismatchError("need at least one model")
+    k = _count(k, ConfigMismatchError, "need a whole number of models >= 1")
     if not 0.0 <= stay <= 1.0:
         raise ConfigMismatchError("diagonal mass must sit in [0, 1]")
     if k == 1:
@@ -82,68 +79,55 @@ def default_markov_matrix(k: int, stay: float = 0.9) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WTTConfig:
-    """Which weight-transition operator to run, plus its parameters.
+    """Which weight-transition operator to run, and the one parameter it reads.
 
-    The classmethods (:meth:`identity`, :meth:`constant`, :meth:`markov`,
-    :meth:`forgetting`, :meth:`polya_urn`) are the short forms; the raw
-    constructor validates the same way.  The chosen operator's parameter is
-    checked and stored in the form the operator reads: ``constants`` as a
-    :class:`~bdemm.core.WeightVector`, ``matrix`` and ``beta`` as read-only
-    float arrays and ``alpha`` as a float.  Anything else, including a
-    parameter the chosen operator does not read, raises
-    :class:`~bdemm.errors.ConfigMismatchError`, or the ``WeightVector``
-    error for bad constants.
+    ``identity`` reads none, so ``param`` stays ``None``.  The constant
+    weights (a :class:`~bdemm.core.WeightVector` or anything it accepts), the
+    Markov matrix and the Pólya-urn pseudo-counts are stored as read-only
+    float arrays, alpha as a float.  The classmethods are the short forms;
+    the raw constructor validates the same way.  A missing parameter, one of
+    the wrong kind or one given to ``identity`` raises
+    :class:`~bdemm.errors.ConfigMismatchError`, or the ``WeightVector`` error
+    for bad constants.
     """
 
     kind: str
-    constants: WeightVector | None = None
-    matrix: np.ndarray | None = None
-    alpha: float | None = None
-    beta: np.ndarray | None = None
+    param: object = None
 
     @_quiet
     def __post_init__(self):
-        if self.kind not in KINDS:
+        kind, p = self.kind, self.param
+        if kind not in KINDS:
             raise ConfigMismatchError(
-                "unknown operator %r (choose from %s)" % (self.kind, ", ".join(KINDS)))
-        for name, reader in _PARAMETERS.items():
-            if getattr(self, name) is not None and self.kind != reader:
-                raise ConfigMismatchError("%s operator does not read %s"
-                                          % (self.kind, name))
-        if self.kind == "constant":
-            if self.constants is None:
-                raise ConfigMismatchError("constant operator needs its weight vector")
-            if not isinstance(self.constants, WeightVector):
-                object.__setattr__(self, "constants", WeightVector(
-                    np.asarray(self.constants, dtype=float)))
-        elif self.kind == "markov":
-            if self.matrix is None:
-                raise ConfigMismatchError("markov operator needs a transition matrix")
-            t = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+                "unknown operator %r (choose from %s)" % (kind, ", ".join(KINDS)))
+        if (p is None) != (kind == "identity"):
+            raise ConfigMismatchError("%s operator reads %s parameter" % (
+                kind, "no" if kind == "identity" else "one"))
+        if kind == "identity":
+            return
+        if kind == "constant":
+            p = p.w if isinstance(p, WeightVector) else WeightVector(p).w
+        elif kind == "markov":
+            t = np.atleast_2d(np.asarray(p, dtype=float))
             if t.ndim != 2 or t.shape[0] != t.shape[1]:
                 raise ConfigMismatchError("transition matrix must be square")
             if np.any(t < 0.0) or not np.all(np.isfinite(t)):
                 raise ConfigMismatchError("transition matrix entries must be >= 0")
-            if float(np.abs(t.sum(axis=1) - 1.0).max()) > MTM_ATOL:
+            if float(np.abs(t.sum(axis=1) - 1.0).max()) > SIMPLEX_ATOL:
                 raise ConfigMismatchError("transition matrix rows must sum to 1")
-            object.__setattr__(self, "matrix", _frozen(t))
-        elif self.kind == "forgetting":
-            if self.alpha is None:
-                raise ConfigMismatchError("forgetting operator needs alpha")
+            p = _frozen(t)
+        elif kind == "forgetting":
             try:
-                if np.ndim(self.alpha) != 0:
+                if np.ndim(p) != 0:
                     raise TypeError
-                alpha = float(self.alpha)
+                p = float(p)
             except (TypeError, ValueError):
                 raise ConfigMismatchError("alpha must be a real scalar, got %r"
-                                          % (self.alpha,)) from None
-            if not 0.0 < alpha <= 1.0:
+                                          % (p,)) from None
+            if not 0.0 < p <= 1.0:
                 raise ConfigMismatchError("alpha must sit in (0, 1]")
-            object.__setattr__(self, "alpha", alpha)
-        elif self.kind == "polya_urn":
-            if self.beta is None:
-                raise ConfigMismatchError("polya urn needs pseudo-counts")
-            b = np.atleast_1d(np.asarray(self.beta, dtype=float))
+        else:
+            b = np.atleast_1d(np.asarray(p, dtype=float))
             if b.ndim != 1 or b.size < 1:
                 raise ConfigMismatchError("pseudo-counts must be a vector")
             # the operator divides by the counts' total plus the column
@@ -153,7 +137,8 @@ class WTTConfig:
                     "pseudo-counts and their total must be finite")
             if np.any(b != np.floor(b)) or np.any(b < 1):
                 raise ConfigMismatchError("pseudo-counts must be integers >= 1")
-            object.__setattr__(self, "beta", _frozen(b))
+            p = _frozen(b)
+        object.__setattr__(self, "param", p)
 
     @classmethod
     def identity(cls) -> "WTTConfig":
@@ -161,66 +146,50 @@ class WTTConfig:
 
     @classmethod
     def constant(cls, constants) -> "WTTConfig":
-        return cls("constant", constants=constants)
+        return cls("constant", constants)
 
     @classmethod
     def markov(cls, matrix) -> "WTTConfig":
-        return cls("markov", matrix=matrix)
+        return cls("markov", matrix)
 
     @classmethod
     def forgetting(cls, alpha: float) -> "WTTConfig":
-        return cls("forgetting", alpha=alpha)
+        return cls("forgetting", alpha)
 
     @classmethod
     def polya_urn(cls, beta) -> "WTTConfig":
-        return cls("polya_urn", beta=beta)
+        return cls("polya_urn", beta)
 
 
 def _transition(config: WTTConfig, history: WeightHistory) -> np.ndarray:
     """The operator kernel: predictive weights of ``history`` as an array.
 
     ``identity`` returns ``history.last.w`` itself and ``constant``
-    ``config.constants.w``; the others return a fresh array, divided by its
-    sum unless that sum is 1 within ``SIMPLEX_ATOL``.  Only the width of
-    the config's parameter is checked against the history; the weights and
-    the parameter were validated when they were built.
+    ``config.param``; the others return a fresh array, divided by its sum
+    unless that sum is 1 within ``SIMPLEX_ATOL``.  Only the width of the
+    config's array parameter is checked against the history; the weights
+    and the parameter were validated when they were built.
     """
     last = history.last.w
-    kind = config.kind
+    kind, p = config.kind, config.param
 
     if kind == "identity":
         return last
-    if kind == "constant":
-        if config.constants.w.shape != last.shape:
-            raise ConfigMismatchError("constant vector length != number of models")
-        return config.constants.w
-    if kind == "markov":
-        if config.matrix.shape != (last.size, last.size):
-            raise ConfigMismatchError("transition matrix shape != (K, K)")
-        # w'_j = sum_i w_i T_ij; rows of T sum to 1 so w' stays on the simplex
-        raw = last @ config.matrix
-    elif kind == "forgetting":
+    if kind == "forgetting":
         # 0^alpha = 0: a model with exactly zero weight stays dead
-        raw = np.power(last, config.alpha)
-    elif kind == "polya_urn":
-        if config.beta.shape != last.shape:
-            raise ConfigMismatchError("pseudo-count length != number of models")
-        raw = config.beta + history.cumulative
+        raw = np.power(last, p)
     else:
-        raise ConfigMismatchError("unknown operator %r" % (kind,))
+        # each array parameter holds one row per model (markov's is square)
+        if p.shape[0] != last.size:
+            raise ConfigMismatchError(
+                "%s parameter has width %d for %d models"
+                % (kind, p.shape[0], last.size))
+        if kind == "constant":
+            return p
+        # markov: w' = w @ T stays on the simplex, as the rows of T sum to 1
+        raw = last @ p if kind == "markov" else p + history.cumulative
     s = float(raw.sum())
     return raw if abs(s - 1.0) <= SIMPLEX_ATOL else raw / s
-
-
-def _as_weights(w: np.ndarray, config: WTTConfig,
-                history: WeightHistory) -> WeightVector:
-    """The operator kernel's array ``w`` as a ``WeightVector``: the one that
-    already holds it when it is the history's or the constant operator's."""
-    if w is history.last.w:
-        return history.last
-    if config.kind == "constant":
-        return config.constants
-    return _trusted(WeightVector, w)
 
 
 @_quiet
@@ -237,7 +206,7 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
     ConfigMismatchError
         If the config's parameter disagrees with the history width.
     """
-    return _as_weights(_transition(config, history), config, history)
+    return _trusted(WeightVector, _transition(config, history))
 
 
 def _weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
@@ -247,12 +216,8 @@ def _weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     predictive = _transition(config, history)
     w = _bayes(predictive, log_evidences, floor)
     informative = w is not None
-    if informative:
-        weights = _trusted(WeightVector, w)
-    else:
-        w = predictive
-        weights = _as_weights(w, config, history)
-    grown = _trusted(WeightHistory, weights, history.cumulative + w,
+    weights = _trusted(WeightVector, w if informative else predictive)
+    grown = _trusted(WeightHistory, weights, history.cumulative + weights.w,
                      history.count + 1)
     return weights, grown, informative
 

@@ -1,5 +1,6 @@
 """Weight arithmetic, belief types, and mixture collapse."""
 
+import importlib
 import warnings
 
 import numpy as np
@@ -7,20 +8,27 @@ import pytest
 
 from bdemm import (
     AllZeroError,
+    ConfigMismatchError,
     DimensionMismatchError,
     GaussianBelief,
+    GPTSModel,
     KfEnsembleState,
     LinearGaussianModel,
     NegativeEntryError,
     NonFiniteBeliefError,
     NonFiniteWeightError,
+    ParticleEnsemble,
     PointEstimate,
+    ToyConfig,
     WeightHistory,
     WeightVector,
     WTTConfig,
     bma_point_estimate,
     collapse_mixture,
+    default_markov_matrix,
+    gen_toy_series,
     kf_bdemm_step,
+    resample,
     update_model_weights_log,
     weight_step,
 )
@@ -398,3 +406,45 @@ def test_collapse_rejects_mismatches():
         collapse_mixture([b1, b2], WeightVector([0.5, 0.5]))
     with pytest.raises(DimensionMismatchError):
         collapse_mixture([b1], WeightVector([0.5, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# counts
+
+
+COUNTED = {
+    "resample": (lambda n: resample([[0.0]], [1.0], n,
+                                    np.random.default_rng(0)), ValueError),
+    "uniform-weights": (WeightVector.uniform, DimensionMismatchError),
+    "markov-matrix": (default_markov_matrix, ConfigMismatchError),
+    "toy-horizon": (lambda n: gen_toy_series(ToyConfig(horizon=n, runs=1), 0),
+                    ValueError),
+    "gp-window": (lambda n: GPTSModel(0, 1, 1, 0.1, n), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTED))
+def test_a_count_must_be_a_whole_number(name):
+    build, error = COUNTED[name]
+    build(2.0)  # a whole-valued float is a count
+    for n in (2.5, np.nan, np.inf, "2"):
+        with pytest.raises(error):
+            build(n)
+
+
+# ---------------------------------------------------------------------------
+# what "sums to 1" means
+
+
+@pytest.mark.parametrize("module, build", [
+    ("bdemm.core", WeightVector),
+    ("bdemm.smc", lambda w: ParticleEnsemble([[0.0], [1.0]], w)),
+    ("bdemm.wtt", lambda w: WTTConfig.markov([w, [0.0, 1.0]])),
+], ids=["weights", "particle-weights", "markov-rows"])
+def test_every_sums_to_one_check_reads_simplex_atol(monkeypatch, module,
+                                                    build):
+    w = [0.5, 0.5 + 1e-9]
+    with pytest.raises((ValueError, ConfigMismatchError)):
+        build(w)
+    monkeypatch.setattr(importlib.import_module(module), "SIMPLEX_ATOL", 1e-6)
+    build(w)

@@ -11,7 +11,10 @@ from bdemm import (
     AllZeroError,
     BdemmError,
     DimensionMismatchError,
+    GaussianBelief,
     GenericStateSpaceModel,
+    KfEnsembleState,
+    LinearGaussianModel,
     NegativeEntryError,
     NonFiniteBeliefError,
     NonFiniteWeightError,
@@ -22,6 +25,7 @@ from bdemm import (
     additive_noise_ssm,
     bma_point_estimate,
     gaussian_noise,
+    kf_bdemm_step,
     linear_gaussian_ssm,
     mc_log_evidence,
     propagate,
@@ -238,6 +242,13 @@ def test_mc_evidence_all_zero_is_zero_not_an_error():
 def test_mc_evidence_validation():
     with pytest.raises(DimensionMismatchError):
         mc_log_evidence([0.5, 0.5], [0.0])
+
+
+@pytest.mark.parametrize("u, ll", [([], []), ([[1.0]], [[0.0]])],
+                         ids=["empty", "2-d"])
+def test_mc_evidence_rejects_empty_and_2d_input(u, ll):
+    with pytest.raises(DimensionMismatchError):
+        mc_log_evidence(u, ll)
 
 
 def test_mc_log_evidence_matches_direct_sum():
@@ -667,6 +678,27 @@ def test_overflowing_residual_scores_neg_inf_without_warning(model):
                                          WTTConfig.identity(),
                                          np.random.default_rng(3))
     assert log_evs.tolist() == [-np.inf, -np.inf]
+    assert np.array_equal(new.model_weights.w, start.w)
+
+
+def test_residual_of_both_infinities_scores_neg_inf_as_the_kalman_step_does():
+    # resid = [inf, -inf]: the solve makes its quadratic form NaN, and both
+    # engines read that as an overflow, so the step is uninformative
+    r = np.array([[1.0, 0.5], [0.5, 1.0]])
+    pool = [LinearGaussianModel(np.eye(2), 0.01 * np.eye(2), np.eye(2), s * r)
+            for s in (1.0, 4.0)]
+    far, y = np.array([-1e308, 1e308]), np.array([1e308, -1e308])
+    start = WeightVector([0.6, 0.4])
+    _, _, kf_log_evs = kf_bdemm_step(
+        KfEnsembleState.initial(GaussianBelief(far, np.eye(2)), weights=start),
+        pool, y, WTTConfig.identity())
+    state = SmcEnsembleState.initial(np.tile(far, (20, 1)), weights=start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new, _, log_evs = smc_bdemm_step(
+            state, [linear_gaussian_ssm(m.A, m.Q, m.B, m.R) for m in pool], y,
+            1, WTTConfig.identity(), np.random.default_rng(5))
+    assert kf_log_evs.tolist() == log_evs.tolist() == [-np.inf, -np.inf]
     assert np.array_equal(new.model_weights.w, start.w)
 
 

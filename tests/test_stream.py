@@ -16,6 +16,7 @@ from bdemm import (
 from bdemm.errors import ConfigError, ParseError
 from bdemm.kalman import kf_bdemm_step
 from bdemm.stream import build_engine, parse_config, run_stream
+from bdemm.wtt import KINDS
 
 KF_SINGLE = """\
 engine = kf
@@ -233,6 +234,54 @@ kf.init.cov = [1.0]
         last = cells
     # unit-noise data: the R=1 candidate carries the weight by the end
     assert last[2] > 0.9
+
+
+# the README's two-model Kalman pool, without its weight transition
+README_POOL = """\
+engine = kf
+kf.models = 2
+kf.model.1.A = [1.0]
+kf.model.1.Q = [0.05]
+kf.model.1.B = [1.0]
+kf.model.1.R = [0.04]
+kf.model.2.A = [1.0]
+kf.model.2.Q = [0.05]
+kf.model.2.B = [1.0]
+kf.model.2.R = [4.0]
+kf.init.mean = [0.0]
+kf.init.cov = [1.0]
+"""
+
+# each operator's config keys and the factory-built config they stand for
+WTT_SETTINGS = {
+    "identity": ("", WTTConfig.identity()),
+    "constant": ("wtt.constants = [0.3, 0.7]\n",
+                 WTTConfig.constant([0.3, 0.7])),
+    "markov": ("wtt.matrix = [0.9, 0.1, 0.2, 0.8]\n",
+               WTTConfig.markov([[0.9, 0.1], [0.2, 0.8]])),
+    "forgetting": ("wtt.alpha = 0.8\n", WTTConfig.forgetting(0.8)),
+    "polya_urn": ("wtt.beta = [1, 3]\n", WTTConfig.polya_urn([1, 3])),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_operator_streams_as_its_factory_config(tmp_path, kind):
+    keys, config = WTT_SETTINGS[kind]
+    cfg = _write(tmp_path, "wtt.cfg",
+                 README_POOL + "wtt.kind = %s\n" % kind + keys)
+    ys = np.random.default_rng(4).normal(0.0, 1.0, 30)
+    ys[::7] += 5.0  # outliers, so the weights move both ways
+    obs = _write(tmp_path, "obs.csv", "".join("%r\n" % float(y) for y in ys))
+    out = tmp_path / "out.csv"
+    assert run_stream(cfg, obs, str(out)) == ys.size
+
+    pool = [LinearGaussianModel(A=1.0, Q=0.05, B=1.0, R=r)
+            for r in (0.04, 4.0)]
+    state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
+    for line, y in zip(out.read_text().splitlines()[1:], ys, strict=True):
+        state, _, _ = kf_bdemm_step(state, pool, y, config)
+        written = np.array([float(c) for c in line.split(",")[2:4]])
+        assert written.tobytes() == state.weights.w.tobytes()
 
 
 def test_smc_stream_runs_and_is_deterministic(tmp_path):

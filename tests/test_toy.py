@@ -122,6 +122,11 @@ def test_mse_hand_cases():
         mse([], [])
 
 
+def test_mse_rejects_two_dimensional_input():
+    with pytest.raises(LengthMismatchError):
+        mse([[1.0]], [[1.0]])
+
+
 # ---------------------------------------------------------------------------
 # candidate pool
 

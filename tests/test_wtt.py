@@ -61,7 +61,7 @@ def _random_config(rng, kind, k):
 def test_identity_returns_the_latest_row_itself():
     h = _history_from_rows([[0.5, 0.5], [0.9, 0.1]])
     out = apply_wtt(WTTConfig.identity(), h)
-    assert out is h.last
+    assert out.w is h.last.w
 
 
 def test_constant_ignores_history():
@@ -218,7 +218,7 @@ def test_apply_rejects_width_mismatches():
 def test_markov_matrix_stored_read_only():
     cfg = WTTConfig.markov(np.eye(2))
     with pytest.raises(ValueError):
-        cfg.matrix[0, 0] = 0.5
+        cfg.param[0, 0] = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +273,19 @@ def _reference_apply(config, history):
     if config.kind == "identity":
         return last
     if config.kind == "constant":
-        if len(config.constants) != k:
+        if config.param.shape != (k,):
             raise ConfigMismatchError("constant vector length != number of models")
-        return config.constants
+        return WeightVector(config.param)
     if config.kind == "markov":
-        if config.matrix.shape != (k, k):
+        if config.param.shape != (k, k):
             raise ConfigMismatchError("transition matrix shape != (K, K)")
-        raw = last.w @ config.matrix
+        raw = last.w @ config.param
     elif config.kind == "forgetting":
-        raw = np.power(last.w, config.alpha)
+        raw = np.power(last.w, config.param)
     else:
-        if config.beta.shape != (k,):
+        if config.param.shape != (k,):
             raise ConfigMismatchError("pseudo-count length != number of models")
-        raw = config.beta + history.cumulative
+        raw = config.param + history.cumulative
     s = float(raw.sum())
     return WeightVector(raw if abs(s - 1.0) <= SIMPLEX_ATOL else raw / s)
 
@@ -355,7 +355,7 @@ def test_weight_step_is_bitwise_the_object_by_object_move():
         if rng.random() < 0.4:
             h = h.append(WeightVector(_with_zero_models(rng, k, h.last.w)))
         if kind == "constant" and rng.random() < 0.4:
-            cfg = WTTConfig.constant(_with_zero_models(rng, k, cfg.constants.w))
+            cfg = WTTConfig.constant(_with_zero_models(rng, k, cfg.param))
         floor = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 1.0 / k))
         log_ev = _random_evidences(rng, _reference_apply(cfg, h).w)
 
@@ -425,9 +425,9 @@ def test_all_zero_step_reuses_the_operators_own_vector():
     rng = np.random.default_rng(73)
     h = _random_history(rng, 2, 2)
     dead = [-np.inf, -np.inf]
-    assert weight_step(WTTConfig.identity(), h, dead)[0] is h.last
+    assert weight_step(WTTConfig.identity(), h, dead)[0].w is h.last.w
     cfg = WTTConfig.constant([0.25, 0.75])
-    assert weight_step(cfg, h, dead)[0] is cfg.constants
+    assert weight_step(cfg, h, dead)[0].w is cfg.param
 
 
 # ---------------------------------------------------------------------------
@@ -437,30 +437,32 @@ def test_all_zero_step_reuses_the_operators_own_vector():
 def test_raw_constructor_stores_what_the_operators_read():
     h = _history_from_rows([[0.9, 0.1]])
     log_ev = [0.0, -1.0]
-    raw = WTTConfig("constant", constants=[0.25, 0.75])
-    assert isinstance(raw.constants, WeightVector)
+    raw = WTTConfig("constant", [0.25, 0.75])
+    assert raw.param.dtype == float and not raw.param.flags.writeable
     assert (weight_step(raw, h, log_ev)[0].w.tobytes()
             == weight_step(WTTConfig.constant([0.25, 0.75]), h,
                            log_ev)[0].w.tobytes())
-    raw = WTTConfig("forgetting", alpha="0.5")
-    assert type(raw.alpha) is float and raw.alpha == 0.5
+    raw = WTTConfig("forgetting", "0.5")
+    assert type(raw.param) is float and raw.param == 0.5
     assert (weight_step(raw, h, log_ev)[0].w.tobytes()
             == weight_step(WTTConfig.forgetting(0.5), h, log_ev)[0].w.tobytes())
-    assert type(WTTConfig.forgetting(np.float32(0.5)).alpha) is float
+    assert type(WTTConfig.forgetting(np.float32(0.5)).param) is float
 
 
-@pytest.mark.parametrize("kind, params, extra", [
-    ("forgetting", dict(alpha=0.5), dict(matrix=[[2.0]])),
-    ("identity", {}, dict(beta=[0.5])),
-    ("markov", dict(matrix=[[1.0]]), dict(alpha=0.5)),
-    ("polya_urn", dict(beta=[1]), dict(constants=[1.0])),
-    ("constant", dict(constants=[1.0]), dict(beta=[1])),
+@pytest.mark.parametrize("kind, param, wrong, error, match", [
+    ("forgetting", 0.5, [[2.0]], ConfigMismatchError, "alpha"),
+    ("identity", None, [0.5], ConfigMismatchError, "reads no parameter"),
+    ("markov", [[1.0]], 0.5, ConfigMismatchError, "rows must sum to 1"),
+    ("polya_urn", [1], [[0.9, 0.1], [0.1, 0.9]], ConfigMismatchError,
+     "vector"),
+    ("constant", [1.0], [[0.9, 0.1], [0.1, 0.9]], DimensionMismatchError,
+     "1-d vector"),
 ], ids=["forgetting", "identity", "markov", "polya_urn", "constant"])
-def test_a_parameter_the_operator_does_not_read_raises(kind, params, extra):
-    WTTConfig(kind, **params)
-    (field,) = extra
-    with pytest.raises(ConfigMismatchError, match=field):
-        WTTConfig(kind, **params, **extra)
+def test_a_parameter_the_operator_does_not_read_raises(kind, param, wrong,
+                                                       error, match):
+    WTTConfig(kind, param)
+    with pytest.raises(error, match=match):
+        WTTConfig(kind, wrong)
 
 
 @pytest.mark.parametrize("alpha", [np.array([0.5, 0.7]), np.array([0.5]),
@@ -471,7 +473,7 @@ def test_non_scalar_alpha_raises_config_mismatch(alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigMismatchError):
-            WTTConfig("forgetting", alpha=alpha)
+            WTTConfig("forgetting", alpha)
         with pytest.raises(ConfigMismatchError):
             WTTConfig.forgetting(alpha)
 
