@@ -31,6 +31,7 @@ from .errors import (
     ConfigMismatchError,
     DimensionMismatchError,
     FactorizationFailureError,
+    InvalidInputError,
     LengthMismatchError,
     NegativeEntryError,
     NonFiniteBeliefError,

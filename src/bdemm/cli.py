@@ -70,7 +70,7 @@ def _cmd_toy(args) -> int:
                            seed=args.seed, forgetting_alpha=args.alpha,
                            wtt_kind=args.wtt)
         os.makedirs(args.out, exist_ok=True)  # fail before the batch runs
-    except (ValueError, BdemmError, OSError) as exc:
+    except (BdemmError, OSError) as exc:
         print("bdemm toy: %s" % exc, file=sys.stderr)
         return 1
     try:

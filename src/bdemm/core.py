@@ -45,8 +45,10 @@ import numpy as np
 from .errors import (
     AllZeroError,
     DimensionMismatchError,
+    InvalidInputError,
     NegativeEntryError,
     NonFiniteBeliefError,
+    NonFiniteWeightError,
 )
 
 SIMPLEX_ATOL = 1e-12
@@ -89,6 +91,24 @@ def _frozen(a):
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _floats(value, name, ndmin=0, error=InvalidInputError) -> np.ndarray:
+    """``value`` as a fresh float array of at least ``ndmin`` dimensions;
+    one numpy cannot read as numbers raises ``error``."""
+    try:
+        return np.array(value, dtype=float, ndmin=ndmin)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error("%s must be numeric (%s)" % (name, exc)) from None
+
+
+def _real(value, name, error=InvalidInputError) -> float:
+    """``value`` as a Python float; anything but one real number raises
+    ``error``."""
+    x = _floats(value, name, error=error)
+    if x.ndim:
+        raise error("%s must be a real scalar" % name)
+    return float(x)
 
 
 def _count(n, error, message) -> int:
@@ -134,16 +154,16 @@ class WeightVector:
 
     @_quiet
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.w, dtype=float))
+        w = _floats(self.w, "weights", 1)
         if w.ndim != 1 or w.size < 1:
             raise DimensionMismatchError("weights must be a non-empty 1-d vector")
         if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+            raise InvalidInputError("weights must be finite")
         if np.any(w < 0.0):
             raise NegativeEntryError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > SIMPLEX_ATOL:
-            raise ValueError("weights must sum to 1 within %g (got %r)"
-                             % (SIMPLEX_ATOL, float(w.sum())))
+            raise InvalidInputError("weights must sum to 1 within %g (got %r)"
+                                    % (SIMPLEX_ATOL, float(w.sum())))
         object.__setattr__(self, "w", _frozen(w))
 
     def __len__(self) -> int:
@@ -176,14 +196,16 @@ class WeightHistory:
 
     def __post_init__(self):
         if not isinstance(self.last, WeightVector):
-            raise TypeError("history rows must be WeightVector instances")
-        cum = np.asarray(self.cumulative, dtype=float)
+            raise InvalidInputError("history rows must be WeightVector instances")
+        cum = _floats(self.cumulative, "cumulative sums")
         if cum.shape != (len(self.last),):
             raise DimensionMismatchError("cumulative sums must be one per model")
         # the urn operator renormalizes them without re-checking
         if not (np.all(np.isfinite(cum)) and np.all(cum >= 0.0)):
-            raise ValueError("cumulative sums must be finite and nonnegative")
+            raise InvalidInputError("cumulative sums must be finite and nonnegative")
         object.__setattr__(self, "cumulative", _frozen(cum))
+        object.__setattr__(self, "count", _count(
+            self.count, InvalidInputError, "count must be a whole number >= 1"))
 
     @classmethod
     def start(cls, initial: WeightVector) -> "WeightHistory":
@@ -192,7 +214,7 @@ class WeightHistory:
 
     def append(self, weights: WeightVector) -> "WeightHistory":
         """New history with ``weights`` as the latest row (self unchanged)."""
-        if len(weights) != self.width:
+        if weights.w.shape != self.cumulative.shape:
             raise DimensionMismatchError("appended row has wrong length")
         return _trusted(WeightHistory, weights, self.cumulative + weights.w,
                         self.count + 1)
@@ -230,18 +252,18 @@ def checked_cov(m, name: str = "covariance") -> np.ndarray:
     semidefinite within ``PSD_ATOL``, both scaled by the matrix magnitude so
     large, perfectly healthy covariances are not rejected for roundoff.
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _floats(m, name, 2)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise DimensionMismatchError("%s must be square" % name)
     if not np.all(np.isfinite(m)):
-        raise ValueError("%s must be finite" % name)
+        raise InvalidInputError("%s must be finite" % name)
     scale = max(1.0, float(np.abs(m).max()))
     # entries of opposite sign near the float limit overflow to a rejection
     if float(np.abs(m - m.T).max()) > SYM_ATOL * scale:
-        raise ValueError("%s is not symmetric" % name)
+        raise InvalidInputError("%s is not symmetric" % name)
     m = _symmetrized(m)
     if float(np.linalg.eigvalsh(m).min()) < -PSD_ATOL * scale:
-        raise ValueError("%s is not positive semidefinite" % name)
+        raise InvalidInputError("%s is not positive semidefinite" % name)
     return m
 
 
@@ -256,8 +278,8 @@ class GaussianBelief:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = _floats(self.mean, "mean", 1)
+        cov = _floats(self.cov, "cov", 2)
         if mean.ndim != 1:
             raise DimensionMismatchError("mean must be a vector")
         d = mean.size
@@ -265,7 +287,7 @@ class GaussianBelief:
             raise DimensionMismatchError(
                 "cov must be (%d, %d), got %r" % (d, d, cov.shape))
         if not np.all(np.isfinite(mean)):
-            raise ValueError("belief must be finite")
+            raise InvalidInputError("belief must be finite")
         cov = checked_cov(cov)
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(cov))
@@ -282,11 +304,11 @@ class PointEstimate:
     x_hat: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x_hat, dtype=float))
+        x = _floats(self.x_hat, "point estimate", 1)
         if x.ndim != 1 or x.size < 1:
             raise DimensionMismatchError("point estimate must be a vector")
         if not np.all(np.isfinite(x)):
-            raise ValueError("point estimate must be finite")
+            raise InvalidInputError("point estimate must be finite")
         object.__setattr__(self, "x_hat", _frozen(x))
 
     @property
@@ -301,16 +323,16 @@ def _bayes(w: np.ndarray, log_evidences, floor: float):
     :func:`update_model_weights_log` for the rules and errors.  Runs under
     its caller's error scope."""
     if not 0.0 <= floor < 1.0 / w.size:  # NaN fails too
-        raise ValueError("floor must sit in [0, 1/K) = [0, %g), got %r"
-                         % (1.0 / w.size, floor))
-    log_ev = np.atleast_1d(np.asarray(log_evidences, dtype=float))
+        raise InvalidInputError("floor must sit in [0, 1/K) = [0, %g), got %r"
+                                % (1.0 / w.size, floor))
+    log_ev = _floats(log_evidences, "log evidences", 1)
     if log_ev.shape != w.shape:
         raise DimensionMismatchError("one evidence per model required")
     lw = np.log(w) + log_ev
     # a NaN or +inf evidence leaves a NaN or +inf maximum
     m = float(lw.max())
     if not m < np.inf:
-        raise ValueError("log evidences must be < +inf and not NaN")
+        raise NonFiniteWeightError("log evidences must be < +inf and not NaN")
     if m == -np.inf:
         return None
     # not through the Monte Carlo evidence kernel: its one exp(lw - m) / sum
@@ -347,9 +369,11 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
 
     Raises
     ------
-    ValueError
+    InvalidInputError
         If ``floor`` is NaN, negative or at least ``1/K``, whatever the
         evidences.
+    NonFiniteWeightError
+        If a log evidence is NaN or ``+inf``.
     AllZeroError
         If every product ``prior_k * evidence_k`` is zero.
     """

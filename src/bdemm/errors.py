@@ -2,14 +2,21 @@
 
 Every error raised on purpose by the library derives from :class:`BdemmError`,
 so callers can catch one base class at the boundary (the CLI maps them to
-exit codes).  Names track the failure they signal, not the module that
-raises them: several are shared (e.g. ``DimensionMismatchError`` comes out of
-weight arithmetic, Kalman steps and mixture collapses alike).
+exit codes); a bad caller value raises :class:`InvalidInputError` unless a
+class below names its failure more closely.  Names track the failure they
+signal, not the module that raises them: several are shared (e.g.
+``DimensionMismatchError`` comes out of weight arithmetic, Kalman steps and
+mixture collapses alike).
 """
 
 
 class BdemmError(Exception):
     """Base class for all deliberate library errors."""
+
+
+class InvalidInputError(BdemmError, ValueError, TypeError):
+    """A caller's value is out of range, of the wrong type or not numbers;
+    ``except ValueError`` and ``except TypeError`` both catch it."""
 
 
 class AllZeroError(BdemmError):
@@ -24,7 +31,7 @@ class DimensionMismatchError(BdemmError, ValueError):
     """Array shapes disagree, or an array that must hold data is empty."""
 
 
-class ConfigMismatchError(BdemmError):
+class ConfigMismatchError(BdemmError, ValueError):
     """A weight-transition config lacks, or disagrees with, a required parameter."""
 
 

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _quiet, _symmetrized
+from .core import _floats, _quiet, _symmetrized
 from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -170,7 +170,7 @@ def effective_sample_size(weights) -> float:
     NegativeEntryError
         If a weight is negative.
     """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    w = _floats(weights, "weights", 1)
     top = float(w.max(initial=0.0))
     if not top < np.inf:  # NaN fails too
         raise NonFiniteWeightError("weights must be finite")
@@ -261,9 +261,9 @@ def gaussian_log_evidence(y, predictive, B, R) -> float:
         If ``B`` is not (m, d) for the belief's dimension d, ``y`` is not
         (m,), or ``R`` is not (m, m).
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
+    y = _floats(y, "y", 1)
+    B = _floats(B, "B", 2)
+    R = _floats(R, "R", 2)
     if B.ndim != 2 or B.shape[1] != predictive.dim:
         raise DimensionMismatchError("B must have one column per state dimension")
     if y.shape != B.shape[:1]:

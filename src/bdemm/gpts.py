@@ -42,14 +42,17 @@ from .core import (
     WeightHistory,
     WeightVector,
     _count,
+    _floats,
     _frozen,
     _quiet,
+    _real,
     _start_history,
     _trusted,
 )
 from .errors import (
     DimensionMismatchError,
     FactorizationFailureError,
+    InvalidInputError,
     NonFiniteForecastError,
     ZeroPrecisionError,
 )
@@ -92,7 +95,7 @@ class GPTSModel:
         whole number of at least 1 (a whole-valued float is taken as one).
 
     Every parameter must be finite: a NaN or infinite one raises
-    ``ValueError``, so :func:`perturb_pool` cannot build a model whose
+    ``InvalidInputError``, so :func:`perturb_pool` cannot build a model whose
     scaled noise variance overflows.  Solves are cached by model value;
     the value hash is computed once, when the model is built.
     """
@@ -105,17 +108,17 @@ class GPTSModel:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not abs(self.mean_const) < np.inf:
-            raise ValueError("mean must be finite")
-        if not 0.0 < self.signal_variance < np.inf:
-            raise ValueError("signal variance must be positive and finite")
-        if not 0.0 < self.lengthscale < np.inf:
-            raise ValueError("lengthscale must be positive and finite")
-        if not 0.0 <= self.noise_var < np.inf:
-            raise ValueError("noise variance must be nonnegative and finite")
+        # written so that NaN fails every check; the fields keep their values
+        if not abs(_real(self.mean_const, "mean")) < np.inf:
+            raise InvalidInputError("mean must be finite")
+        if not 0.0 < _real(self.signal_variance, "signal variance") < np.inf:
+            raise InvalidInputError("signal variance must be positive and finite")
+        if not 0.0 < _real(self.lengthscale, "lengthscale") < np.inf:
+            raise InvalidInputError("lengthscale must be positive and finite")
+        if not 0.0 <= _real(self.noise_var, "noise variance") < np.inf:
+            raise InvalidInputError("noise variance must be nonnegative and finite")
         object.__setattr__(self, "window", _count(
-            self.window, ValueError,
+            self.window, InvalidInputError,
             "window must hold a whole number of observations, at least one"))
         object.__setattr__(self, "_hash", hash((
             self.mean_const, self.signal_variance, self.lengthscale,
@@ -140,14 +143,14 @@ class PredictiveGaussian:
     var: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.var)):
+        mean, var = _real(self.mean, "mean"), _real(self.var, "variance")
+        if not (math.isfinite(mean) and math.isfinite(var)):
             raise NonFiniteForecastError(
-                "forecast is not finite (mean %g, variance %g)"
-                % (self.mean, self.var))
-        if self.var <= 0.0:
-            raise ValueError("forecast variance must be positive")
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "var", float(self.var))
+                "forecast is not finite (mean %g, variance %g)" % (mean, var))
+        if var <= 0.0:
+            raise InvalidInputError("forecast variance must be positive")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "var", var)
 
     @_quiet
     def logpdf(self, y: float) -> float:
@@ -165,9 +168,9 @@ class IntelState:
     def __post_init__(self):
         buf = tuple((float(t), float(v)) for t, v in self.buffer)
         if not all(map(math.isfinite, chain.from_iterable(buf))):
-            raise ValueError("buffer times and values must be finite")
+            raise InvalidInputError("buffer times and values must be finite")
         if any(b[0] <= a[0] for a, b in zip(buf, buf[1:])):
-            raise ValueError("buffer timestamps must be strictly increasing")
+            raise InvalidInputError("buffer timestamps must be strictly increasing")
         object.__setattr__(self, "buffer", buf)
 
     @property
@@ -196,8 +199,8 @@ def _pool_solve(pool: tuple, key: bytes):
     # Rounding is monotone, so strictly increasing relative times imply
     # strictly increasing times; a cached window therefore needs no check.
     if not (np.isfinite(rel).all() and (rel[1:] > rel[:-1]).all()):
-        raise ValueError("time stamps must be finite, finitely far apart "
-                         "and strictly increasing")
+        raise InvalidInputError("time stamps must be finite, finitely far "
+                                "apart and strictly increasing")
     mu = np.array([m.mean_const for m in pool], dtype=float)
     A, var = np.zeros((len(pool), rel.size)), np.empty(len(pool))
     for k, model in enumerate(pool):
@@ -281,7 +284,7 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
 
     Raises
     ------
-    ValueError
+    InvalidInputError
         If a time stamp is not finite, a gap to ``t_next`` overflows, or the
         times are not strictly increasing (also relative to ``t_next``).
     FactorizationFailureError
@@ -290,12 +293,12 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
         Exactly when ``mu + a . (v - mu)`` or the variance is not finite,
         e.g. when values near 1e308 overflow the dot product.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    values = np.atleast_1d(np.asarray(values, dtype=float))
+    times = _floats(times, "times", 1)
+    values = _floats(values, "values", 1)
     if times.ndim != 1 or times.shape != values.shape or times.size < 1:
         raise DimensionMismatchError("times and values must be matching vectors")
     (mean,), (var,) = _forecast((model,), np.column_stack((times, values)),
-                                float(t_next))
+                                _real(t_next, "t_next"))
     return _trusted(PredictiveGaussian, float(mean), float(var))
 
 
@@ -339,7 +342,7 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     shorter one weighs the values before its own by zero, so a residual
     ``v - mu`` that overflows anywhere in the buffer raises
     ``NonFiniteForecastError``.  A non-finite ``t`` or ``y_t`` raises
-    ``ValueError`` before anything is scored or buffered.
+    ``InvalidInputError`` before anything is scored or buffered.
 
     Returns
     -------
@@ -355,12 +358,12 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
         raise DimensionMismatchError("pool size does not match weight vector")
     t = float(t)
     if not math.isfinite(t):
-        raise ValueError("time stamps must be finite")
+        raise InvalidInputError("time stamps must be finite")
     if state.buffer and t <= state.buffer[-1][0]:
-        raise ValueError("time stamps must arrive strictly increasing")
+        raise InvalidInputError("time stamps must arrive strictly increasing")
     y_t = float(y_t)
     if not math.isfinite(y_t):
-        raise ValueError("observations must be finite (got %r)" % y_t)
+        raise InvalidInputError("observations must be finite (got %r)" % y_t)
 
     log_evs = _log_density(y_t, *_forecast(pool, state.buffer, t))
     _, history, _ = _weight_step(wtt_config, state.history, log_evs,
@@ -379,13 +382,14 @@ def perturb_pool(nominal: GPTSModel, noise_factors) -> list:
     ``noise_factors`` are positive multipliers, one model each; a zero-noise
     nominal cannot be perturbed this way.
     """
-    factors = [float(f) for f in noise_factors]
-    if not factors:
-        raise ValueError("need at least one factor")
+    factors = _floats(noise_factors, "noise factors", 1)
+    if factors.ndim != 1 or not factors.size:
+        raise InvalidInputError("need a vector of at least one factor")
+    factors = factors.tolist()
     if any(f <= 0.0 for f in factors):
-        raise ValueError("factors must be positive")
+        raise InvalidInputError("factors must be positive")
     if nominal.noise_var == 0.0 and any(f != 1.0 for f in factors):
-        raise ValueError("cannot scale a zero noise variance")
+        raise InvalidInputError("cannot scale a zero noise variance")
     return [GPTSModel(nominal.mean_const, nominal.signal_variance,
                       nominal.lengthscale, nominal.noise_var * f,
                       nominal.window)

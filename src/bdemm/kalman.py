@@ -35,6 +35,7 @@ from .core import (
     WeightHistory,
     WeightVector,
     _collapse,
+    _floats,
     _frozen,
     _quiet,
     _start_history,
@@ -42,7 +43,11 @@ from .core import (
     _trusted,
     checked_cov,
 )
-from .errors import DimensionMismatchError, NonFiniteBeliefError
+from .errors import (
+    DimensionMismatchError,
+    InvalidInputError,
+    NonFiniteBeliefError,
+)
 from .evidence import gaussian_innovation
 from .wtt import WTTConfig, _weight_step
 
@@ -58,8 +63,8 @@ __all__ = [
 class LinearGaussianModel:
     """One linear-Gaussian candidate: transition A, Q; observation B, R.
 
-    Every entry must be finite, and ``Q`` and ``R`` must be covariances;
-    a bad matrix raises ``ValueError`` when the model is built.  Models
+    Every entry must be finite, and ``Q`` and ``R`` must be covariances; a
+    bad matrix raises ``InvalidInputError`` when the model is built.  Models
     compare and hash by identity, which is what the pool-stacking cache
     keys on.
     """
@@ -70,11 +75,11 @@ class LinearGaussianModel:
     R: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_2d(np.asarray(self.B, dtype=float))
+        a = _floats(self.A, "A", 2)
+        b = _floats(self.B, "B", 2)
         for name, arr in (("A", a), ("B", b)):
             if not np.isfinite(arr).all():
-                raise ValueError("%s must be finite" % name)
+                raise InvalidInputError("%s must be finite" % name)
         q = checked_cov(self.Q, "Q")
         r = checked_cov(self.R, "R")
         d = a.shape[0]
@@ -135,7 +140,7 @@ def _observation(belief: GaussianBelief, B, y) -> np.ndarray:
     """``y`` as a vector, checked with ``belief`` against the (K, m, d) ``B``."""
     if belief.dim != B.shape[2]:
         raise DimensionMismatchError("belief dimension does not match model")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _floats(y, "y", 1)
     if y.shape != B.shape[1:2]:
         raise DimensionMismatchError("observation dimension does not match model")
     return y

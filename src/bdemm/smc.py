@@ -62,14 +62,18 @@ from .core import (
     WeightHistory,
     WeightVector,
     _count,
+    _floats,
     _frozen,
     _quiet,
+    _real,
     _start_history,
     _trusted,
 )
 from .errors import (
     AllZeroError,
     DimensionMismatchError,
+    FactorizationFailureError,
+    InvalidInputError,
     NegativeEntryError,
     NonFiniteBeliefError,
     NonFiniteWeightError,
@@ -133,27 +137,27 @@ class ParticleEnsemble:
 
     @_quiet
     def __post_init__(self):
-        p = np.asarray(self.particles, dtype=float)
+        p = _floats(self.particles, "particles")
         if p.ndim == 1:
             p = p[:, None]
         if p.ndim != 2 or p.shape[0] < 1:
             raise DimensionMismatchError("particles must be an (N, d) array")
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        w = _floats(self.weights, "particle weights", 1)
         if w.shape != (p.shape[0],):
             raise DimensionMismatchError("one weight per particle required")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
-            raise ValueError("particles and weights must be finite")
+            raise InvalidInputError("particles and weights must be finite")
         if np.any(w < 0.0):
-            raise ValueError("particle weights must be nonnegative")
+            raise InvalidInputError("particle weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > SIMPLEX_ATOL:
-            raise ValueError("particle weights must sum to 1 within %g"
-                             % SIMPLEX_ATOL)
+            raise InvalidInputError("particle weights must sum to 1 within %g"
+                                    % SIMPLEX_ATOL)
         object.__setattr__(self, "particles", _frozen(p))
         object.__setattr__(self, "weights", _frozen(w))
 
     @classmethod
     def equal_weighted(cls, particles) -> "ParticleEnsemble":
-        particles = np.asarray(particles, dtype=float)
+        particles = _floats(particles, "particles", 1)
         n = particles.shape[0]
         return cls(particles, np.full(n, 1.0 / n))
 
@@ -264,8 +268,8 @@ def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
     NonFiniteWeightError
         If a log likelihood is NaN or ``+inf``.
     """
-    u = np.atleast_1d(np.asarray(incoming_weights, dtype=float))
-    ll = np.atleast_1d(np.asarray(log_likelihoods, dtype=float))
+    u = _floats(incoming_weights, "incoming weights", 1)
+    ll = _floats(log_likelihoods, "log likelihoods", 1)
     if u.shape != ll.shape or u.ndim != 1 or not u.size:
         raise DimensionMismatchError(
             "weights and likelihoods must be aligned, non-empty vectors")
@@ -280,22 +284,22 @@ def resample(particles, weights, n_out: int,
 
     Multinomial: each of ``n_out`` iid uniforms picks the first index whose
     normalized cumulative weight exceeds it; output weights are ``1/n_out``.
-    ``n_out`` not a whole number of at least 1 raises ``ValueError``.
+    ``n_out`` not a whole number of at least 1 raises ``InvalidInputError``.
     ``particles`` must be finite and of shape (N,) or (N, d) (another rank
     raises ``DimensionMismatchError``): the output is not checked again.  A
     negative weight raises ``NegativeEntryError``, a NaN or infinite weight
     or total ``NonFiniteWeightError`` and all-zero weights ``AllZeroError``.
     """
-    particles = np.asarray(particles, dtype=float)
+    particles = _floats(particles, "particles")
     if particles.ndim == 1:
         particles = particles[:, None]
     if particles.ndim != 2:
         raise DimensionMismatchError("particles must be (N,) or (N, d)")
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    w = _floats(weights, "weights", 1)
     if w.shape != (particles.shape[0],) or not w.size:
         raise DimensionMismatchError("one weight per particle, and at least "
                                      "one particle, required")
-    n_out = _count(n_out, ValueError,
+    n_out = _count(n_out, InvalidInputError,
                    "need a whole number of output particles, at least one")
     if w.min() < 0.0:
         raise NegativeEntryError("particle weights must be nonnegative")
@@ -340,22 +344,22 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
 
     Raises
     ------
-    TypeError
-        If ``rng``'s bit generator has no ``advance`` method.
+    InvalidInputError
+        If ``rng`` has no bit generator with an ``advance`` method.
     NonFiniteBeliefError
         If a transition moves a particle to NaN or infinity.
     NonFiniteWeightError
         If a log likelihood is NaN or ``+inf``.
     """
-    advance = getattr(rng.bit_generator, "advance", None)
+    advance = getattr(getattr(rng, "bit_generator", None), "advance", None)
     if advance is None:
-        raise TypeError("the particle step needs a bit generator with "
-                        "advance(), such as numpy's default PCG64")
+        raise InvalidInputError("the particle step needs a bit generator with "
+                                "advance(), such as numpy's default PCG64")
     pool = list(pool)
     k_models = len(pool)
     if k_models != len(state.model_weights):
         raise DimensionMismatchError("pool size does not match weight vector")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _floats(y, "y", 1)
     ens = state.ensemble
 
     # the first model holding each distinct transition propagates for all;
@@ -407,13 +411,19 @@ def linear_gaussian_ssm(A, Q, B, R) -> GenericStateSpaceModel:
     The matrices are checked as a :class:`~bdemm.kalman.LinearGaussianModel`.
     Useful for validating the particle path against the exact Kalman answer.
     As in :func:`~bdemm.evidence.gaussian_innovation`, a residual whose
-    quadratic form overflows has log likelihood ``-inf``.
+    quadratic form overflows has log likelihood ``-inf``.  A ``Q`` or ``R``
+    that a 1e-300 jitter leaves without a Cholesky factor (a singular one
+    such as ``[[1, 1], [1, 1]]``) raises ``FactorizationFailureError``.
     """
     model = LinearGaussianModel(A=A, Q=Q, B=B, R=R)
     A, B = model.A, model.B
     d, m = model.state_dim, model.obs_dim
-    q_chol = np.linalg.cholesky(model.Q + 1e-300 * np.eye(d))
-    r_chol = np.linalg.cholesky(model.R + 1e-300 * np.eye(m))
+    try:
+        q_chol = np.linalg.cholesky(model.Q + 1e-300 * np.eye(d))
+        r_chol = np.linalg.cholesky(model.R + 1e-300 * np.eye(m))
+    except np.linalg.LinAlgError:
+        raise FactorizationFailureError(
+            "Q or R is singular: it has no Cholesky factor") from None
     r_logdet = 2.0 * float(np.sum(np.log(np.diag(r_chol))))
     const = -0.5 * (m * np.log(2.0 * np.pi) + r_logdet)
 
@@ -450,8 +460,9 @@ def additive_noise_ssm(transition, observation, noise_logpdf) -> GenericStateSpa
 @_quiet
 def gaussian_noise(var: float):
     """Elementwise log N(0, var) density."""
-    if var <= 0.0:
-        raise ValueError("variance must be positive")
+    var = _real(var, "variance")
+    if not var > 0.0:  # NaN fails too
+        raise InvalidInputError("variance must be positive")
     const = -0.5 * float(np.log(2.0 * np.pi * var))
 
     def logpdf(resid):
@@ -463,8 +474,9 @@ def gaussian_noise(var: float):
 @_quiet
 def uniform_noise(low: float, high: float):
     """Elementwise log density of U(low, high): flat inside, -inf outside."""
+    low, high = _real(low, "low"), _real(high, "high")
     if not high > low:
-        raise ValueError("need high > low")
+        raise InvalidInputError("need high > low")
     level = -float(np.log(high - low))
 
     def logpdf(resid):
@@ -475,14 +487,15 @@ def uniform_noise(low: float, high: float):
 
 def student_t_noise(df: float, scale: float = 1.0):
     """Elementwise log density of a scaled Student's t (heavy tails)."""
+    df, scale = _real(df, "df"), _real(scale, "scale")
     # written so that NaN fails
     if not (0.0 < df < np.inf and 0.0 < scale < np.inf):
-        raise ValueError("df and scale must be positive and finite")
+        raise InvalidInputError("df and scale must be positive and finite")
     try:
         const = float(math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
                       - 0.5 * np.log(df * np.pi) - np.log(scale))
     except OverflowError:
-        raise ValueError("df too large: its log-gamma overflows") from None
+        raise InvalidInputError("df too large: its log-gamma overflows") from None
 
     def logpdf(resid):
         z = resid / scale

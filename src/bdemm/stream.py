@@ -151,7 +151,7 @@ class _Config:
 def _square(values, key):
     n = len(values)
     d = int(round(math.sqrt(n)))
-    if d * d != n:
+    if not n or d * d != n:
         raise ConfigError("key %r must hold a square matrix (row-major)" % key)
     return np.asarray(values, dtype=float).reshape(d, d)
 
@@ -273,6 +273,8 @@ class _SmcEngine:
                               dtype=float)
             cov = _square(cfg.get_list("smc.init.cov", required=True),
                           "smc.init.cov")
+            if cov.shape[0] != mean.size:
+                raise ConfigError("key 'smc.init.cov' does not match 'smc.init.mean'")
             try:
                 chol = np.linalg.cholesky(checked_cov(cov, "smc.init.cov"))
             except np.linalg.LinAlgError:
@@ -335,7 +337,7 @@ def build_engine(config: dict):
         engine.wtt = _wtt_from_config(cfg, k)
     except ConfigError:
         raise
-    except (BdemmError, ValueError) as exc:
+    except BdemmError as exc:
         raise ConfigError("bad %s config: %s" % (engine_kind, exc)) from exc
     engine.floor = float(cfg.get_number("weight_floor", default=0.0))
     if not 0.0 <= engine.floor < 1.0 / k:

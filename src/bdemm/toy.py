@@ -36,12 +36,13 @@ badly it falls behind even the open-loop uniform filter.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightVector, _count, _quiet
-from .errors import LengthMismatchError
+from .core import WeightVector, _count, _floats, _quiet, _real
+from .errors import InvalidInputError, LengthMismatchError
 from .smc import (
     SmcEnsembleState,
     additive_noise_ssm,
@@ -96,18 +97,19 @@ class ToyConfig:
     def __post_init__(self):
         for name in ("horizon", "runs", "particles"):
             object.__setattr__(self, name, _count(
-                getattr(self, name), ValueError,
+                getattr(self, name), InvalidInputError,
                 "horizon, runs and particles must be whole numbers >= 1"))
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise InvalidInputError("seed must be an integer >= 0")
         # the two-model ensemble needs floor < 1/K
-        if not 0.0 <= self.weight_floor < 0.5:
-            raise ValueError("weight floor must sit in [0, 1/2)")
-        if self.gauss_noise_var <= 0.0:
-            raise ValueError("gaussian noise variance must be positive")
+        if not 0.0 <= _real(self.weight_floor, "weight floor") < 0.5:
+            raise InvalidInputError("weight floor must sit in [0, 1/2)")
+        if _real(self.gauss_noise_var, "gaussian noise variance") <= 0.0:
+            raise InvalidInputError("gaussian noise variance must be positive")
         # zero is allowed: a zero scale is the noise-free recursion
-        if not (self.gamma_shape >= 0.0 and self.gamma_scale >= 0.0):
-            raise ValueError("gamma shape and scale must be nonnegative")
+        if not (_real(self.gamma_shape, "gamma shape") >= 0.0
+                and _real(self.gamma_scale, "gamma scale") >= 0.0):
+            raise InvalidInputError("gamma shape and scale must be nonnegative")
         object.__setattr__(self, "outlier_steps", frozenset(self.outlier_steps))
         self.wtt_config(2)  # fail at construction, not inside run 0
 
@@ -122,7 +124,7 @@ class ToyConfig:
             return WTTConfig.markov(default_markov_matrix(k))
         if self.wtt_kind == "polya_urn":
             return WTTConfig.polya_urn(np.ones(k, dtype=int))
-        raise ValueError("unknown weight-transition kind %r" % (self.wtt_kind,))
+        raise InvalidInputError("unknown weight-transition kind %r" % (self.wtt_kind,))
 
 
 def toy_observation(x, t: int, config: ToyConfig = ToyConfig()):
@@ -210,8 +212,8 @@ def mse(estimates, truths) -> float:
     LengthMismatchError
         If the two are not 1-d sequences of one equal, nonzero length.
     """
-    est = np.atleast_1d(np.asarray(estimates, dtype=float))
-    tru = np.atleast_1d(np.asarray(truths, dtype=float))
+    est = _floats(estimates, "estimates", 1)
+    tru = _floats(truths, "truths", 1)
     if est.shape != tru.shape or est.ndim != 1:
         raise LengthMismatchError("estimates and truths must align as 1-d "
                                   "sequences")

@@ -48,8 +48,10 @@ from .core import (
     WeightVector,
     _bayes,
     _count,
+    _floats,
     _frozen,
     _quiet,
+    _real,
     _trusted,
 )
 from .errors import ConfigMismatchError
@@ -108,7 +110,7 @@ class WTTConfig:
         if kind == "constant":
             p = p.w if isinstance(p, WeightVector) else WeightVector(p).w
         elif kind == "markov":
-            t = np.atleast_2d(np.asarray(p, dtype=float))
+            t = _floats(p, "transition matrix", 2, ConfigMismatchError)
             if t.ndim != 2 or t.shape[0] != t.shape[1]:
                 raise ConfigMismatchError("transition matrix must be square")
             if np.any(t < 0.0) or not np.all(np.isfinite(t)):
@@ -117,17 +119,11 @@ class WTTConfig:
                 raise ConfigMismatchError("transition matrix rows must sum to 1")
             p = _frozen(t)
         elif kind == "forgetting":
-            try:
-                if np.ndim(p) != 0:
-                    raise TypeError
-                p = float(p)
-            except (TypeError, ValueError):
-                raise ConfigMismatchError("alpha must be a real scalar, got %r"
-                                          % (p,)) from None
+            p = _real(p, "alpha", ConfigMismatchError)
             if not 0.0 < p <= 1.0:
                 raise ConfigMismatchError("alpha must sit in (0, 1]")
         else:
-            b = np.atleast_1d(np.asarray(p, dtype=float))
+            b = _floats(p, "pseudo-counts", 1, ConfigMismatchError)
             if b.ndim != 1 or b.size < 1:
                 raise ConfigMismatchError("pseudo-counts must be a vector")
             # the operator divides by the counts' total plus the column
@@ -217,9 +213,7 @@ def _weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     w = _bayes(predictive, log_evidences, floor)
     informative = w is not None
     weights = _trusted(WeightVector, w if informative else predictive)
-    grown = _trusted(WeightHistory, weights, history.cumulative + weights.w,
-                     history.count + 1)
-    return weights, grown, informative
+    return weights, history.append(weights), informative
 
 
 @_quiet
@@ -230,7 +224,7 @@ def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     The operator turns ``history`` into predictive weights, and Bayes' rule
     folds in the per-model log evidences as
     :func:`~bdemm.core.update_model_weights_log` does (``floor`` is passed
-    through; outside ``[0, 1/K)`` it raises ``ValueError``).  If every
+    through; outside ``[0, 1/K)`` it raises ``InvalidInputError``).  If every
     evidence is zero the observation is uninformative: the predictive
     weights carry forward.  Both moves run on arrays, so the call builds one
     ``WeightVector`` and one ``WeightHistory``.

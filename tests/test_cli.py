@@ -360,6 +360,13 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     .replace("A = [1.0]", "A = [1.0, 0.0, 0.0, 1.0]")
     .replace("Q = [1.0]", "Q = [1.0, 0.0, 0.0, 1.0]")
     .replace("B = [1.0]", "B = [1.0, 0.0]"),
+    SMC_LINEAR_OK.replace("mean = [0.0]", "mean = [0.0, 0.0]"),
+    SMC_LINEAR_OK.replace("mean = [0.0]", "mean = [0.0, 0.0]")
+    .replace("cov = [1.0]", "cov = [1.0, 0.0, 0.0, 1.0]")
+    .replace("A = [1.0]", "A = [1.0, 0.0, 0.0, 1.0]")
+    .replace("Q = [1.0]", "Q = [1.0, 1.0, 1.0, 1.0]")
+    .replace("B = [1.0]", "B = [1.0, 0.0]"),
+    KF_CFG.replace("R = [1.0]", "R = []"),
 ], ids=["floor-above-1/K", "floor-negative", "wtt-width",
         "urn-total-overflows", "urn-count-infinite", "init-weights-width",
         "init-weights-empty",
@@ -370,7 +377,8 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
         "noise-variance-scaled-to-inf", "mean-infinite",
         "kf-candidate-dims-differ",
         "smc-init-point-dim", "smc-init-mean-dim", "linear-gaussian-B-vs-A",
-        "smc-init-cov-asymmetric"])
+        "smc-init-cov-asymmetric", "smc-init-mean-vs-cov",
+        "linear-gaussian-Q-singular", "kf-R-empty"])
 def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
                                                           text):
     cfg = tmp_path / "bad.cfg"

@@ -12,6 +12,7 @@ from bdemm import (
     DimensionMismatchError,
     GaussianBelief,
     GPTSModel,
+    InvalidInputError,
     KfEnsembleState,
     LinearGaussianModel,
     NegativeEntryError,
@@ -107,6 +108,15 @@ def test_history_rejects_mismatched_rows():
 def test_history_rejects_bad_cumulative_sums(bad):
     with pytest.raises(ValueError, match="cumulative"):
         WeightHistory(WeightVector([0.5, 0.5]), np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("count", [-5, 0, 2.5, "x", np.nan],
+                         ids=["negative", "zero", "fraction", "word", "nan"])
+def test_history_count_must_be_a_whole_number(count):
+    with pytest.raises(InvalidInputError, match="count"):
+        WeightHistory(WeightVector([1.0]), [1.0], count=count)
+    history = WeightHistory(WeightVector([1.0]), [1.0], count=2.0)
+    assert len(history) == history.count == 2 and type(history.count) is int
 
 
 def test_history_cumulative_matches_column_sums():

@@ -17,7 +17,13 @@ from bdemm import (
     weight_step,
 )
 from bdemm.core import SIMPLEX_ATOL
-from bdemm.errors import AllZeroError, ConfigMismatchError, DimensionMismatchError
+from bdemm.errors import (
+    AllZeroError,
+    ConfigMismatchError,
+    DimensionMismatchError,
+    InvalidInputError,
+    NonFiniteWeightError,
+)
 from bdemm.wtt import KINDS
 
 
@@ -293,7 +299,7 @@ def _reference_apply(config, history):
 def _reference_update(prior, log_evidences, floor):
     """Two-stage log-sum-exp Bayes update, raising on an all-zero row."""
     if not 0.0 <= floor < 1.0 / prior.w.size:
-        raise ValueError("floor out of range")
+        raise InvalidInputError("floor out of range")
     log_ev = np.atleast_1d(np.asarray(log_evidences, dtype=float))
     if log_ev.shape != prior.w.shape:
         raise DimensionMismatchError("one evidence per model required")
@@ -301,7 +307,7 @@ def _reference_update(prior, log_evidences, floor):
         lw = np.log(prior.w) + log_ev
     m = float(lw.max())
     if not m < np.inf:
-        raise ValueError("log evidences must be < +inf and not NaN")
+        raise NonFiniteWeightError("log evidences must be < +inf and not NaN")
     if m == -np.inf:
         raise AllZeroError("all prior-times-evidence products are zero")
     w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
@@ -402,10 +408,19 @@ def test_weight_step_raises_what_the_object_by_object_move_raised():
 
 
 def test_weight_step_builds_one_vector_and_one_history(monkeypatch):
-    built, raised = [], []
+    built, raised, appended = [], [], []
     trusted = bdemm.wtt._trusted
-    monkeypatch.setattr(bdemm.wtt, "_trusted",
-                        lambda cls, *v: built.append(cls) or trusted(cls, *v))
+
+    def counted(cls, *values):
+        built.append(cls)
+        return trusted(cls, *values)
+
+    # the history grows in WeightHistory.append, which builds in bdemm.core
+    for module in (bdemm.core, bdemm.wtt):
+        monkeypatch.setattr(module, "_trusted", counted)
+    append = WeightHistory.append
+    monkeypatch.setattr(WeightHistory, "append",
+                        lambda self, w: appended.append(w) or append(self, w))
     init = AllZeroError.__init__
     monkeypatch.setattr(AllZeroError, "__init__",
                         lambda self, *a: raised.append(a) or init(self, *a))
@@ -414,10 +429,12 @@ def test_weight_step_builds_one_vector_and_one_history(monkeypatch):
         cfg, h = _random_config(rng, kind, 3), _random_history(rng, 3, 2)
         for log_ev in ([0.0, -1.0, -2.0], [-np.inf] * 3):
             built.clear()
+            appended.clear()
             weight_step(cfg, h, log_ev, 0.1)
             assert built.count(WeightVector) <= 1
             assert built.count(WeightHistory) == 1
             assert len(built) <= 2
+            assert len(appended) == 1
     assert raised == []
 
 
