@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
@@ -160,17 +159,20 @@ class PredictiveGaussian:
 
 @dataclass(frozen=True)
 class IntelState:
-    """Observation buffer and weight history of a GP ensemble."""
+    """Observation window and weight history of a GP ensemble; ``buffer``,
+    any (n, 2) array-like of (time, value) rows, becomes a read-only float array."""
 
-    buffer: tuple
+    buffer: np.ndarray
     history: WeightHistory
 
     def __post_init__(self):
-        buf = tuple((float(t), float(v)) for t, v in self.buffer)
-        if not all(map(math.isfinite, chain.from_iterable(buf))):
-            raise InvalidInputError("buffer times and values must be finite")
-        if any(b[0] <= a[0] for a, b in zip(buf, buf[1:])):
-            raise InvalidInputError("buffer timestamps must be strictly increasing")
+        buf = _floats(self.buffer, "buffer")
+        if buf.size and buf.shape[1:] != (2,):
+            raise DimensionMismatchError("buffer must hold (time, value) rows")
+        buf = buf.reshape(-1, 2)
+        if not (np.isfinite(buf).all() and (buf[1:, 0] > buf[:-1, 0]).all()):
+            raise InvalidInputError("buffer must be finite, its times strictly increasing")
+        buf.flags.writeable = False
         object.__setattr__(self, "buffer", buf)
 
     @property
@@ -180,7 +182,7 @@ class IntelState:
 
     @classmethod
     def initial(cls, k: int = None, weights: WeightVector = None) -> "IntelState":
-        return cls((), _start_history(k, weights))
+        return cls(np.empty((0, 2)), _start_history(k, weights))
 
 
 @lru_cache(maxsize=SOLVE_CACHE_SIZE)
@@ -235,12 +237,10 @@ def _pool_solve(pool: tuple, key: bytes):
     return _frozen(mu), _frozen(A), _frozen(var)
 
 
-def _forecast(pool: tuple, pairs, t_next: float):
+def _forecast(pool: tuple, times, values, t_next: float):
     """The (K,) means ``mu + A (v - mu)`` and variances of the pool's
-    forecasts at ``t_next`` from one window of ``(time, value)`` pairs,
+    forecasts at ``t_next`` from one window of ``times`` and ``values``,
     under its caller's error scope."""
-    times, values = np.fromiter(chain.from_iterable(pairs), float,
-                                2 * len(pairs)).reshape(-1, 2).T
     # a NaN or infinite time stamp, or a gap to t_next past the float range,
     # leaves a non-finite relative time, which the solve rejects
     mu, A, var = _pool_solve(pool, (times - t_next).tobytes())
@@ -297,8 +297,7 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     values = _floats(values, "values", 1)
     if times.ndim != 1 or times.shape != values.shape or times.size < 1:
         raise DimensionMismatchError("times and values must be matching vectors")
-    (mean,), (var,) = _forecast((model,), np.column_stack((times, values)),
-                                _real(t_next, "t_next"))
+    (mean,), (var,) = _forecast((model,), times, values, _real(t_next, "t_next"))
     return _trusted(PredictiveGaussian, float(mean), float(var))
 
 
@@ -341,8 +340,8 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     differ in every parameter; the buffer keeps the longest window, and a
     shorter one weighs the values before its own by zero, so a residual
     ``v - mu`` that overflows anywhere in the buffer raises
-    ``NonFiniteForecastError``.  A non-finite ``t`` or ``y_t`` raises
-    ``InvalidInputError`` before anything is scored or buffered.
+    ``NonFiniteForecastError``.  A ``t`` or ``y_t`` that is not a finite
+    number raises ``InvalidInputError`` before any scoring or buffering.
 
     Returns
     -------
@@ -356,21 +355,23 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     pool = tuple(pool)
     if len(pool) != len(state.model_weights):
         raise DimensionMismatchError("pool size does not match weight vector")
-    t = float(t)
+    try:
+        t, y_t = float(t), float(y_t)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError("t and y_t must be real numbers (%s)" % exc) from None
     if not math.isfinite(t):
         raise InvalidInputError("time stamps must be finite")
-    if state.buffer and t <= state.buffer[-1][0]:
+    if state.buffer.size and t <= state.buffer[-1, 0]:
         raise InvalidInputError("time stamps must arrive strictly increasing")
-    y_t = float(y_t)
     if not math.isfinite(y_t):
         raise InvalidInputError("observations must be finite (got %r)" % y_t)
 
-    log_evs = _log_density(y_t, *_forecast(pool, state.buffer, t))
+    log_evs = _log_density(y_t, *_forecast(pool, *state.buffer.T, t))
     _, history, _ = _weight_step(wtt_config, state.history, log_evs,
                                  weight_floor)
 
-    buffer = (state.buffer + ((t, y_t),))[-max(m.window for m in pool):]
-    fused = _fuse(*_forecast(pool, buffer, t + 1.0),
+    buffer = np.concatenate((state.buffer, ((t, y_t),)))[-max(m.window for m in pool):]
+    fused = _fuse(*_forecast(pool, *buffer.T, t + 1.0),
                   _transition(wtt_config, history))
     return _trusted(IntelState, buffer, history), fused, log_evs
 

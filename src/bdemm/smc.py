@@ -256,10 +256,14 @@ def reweight(model: GenericStateSpaceModel, propagated: ParticleEnsemble,
 
 @_quiet
 def mc_log_evidence(incoming_weights, log_likelihoods) -> float:
-    """Log of ``sum_i u_i p(y | x_i)``; ``-inf`` when it underflows entirely.
+    """Log of ``sum_i u_i p(y | x_i)``, taken in the log domain.
 
     With uniform incoming weights this is the log of the plain average of
-    the likelihood values.
+    the likelihood values.  It is ``-inf`` only when every product is
+    exactly zero (each term has a zero weight or a ``-inf`` log
+    likelihood).  A sum that underflows as a double keeps its finite log:
+    weights ``[0.5, 0.5]`` and log likelihoods ``[-1000, -1000]`` give
+    ``-1000.0``, where :func:`smc_bdemm_step` scores the row ``-inf``.
 
     Raises
     ------
@@ -338,9 +342,12 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
         Ensemble resampled back to N uniform-weight particles.
     estimate : PointEstimate
     log_evidences : ndarray, shape (K,)
-        Each model's log evidence for ``y``, :func:`mc_log_evidence` of the
-        incoming particle weights and its likelihoods; ``-inf`` for a model
-        whose likelihood underflows on every particle.
+        Each model's log evidence for ``y``: bitwise :func:`mc_log_evidence`
+        of the incoming particle weights and its likelihoods, except that a
+        model whose largest product ``u_i p(y | x_i)`` is zero as a double
+        (its log below ``UNDERFLOW_LOG``) scores ``-inf``, where
+        :func:`mc_log_evidence` keeps the finite log (``-1000.0`` for
+        weights ``[0.5, 0.5]`` and log likelihoods ``[-1000, -1000]``).
 
     Raises
     ------

@@ -31,7 +31,9 @@ differ in dimension, raises :class:`~bdemm.errors.ConfigError` from
 The observation file is a headerless CSV of numbers, one observation vector
 of the pool's dimension per row, read, filtered and written one row at a
 time, so memory stays constant.  The output carries one row per input row:
-step index, state estimate, model weights, per-model evidences.  The
+step index, estimate, model weights, per-model evidences.  The estimate is
+the state estimate for the ``kf`` and ``smc`` engines; for ``intel`` it is
+the fused GP forecast for the next time stamp, ``t + 1``.  The
 engines report log evidences; the ``ev_k`` columns hold ``exp`` of them,
 which is 0.0 where it underflows and ``inf`` where it overflows.  An input
 with no data rows produces an empty output file; a bad row raises
@@ -308,17 +310,16 @@ class _IntelEngine:
         self.est_dim = self.obs_dim = 1  # GP candidates are scalar
 
     def step(self, y, t):
-        y = float(np.atleast_1d(y)[0])
         self.state, fused, log_evs = intel_step(
-            self.state, self.pool, y, t, self.wtt, weight_floor=self.floor)
+            self.state, self.pool, y[0], t, self.wtt, weight_floor=self.floor)
         return np.array([fused.mean]), self.state.model_weights.w, log_evs
 
 
 def build_engine(config: dict):
     """Assemble a filtering engine from a parsed config dict.
 
-    The engine's ``step(y, t)`` returns the state estimate, the model
-    weights and the per-model log evidences.  Any bad value raises
+    The engine's ``step(y, t)`` returns the estimate, the model weights and
+    the per-model log evidences.  Any bad value raises
     :class:`~bdemm.errors.ConfigError`.
     """
     cfg = _Config(config)

@@ -106,10 +106,14 @@ class ToyConfig:
             raise InvalidInputError("weight floor must sit in [0, 1/2)")
         if _real(self.gauss_noise_var, "gaussian noise variance") <= 0.0:
             raise InvalidInputError("gaussian noise variance must be positive")
-        # zero is allowed: a zero scale is the noise-free recursion
-        if not (_real(self.gamma_shape, "gamma shape") >= 0.0
-                and _real(self.gamma_scale, "gamma scale") >= 0.0):
-            raise InvalidInputError("gamma shape and scale must be nonnegative")
+        # zero is allowed: a zero scale is the noise-free recursion; an
+        # infinite mean shape * scale would overflow the draws at row 1
+        shape = _real(self.gamma_shape, "gamma shape")
+        scale = _real(self.gamma_scale, "gamma scale")
+        if not (0.0 <= shape < np.inf and 0.0 <= scale < np.inf
+                and shape * scale < np.inf):
+            raise InvalidInputError("gamma shape and scale must be nonnegative "
+                                    "and finite, with a finite product")
         object.__setattr__(self, "outlier_steps", frozenset(self.outlier_steps))
         self.wtt_config(2)  # fail at construction, not inside run 0
 

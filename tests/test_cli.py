@@ -342,6 +342,8 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     SMC_TOY + "smc.seed = abc\n",
     SMC_TOY + "smc.resampling = bogus\n",
     SMC_TOY + "smc.gamma_shape = -1\n",
+    SMC_TOY + "smc.gamma_scale = inf\n",
+    SMC_TOY + "smc.gamma_shape = 1e308\n",
     SMC_TOY + "smc.model.1.var = -1\n",
     SMC_LINEAR,
     INTEL_CFG + "intel.window = abc\n",
@@ -371,7 +373,8 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
         "urn-total-overflows", "urn-count-infinite", "init-weights-width",
         "init-weights-empty",
         "particles-fraction", "particles-zero", "seed-negative", "seed-word",
-        "resampling-unknown", "gamma-shape-negative", "noise-var-negative",
+        "resampling-unknown", "gamma-shape-negative", "gamma-scale-infinite",
+        "gamma-mean-overflows", "noise-var-negative",
         "linear-gaussian-Q-negative", "window-word", "window-zero",
         "signal-variance-negative", "lengthscale-nan",
         "noise-variance-scaled-to-inf", "mean-infinite",

@@ -19,6 +19,7 @@ from bdemm import (
     BdemmError,
     GaussianBelief,
     GPTSModel,
+    IntelState,
     LinearGaussianModel,
     ParticleEnsemble,
     PointEstimate,
@@ -31,6 +32,7 @@ from bdemm import (
     errors,
     gaussian_noise,
     gp_predict_next,
+    intel_step,
     linear_gaussian_ssm,
     mse,
     perturb_pool,
@@ -156,6 +158,14 @@ BAD_VALUES = {
     "history-row": (lambda: WeightHistory(1, [1.0]), TypeError),
     "t-next-word": (lambda: gp_predict_next(NOMINAL, [0.0], [1.0], "a"),
                     ValueError),
+    "intel-y-word": (lambda: intel_step(IntelState.initial(k=1), [NOMINAL],
+                                        "a", 1.0, WTTConfig.identity()),
+                     ValueError),
+    "intel-t-word": (lambda: intel_step(IntelState.initial(k=1), [NOMINAL],
+                                        1.0, "a", WTTConfig.identity()),
+                     ValueError),
+    "intel-buffer-word": (lambda: IntelState(
+        ((0.0, "a"),), IntelState.initial(k=1).history), ValueError),
     "mse-word": (lambda: mse("a", "b"), ValueError),
     "forecast-variance": (lambda: PredictiveGaussian(0.0, -1.0), ValueError),
     "forecast-mean-word": (lambda: PredictiveGaussian("a", 1.0), TypeError),

@@ -100,6 +100,42 @@ def test_intel_state_buffer_must_be_finite(buffer):
             IntelState(buffer, history)
 
 
+def _assert_read_only_rows(buffer, n):
+    assert isinstance(buffer, np.ndarray) and buffer.dtype == np.float64
+    assert buffer.shape == (n, 2)
+    assert not buffer.flags.writeable
+
+
+def test_intel_state_buffer_is_one_read_only_array():
+    history = IntelState.initial(k=1).history
+    _assert_read_only_rows(IntelState.initial(k=1).buffer, 0)
+    for empty in ((), [], np.empty((0, 2))):
+        _assert_read_only_rows(IntelState(empty, history).buffer, 0)
+    rows = np.array([[0.0, 1.0], [1.0, 2.0]])
+    state = IntelState(rows, history)
+    rows[0, 1] = 5.0  # the state keeps its own copy
+    _assert_read_only_rows(state.buffer, 2)
+    assert state.buffer.tolist() == [[0.0, 1.0], [1.0, 2.0]]
+    assert IntelState(((0, 1), (1, 2)), history).buffer.tolist() == \
+        state.buffer.tolist()
+    # every step returns one, capped at the longest window
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.1, window=3), [1.0])
+    for t in range(5):
+        state, _, _ = intel_step(state, pool, 0.1, 2.0 + t,
+                                 WTTConfig.identity())
+        _assert_read_only_rows(state.buffer, 3)
+    assert state.buffer[:, 0].tolist() == [4.0, 5.0, 6.0]
+
+
+@pytest.mark.parametrize("buffer", [
+    [0.0, 1.0], [[0.0, 1.0, 2.0]], np.zeros((1, 2, 2)), 1.0,
+], ids=["one-pair-unwrapped", "three-columns", "3-d", "scalar"])
+def test_intel_state_buffer_must_hold_rows_of_two(buffer):
+    history = IntelState.initial(k=1).history
+    with pytest.raises(DimensionMismatchError, match="rows"):
+        IntelState(buffer, history)
+
+
 # ---------------------------------------------------------------------------
 # GP prediction
 
@@ -369,7 +405,7 @@ def test_memoized_windows_give_bitwise_a_fresh_pools_run(grid):
             state, fused, evs = intel_step(
                 state, perturb_pool(nominal, factors) if fresh else pool,
                 float(v), float(t), wtt)
-            out.append((state.buffer, state.model_weights.w.tobytes(),
+            out.append((state.buffer.tobytes(), state.model_weights.w.tobytes(),
                         fused.mean, fused.var, evs.tobytes()))
         return out
 
@@ -597,9 +633,8 @@ def test_mixed_pool_matches_each_models_own_forecast():
     state = IntelState.initial(k=3)
     for t in _irregular_times(rng, 40):
         y = float(np.sin(0.4 * t) + rng.normal(0.0, 0.1))
-        times, values = (np.array(state.buffer).reshape(-1, 2).T
-                         if state.buffer else ([], []))
-        scored = [gp_predict_next(m, times, values, t) if state.buffer
+        times, values = state.buffer.T
+        scored = [gp_predict_next(m, times, values, t) if times.size
                   else PredictiveGaussian(m.mean_const,
                                           m.signal_variance + m.noise_var)
                   for m in pool]

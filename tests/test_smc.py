@@ -586,6 +586,26 @@ def test_step_log_evidences_are_mc_log_evidence_bitwise():
     assert dead == 1
 
 
+def test_a_row_that_underflows_as_a_double_is_minus_inf_only_in_the_step():
+    # the largest product 0.5 * exp(-1000) is 0.0 as a double; the log-domain
+    # evidence keeps its finite log, the step's underflow rule scores -inf
+    row = np.array([-1000.0, -1000.0])
+    assert mc_log_evidence([0.5, 0.5], row) == -1000.0
+
+    def model(ll):
+        return GenericStateSpaceModel(lambda x, t, rng: x, lambda y, x, t: ll)
+
+    state = SmcEnsembleState(
+        ParticleEnsemble(np.zeros((2, 1)), [0.5, 0.5]),
+        SmcEnsembleState.initial(np.zeros((1, 1)), k=2).history)
+    _, _, log_evs = smc_bdemm_step(state, [model(row), model(np.zeros(2))],
+                                   0.0, 1, WTTConfig.identity(),
+                                   np.random.default_rng(0))
+    assert log_evs.tolist() == [-np.inf, 0.0]
+    with pytest.raises(AllZeroError):
+        reweight(model(row), state.ensemble, 0.0, 1)
+
+
 def test_ensemble_weights_favor_the_right_noise_model():
     # observations drawn with unit Gaussian noise; the wide-uniform candidate
     # pays a constant density and loses the evidence race

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bdemm import (
+    InvalidInputError,
     LengthMismatchError,
     ToyConfig,
     gen_toy_series,
@@ -106,6 +107,16 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ToyConfig(weight_floor=floor)
     ToyConfig(seed=0, weight_floor=0.0)
+
+
+@pytest.mark.parametrize("kw", [
+    {"gamma_scale": np.inf}, {"gamma_shape": np.inf}, {"gamma_shape": np.nan},
+    {"gamma_shape": 1e308}, {"gamma_shape": 1e200, "gamma_scale": 1e200},
+], ids=["scale-inf", "shape-inf", "shape-nan", "mean-overflows",
+        "both-large"])
+def test_gamma_noise_must_have_a_finite_mean(kw):
+    with pytest.raises(InvalidInputError, match="gamma"):
+        ToyConfig(**kw)
 
 
 # ---------------------------------------------------------------------------
