@@ -20,6 +20,8 @@ Numerical conventions used throughout the package:
   eigenvalues >= -``PSD_ATOL`` (1e-10), both scaled by their magnitude,
 * inputs are validated once, at the boundary: public constructors check
   them, and values an engine step builds from checked ones are not,
+* types that hold arrays compare and hash by identity (``eq=False``), as
+  numpy gives no single truth value for two arrays being equal,
 * a Bayes update in which every prior-times-evidence product is zero is
   uninformative: the Bayes kernel, which every engine step runs inside
   the kernel of :func:`bdemm.wtt.weight_step`, reports it, and the step
@@ -139,7 +141,7 @@ def _trusted(cls, *values):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Probability weights over K candidate models.
 
@@ -178,7 +180,7 @@ class WeightVector:
         return cls(np.full(k, 1.0 / k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightHistory:
     """What the transition operators need of a weight trajectory.
 
@@ -267,7 +269,7 @@ def checked_cov(m, name: str = "covariance") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianBelief:
     """Gaussian state belief N(mean, cov).
 
@@ -297,7 +299,7 @@ class GaussianBelief:
         return self.mean.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointEstimate:
     """A bare point estimate of the latent state."""
 
@@ -322,12 +324,18 @@ def _bayes(w: np.ndarray, log_evidences, floor: float):
     product ``w_k * evidence_k`` is zero; see
     :func:`update_model_weights_log` for the rules and errors.  Runs under
     its caller's error scope."""
-    if not 0.0 <= floor < 1.0 / w.size:  # NaN fails too
+    try:
+        in_range = 0.0 <= floor < 1.0 / w.size  # NaN fails too
+    except (TypeError, ValueError):  # not a number, or not one number
+        in_range = False
+    if not in_range:
         raise InvalidInputError("floor must sit in [0, 1/K) = [0, %g), got %r"
                                 % (1.0 / w.size, floor))
     log_ev = _floats(log_evidences, "log evidences", 1)
     if log_ev.shape != w.shape:
-        raise DimensionMismatchError("one evidence per model required")
+        raise DimensionMismatchError(
+            "one log evidence per weight required, got %d for %d weights"
+            % (log_ev.size, w.size))
     lw = np.log(w) + log_ev
     # a NaN or +inf evidence leaves a NaN or +inf maximum
     m = float(lw.max())
@@ -370,8 +378,8 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     Raises
     ------
     InvalidInputError
-        If ``floor`` is NaN, negative or at least ``1/K``, whatever the
-        evidences.
+        If ``floor`` is not a number, or is NaN, negative or at least
+        ``1/K``, whatever the evidences.
     NonFiniteWeightError
         If a log evidence is NaN or ``+inf``.
     AllZeroError

@@ -3,10 +3,11 @@
 Every error raised on purpose by the library derives from :class:`BdemmError`,
 so callers can catch one base class at the boundary (the CLI maps them to
 exit codes); a bad caller value raises :class:`InvalidInputError` unless a
-class below names its failure more closely.  Names track the failure they
-signal, not the module that raises them: several are shared (e.g.
-``DimensionMismatchError`` comes out of weight arithmetic, Kalman steps and
-mixture collapses alike).
+class below names its failure more closely.  ``bdemm stream`` wraps what
+the library raises for a bad config value in :class:`ConfigError`.  Names
+track the failure they signal, not the module that raises them: several are
+shared (e.g. ``DimensionMismatchError`` comes out of weight arithmetic,
+Kalman steps and mixture collapses alike).
 """
 
 
@@ -23,7 +24,7 @@ class AllZeroError(BdemmError):
     """Every entry of a weight or evidence vector is zero (or underflowed)."""
 
 
-class NegativeEntryError(BdemmError):
+class NegativeEntryError(BdemmError, ValueError):
     """A quantity that must be nonnegative has a negative entry."""
 
 

@@ -157,7 +157,7 @@ class PredictiveGaussian:
         return float(_log_density(np.float64(y), self.mean, self.var))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntelState:
     """Observation window and weight history of a GP ensemble; ``buffer``,
     any (n, 2) array-like of (time, value) rows, becomes a read-only float array."""

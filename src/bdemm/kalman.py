@@ -104,7 +104,7 @@ class LinearGaussianModel:
         return self.B.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KfEnsembleState:
     """Collapsed belief + weight history after t steps."""
 

@@ -57,7 +57,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    SIMPLEX_ATOL,
     PointEstimate,
     WeightHistory,
     WeightVector,
@@ -128,9 +127,10 @@ class GenericStateSpaceModel:
     log_likelihood: Callable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
-    """N weighted particles over a d-dimensional state."""
+    """N weighted particles over a d-dimensional state; the weights must
+    pass as a :class:`~bdemm.core.WeightVector`."""
 
     particles: np.ndarray
     weights: np.ndarray
@@ -142,18 +142,13 @@ class ParticleEnsemble:
             p = p[:, None]
         if p.ndim != 2 or p.shape[0] < 1:
             raise DimensionMismatchError("particles must be an (N, d) array")
-        w = _floats(self.weights, "particle weights", 1)
+        w = WeightVector(self.weights).w
         if w.shape != (p.shape[0],):
             raise DimensionMismatchError("one weight per particle required")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(w))):
-            raise InvalidInputError("particles and weights must be finite")
-        if np.any(w < 0.0):
-            raise InvalidInputError("particle weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > SIMPLEX_ATOL:
-            raise InvalidInputError("particle weights must sum to 1 within %g"
-                                    % SIMPLEX_ATOL)
+        if not np.all(np.isfinite(p)):
+            raise InvalidInputError("particles must be finite")
         object.__setattr__(self, "particles", _frozen(p))
-        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def equal_weighted(cls, particles) -> "ParticleEnsemble":
@@ -170,7 +165,7 @@ class ParticleEnsemble:
         return self.particles.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmcEnsembleState:
     """Shared particle cloud + weight history."""
 

@@ -26,7 +26,10 @@ Example::
 
 Every bad value, missing key or inconsistency, such as candidates that
 differ in dimension, raises :class:`~bdemm.errors.ConfigError` from
-:func:`build_engine`, before any observation is read.
+:func:`build_engine`, before any observation is read.  Values reach the
+library as written, and a rule the library owns reports its own message as
+``bad <engine> config: <message>``; one weight step on the opening history
+checks ``weight_floor``, the operator and the initial weights.
 
 The observation file is a headerless CSV of numbers, one observation vector
 of the pool's dimension per row, read, filtered and written one row at a
@@ -47,7 +50,7 @@ import math
 
 import numpy as np
 
-from .core import GaussianBelief, WeightVector, _quiet, checked_cov
+from .core import GaussianBelief, WeightVector, _quiet
 from .errors import BdemmError, ConfigError, ParseError
 from .gpts import GPTSModel, IntelState, intel_step, perturb_pool
 from .kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
@@ -60,7 +63,7 @@ from .smc import (
     uniform_noise,
 )
 from .toy import ToyConfig, toy_candidate, toy_transition
-from .wtt import WTTConfig
+from .wtt import WTTConfig, weight_step
 
 __all__ = ["parse_config", "build_engine", "run_stream"]
 
@@ -132,12 +135,6 @@ class _Config:
             raise ConfigError("key %r must be a bracketed list" % key)
         return val
 
-    def get_number(self, key, default=None, required=False):
-        val = self.get(key, default=default, required=required)
-        if val is not None and not isinstance(val, (int, float)):
-            raise ConfigError("key %r must be a number" % key)
-        return val
-
     def get_int(self, key, default=None, required=False, minimum=0):
         val = self.get(key, default=default, required=required)
         if not isinstance(val, int) or val < minimum:
@@ -163,23 +160,15 @@ _WTT_KEYS = {"constant": "wtt.constants", "markov": "wtt.matrix",
              "forgetting": "wtt.alpha", "polya_urn": "wtt.beta"}
 
 
-def _wtt_from_config(cfg: _Config, k: int) -> WTTConfig:
+def _wtt_from_config(cfg: _Config) -> WTTConfig:
     kind = cfg.get("wtt.kind", default="identity")
-    if kind == "identity":
+    key = _WTT_KEYS.get(kind) if isinstance(kind, str) else None
+    if key is None:  # identity, or a kind WTTConfig rejects
         return WTTConfig(kind)
-    if not isinstance(kind, str) or kind not in _WTT_KEYS:
-        raise ConfigError("unknown key 'wtt.kind' value %r" % (kind,))
-    key = _WTT_KEYS[kind]
     if kind == "forgetting":
-        return WTTConfig(kind, cfg.get_number(key, required=True))
-    # the other operators carry one parameter entry per model (markov: K x K)
-    size = k * k if kind == "markov" else k
+        return WTTConfig(kind, cfg.get(key, required=True))
     values = cfg.get_list(key, required=True)
-    if len(values) != size:
-        raise ConfigError("key %r must hold %d values for %d models"
-                          % (key, size, k))
-    return WTTConfig(kind, np.reshape(values, (k, k)) if kind == "markov"
-                     else values)
+    return WTTConfig(kind, _square(values, key) if kind == "markov" else values)
 
 
 def _linear_model(cfg: _Config, base: str) -> LinearGaussianModel:
@@ -212,15 +201,13 @@ class _KfEngine:
                      for i in range(1, k + 1)]
         self.est_dim, self.obs_dim = _pool_dims(
             [(m.state_dim, m.obs_dim) for m in self.pool], "kf")
-        mean = cfg.get_list("kf.init.mean", required=True)
-        cov = _square(cfg.get_list("kf.init.cov", required=True), "kf.init.cov")
-        init_w = cfg.get_list("kf.init.weights", default=[1.0 / k] * k)
-        if len(init_w) != k:
-            raise ConfigError("key 'kf.init.weights' must hold one weight per model")
-        weights = WeightVector(init_w)
-        belief = GaussianBelief(np.asarray(mean, dtype=float), cov)
+        belief = GaussianBelief(
+            cfg.get_list("kf.init.mean", required=True),
+            _square(cfg.get_list("kf.init.cov", required=True), "kf.init.cov"))
         if belief.dim != self.est_dim:
             raise ConfigError("key 'kf.init.mean' does not match the state dim")
+        weights = WeightVector(
+            cfg.get_list("kf.init.weights", default=[1.0 / k] * k))
         self.state = KfEnsembleState.initial(belief, weights=weights)
 
     def step(self, y, t):
@@ -238,15 +225,14 @@ def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
         return (linear_gaussian_ssm(m.A, m.Q, m.B, m.R),
                 (m.state_dim, m.obs_dim))
     if kind == "toy_gaussian":
-        noise = gaussian_noise(
-            cfg.get_number(base + "var", default=toy.gauss_noise_var))
+        noise = gaussian_noise(cfg.get(base + "var",
+                                       default=toy.gauss_noise_var))
     elif kind == "toy_uniform":
-        noise = uniform_noise(
-            cfg.get_number(base + "low", default=toy.robust_low),
-            cfg.get_number(base + "high", default=toy.robust_high))
+        noise = uniform_noise(cfg.get(base + "low", default=toy.robust_low),
+                              cfg.get(base + "high", default=toy.robust_high))
     elif kind == "toy_student_t":
-        noise = student_t_noise(cfg.get_number(base + "df", default=3.0),
-                                cfg.get_number(base + "scale", default=1.0))
+        noise = student_t_noise(cfg.get(base + "df", default=3.0),
+                                cfg.get(base + "scale", default=1.0))
     else:
         raise ConfigError("unknown key %r value %r" % (base + "kind", kind))
     return toy_candidate(toy, transition, noise), (1, 1)
@@ -257,10 +243,8 @@ class _SmcEngine:
         k = cfg.get_int("smc.models", required=True, minimum=1)
         n = cfg.get_int("smc.particles", default=200, minimum=1)
         seed = cfg.get_int("smc.seed", default=0)
-        toy = ToyConfig(
-            gamma_shape=cfg.get_number("smc.gamma_shape", default=3.0),
-            gamma_scale=cfg.get_number("smc.gamma_scale", default=2.0),
-        )
+        toy = ToyConfig(gamma_shape=cfg.get("smc.gamma_shape", default=3.0),
+                        gamma_scale=cfg.get("smc.gamma_scale", default=2.0))
         transition = toy_transition(toy)
         self.pool, dims = zip(*[
             _smc_model(cfg, "smc.model.%d." % i, toy, transition)
@@ -271,18 +255,16 @@ class _SmcEngine:
         if point is not None:
             particles = np.tile(np.asarray(point, dtype=float), (n, 1))
         else:
-            mean = np.asarray(cfg.get_list("smc.init.mean", required=True),
-                              dtype=float)
-            cov = _square(cfg.get_list("smc.init.cov", required=True),
-                          "smc.init.cov")
-            if cov.shape[0] != mean.size:
-                raise ConfigError("key 'smc.init.cov' does not match 'smc.init.mean'")
+            belief = GaussianBelief(
+                cfg.get_list("smc.init.mean", required=True),
+                _square(cfg.get_list("smc.init.cov", required=True),
+                        "smc.init.cov"))
             try:
-                chol = np.linalg.cholesky(checked_cov(cov, "smc.init.cov"))
+                chol = np.linalg.cholesky(belief.cov)
             except np.linalg.LinAlgError:
                 raise ConfigError("key 'smc.init.cov' must be positive definite")
-            particles = mean + self.rng.standard_normal(
-                (n, mean.size)) @ chol.T
+            particles = belief.mean + self.rng.standard_normal(
+                (n, belief.dim)) @ chol.T
         if particles.shape[1] != self.est_dim:
             raise ConfigError("key %r does not match the state dim" % (
                 "smc.init.mean" if point is None else "smc.init.point"))
@@ -298,11 +280,11 @@ class _SmcEngine:
 class _IntelEngine:
     def __init__(self, cfg: _Config):
         nominal = GPTSModel(
-            mean_const=cfg.get_number("intel.mean", default=0.0),
-            signal_variance=cfg.get_number("intel.signal_variance", default=1.0),
-            lengthscale=cfg.get_number("intel.lengthscale", default=1.0),
-            noise_var=cfg.get_number("intel.noise_variance", default=0.01),
-            window=cfg.get_int("intel.window", default=10, minimum=1),
+            mean_const=cfg.get("intel.mean", default=0.0),
+            signal_variance=cfg.get("intel.signal_variance", default=1.0),
+            lengthscale=cfg.get("intel.lengthscale", default=1.0),
+            noise_var=cfg.get("intel.noise_variance", default=0.01),
+            window=cfg.get("intel.window", default=10),
         )
         factors = cfg.get_list("intel.noise_factors", default=[1.0, 100.0])
         self.pool = perturb_pool(nominal, factors)
@@ -320,7 +302,8 @@ def build_engine(config: dict):
 
     The engine's ``step(y, t)`` returns the estimate, the model weights and
     the per-model log evidences.  Any bad value raises
-    :class:`~bdemm.errors.ConfigError`.
+    :class:`~bdemm.errors.ConfigError`; where the library owns the rule, it
+    wraps the library's error and carries its message.
     """
     cfg = _Config(config)
     engine_kind = cfg.get("engine", required=True)
@@ -333,17 +316,16 @@ def build_engine(config: dict):
             engine = _IntelEngine(cfg)
         else:
             raise ConfigError("unknown key 'engine' value %r" % (engine_kind,))
-        # the weight settings are the same for every engine: read them once
-        k = len(engine.pool)
-        engine.wtt = _wtt_from_config(cfg, k)
+        # the weight settings are the same for every engine: read them once,
+        # and check them against the pool with one step on zero evidence
+        engine.wtt = _wtt_from_config(cfg)
+        engine.floor = cfg.get("weight_floor", default=0.0)
+        weight_step(engine.wtt, engine.state.history,
+                    np.zeros(len(engine.pool)), engine.floor)
     except ConfigError:
         raise
     except BdemmError as exc:
         raise ConfigError("bad %s config: %s" % (engine_kind, exc)) from exc
-    engine.floor = float(cfg.get_number("weight_floor", default=0.0))
-    if not 0.0 <= engine.floor < 1.0 / k:
-        raise ConfigError("key 'weight_floor' must sit in [0, 1/K) = [0, %g)"
-                          % (1.0 / k))
     cfg.check_exhausted()
     return engine
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WeightVector, _count, _floats, _quiet, _real
+from .core import WeightHistory, WeightVector, _count, _floats, _quiet, _real
 from .errors import InvalidInputError, LengthMismatchError
 from .smc import (
     SmcEnsembleState,
@@ -50,11 +50,14 @@ from .smc import (
     smc_bdemm_step,
     uniform_noise,
 )
-from .wtt import WTTConfig, default_markov_matrix
+from .wtt import WTTConfig, default_markov_matrix, weight_step
 
 ALGORITHMS = ("ensemble", "gaussian_only", "uniform_only")
 
 DEFAULT_OUTLIER_STEPS = frozenset({7, 8, 9, 20, 37, 38, 39, 50})
+
+# the largest gamma scale, and mean shape * scale, of the state noise
+GAMMA_MAX = 1e303
 
 __all__ = [
     "ToyConfig",
@@ -74,7 +77,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToyConfig:
-    """Everything the benchmark needs; see the module docstring on defaults."""
+    """Everything the benchmark needs; see the module docstring on defaults.
+
+    Construction checks the counts, the seed and the gamma noise, whose
+    scale and mean shape * scale are at most ``GAMMA_MAX`` so that no draw
+    overflows the state, and builds what every run builds: both noise
+    densities and one weight step of the two-model ensemble.
+    """
 
     horizon: int = 60
     runs: int = 30
@@ -101,21 +110,22 @@ class ToyConfig:
                 "horizon, runs and particles must be whole numbers >= 1"))
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise InvalidInputError("seed must be an integer >= 0")
-        # the two-model ensemble needs floor < 1/K
-        if not 0.0 <= _real(self.weight_floor, "weight floor") < 0.5:
-            raise InvalidInputError("weight floor must sit in [0, 1/2)")
-        if _real(self.gauss_noise_var, "gaussian noise variance") <= 0.0:
-            raise InvalidInputError("gaussian noise variance must be positive")
-        # zero is allowed: a zero scale is the noise-free recursion; an
-        # infinite mean shape * scale would overflow the draws at row 1
+        # zero scale is the noise-free recursion; 5e6 draws per shape from
+        # 1e-3 to 1e303 peaked at 16 * GAMMA_MAX, far from overflowing the
+        # drift 1 + sin + 0.5 x + u, whose states stay below 2 (2 + u)
         shape = _real(self.gamma_shape, "gamma shape")
         scale = _real(self.gamma_scale, "gamma scale")
-        if not (0.0 <= shape < np.inf and 0.0 <= scale < np.inf
-                and shape * scale < np.inf):
-            raise InvalidInputError("gamma shape and scale must be nonnegative "
-                                    "and finite, with a finite product")
+        if not (0.0 <= shape and 0.0 <= scale <= GAMMA_MAX
+                and shape * scale <= GAMMA_MAX):  # NaN fails too
+            raise InvalidInputError(
+                "gamma shape and scale must be nonnegative, with scale and "
+                "shape * scale at most %g" % GAMMA_MAX)
         object.__setattr__(self, "outlier_steps", frozenset(self.outlier_steps))
-        self.wtt_config(2)  # fail at construction, not inside run 0
+        # a bad value fails here, not inside run 0
+        gaussian_noise(self.gauss_noise_var)
+        uniform_noise(self.robust_low, self.robust_high)
+        weight_step(self.wtt_config(2), WeightHistory.start(
+            WeightVector.uniform(2)), np.zeros(2), self.weight_floor)
 
     def wtt_config(self, k: int) -> WTTConfig:
         if self.wtt_kind == "forgetting":
@@ -244,7 +254,7 @@ def _run_filter(pool, observations, config: ToyConfig, wtt, rng):
     return estimates, weight_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
     """Aggregated benchmark output over independent runs."""
 

@@ -79,7 +79,7 @@ def default_markov_matrix(k: int, stay: float = 0.9) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WTTConfig:
     """Which weight-transition operator to run, and the one parameter it reads.
 

@@ -4,8 +4,9 @@ import warnings
 
 import pytest
 
+from bdemm import cli
 from bdemm.cli import _build_parser, main
-from bdemm.errors import ConfigError
+from bdemm.errors import ConfigError, NonFiniteBeliefError
 from bdemm.stream import build_engine, parse_config
 from bdemm.toy import ToyConfig
 
@@ -75,6 +76,25 @@ def test_toy_rejects_bad_parameters(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "bdemm toy:" in captured.err
         assert "wrote:" not in captured.out
+
+
+@pytest.mark.parametrize("target, error, code", [
+    ("run_toy_experiment", NonFiniteBeliefError("overflow"), 2),
+    ("write_report", OSError("disk full"), 1),
+], ids=["library-error-in-batch", "os-error-writing"])
+def test_toy_maps_errors_of_the_batch_to_exit_codes(tmp_path, capsys,
+                                                     monkeypatch, target,
+                                                     error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    rc = main(["toy", "--runs", "1", "--particles", "10",
+               "--out", str(tmp_path / "out")])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.err == "bdemm toy: %s\n" % error
+    assert "wrote:" not in captured.out
 
 
 def test_stream_subcommand(tmp_path, capsys):
@@ -344,6 +364,7 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     SMC_TOY + "smc.gamma_shape = -1\n",
     SMC_TOY + "smc.gamma_scale = inf\n",
     SMC_TOY + "smc.gamma_shape = 1e308\n",
+    SMC_TOY + "smc.gamma_shape = 1.0\nsmc.gamma_scale = 1e308\n",
     SMC_TOY + "smc.model.1.var = -1\n",
     SMC_LINEAR,
     INTEL_CFG + "intel.window = abc\n",
@@ -374,7 +395,7 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
         "init-weights-empty",
         "particles-fraction", "particles-zero", "seed-negative", "seed-word",
         "resampling-unknown", "gamma-shape-negative", "gamma-scale-infinite",
-        "gamma-mean-overflows", "noise-var-negative",
+        "gamma-mean-overflows", "gamma-draws-overflow", "noise-var-negative",
         "linear-gaussian-Q-negative", "window-word", "window-zero",
         "signal-variance-negative", "lengthscale-nan",
         "noise-variance-scaled-to-inf", "mean-infinite",
@@ -397,6 +418,35 @@ def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
                    "--out", str(out)])
     assert rc == 1
     assert "bdemm stream:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    (KF_CFG.replace("A = [1.0]", "A = 1.0"), "must be a bracketed list"),
+    (KF_CFG.replace("R = [1.0]", "R = [1.0, 0.0, 0.0, 1.0]")
+     .replace("B = [1.0]", "B = [1.0, 2.0, 3.0]"), "does not fit the obs dim"),
+    (KF_CFG.replace("mean = [0.0]", "mean = [0.0, 0.0]")
+     .replace("cov = [1.0]", "cov = [1.0, 0.0, 0.0, 1.0]"),
+     "'kf.init.mean' does not match the state dim"),
+    (SMC_TOY.replace("toy_uniform", "toy_cauchy"),
+     "unknown key 'smc.model.2.kind' value 'toy_cauchy'"),
+    (SMC_LINEAR_OK.replace("cov = [1.0]", "cov = [0.0]"),
+     "'smc.init.cov' must be positive definite"),
+], ids=["list-key-scalar", "B-vs-R", "kf-init-mean-dim", "smc-kind-unknown",
+        "smc-init-cov-singular"])
+def test_stream_config_layer_rules_exit_one_with_their_message(tmp_path,
+                                                               capsys, text,
+                                                               message):
+    # the rules the config layer states itself: those the library cannot see
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    obs = tmp_path / "obs.csv"
+    obs.write_text("0.1\n")
+    out = tmp_path / "o.csv"
+    rc = main(["stream", "--config", str(cfg), "--input", str(obs),
+               "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -448,7 +448,7 @@ def test_a_count_must_be_a_whole_number(name):
 
 @pytest.mark.parametrize("module, build", [
     ("bdemm.core", WeightVector),
-    ("bdemm.smc", lambda w: ParticleEnsemble([[0.0], [1.0]], w)),
+    ("bdemm.core", lambda w: ParticleEnsemble([[0.0], [1.0]], w)),
     ("bdemm.wtt", lambda w: WTTConfig.markov([w, [0.0, 1.0]])),
 ], ids=["weights", "particle-weights", "markov-rows"])
 def test_every_sums_to_one_check_reads_simplex_atol(monkeypatch, module,

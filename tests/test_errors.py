@@ -20,10 +20,12 @@ from bdemm import (
     GaussianBelief,
     GPTSModel,
     IntelState,
+    KfEnsembleState,
     LinearGaussianModel,
     ParticleEnsemble,
     PointEstimate,
     PredictiveGaussian,
+    RunReport,
     SmcEnsembleState,
     ToyConfig,
     WeightHistory,
@@ -33,6 +35,7 @@ from bdemm import (
     gaussian_noise,
     gp_predict_next,
     intel_step,
+    kf_bdemm_step,
     linear_gaussian_ssm,
     mse,
     perturb_pool,
@@ -40,6 +43,7 @@ from bdemm import (
     student_t_noise,
     uniform_noise,
     update_model_weights_log,
+    weight_step,
 )
 from bdemm.core import checked_cov
 
@@ -146,6 +150,8 @@ BAD_VALUES = {
     "linear-model-word": (lambda: LinearGaussianModel("a", 1, 1, 1),
                           ValueError),
     "particles-word": (lambda: ParticleEnsemble("a", [1.0]), ValueError),
+    "particle-weights-negative": (lambda: ParticleEnsemble(
+        np.zeros((2, 1)), [1.5, -0.5]), ValueError),
     "gp-model-word": (lambda: GPTSModel("a", 1, 1, 0.1, 3), TypeError),
     "gaussian-noise-word": (lambda: gaussian_noise("a"), TypeError),
     "uniform-noise-word": (lambda: uniform_noise("a", 1), TypeError),
@@ -213,9 +219,80 @@ LATE_OR_RAW = {
 }
 
 
+
+def _floor_calls(floor):
+    """Every path that applies a weight floor, called with ``floor``."""
+    prior = WeightVector([0.5, 0.5])
+    return {
+        "update": lambda: update_model_weights_log(prior, [0.0, 0.0], floor),
+        "weight-step": lambda: weight_step(
+            WTTConfig.identity(), WeightHistory.start(prior), [0.0, 0.0],
+            floor),
+        "kf-step": lambda: kf_bdemm_step(
+            KfEnsembleState.initial(GaussianBelief([0.0], [[1.0]]), k=1),
+            [LinearGaussianModel(1.0, 1.0, 1.0, 1.0)], 0.0,
+            WTTConfig.identity(), weight_floor=floor),
+        "smc-step": lambda: smc_bdemm_step(
+            SmcEnsembleState.initial(np.zeros((5, 1)), k=1),
+            [linear_gaussian_ssm(1.0, 1.0, 1.0, 1.0)], 0.0, 1,
+            WTTConfig.identity(), np.random.default_rng(0),
+            weight_floor=floor),
+        "intel-step": lambda: intel_step(
+            IntelState.initial(k=1), [NOMINAL], 1.0, 1.0,
+            WTTConfig.identity(), weight_floor=floor),
+    }
+
+
+# a floor that is not a number once escaped its range check as a TypeError
+LATE_OR_RAW.update({
+    "floor-%s-%s" % (label, path): call
+    for label, floor in (("word", "abc"), ("none", None), ("list", [0.1]))
+    for path, call in _floor_calls(floor).items()})
+
+
 @pytest.mark.parametrize("name", list(LATE_OR_RAW))
 def test_a_value_that_failed_late_or_raw_raises_invalid_input(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(errors.InvalidInputError):
             LATE_OR_RAW[name]()
+
+
+# every frozen type that holds an array, and a factory of equal values
+ARRAY_HOLDERS = {
+    "WeightVector": lambda: WeightVector([0.5, 0.5]),
+    "WeightHistory": lambda: WeightHistory.start(WeightVector([0.5, 0.5])),
+    "GaussianBelief": lambda: GaussianBelief([0.0], [[1.0]]),
+    "PointEstimate": lambda: PointEstimate([1.0]),
+    "ParticleEnsemble": lambda: ParticleEnsemble.equal_weighted([0.0, 1.0]),
+    "KfEnsembleState": lambda: KfEnsembleState.initial(
+        GaussianBelief([0.0], [[1.0]]), k=2),
+    "SmcEnsembleState": lambda: SmcEnsembleState.initial(np.zeros((3, 1)),
+                                                         k=2),
+    "IntelState": lambda: IntelState.initial(k=2),
+    "WTTConfig": lambda: WTTConfig.markov([[0.9, 0.1], [0.1, 0.9]]),
+    "LinearGaussianModel": lambda: LinearGaussianModel(1.0, 1.0, 1.0, 1.0),
+    "RunReport": lambda: RunReport(ToyConfig(), (), {}, {}, {},
+                                   np.zeros((1, 2)), ()),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_HOLDERS))
+def test_a_type_that_holds_an_array_compares_and_hashes_by_identity(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GPTSModel(0.0, 1.0, 1.0, 0.1, 3),
+    lambda: PredictiveGaussian(0.0, 1.0),
+    lambda: ToyConfig(runs=2),
+], ids=["GPTSModel", "PredictiveGaussian", "ToyConfig"])
+def test_a_type_that_holds_only_scalars_keeps_value_equality(build):
+    # the GP solve cache keys on pools of equal-valued models
+    a, b = build(), build()
+    assert a == b and hash(a) == hash(b)

@@ -8,6 +8,7 @@ import pytest
 from bdemm import (
     InvalidInputError,
     LengthMismatchError,
+    NonFiniteBeliefError,
     ToyConfig,
     gen_toy_series,
     mse,
@@ -16,7 +17,8 @@ from bdemm import (
     toy_pool,
     write_report,
 )
-from bdemm.toy import ALGORITHMS, toy_observation
+from bdemm import toy
+from bdemm.toy import ALGORITHMS, GAMMA_MAX, toy_observation, toy_transition
 
 
 def _noise_free(**kw):
@@ -112,10 +114,33 @@ def test_config_validation():
 @pytest.mark.parametrize("kw", [
     {"gamma_scale": np.inf}, {"gamma_shape": np.inf}, {"gamma_shape": np.nan},
     {"gamma_shape": 1e308}, {"gamma_shape": 1e200, "gamma_scale": 1e200},
+    {"gamma_shape": 1.0, "gamma_scale": 1e308},
 ], ids=["scale-inf", "shape-inf", "shape-nan", "mean-overflows",
-        "both-large"])
+        "both-large", "draws-overflow-the-drift"])
 def test_gamma_noise_must_have_a_finite_mean(kw):
     with pytest.raises(InvalidInputError, match="gamma"):
+        ToyConfig(**kw)
+
+
+@pytest.mark.parametrize("shape", [1e-3, 0.5, 1.0, 3.0, 1e3, GAMMA_MAX])
+def test_gamma_noise_at_its_bound_keeps_the_state_finite(shape):
+    config = ToyConfig(gamma_shape=shape,
+                       gamma_scale=min(GAMMA_MAX, GAMMA_MAX / shape))
+    sample = toy_transition(config)
+    rng = np.random.default_rng(0)
+    x = np.full((10_000, 1), 1e300)
+    for t in range(1, 21):
+        x = sample(x, t, rng)
+    assert np.isfinite(x).all() and x.max() < 1e306
+
+
+@pytest.mark.parametrize("kw", [
+    {"gauss_noise_var": -1.0}, {"robust_low": 1.0, "robust_high": 1.0},
+    {"weight_floor": 0.5}, {"weight_floor": "abc"}, {"weight_floor": None},
+], ids=["noise-var-negative", "robust-support-empty", "floor-at-1/K",
+        "floor-word", "floor-none"])
+def test_config_builds_the_noises_and_a_weight_step(kw):
+    with pytest.raises(InvalidInputError):
         ToyConfig(**kw)
 
 
@@ -183,6 +208,34 @@ def test_report_shapes_and_weight_rows():
         assert np.isfinite(rep.mse_var[name])
     assert rep.avg_weights.shape == (12, 2)
     assert np.allclose(rep.avg_weights.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_a_failed_run_is_recorded_and_left_out_of_the_means(monkeypatch):
+    cfg = ToyConfig(runs=3, horizon=8, particles=20)
+    clean = run_toy_experiment(cfg)
+    calls = []
+    run_filter = toy._run_filter
+
+    def failing_in_run_1(*args):
+        calls.append(None)
+        if len(calls) == len(ALGORITHMS) + 1:  # run 1's first filter
+            raise NonFiniteBeliefError("propagated particles are not finite")
+        return run_filter(*args)
+
+    monkeypatch.setattr(toy, "_run_filter", failing_in_run_1)
+    rep = run_toy_experiment(cfg)
+    assert rep.failures == (
+        (1, "NonFiniteBeliefError: propagated particles are not finite"),)
+    for name in ALGORITHMS:
+        runs = rep.per_run_mse[name]
+        assert np.isnan(runs[1])
+        assert (runs[0], runs[2]) == (clean.per_run_mse[name][0],
+                                      clean.per_run_mse[name][2])
+        assert rep.mse_mean[name] == float(np.mean([runs[0], runs[2]]))
+    assert np.allclose(rep.avg_weights.sum(axis=1), 1.0)
+    assert "runs: 2 ok, 1 failed" in summary_text(rep)
+    assert ("run 1 failed: NonFiniteBeliefError: propagated particles are "
+            "not finite") in summary_text(rep)
 
 
 def test_seed_changes_the_draws():
