@@ -28,6 +28,10 @@ Numerical conventions used throughout the package:
   carries the predictive weights forward unchanged; only the public
   :func:`update_model_weights_log` raises
   :class:`~bdemm.errors.AllZeroError` for it,
+* a pool of one model takes no log-sum-exp: its posterior weight is
+  exactly 1 whenever its log evidence is finite, as the log-sum-exp
+  would give at K = 1 under any floor, and a ``-inf``, NaN or ``+inf``
+  evidence is read as it is for a larger pool,
 * one floating-point error rule: every public function and constructor
   that computes on caller values runs with numpy's error state set to
   ignore everything (:func:`_quiet`) and checks its results explicitly;
@@ -336,13 +340,18 @@ def _bayes(w: np.ndarray, log_evidences, floor: float):
         raise DimensionMismatchError(
             "one log evidence per weight required, got %d for %d weights"
             % (log_ev.size, w.size))
-    lw = np.log(w) + log_ev
+    # one weight is positive on the simplex, so only its evidence is read
+    lw = log_ev if w.size == 1 else np.log(w) + log_ev
     # a NaN or +inf evidence leaves a NaN or +inf maximum
     m = float(lw.max())
     if not m < np.inf:
         raise NonFiniteWeightError("log evidences must be < +inf and not NaN")
     if m == -np.inf:
         return None
+    if w.size == 1:
+        # the log-sum-exp below would give exp(0) = 1, which no floor < 1
+        # moves
+        return np.ones(1)
     # not through the Monte Carlo evidence kernel: its one exp(lw - m) / sum
     # rounds the weights differently from this log-sum-exp-then-sum, and
     # Kalman streams whose covariance update cancels to roundoff then end
@@ -363,7 +372,9 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     Computes ``w_k ∝ prior_k * exp(log_evidences[k])`` entirely in the log
     domain, so the result is invariant (to roundoff) under a common scaling
     of the evidences.  ``-inf`` entries are legal and zero out the model;
-    ``+inf`` or NaN are rejected.
+    ``+inf`` or NaN are rejected.  A pool of one (K = 1) skips the
+    log-sum-exp: a finite log evidence gives exactly ``[1.0]``, the value
+    the log-sum-exp gives at K = 1 under any floor.
 
     Parameters
     ----------

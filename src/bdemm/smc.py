@@ -282,7 +282,13 @@ def resample(particles, weights, n_out: int,
     """Draw ``n_out`` particles (with replacement) from a weighted set.
 
     Multinomial: each of ``n_out`` iid uniforms picks the first index whose
-    normalized cumulative weight exceeds it; output weights are ``1/n_out``.
+    normalized cumulative weight exceeds it, that is, the uniforms ``u``
+    pick ``particles[np.searchsorted(cdf, u, side="right")]``, where ``cdf``
+    is the cumulative sum of the weights divided by its last entry, with
+    that entry set to exactly 1.  The uniforms are searched in sorted order
+    (Hol, Schön & Gustafsson 2006), which is cheaper and picks the same
+    indices, so the draws and the indices are those of the plain search.
+    Output weights are ``1/n_out``.
     ``n_out`` not a whole number of at least 1 raises ``InvalidInputError``.
     ``particles`` must be finite and of shape (N,) or (N, d) (another rank
     raises ``DimensionMismatchError``): the output is not checked again.  A
@@ -309,7 +315,12 @@ def resample(particles, weights, n_out: int,
         raise NonFiniteWeightError("particle weight total is not finite")
     cdf = cdf / cdf[-1]
     cdf[-1] = 1.0  # every uniform in [0, 1) then picks an index below n
-    idx = np.searchsorted(cdf, rng.random(n_out), side="right")
+    u = rng.random(n_out)
+    # each uniform's index is its own: searched in sorted order, where the
+    # binary search narrows from the last one, and put back in draw order
+    order = np.argsort(u)
+    idx = np.empty(n_out, dtype=np.intp)
+    idx[order] = np.searchsorted(cdf, u[order], side="right")
     return _trusted(ParticleEnsemble, particles[idx],
                     np.full(n_out, 1.0 / n_out))
 

@@ -267,6 +267,7 @@ class RunReport:
     failures: tuple
 
 
+@_quiet
 def run_toy_experiment(config: ToyConfig = ToyConfig()) -> RunReport:
     """Run the three filters over independent series and aggregate.
 
@@ -274,6 +275,9 @@ def run_toy_experiment(config: ToyConfig = ToyConfig()) -> RunReport:
     deterministically from ``config.seed`` and the run index, so reports are
     reproducible bit for bit.  A run that raises is recorded in
     ``failures`` and excluded from the aggregates, never silently dropped.
+    A per-run MSE, mean or variance whose arithmetic overflows reads
+    ``inf``, without a numpy warning; the variance over a run whose MSE
+    reads ``inf`` is NaN.
     """
     pool = toy_pool(config)
     pools = {

@@ -290,6 +290,41 @@ def test_resample_multinomial_frequencies_track_weights():
     assert abs(frac - 0.5) < 0.01
 
 
+def _weight_sets(rng):
+    """(weights, n_out) pairs: random, with runs of zeros, one nonzero
+    weight, a single particle, and n_out below and above N."""
+    for n in (1, 2, 7, 50, 400):
+        for n_out in sorted({1, max(1, n // 3), n, 3 * n + 1}):
+            w = rng.random(n) * 10.0 ** rng.integers(-300, 300)
+            yield w, n_out
+            runs = w.copy()
+            runs[rng.random(n) < 0.6] = 0.0  # flat steps in the CDF
+            runs[:n // 4] = 0.0
+            if runs.any():
+                yield runs, n_out
+            one = np.zeros(n)
+            one[rng.integers(n)] = rng.random() + 0.5
+            yield one, n_out
+
+
+def test_resample_picks_the_index_each_uniform_searches_to():
+    rng = np.random.default_rng(97)
+    for w, n_out in _weight_sets(rng):
+        n = w.size
+        particles = rng.normal(size=(n, 2))
+        draws = np.random.default_rng(int(rng.integers(2**32)))
+        mirror = copy.deepcopy(draws)
+        cdf = np.cumsum(w)
+        cdf = cdf / cdf[-1]
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, mirror.random(n_out), side="right")
+        assert (w[idx] > 0.0).all()
+        out = resample(particles, w, n_out, draws)
+        assert out.particles.tobytes() == particles[idx].tobytes()
+        # the same draws consumed, so the generators stay in step
+        assert draws.random() == mirror.random()
+
+
 def test_resample_validation():
     with pytest.raises(AllZeroError):
         resample([[0.0], [1.0]], [0.0, 0.0], 2, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Robust-filtering benchmark: series generation, scoring, aggregation."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,21 @@ def test_mse_variance_uses_sample_convention():
                                                     rel=1e-12)
     single = run_toy_experiment(ToyConfig(runs=1, horizon=10, particles=30))
     assert np.isnan(single.mse_var["ensemble"])
+
+
+def test_aggregates_that_overflow_read_inf_without_a_warning():
+    # states near 1e150 give per-run MSEs near 1e300, finite, whose
+    # squared deviations from their mean overflow
+    cfg = ToyConfig(gamma_scale=1e150, runs=2, horizon=10, particles=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_toy_experiment(cfg)
+    assert rep.failures == ()
+    for name in ALGORITHMS:
+        assert all(np.isfinite(rep.per_run_mse[name]))
+        assert np.isfinite(rep.mse_mean[name])
+        assert rep.mse_var[name] == np.inf
+    assert "inf" in summary_text(rep)
 
 
 def test_no_outliers_leaves_ensemble_and_gaussian_close():

@@ -1,5 +1,6 @@
 """Weight-transition operators."""
 
+import itertools
 import math
 import warnings
 
@@ -374,6 +375,40 @@ def test_weight_step_is_bitwise_the_object_by_object_move():
         assert len(grown) == len(expected[1])
         uninformative += not informative
     assert uninformative > 300
+
+
+@pytest.mark.parametrize("log_ev, outcome", [
+    (-1e308, None), (-745.0, None), (0.0, None), (709.0, None),
+    (1e308, None), (-np.inf, AllZeroError), (np.nan, NonFiniteWeightError),
+    (np.inf, NonFiniteWeightError),
+], ids=["-1e308", "-745", "0", "709", "1e308", "-inf", "nan", "+inf"])
+def test_a_pool_of_one_ends_at_weight_one(log_ev, outcome):
+    one = np.ones(1).tobytes()
+    rng = np.random.default_rng(79)
+    # a last row just off 1 too: the update must not read its value
+    histories = [_random_history(rng, 1, 3),
+                 _history_from_rows([[1.0], [1.0 + 4e-13]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if outcome is None:
+            post = update_model_weights_log(WeightVector([1.0]), [log_ev])
+            assert post.w.tobytes() == one
+        else:
+            with pytest.raises(outcome):
+                update_model_weights_log(WeightVector([1.0]), [log_ev])
+        for kind, h, floor in itertools.product(KINDS, histories, (0.0, 0.5)):
+            cfg = _random_config(rng, kind, 1)
+            if outcome is NonFiniteWeightError:
+                with pytest.raises(NonFiniteWeightError):
+                    weight_step(cfg, h, [log_ev], floor)
+                continue
+            weights, grown, informative = weight_step(cfg, h, [log_ev], floor)
+            assert informative == (outcome is None)
+            if informative:
+                assert weights.w.tobytes() == one
+            else:  # the predictive weights carry forward
+                assert weights.w.tobytes() == apply_wtt(cfg, h).w.tobytes()
+            assert grown.last is weights
 
 
 def _error_class(fn, *args):
