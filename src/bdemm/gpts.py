@@ -20,7 +20,9 @@ times relative to the forecast time.  The pool is solved for those at once,
 rows ``A[k] = (K_k + noise_k I)^-1 k*_k`` and the variances, and the last
 ``SOLVE_CACHE_SIZE`` solves are cached; on a hit the K forecast means are
 one row-wise product ``mu + A (v - mu)``, so a unit-spaced stream with a
-full window runs no Cholesky at all.
+full window runs no Cholesky at all.  The last two forecasts are cached by
+value too, so on such a stream a row scores its observation with the
+forecast the row before made for its time.
 
 Candidate pools typically come from :func:`perturb_pool`: take a nominal
 model and scale its noise variance by a few factors (say 1x and 100x), so
@@ -252,6 +254,20 @@ def _forecast(pool: tuple, times, values, t_next: float):
     return means, var
 
 
+@lru_cache(maxsize=2)
+def _pool_forecast(pool: tuple, window: bytes, t_next: float):
+    """Read-only :func:`_forecast` of ``pool`` at ``t_next`` from the
+    buffer whose ``(time, value)`` rows have the bytes ``window``.  The last
+    two are kept by value: a row's score and forecast, so on a unit-spaced
+    grid the next row scores with the forecast this row made for its time.
+    A forecast that raises is not kept.  Runs under its caller's error
+    scope."""
+    rows = np.frombuffer(window)
+    means, var = _forecast(pool, rows[0::2], rows[1::2], t_next)
+    means.setflags(write=False)
+    return means, var
+
+
 def _fuse(means, variances, w) -> PredictiveGaussian:
     """Product of experts N(means[k], variances[k]) ** w[k], renormalized,
     under its caller's error scope."""
@@ -334,9 +350,13 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     very first step).  Weights update from those evidences, the buffer
     absorbs ``(t, y_t)``, the pool forecasts ``t + 1``, and the forecasts
     fuse by product of experts with the *next-step predictive* weights as
-    exponents.  Each forecast is one cached pool solve plus a row-wise
-    product, so it runs no factorization while the window's times relative
-    to the forecast time repeat, as on a unit-spaced grid.  Models may
+    exponents.  The state is just the buffer and the history; the last two
+    forecasts are kept by the pool, the buffer's bytes and the forecast
+    time, so on a unit-spaced grid the score is, bitwise, the forecast the
+    previous row made for ``t``, and the row computes only the next-step
+    forecast: one cached pool solve plus a row-wise product, with no
+    factorization while the window's times relative to the forecast time
+    repeat.  Models may
     differ in every parameter; the buffer keeps the longest window, and a
     shorter one weighs the values before its own by zero, so a residual
     ``v - mu`` that overflows anywhere in the buffer raises
@@ -366,12 +386,12 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     if not math.isfinite(y_t):
         raise InvalidInputError("observations must be finite (got %r)" % y_t)
 
-    log_evs = _log_density(y_t, *_forecast(pool, *state.buffer.T, t))
+    log_evs = _log_density(y_t, *_pool_forecast(pool, state.buffer.tobytes(), t))
     _, history, _ = _weight_step(wtt_config, state.history, log_evs,
                                  weight_floor)
 
     buffer = np.concatenate((state.buffer, ((t, y_t),)))[-max(m.window for m in pool):]
-    fused = _fuse(*_forecast(pool, *buffer.T, t + 1.0),
+    fused = _fuse(*_pool_forecast(pool, buffer.tobytes(), t + 1.0),
                   _transition(wtt_config, history))
     return _trusted(IntelState, buffer, history), fused, log_evs
 

@@ -83,6 +83,13 @@ class ToyConfig:
     scale and mean shape * scale are at most ``GAMMA_MAX`` so that no draw
     overflows the state, and builds what every run builds: both noise
     densities and one weight step of the two-model ensemble.
+
+    ``GAMMA_MAX`` keeps the state finite, not the observation: with the
+    default shape, a gamma mean above about 1e154 drives states past about
+    3e154, where ``0.2 x**2`` overflows, and a run that meets such a row
+    fails with ``NonFiniteWeightError``.  Such runs are recorded in the
+    report's ``failures``; from a mean of about 3e154 up every run of a
+    batch fails and the means read NaN.
     """
 
     horizon: int = 60

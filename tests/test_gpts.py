@@ -370,7 +370,7 @@ def _solve_lookups():
     return info.hits + info.misses
 
 
-def test_intel_step_forecasts_twice_per_model_per_step():
+def test_intel_step_forecasts_once_per_model_per_step():
     pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
                         [1.0, 10.0, 100.0])
     state = IntelState.initial(k=3)
@@ -380,9 +380,14 @@ def test_intel_step_forecasts_twice_per_model_per_step():
         state, _, _ = intel_step(state, pool, float(v), float(t),
                                  WTTConfig.forgetting(0.8))
         calls.append(_solve_lookups() - before)
-    # every step scores y_t (against the priors on the first) and forecasts
-    # t + 1, each time for the whole pool at once
-    assert calls == [2] * 12
+    # the first step scores y_0 against the priors; every later score is the
+    # forecast the step before made for its time, so each step solves once,
+    # for t + 1 and the whole pool at once
+    assert calls == [2] + [1] * 11
+
+
+def _forecast_memo_hits():
+    return gpts_module._pool_forecast.cache_info().hits
 
 
 @pytest.mark.parametrize("grid", ["unit", "half-spaced", "irregular"])
@@ -398,22 +403,76 @@ def test_memoized_windows_give_bitwise_a_fresh_pools_run(grid):
     pool = perturb_pool(nominal, factors)
 
     def run(fresh):
-        state, out = IntelState.initial(k=3), []
+        state, out, lookups = IntelState.initial(k=3), [], []
         for t, v in zip(times, values):
             if fresh:
                 gpts_module._pool_solve.cache_clear()
+                gpts_module._pool_forecast.cache_clear()
+            before = _solve_lookups()
             state, fused, evs = intel_step(
                 state, perturb_pool(nominal, factors) if fresh else pool,
                 float(v), float(t), wtt)
+            lookups.append(_solve_lookups() - before)
             out.append((state.buffer.tobytes(), state.model_weights.w.tobytes(),
                         fused.mean, fused.var, evs.tobytes()))
-        return out
+        return out, lookups
 
-    memo = run(fresh=False)
+    memo, lookups = run(fresh=False)
     # an irregular grid never repeats a window
     hits = gpts_module._pool_solve.cache_info().hits
     assert (hits > 0) == (grid != "irregular")
-    assert memo == run(fresh=True)
+    # only a unit step makes a row's score the forecast of the row before,
+    # so elsewhere every row still looks up two solves
+    unit = grid == "unit"
+    assert _forecast_memo_hits() == (times.size - 1 if unit else 0)
+    assert lookups == [2] + [1 if unit else 2] * (times.size - 1)
+    assert memo == run(fresh=True)[0]
+
+
+def test_memoized_forecasts_are_read_only_and_shared():
+    pool = tuple(perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+                              [1.0, 10.0]))
+    state = IntelState.initial(k=2)
+    for t in range(3):
+        state, _, _ = intel_step(state, pool, float(np.sin(t)), float(t),
+                                 WTTConfig.identity())
+    key = (pool, state.buffer.tobytes(), 3.0)
+    hits = _forecast_memo_hits()
+    means, var = gpts_module._pool_forecast(*key)
+    assert _forecast_memo_hits() == hits + 1
+    assert not (means.flags.writeable or var.flags.writeable)
+    again = gpts_module._pool_forecast(*key)
+    assert again[0] is means and again[1] is var
+
+
+def test_a_forecast_that_raised_raises_again_on_the_same_window():
+    # a long lengthscale extrapolates linearly: weights near (-1, 2)
+    pool = (GPTSModel(0.0, 1.0, 100.0, 1e-12, 2),)
+    state = IntelState(((0.0, 0.0), (1.0, 1e308)),
+                       IntelState.initial(k=1).history)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(NonFiniteForecastError, match="means"):
+                intel_step(state, pool, 0.0, 2.0, WTTConfig.identity())
+    info = gpts_module._pool_forecast.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+
+def test_forecast_memo_is_keyed_by_the_pools_values():
+    nominal = GPTSModel(0.0, 1.0, 2.0, 0.04, window=6)
+    state, _, _ = intel_step(IntelState.initial(k=3),
+                             perturb_pool(nominal, [1.0, 10.0, 100.0]),
+                             0.1, 0.0, WTTConfig.identity())
+    # a pool built apart with equal values scores with the memoized forecast
+    hits = _forecast_memo_hits()
+    intel_step(state, perturb_pool(nominal, [1.0, 10.0, 100.0]), 0.2, 1.0,
+               WTTConfig.identity())
+    assert _forecast_memo_hits() == hits + 1
+    # one noise factor apart is another pool
+    intel_step(state, perturb_pool(nominal, [1.0, 10.0, 99.0]), 0.2, 1.0,
+               WTTConfig.identity())
+    assert _forecast_memo_hits() == hits + 1
 
 
 def test_perturb_pool():
@@ -550,7 +609,7 @@ def test_unit_spaced_stream_runs_no_cholesky_once_the_window_is_full(
                                  WTTConfig.forgetting(0.8))
         counts.append(len(seen) - before)
         lookups.append(_solve_lookups() - looked_up)
-    assert lookups == [2] * rows
+    assert lookups == [2] + [1] * (rows - 1)
     # each new window length factorizes once per model, the full one too;
     # the priors of the first step take none
     assert counts == [3] * window + [0] * (rows - window)

@@ -270,6 +270,20 @@ def test_aggregates_that_overflow_read_inf_without_a_warning():
     assert "inf" in summary_text(rep)
 
 
+def test_states_whose_observations_overflow_fail_every_run_quietly():
+    # states past about 3e154 make 0.2 x^2 infinite: each run raises on its
+    # first such row and is recorded, so no run is left to average
+    cfg = ToyConfig(gamma_scale=1e300, runs=2, horizon=10, particles=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_toy_experiment(cfg)
+    assert len(rep.failures) == cfg.runs
+    assert all(msg.startswith("NonFiniteWeightError") for _, msg in rep.failures)
+    for name in ALGORITHMS:
+        assert np.isnan(rep.mse_mean[name])
+    assert "runs: 0 ok, 2 failed" in summary_text(rep)
+
+
 def test_no_outliers_leaves_ensemble_and_gaussian_close():
     # without contamination the two should be statistically indistinguishable;
     # shrunken configs distort this (the whole series sits in the quadratic
