@@ -54,7 +54,7 @@ def run(pool, wtt, ys):
     for t, y in enumerate(ys):
         state, est, _ = kf_bdemm_step(state, pool, y, wtt, weight_floor=0.01)
         means[t] = est.x_hat
-        weights[t] = state.weights.w
+        weights[t] = state.model_weights.w
     return means, weights
 
 

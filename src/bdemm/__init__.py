@@ -32,14 +32,12 @@ from .errors import (
     DimensionMismatchError,
     FactorizationFailureError,
     InvalidInputError,
-    LengthMismatchError,
     NegativeEntryError,
     NonFiniteBeliefError,
     NonFiniteForecastError,
     NonFiniteWeightError,
     ParseError,
     SingularInnovationCovError,
-    ZeroPrecisionError,
 )
 from .evidence import (
     Proposal,

@@ -95,7 +95,7 @@ def _quiet(fn):
 def _frozen(a):
     """Return a read-only float copy of ``a``."""
     out = np.array(a, dtype=float)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -140,7 +140,7 @@ def _trusted(cls, *values):
     obj = object.__new__(cls)
     for name, value in zip(_field_names(cls), values, strict=True):
         if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+            value.setflags(write=False)
         object.__setattr__(obj, name, value)
     return obj
 
@@ -243,6 +243,16 @@ def _start_history(k, weights) -> WeightHistory:
     return WeightHistory.start(weights)
 
 
+class _EngineState:
+    """What the Kalman, particle and GP engine states share: a ``history``
+    of model weights, whose latest row is the current ``model_weights``."""
+
+    @property
+    def model_weights(self) -> WeightVector:
+        """Current model weights (the history's latest row)."""
+        return self.history.last
+
+
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """``(a + a^T) / 2`` over the last two axes, halved before the sum so
     that entries near the float limit do not overflow."""
@@ -322,19 +332,19 @@ class PointEstimate:
         return self.x_hat.size
 
 
-def _bayes(w: np.ndarray, log_evidences, floor: float):
+def _bayes(w: np.ndarray, log_evidences, weight_floor: float):
     """Posterior weights of the predictive weights ``w`` (on the simplex)
     under ``log_evidences``, as a fresh array, or ``None`` when every
     product ``w_k * evidence_k`` is zero; see
     :func:`update_model_weights_log` for the rules and errors.  Runs under
     its caller's error scope."""
     try:
-        in_range = 0.0 <= floor < 1.0 / w.size  # NaN fails too
+        in_range = 0.0 <= weight_floor < 1.0 / w.size  # NaN fails too
     except (TypeError, ValueError):  # not a number, or not one number
         in_range = False
     if not in_range:
         raise InvalidInputError("floor must sit in [0, 1/K) = [0, %g), got %r"
-                                % (1.0 / w.size, floor))
+                                % (1.0 / w.size, weight_floor))
     log_ev = _floats(log_evidences, "log evidences", 1)
     if log_ev.shape != w.shape:
         raise DimensionMismatchError(
@@ -358,15 +368,15 @@ def _bayes(w: np.ndarray, log_evidences, floor: float):
     # on other rows
     w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
     w /= w.sum()
-    if floor > 0.0:
-        w = np.maximum(w, floor)
+    if weight_floor > 0.0:
+        w = np.maximum(w, weight_floor)
         w /= w.sum()
     return w
 
 
 @_quiet
 def update_model_weights_log(prior: WeightVector, log_evidences,
-                             floor: float = 0.0) -> WeightVector:
+                             weight_floor: float = 0.0) -> WeightVector:
     """Bayes update of model weights from log evidences.
 
     Computes ``w_k ∝ prior_k * exp(log_evidences[k])`` entirely in the log
@@ -382,21 +392,21 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
         Predictive weights, one per model.
     log_evidences : array_like, shape (K,)
         Log marginal likelihood of the new observation under each model.
-    floor : float, optional
+    weight_floor : float, optional
         Must sit in ``[0, 1/K)``.  If positive, posterior weights are clamped
-        to at least ``floor`` and renormalized; 0 (the default) is off.
+        to at least ``weight_floor`` and renormalized; 0 (the default) is off.
 
     Raises
     ------
     InvalidInputError
-        If ``floor`` is not a number, or is NaN, negative or at least
+        If ``weight_floor`` is not a number, or is NaN, negative or at least
         ``1/K``, whatever the evidences.
     NonFiniteWeightError
         If a log evidence is NaN or ``+inf``.
     AllZeroError
         If every product ``prior_k * evidence_k`` is zero.
     """
-    w = _bayes(prior.w, log_evidences, floor)
+    w = _bayes(prior.w, log_evidences, weight_floor)
     if w is None:
         raise AllZeroError("all prior-times-evidence products are zero")
     return _trusted(WeightVector, w)

@@ -57,14 +57,6 @@ class NonFiniteBeliefError(BdemmError, ValueError):
     """A Gaussian belief overflowed, or its covariance was lost to roundoff."""
 
 
-class ZeroPrecisionError(BdemmError):
-    """A product-of-experts fusion collapsed to zero total precision."""
-
-
-class LengthMismatchError(BdemmError):
-    """Two sequences that must be aligned have different lengths."""
-
-
 class ParseError(BdemmError):
     """A config or CSV file failed to parse; carries the 1-based line number."""
 

@@ -42,6 +42,7 @@ from numpy.linalg import cholesky as cho_factor  # the name perfbench traces
 from .core import (
     WeightHistory,
     WeightVector,
+    _EngineState,
     _count,
     _floats,
     _frozen,
@@ -55,7 +56,6 @@ from .errors import (
     FactorizationFailureError,
     InvalidInputError,
     NonFiniteForecastError,
-    ZeroPrecisionError,
 )
 from .evidence import LOG_2PI
 from .wtt import WTTConfig, _transition, _weight_step
@@ -160,7 +160,7 @@ class PredictiveGaussian:
 
 
 @dataclass(frozen=True, eq=False)
-class IntelState:
+class IntelState(_EngineState):
     """Observation window and weight history of a GP ensemble; ``buffer``,
     any (n, 2) array-like of (time, value) rows, becomes a read-only float array."""
 
@@ -174,13 +174,8 @@ class IntelState:
         buf = buf.reshape(-1, 2)
         if not (np.isfinite(buf).all() and (buf[1:, 0] > buf[:-1, 0]).all()):
             raise InvalidInputError("buffer must be finite, its times strictly increasing")
-        buf.flags.writeable = False
+        buf.setflags(write=False)
         object.__setattr__(self, "buffer", buf)
-
-    @property
-    def model_weights(self) -> WeightVector:
-        """Current model weights (the history's latest row)."""
-        return self.history.last
 
     @classmethod
     def initial(cls, k: int = None, weights: WeightVector = None) -> "IntelState":
@@ -270,14 +265,14 @@ def _pool_forecast(pool: tuple, window: bytes, t_next: float):
 
 def _fuse(means, variances, w) -> PredictiveGaussian:
     """Product of experts N(means[k], variances[k]) ** w[k], renormalized,
-    under its caller's error scope."""
+    under its caller's error scope.  On the simplex, with finite variances,
+    the precision is at least 1 / max variance > 0 for any pool of fewer than
+    1e15 models; a subnormal one inverts to an infinite variance."""
     precision = w / variances
     lam = precision.sum()
-    if lam <= 0.0:
-        raise ZeroPrecisionError("fused forecast has zero precision")
     # means near the float limit overflow here
     mean, var = float((precision * means).sum() / lam), float(1.0 / lam)
-    if not (math.isfinite(mean) and var > 0.0):
+    if not (math.isfinite(mean) and 0.0 < var < math.inf):
         raise NonFiniteForecastError(
             "fused forecast is not finite (mean %g, variance %g)" % (mean, var))
     return _trusted(PredictiveGaussian, mean, var)
@@ -329,9 +324,10 @@ def poe_combine(predictives, weights: WeightVector) -> PredictiveGaussian:
 
     Raises
     ------
-    ZeroPrecisionError
-        If the total precision is zero (all mass on infinite-variance
-        experts, or every exponent zero).
+    NonFiniteForecastError
+        If the fused mean or variance is not finite: means near the float
+        limit overflow, and experts whose variances are all near it leave a
+        subnormal total precision whose inverse overflows.
     """
     preds = list(predictives)
     if len(preds) != len(weights):

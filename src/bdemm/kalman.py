@@ -34,6 +34,7 @@ from .core import (
     PointEstimate,
     WeightHistory,
     WeightVector,
+    _EngineState,
     _collapse,
     _floats,
     _frozen,
@@ -105,16 +106,11 @@ class LinearGaussianModel:
 
 
 @dataclass(frozen=True, eq=False)
-class KfEnsembleState:
+class KfEnsembleState(_EngineState):
     """Collapsed belief + weight history after t steps."""
 
     belief: GaussianBelief
     history: WeightHistory
-
-    @property
-    def weights(self) -> WeightVector:
-        """Current model weights (the history's latest row)."""
-        return self.history.last
 
     @classmethod
     def initial(cls, belief: GaussianBelief, k: int = None,
@@ -236,7 +232,7 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         posterior covariance cancels to roundoff.
     """
     pool = tuple(pool)
-    if len(pool) != len(state.weights):
+    if len(pool) != len(state.model_weights):
         raise DimensionMismatchError("pool size does not match weight vector")
     A, Q, B, R = _stacked(pool)
     y = _observation(state.belief, B, y)

@@ -60,6 +60,7 @@ from .core import (
     PointEstimate,
     WeightHistory,
     WeightVector,
+    _EngineState,
     _count,
     _floats,
     _frozen,
@@ -166,16 +167,11 @@ class ParticleEnsemble:
 
 
 @dataclass(frozen=True, eq=False)
-class SmcEnsembleState:
+class SmcEnsembleState(_EngineState):
     """Shared particle cloud + weight history."""
 
     ensemble: ParticleEnsemble
     history: WeightHistory
-
-    @property
-    def model_weights(self) -> WeightVector:
-        """Current model weights (the history's latest row)."""
-        return self.history.last
 
     @classmethod
     def initial(cls, particles, k: int = None,
@@ -192,14 +188,13 @@ def propagate(model: GenericStateSpaceModel, ensemble: ParticleEnsemble,
     Raises
     ------
     DimensionMismatchError
-        If the transition changes the cloud's shape.
+        If the transition returns anything but the cloud's (N, d) shape; an
+        (N,) array for an (N, 1) cloud is not reshaped.
     NonFiniteBeliefError
         If a moved particle is NaN or infinite (the transition overflowed).
     """
     moved = np.asarray(model.sample_transition(ensemble.particles, t, rng),
                        dtype=float)
-    if moved.ndim == 1:
-        moved = moved[:, None]
     if moved.shape != ensemble.particles.shape:
         raise DimensionMismatchError("transition changed the cloud's shape")
     if not np.isfinite(moved).all():

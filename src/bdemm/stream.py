@@ -212,8 +212,8 @@ class _KfEngine:
 
     def step(self, y, t):
         self.state, est, log_evs = kf_bdemm_step(
-            self.state, self.pool, y, self.wtt, weight_floor=self.floor)
-        return est.x_hat, self.state.weights.w, log_evs
+            self.state, self.pool, y, self.wtt, weight_floor=self.weight_floor)
+        return est.x_hat, self.state.model_weights.w, log_evs
 
 
 def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
@@ -273,7 +273,7 @@ class _SmcEngine:
     def step(self, y, t):
         self.state, est, log_evs = smc_bdemm_step(
             self.state, self.pool, y, t, self.wtt, self.rng,
-            weight_floor=self.floor)
+            weight_floor=self.weight_floor)
         return est.x_hat, self.state.model_weights.w, log_evs
 
 
@@ -293,7 +293,8 @@ class _IntelEngine:
 
     def step(self, y, t):
         self.state, fused, log_evs = intel_step(
-            self.state, self.pool, y[0], t, self.wtt, weight_floor=self.floor)
+            self.state, self.pool, y[0], t, self.wtt,
+            weight_floor=self.weight_floor)
         return np.array([fused.mean]), self.state.model_weights.w, log_evs
 
 
@@ -319,9 +320,9 @@ def build_engine(config: dict):
         # the weight settings are the same for every engine: read them once,
         # and check them against the pool with one step on zero evidence
         engine.wtt = _wtt_from_config(cfg)
-        engine.floor = cfg.get("weight_floor", default=0.0)
+        engine.weight_floor = cfg.get("weight_floor", default=0.0)
         weight_step(engine.wtt, engine.state.history,
-                    np.zeros(len(engine.pool)), engine.floor)
+                    np.zeros(len(engine.pool)), engine.weight_floor)
     except ConfigError:
         raise
     except BdemmError as exc:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import WeightHistory, WeightVector, _count, _floats, _quiet, _real
-from .errors import InvalidInputError, LengthMismatchError
+from .errors import BdemmError, DimensionMismatchError, InvalidInputError
 from .smc import (
     SmcEnsembleState,
     additive_noise_ssm,
@@ -230,16 +230,16 @@ def mse(estimates, truths) -> float:
 
     Raises
     ------
-    LengthMismatchError
+    DimensionMismatchError
         If the two are not 1-d sequences of one equal, nonzero length.
     """
     est = _floats(estimates, "estimates", 1)
     tru = _floats(truths, "truths", 1)
     if est.shape != tru.shape or est.ndim != 1:
-        raise LengthMismatchError("estimates and truths must align as 1-d "
-                                  "sequences")
+        raise DimensionMismatchError("estimates and truths must align as 1-d "
+                                     "sequences")
     if est.size == 0:
-        raise LengthMismatchError("need at least one step")
+        raise DimensionMismatchError("need at least one step")
     diff = est - tru
     return float(diff @ diff / est.size)
 
@@ -280,8 +280,10 @@ def run_toy_experiment(config: ToyConfig = ToyConfig()) -> RunReport:
 
     Each run draws its own series and filter randomness from seeds derived
     deterministically from ``config.seed`` and the run index, so reports are
-    reproducible bit for bit.  A run that raises is recorded in
-    ``failures`` and excluded from the aggregates, never silently dropped.
+    reproducible bit for bit.  A run that raises a
+    :class:`~bdemm.errors.BdemmError` is recorded in ``failures`` and
+    excluded from the aggregates, never silently dropped; any other
+    exception is a library fault and propagates.
     A per-run MSE, mean or variance whose arithmetic overflows reads
     ``inf``, without a numpy warning; the variance over a run whose MSE
     reads ``inf`` is NaN.
@@ -315,7 +317,7 @@ def run_toy_experiment(config: ToyConfig = ToyConfig()) -> RunReport:
                 run_mse[name] = mse(estimates, states)
                 if name == "ensemble":
                     ensemble_weights = weight_rows
-        except Exception as exc:  # recorded, not dropped
+        except BdemmError as exc:  # recorded, not dropped
             failures.append((r, "%s: %s" % (type(exc).__name__, exc)))
             for name in ALGORITHMS:
                 per_run[name].append(float("nan"))

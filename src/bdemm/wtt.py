@@ -206,11 +206,11 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
 
 
 def _weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
-                 floor: float):
+                 weight_floor: float):
     """The move kernel of :func:`weight_step`, which every engine step runs
     under its own error scope."""
     predictive = _transition(config, history)
-    w = _bayes(predictive, log_evidences, floor)
+    w = _bayes(predictive, log_evidences, weight_floor)
     informative = w is not None
     weights = _trusted(WeightVector, w if informative else predictive)
     return weights, history.append(weights), informative
@@ -218,13 +218,13 @@ def _weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
 
 @_quiet
 def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
-                floor: float = 0.0):
+                weight_floor: float = 0.0):
     """One transition-then-Bayes move of the model weights.
 
     The operator turns ``history`` into predictive weights, and Bayes' rule
     folds in the per-model log evidences as
-    :func:`~bdemm.core.update_model_weights_log` does (``floor`` is passed
-    through; outside ``[0, 1/K)`` it raises ``InvalidInputError``).  If every
+    :func:`~bdemm.core.update_model_weights_log` does (``weight_floor`` is
+    passed through; outside ``[0, 1/K)`` it raises ``InvalidInputError``).  If every
     evidence is zero the observation is uninformative: the predictive
     weights carry forward.  Both moves run on arrays, so the call builds one
     ``WeightVector`` and one ``WeightHistory``.
@@ -238,4 +238,4 @@ def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     informative : bool
         False when the predictive weights were carried forward.
     """
-    return _weight_step(config, history, log_evidences, floor)
+    return _weight_step(config, history, log_evidences, weight_floor)

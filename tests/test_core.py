@@ -259,18 +259,18 @@ def test_logsumexp_matches_scipy_and_handles_infinities():
 
 def test_floor_clamps_then_renormalizes():
     out = update_model_weights_log(WeightVector([0.99, 0.01]), [0.0, 0.0],
-                                   floor=0.1)
+                                   weight_floor=0.1)
     assert np.allclose(out.w, [0.99 / 1.09, 0.1 / 1.09], atol=1e-15)
 
 
 def test_floor_domain():
     prior = WeightVector([0.99, 0.01])
     # a zero floor is off
-    off = update_model_weights_log(prior, [0.0, -3.0], floor=0.0)
+    off = update_model_weights_log(prior, [0.0, -3.0], weight_floor=0.0)
     assert np.array_equal(off.w, update_model_weights_log(prior, [0.0, -3.0]).w)
     assert off.w[1] < 0.001
     with pytest.raises(ValueError):
-        update_model_weights_log(prior, [0.0, 0.0], floor=0.5)  # 1/K exactly
+        update_model_weights_log(prior, [0.0, 0.0], weight_floor=0.5)  # 1/K exactly
 
 
 @pytest.mark.parametrize("floor", [-0.5, np.nan, 0.5],
@@ -283,7 +283,7 @@ def test_floor_outside_its_range_raises_on_every_path(floor):
         warnings.simplefilter("error")
         for log_ev in ([-1.0, -3.0], [-np.inf, -np.inf]):  # all-zero too
             with pytest.raises(ValueError, match="floor"):
-                update_model_weights_log(prior, log_ev, floor=floor)
+                update_model_weights_log(prior, log_ev, weight_floor=floor)
             with pytest.raises(ValueError, match="floor"):
                 weight_step(WTTConfig.identity(), WeightHistory.start(prior),
                             log_ev, floor)
@@ -294,7 +294,7 @@ def test_floor_outside_its_range_raises_on_every_path(floor):
 
 def test_floor_through_update():
     post = update_model_weights_log(WeightVector([0.5, 0.5]),
-                                    [0.0, -600.0], floor=0.02)
+                                    [0.0, -600.0], weight_floor=0.02)
     # clamp to floor then renormalize: min entry sits near the floor
     assert post.w[1] >= 0.02 / (1.0 + 2 * 0.02)
     assert abs(post.w.sum() - 1.0) <= 1e-12

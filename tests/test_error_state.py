@@ -96,7 +96,7 @@ def _kf_run(y):
     out = []
     for row in y:
         state, est, log_evs = kf_bdemm_step(state, pool, row, wtt, 0.01)
-        out.append((est.x_hat, state.weights.w, state.belief.cov, log_evs))
+        out.append((est.x_hat, state.model_weights.w, state.belief.cov, log_evs))
     return out
 
 
@@ -163,7 +163,7 @@ def test_a_kf_step_on_a_far_row_ignores_a_warning_caller():
     got = _under(dict(under="warn"), kf_bdemm_step, *args)
     want = kf_bdemm_step(*args)
     assert got[1].x_hat.tobytes() == want[1].x_hat.tobytes()
-    assert got[0].weights.w.tobytes() == want[0].weights.w.tobytes()
+    assert got[0].model_weights.w.tobytes() == want[0].model_weights.w.tobytes()
 
 
 # public functions whose only floating-point event is an underflow, which

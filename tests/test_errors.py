@@ -116,22 +116,26 @@ def test_every_helper_call_passes_a_library_error():
 
 
 def _boundary_handlers():
-    """The except clauses of the command line and of stream.build_engine."""
+    """The except clauses of the command line, of stream.build_engine and of
+    toy.run_toy_experiment, which records a failed run."""
+    inside = {"stream.py": "build_engine", "toy.py": "run_toy_experiment"}
     for path in SOURCES:
-        if path.name not in ("cli.py", "stream.py"):
+        if path.name not in ("cli.py", "stream.py", "toy.py"):
             continue
         for node, scope in _scoped_nodes(ast.parse(path.read_text())):
             if isinstance(node, ast.ExceptHandler) and (
-                    path.name == "cli.py" or "build_engine" in scope):
+                    path.name == "cli.py" or inside[path.name] in scope):
                 yield path.name, node
 
 
 def test_the_boundary_catches_no_builtin_error_but_os_error():
-    caught = []
+    caught, files = [], set()
     for name, handler in _boundary_handlers():
+        files.add(name)
         types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
             else [handler.type]
         caught += [(name, t.id) for t in types if not _library_error(t)]
+    assert files == {"cli.py", "stream.py", "toy.py"}
     assert set(caught) == {("cli.py", "OSError")}
 
 

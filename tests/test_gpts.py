@@ -292,6 +292,23 @@ def test_poe_validation():
         poe_combine([PredictiveGaussian(0.0, 1.0)], WeightVector([0.5, 0.5]))
 
 
+BIGGEST = np.finfo(float).max
+
+
+def test_a_fused_variance_that_overflows_raises_on_both_paths():
+    # 0.5 / max + 0.5 / max is subnormal, and its inverse is inf: a value
+    # PredictiveGaussian itself rejects
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteForecastError, match="variance inf"):
+            poe_combine([PredictiveGaussian(0.0, BIGGEST)] * 2,
+                        WeightVector([0.5, 0.5]))
+        pool = [GPTSModel(0.0, BIGGEST, 1.0, 0.0, 3)] * 2
+        with pytest.raises(NonFiniteForecastError, match="variance inf"):
+            intel_step(IntelState.initial(k=2), pool, 0.0, 1.0,
+                       WTTConfig.identity())
+
+
 # ---------------------------------------------------------------------------
 # the online step
 

@@ -148,7 +148,7 @@ def test_single_model_ensemble_matches_textbook_filter():
         wtt = WTTConfig.identity()
         for y in ys:
             state, est, _ = kf_bdemm_step(state, [model], y, wtt)
-            assert state.weights.w[0] == 1.0  # K=1: weight never moves
+            assert state.model_weights.w[0] == 1.0  # K=1: weight never moves
 
         ref_means, ref_covs = _textbook_kf(model, mean0, cov0, ys)
         assert np.allclose(state.belief.mean, ref_means[-1], atol=1e-10)
@@ -190,7 +190,7 @@ def test_weights_move_toward_the_better_model():
         x += rng.normal(0.0, np.sqrt(0.1))
         y = x + rng.normal(0.0, 1.0)  # unit observation noise: model 0 is right
         state, _, _ = kf_bdemm_step(state, pool, y, WTTConfig.identity())
-    assert state.weights.w[0] > 0.9
+    assert state.model_weights.w[0] > 0.9
 
 
 def test_estimate_equals_collapsed_mean_exactly():
@@ -208,7 +208,7 @@ def test_belief_is_the_collapsed_posterior_mixture():
     updates = [_textbook_step(m, start.belief.mean, start.belief.cov, 0.8)
                for m in pool]
     ref = collapse_mixture([GaussianBelief(mean, cov)
-                            for mean, cov, _ in updates], state.weights)
+                            for mean, cov, _ in updates], state.model_weights)
     assert np.allclose(state.belief.mean, ref.mean, atol=1e-15)
     assert np.allclose(state.belief.cov, ref.cov, atol=1e-15)
     assert log_evs == pytest.approx([log_ev for _, _, log_ev in updates],
@@ -227,7 +227,7 @@ def test_identity_wtt_weights_track_evidence_products():
     expected = np.exp(log_prod - log_prod.max())
     expected = expected * 0.5  # uniform prior
     expected /= expected.sum()
-    assert np.allclose(state.weights.w, expected, atol=1e-12)
+    assert np.allclose(state.model_weights.w, expected, atol=1e-12)
 
 
 def test_all_models_underflow_skips_the_step():
@@ -239,7 +239,7 @@ def test_all_models_underflow_skips_the_step():
     with np.errstate(over="ignore"):
         state, est, log_evs = kf_bdemm_step(prior, pool, 1e200,
                                             WTTConfig.identity())
-    assert np.array_equal(state.weights.w, start.w)
+    assert np.array_equal(state.model_weights.w, start.w)
     assert log_evs.tolist() == [-np.inf, -np.inf]
     # both candidates share A and Q, so both predict N(0, 1.1) and the
     # collapsed belief is that prediction, untouched by the observation
@@ -249,7 +249,7 @@ def test_all_models_underflow_skips_the_step():
     predicted = [kf_predict(m, prior.belief) for m in pool]
     for p in predicted:
         assert np.allclose(p.mean, [0.0], atol=1e-15)
-    ref = collapse_mixture(predicted, state.weights)
+    ref = collapse_mixture(predicted, state.model_weights)
     assert np.array_equal(state.belief.mean, ref.mean)
     assert np.array_equal(state.belief.cov, ref.cov)
 
@@ -266,10 +266,10 @@ def test_overflowing_residual_falls_back_without_warning(y):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         new, est, log_evs = kf_bdemm_step(state, pool, y, wtt)
-    assert np.array_equal(new.weights.w, predictive.w)
+    assert np.array_equal(new.model_weights.w, predictive.w)
     assert log_evs.tolist() == [-np.inf, -np.inf]
     predicted = [kf_predict(model, state.belief) for model in pool]
-    ref = collapse_mixture(predicted, new.weights)
+    ref = collapse_mixture(predicted, new.model_weights)
     assert np.array_equal(new.belief.mean, ref.mean)
     assert np.array_equal(new.belief.cov, ref.cov)
 
@@ -302,7 +302,7 @@ def test_weight_floor_keeps_models_alive():
     for y in np.linspace(-0.5, 0.5, 20):
         state, _, _ = kf_bdemm_step(state, pool, float(y),
                                     WTTConfig.identity(), weight_floor=0.05)
-    assert state.weights.w.min() >= 0.05 / (1.0 + 2 * 0.05)
+    assert state.model_weights.w.min() >= 0.05 / (1.0 + 2 * 0.05)
 
 
 def test_history_grows_one_row_per_step():
@@ -311,7 +311,7 @@ def test_history_grows_one_row_per_step():
     for i in range(7):
         state, _, _ = kf_bdemm_step(state, pool, 0.1 * i, WTTConfig.identity())
     assert len(state.history) == 8
-    assert state.history.last is state.weights
+    assert state.history.last is state.model_weights
 
 
 def test_pool_size_must_match_weights():
@@ -387,7 +387,7 @@ def test_stacked_step_matches_the_per_model_recursion(kind, d):
                                                 weight_floor=floor)
         np.testing.assert_allclose(state.belief.mean, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(state.belief.cov, cov, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.weights.w, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.model_weights.w, w, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_log_evs, log_evs, rtol=1e-12, atol=0)
         if d == 1:
             assert np.array_equal(got_log_evs, alone)

@@ -118,6 +118,20 @@ def test_propagate_rejects_shape_changes():
         propagate(bad, e, 1, np.random.default_rng(0))
 
 
+def test_propagate_takes_only_an_n_by_d_cloud_back():
+    # an (N,) cloud from a transition of a (N, 1) one is not reshaped
+    flat = GenericStateSpaceModel(
+        sample_transition=lambda x, t, rng: x[:, 0] + 1.0,
+        log_likelihood=lambda y, x, t: np.zeros(x.shape[0]),
+    )
+    e = ParticleEnsemble.equal_weighted([[0.0], [1.0]])
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        propagate(flat, e, 1, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        smc_bdemm_step(SmcEnsembleState.initial(e.particles, k=1), [flat],
+                       0.0, 1, WTTConfig.identity(), np.random.default_rng(0))
+
+
 def test_reweight_equal_likelihoods_stay_uniform():
     e = ParticleEnsemble.equal_weighted([[0.0], [0.0], [0.0]])
     w, log_ev = reweight(_shift_model(), e, np.array([0.0]), 1)

@@ -281,7 +281,7 @@ def test_every_operator_streams_as_its_factory_config(tmp_path, kind):
     for line, y in zip(out.read_text().splitlines()[1:], ys, strict=True):
         state, _, _ = kf_bdemm_step(state, pool, y, config)
         written = np.array([float(c) for c in line.split(",")[2:4]])
-        assert written.tobytes() == state.weights.w.tobytes()
+        assert written.tobytes() == state.model_weights.w.tobytes()
 
 
 def test_smc_stream_runs_and_is_deterministic(tmp_path):

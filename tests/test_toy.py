@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bdemm import (
+    DimensionMismatchError,
     InvalidInputError,
-    LengthMismatchError,
     NonFiniteBeliefError,
     ToyConfig,
     gen_toy_series,
@@ -153,14 +153,14 @@ def test_mse_hand_cases():
     assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert mse([0.0, 0.0], [1.0, 1.0]) == pytest.approx(1.0, rel=1e-15)
     assert mse([0.0, 2.0], [1.0, 1.0]) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DimensionMismatchError):
         mse([1.0], [1.0, 2.0])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DimensionMismatchError):
         mse([], [])
 
 
 def test_mse_rejects_two_dimensional_input():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DimensionMismatchError):
         mse([[1.0]], [[1.0]])
 
 
@@ -239,6 +239,16 @@ def test_a_failed_run_is_recorded_and_left_out_of_the_means(monkeypatch):
             "not finite") in summary_text(rep)
 
 
+def test_a_library_fault_in_a_run_is_not_recorded_as_a_failed_run(
+        monkeypatch):
+    def faulty(*args):
+        raise TypeError("a library bug")
+
+    monkeypatch.setattr(toy, "_run_filter", faulty)
+    with pytest.raises(TypeError, match="a library bug"):
+        run_toy_experiment(ToyConfig(runs=2, horizon=4, particles=5))
+
+
 def test_seed_changes_the_draws():
     a = run_toy_experiment(ToyConfig(runs=1, horizon=10, particles=30, seed=0))
     b = run_toy_experiment(ToyConfig(runs=1, horizon=10, particles=30, seed=1))
@@ -310,7 +320,8 @@ def test_ensemble_hands_weight_to_the_uniform_model_on_outliers():
 # report files
 
 
-@pytest.mark.parametrize("kind", ["forgetting", "identity", "markov"])
+@pytest.mark.parametrize("kind", ["forgetting", "identity", "markov",
+                                  "constant", "polya_urn"])
 def test_summary_reports_alpha_only_for_the_forgetting_operator(kind):
     rep = run_toy_experiment(ToyConfig(runs=1, horizon=2, particles=5,
                                        wtt_kind=kind, forgetting_alpha=0.25))

@@ -264,7 +264,7 @@ def test_weight_step_passes_the_floor_through():
     log_ev = [0.0, -50.0]
     weights, _, informative = weight_step(WTTConfig.identity(), h, log_ev,
                                           0.05)
-    expected = update_model_weights_log(h.last, log_ev, floor=0.05)
+    expected = update_model_weights_log(h.last, log_ev, weight_floor=0.05)
     assert informative
     assert np.array_equal(weights.w, expected.w)
     assert weights.w[1] > 0.04
