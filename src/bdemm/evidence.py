@@ -192,11 +192,13 @@ def gaussian_innovation(y, means, covs, B, R):
     ``covs``, (K, m, d) ``B``, (K, m, m) ``R`` and one (m,) ``y``, and
     returns ``(log_ev, resid, gain_t)``: the (K,) log densities of ``y``,
     the (K, m) residuals ``y - B_k mean_k`` and the (K, m, d) solves
-    ``S_k^{-1} B_k cov_k``, the transposed Kalman gains.  One factorization
-    and two solves of the stack serve all K.  A residual so large that its
-    quadratic form overflows, whatever the signs of its entries, gives
-    ``log_ev = -inf``; a NaN in ``y`` gives a NaN ``log_ev``.  Runs under
-    its caller's error scope.
+    ``S_k^{-1} B_k cov_k``, the transposed Kalman gains.  A scalar
+    observation (m = 1) is closed form, with no LAPACK call: ``sqrt(S_k)``
+    is the Cholesky factor and each solve a division; for m > 1 one
+    Cholesky factorization and two solves of the stack serve all K.  A
+    residual so large that its quadratic form overflows, whatever the signs
+    of its entries, gives ``log_ev = -inf``; a NaN in ``y`` gives a NaN
+    ``log_ev``.  Runs under its caller's error scope.
 
     Raises
     ------
@@ -208,6 +210,21 @@ def gaussian_innovation(y, means, covs, B, R):
     s = bp @ B.swapaxes(1, 2) + R
     s = _symmetrized(s)
     resid = y - (B @ means[:, :, None])[:, :, 0]
+    if s.shape[1] == 1:
+        # a scalar S needs no LAPACK call: its Cholesky factor is sqrt(S)
+        # and each solve one division, bit for bit with one right-hand side
+        s = s[:, 0, 0]
+        if not (s > 0.0).all():  # NaN fails too, as it fails the factorization
+            raise SingularInnovationCovError(
+                "innovation covariance is not positive definite")
+        logdet = 2.0 * np.log(np.sqrt(s))
+        if not np.isfinite(logdet).all():
+            raise SingularInnovationCovError(
+                "innovation covariance is not finite")
+        sol = resid / s[:, None]
+        quad = _overflowed_to_inf((resid * sol)[:, 0], resid)
+        return (-0.5 * (y.size * LOG_2PI + logdet + quad), resid,
+                bp / s[:, None, None])
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
@@ -220,9 +237,9 @@ def gaussian_innovation(y, means, covs, B, R):
         raise SingularInnovationCovError(
             "innovation covariance is not finite")
     try:
-        # two solves, not one of [resid | B P]: LAPACK divides by a 1x1
-        # S for one right-hand side but multiplies by its reciprocal for
-        # several, and an update cancelling to roundoff turns on that bit
+        # two solves, not one of [resid | B P]: LAPACK divides by the
+        # pivots for one right-hand side but multiplies by their
+        # reciprocals for several, and the residual's solve keeps dividing
         sol = np.linalg.solve(s, resid[:, :, None])
         gain_t = np.linalg.solve(s, bp)
     except np.linalg.LinAlgError as exc:

@@ -15,10 +15,12 @@ keeps the state representation from branching into K^t components.
 
 A step runs the whole pool at once.  The pool's matrices are stacked once
 (and cached) into (K, ., .) arrays, so one batched predict, one batched
-innovation (one factorization, two solves), one batched update with one
-stacked roundoff check, and one array collapse serve all K models: a row's
-count of numpy calls does not grow with K.  :func:`kf_predict` is the K = 1
-call of the predict kernel, and a one-model pool runs the textbook filter.
+innovation (closed form for a scalar observation, else one factorization
+and two solves), one batched update with one stacked roundoff check, and
+one array collapse serve all K models: a row's count of numpy calls does
+not grow with K, and with a scalar state and observation it makes no
+LAPACK call.  :func:`kf_predict` is the K = 1 call of the predict kernel,
+and a one-model pool runs the textbook filter.
 """
 
 from __future__ import annotations
@@ -175,7 +177,10 @@ def _update(means, covs, B, R, y):
         raise NonFiniteBeliefError("posterior belief is not finite")
     # P - G B P cancels to roundoff when B P B^T dwarfs R by ~1/eps
     scale = np.maximum(1.0, np.abs(post_covs).max(axis=(1, 2)))
-    lost = np.linalg.eigvalsh(post_covs)[:, 0] < -PSD_ATOL * scale
+    # a 1x1 matrix is its own eigenvalue, and eigvalsh returns it as is
+    low = (post_covs[:, 0, 0] if post_covs.shape[1] == 1
+           else np.linalg.eigvalsh(post_covs)[:, 0])
+    lost = low < -PSD_ATOL * scale
     if (lost & ~kept).any():
         raise NonFiniteBeliefError("posterior covariance lost to roundoff")
     return post_means, post_covs, log_ev

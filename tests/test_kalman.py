@@ -12,6 +12,7 @@ from bdemm import (
     KfEnsembleState,
     LinearGaussianModel,
     NonFiniteBeliefError,
+    SingularInnovationCovError,
     WeightVector,
     WTTConfig,
     apply_wtt,
@@ -429,3 +430,57 @@ def test_posterior_covariance_near_the_float_limit_stays_finite():
         warnings.simplefilter("error")
         state, _, _ = kf_bdemm_step(state, [model], 0.0, WTTConfig.identity())
     assert state.belief.cov.tolist() == [[9.5e307]]
+
+
+def _linalg_calls(monkeypatch, pool, state, rows):
+    """How often a stream of ``rows`` through ``pool`` calls each LAPACK
+    routine the Kalman step can reach; the pool and state are built first."""
+    counts = dict.fromkeys(("cholesky", "solve", "eigvalsh"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    wtt = WTTConfig.forgetting(0.9)
+    for y in rows:
+        state, _, _ = kf_bdemm_step(state, pool, y, wtt)
+    monkeypatch.undo()
+    return counts
+
+
+def test_a_scalar_row_makes_no_lapack_call(monkeypatch):
+    pool = _two_model_pool()
+    state = KfEnsembleState.initial(GaussianBelief(0.0, 1.0), k=2)
+    rows = np.random.default_rng(4).normal(0.0, 1.0, size=200)
+    assert _linalg_calls(monkeypatch, pool, state, rows) == {
+        "cholesky": 0, "solve": 0, "eigvalsh": 0}
+
+
+def test_a_vector_row_still_factorizes_once(monkeypatch):
+    pool = [LinearGaussianModel(A=np.eye(2), Q=0.1 * np.eye(2), B=np.eye(2),
+                                R=r * np.eye(2)) for r in (1.0, 400.0)]
+    state = KfEnsembleState.initial(GaussianBelief(np.zeros(2), np.eye(2)),
+                                    k=2)
+    rows = np.random.default_rng(4).normal(0.0, 1.0, size=(200, 2))
+    assert _linalg_calls(monkeypatch, pool, state, rows) == {
+        "cholesky": 200, "solve": 400, "eigvalsh": 200}
+
+
+@pytest.mark.parametrize("degenerate, message", [
+    (dict(B=0.0, R=0.0), "not positive definite"),  # S = 0
+    (dict(B=1.0, R=1e308), "not finite"),  # S = 1e308 + 1e308
+], ids=["zero", "overflow"])
+def test_one_degenerate_scalar_innovation_in_a_pool_raises(degenerate,
+                                                           message):
+    pool = [LinearGaussianModel(A=1.0, Q=0.0, **degenerate),
+            LinearGaussianModel(A=1.0, Q=0.0, B=1.0, R=1.0)]
+    state = KfEnsembleState.initial(GaussianBelief(0.0, 1e308), k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularInnovationCovError, match=message):
+            kf_bdemm_step(state, pool, 0.0, WTTConfig.identity())
