@@ -483,8 +483,8 @@ def gaussian_noise(var: float):
 def uniform_noise(low: float, high: float):
     """Elementwise log density of U(low, high): flat inside, -inf outside."""
     low, high = _real(low, "low"), _real(high, "high")
-    if not high > low:
-        raise InvalidInputError("need high > low")
+    if not 0.0 < high - low < np.inf:  # NaN fails too
+        raise InvalidInputError("need high > low, with a finite width")
     level = -float(np.log(high - low))
 
     def logpdf(resid):

@@ -62,7 +62,7 @@ from .smc import (
     student_t_noise,
     uniform_noise,
 )
-from .toy import ToyConfig, toy_candidate, toy_transition
+from .toy import ROBUST_SUPPORT, ToyConfig, toy_candidate, toy_transition
 from .wtt import WTTConfig, weight_step
 
 __all__ = ["parse_config", "build_engine", "run_stream"]
@@ -228,14 +228,14 @@ def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
         noise = gaussian_noise(cfg.get(base + "var",
                                        default=toy.gauss_noise_var))
     elif kind == "toy_uniform":
-        noise = uniform_noise(cfg.get(base + "low", default=toy.robust_low),
-                              cfg.get(base + "high", default=toy.robust_high))
+        noise = uniform_noise(cfg.get(base + "low", default=ROBUST_SUPPORT[0]),
+                              cfg.get(base + "high", default=ROBUST_SUPPORT[1]))
     elif kind == "toy_student_t":
         noise = student_t_noise(cfg.get(base + "df", default=3.0),
                                 cfg.get(base + "scale", default=1.0))
     else:
         raise ConfigError("unknown key %r value %r" % (base + "kind", kind))
-    return toy_candidate(toy, transition, noise), (1, 1)
+    return toy_candidate(transition, noise), (1, 1)
 
 
 class _SmcEngine:

@@ -21,9 +21,10 @@ The point of the exercise: the ensemble should track like the Gaussian
 filter on clean steps and hand the weights to the uniform candidate exactly
 on the contaminated ones.
 
-The source experiment leaves the observation-noise variance, the particle
-count, the weight-transition operator and the Gamma parameterization open,
-so the defaults here are tuned choices, not given facts.  The variance
+The source experiment fixes the initial state, the regime switch, the
+outliers and the uniform support (the module constants below) and leaves
+the noise variance, the particle count, the weight-transition operator and
+the Gamma parameters open, so those defaults are tuned choices.  The variance
 default sits where an outlier is *almost* explainable by the Gaussian
 model: in the quadratic regime a particle a couple of sigmas up can account
 for a +45 bump, so the single-model Gaussian filter gets dragged off the
@@ -55,6 +56,10 @@ from .wtt import WTTConfig, default_markov_matrix, weight_step
 ALGORITHMS = ("ensemble", "gaussian_only", "uniform_only")
 
 DEFAULT_OUTLIER_STEPS = frozenset({7, 8, 9, 20, 37, 38, 39, 50})
+X0 = 1.0
+REGIME_SWITCH_STEP = 30
+OUTLIER_RANGE = (40.0, 50.0)
+ROBUST_SUPPORT = (-50.0, 50.0)
 
 # the largest gamma scale, and mean shape * scale, of the state noise
 GAMMA_MAX = 1e303
@@ -79,10 +84,10 @@ __all__ = [
 class ToyConfig:
     """Everything the benchmark needs; see the module docstring on defaults.
 
-    Construction checks the counts, the seed and the gamma noise, whose
-    scale and mean shape * scale are at most ``GAMMA_MAX`` so that no draw
-    overflows the state, and builds what every run builds: both noise
-    densities and one weight step of the two-model ensemble.
+    Construction checks the counts, the seed, the outlier steps and the gamma
+    noise, whose scale and mean shape * scale are at most ``GAMMA_MAX`` so
+    that no draw overflows the state, and builds what every run builds: the
+    Gaussian noise density and one weight step of the two-model ensemble.
 
     ``GAMMA_MAX`` keeps the state finite, not the observation: with the
     default shape, a gamma mean above about 1e154 drives states past about
@@ -95,16 +100,10 @@ class ToyConfig:
     horizon: int = 60
     runs: int = 30
     seed: int = 0
-    x0: float = 1.0
     gamma_shape: float = 3.0
     gamma_scale: float = 2.0
     gauss_noise_var: float = 0.9
-    regime_switch_step: int = 30
     outlier_steps: frozenset = field(default_factory=lambda: DEFAULT_OUTLIER_STEPS)
-    outlier_low: float = 40.0
-    outlier_high: float = 50.0
-    robust_low: float = -50.0
-    robust_high: float = 50.0
     particles: int = 200
     wtt_kind: str = "forgetting"
     forgetting_alpha: float = 0.5
@@ -127,31 +126,34 @@ class ToyConfig:
             raise InvalidInputError(
                 "gamma shape and scale must be nonnegative, with scale and "
                 "shape * scale at most %g" % GAMMA_MAX)
-        object.__setattr__(self, "outlier_steps", frozenset(self.outlier_steps))
+        message = "outlier steps must be whole numbers >= 1"
+        try:
+            steps = iter(self.outlier_steps)
+        except TypeError:
+            raise InvalidInputError(message) from None
+        object.__setattr__(self, "outlier_steps", frozenset(
+            _count(t, InvalidInputError, message) for t in steps))
         # a bad value fails here, not inside run 0
         gaussian_noise(self.gauss_noise_var)
-        uniform_noise(self.robust_low, self.robust_high)
         weight_step(self.wtt_config(2), WeightHistory.start(
             WeightVector.uniform(2)), np.zeros(2), self.weight_floor)
 
     def wtt_config(self, k: int) -> WTTConfig:
         if self.wtt_kind == "forgetting":
             return WTTConfig.forgetting(self.forgetting_alpha)
-        if self.wtt_kind == "identity":
-            return WTTConfig.identity()
         if self.wtt_kind == "constant":
             return WTTConfig.constant(WeightVector.uniform(k))
         if self.wtt_kind == "markov":
             return WTTConfig.markov(default_markov_matrix(k))
         if self.wtt_kind == "polya_urn":
             return WTTConfig.polya_urn(np.ones(k, dtype=int))
-        raise InvalidInputError("unknown weight-transition kind %r" % (self.wtt_kind,))
+        return WTTConfig(self.wtt_kind)
 
 
-def toy_observation(x, t: int, config: ToyConfig = ToyConfig()):
+def toy_observation(x, t: int):
     """Noise-free observation map: quadratic early, affine after the switch."""
     x = np.asarray(x, dtype=float)
-    if t <= config.regime_switch_step:
+    if t <= REGIME_SWITCH_STEP:
         return 0.2 * x * x
     return 0.2 * x - 2.0
 
@@ -168,20 +170,19 @@ def gen_toy_series(config: ToyConfig, rng):
     Returns
     -------
     states : ndarray, shape (horizon,)
-        x_1 .. x_T (x_0 = ``config.x0`` is not included).
+        x_1 .. x_T (x_0 = ``X0`` is not included).
     observations : ndarray, shape (horizon,)
     outlier_mask : ndarray of bool, shape (horizon,)
         True where the observation carries a uniform outlier.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is returned as it is
     t_count = config.horizon
     gamma = rng.gamma(config.gamma_shape, config.gamma_scale, size=t_count)
     gauss = rng.normal(0.0, np.sqrt(config.gauss_noise_var), size=t_count)
-    unif = rng.uniform(config.outlier_low, config.outlier_high, size=t_count)
+    unif = rng.uniform(*OUTLIER_RANGE, size=t_count)
 
     states = np.empty(t_count)
-    x = config.x0
+    x = X0
     for i in range(t_count):
         t = i + 1
         x = 1.0 + np.sin(0.04 * np.pi * t) + 0.5 * x + gamma[i]
@@ -190,7 +191,7 @@ def gen_toy_series(config: ToyConfig, rng):
     steps = np.arange(1, t_count + 1)
     outlier_mask = np.isin(steps, sorted(config.outlier_steps))
     noise = np.where(outlier_mask, unif, gauss)
-    clean = np.where(steps <= config.regime_switch_step,
+    clean = np.where(steps <= REGIME_SWITCH_STEP,
                      0.2 * states * states, 0.2 * states - 2.0)
     return states, clean + noise, outlier_mask
 
@@ -206,12 +207,12 @@ def toy_transition(config: ToyConfig):
     return sample
 
 
-def toy_candidate(config: ToyConfig, transition, noise_logpdf):
+def toy_candidate(transition, noise_logpdf):
     """One candidate: ``transition``, the toy observation map, additive noise
     scored by ``noise_logpdf``.  Candidates built on one ``transition``
     object share it, so an ensemble of them propagates its cloud once."""
     def observation(x, t):
-        return toy_observation(x[:, 0], t, config)
+        return toy_observation(x[:, 0], t)
 
     return additive_noise_ssm(transition, observation, noise_logpdf)
 
@@ -220,8 +221,8 @@ def toy_pool(config: ToyConfig):
     """The two candidate models (Gaussian noise, wide uniform noise)."""
     transition = toy_transition(config)
     noises = (gaussian_noise(config.gauss_noise_var),
-              uniform_noise(config.robust_low, config.robust_high))
-    return [toy_candidate(config, transition, noise) for noise in noises]
+              uniform_noise(*ROBUST_SUPPORT))
+    return [toy_candidate(transition, noise) for noise in noises]
 
 
 @_quiet
@@ -246,9 +247,8 @@ def mse(estimates, truths) -> float:
 
 def _run_filter(pool, observations, config: ToyConfig, wtt, rng):
     """Filter one series; returns (estimates (T,), weight rows (T, K))."""
-    n = config.particles
-    particles = np.full((n, 1), config.x0)
-    state = SmcEnsembleState.initial(particles, k=len(pool))
+    state = SmcEnsembleState.initial(np.full((config.particles, 1), X0),
+                                     k=len(pool))
     t_count = observations.size
     estimates = np.empty(t_count)
     weight_rows = np.empty((t_count, len(pool)))
@@ -289,11 +289,8 @@ def run_toy_experiment(config: ToyConfig = ToyConfig()) -> RunReport:
     reads ``inf`` is NaN.
     """
     pool = toy_pool(config)
-    pools = {
-        "ensemble": pool,
-        "gaussian_only": pool[:1],
-        "uniform_only": pool[1:],
-    }
+    pools = {"ensemble": pool, "gaussian_only": pool[:1],
+             "uniform_only": pool[1:]}
     per_run = {name: [] for name in ALGORITHMS}
     weight_sum = np.zeros((config.horizon, 2))
     weight_runs = 0

@@ -65,11 +65,12 @@ __all__ = ["WTTConfig", "apply_wtt", "weight_step", "default_markov_matrix",
 def default_markov_matrix(k: int, stay: float = 0.9) -> np.ndarray:
     """Row-stochastic matrix keeping ``stay`` on the diagonal.
 
-    Off-diagonal mass is spread evenly, ``(1 - stay) / (k - 1)`` per entry.
-    With ``k = 1`` the only valid matrix is ``[[1.0]]``.  ``k`` not a whole
-    number of at least 1 raises ``ConfigMismatchError``.
+    Off-diagonal mass is spread evenly, ``(1 - stay) / (k - 1)`` per entry;
+    ``k = 1`` gives ``[[1.0]]``.  Raises ``ConfigMismatchError`` unless ``k``
+    is a whole number >= 1 and ``stay`` a real number in [0, 1].
     """
     k = _count(k, ConfigMismatchError, "need a whole number of models >= 1")
+    stay = _real(stay, "stay", ConfigMismatchError)
     if not 0.0 <= stay <= 1.0:
         raise ConfigMismatchError("diagonal mass must sit in [0, 1]")
     if k == 1:

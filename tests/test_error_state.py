@@ -23,6 +23,7 @@ from bdemm import (
     GaussianBelief,
     GPTSModel,
     IntelState,
+    InvalidInputError,
     KfEnsembleState,
     LinearGaussianModel,
     NonFiniteBeliefError,
@@ -358,12 +359,13 @@ CONSTRUCTOR_INPUTS = {
     "perturb_pool": (lambda _: perturb_pool(
         GPTSModel(0, 1, 1, np.float64(1e300), 3), [1e10]),
         (ValueError, "noise variance")),
-    # 2 pi var and high - low overflow: a density that is -inf everywhere
+    # 2 pi var overflows: a density that is -inf everywhere
     "gaussian_noise": (lambda _: callable(gaussian_noise(np.float64(1e308))),
                        True),
-    "uniform_noise": (lambda _: callable(uniform_noise(np.float64(-1e308),
-                                                       np.float64(1e308))),
-                      True),
+    # high - low overflows: rejected, as a density -inf everywhere would be
+    "uniform_noise": (lambda _: uniform_noise(np.float64(-1e308),
+                                              np.float64(1e308)),
+                      (InvalidInputError, "finite width")),
     "run_stream": (_tiny_3d_stream, ["ev_1", "inf", "inf"]),
 }
 

@@ -18,6 +18,7 @@ import bdemm
 from bdemm import (
     BdemmError,
     GaussianBelief,
+    GenericStateSpaceModel,
     GPTSModel,
     IntelState,
     KfEnsembleState,
@@ -31,11 +32,14 @@ from bdemm import (
     WeightHistory,
     WeightVector,
     WTTConfig,
+    bma_point_estimate,
+    default_markov_matrix,
     errors,
     gaussian_noise,
     gp_predict_next,
     intel_step,
     kf_bdemm_step,
+    kf_predict,
     linear_gaussian_ssm,
     mse,
     perturb_pool,
@@ -184,6 +188,29 @@ BAD_VALUES = {
     "evidence-word": (lambda: update_model_weights_log(
         WeightVector([0.5, 0.5]), ["a", 0.0]), ValueError),
     "cov-empty": (lambda: checked_cov(np.zeros((0, 0))), ValueError),
+    "cov-nan": (lambda: checked_cov([[np.nan]]), ValueError),
+    "history-width": (lambda: WeightHistory(WeightVector([0.5, 0.5]), [1.0]),
+                      ValueError),
+    "belief-mean-matrix": (lambda: GaussianBelief([[0.0]], [[1.0]]),
+                           ValueError),
+    "belief-mean-inf": (lambda: GaussianBelief([np.inf], [[1.0]]),
+                        ValueError),
+    "point-matrix": (lambda: PointEstimate([[1.0]]), ValueError),
+    "bma-empty": (lambda: bma_point_estimate([], WeightVector([1.0])),
+                  ValueError),
+    "kf-predict-dims": (lambda: kf_predict(
+        LinearGaussianModel(1.0, 1.0, 1.0, 1.0),
+        GaussianBelief([0.0, 0.0], np.eye(2))), ValueError),
+    "particles-rank": (lambda: ParticleEnsemble(np.zeros((2, 1, 1)),
+                                                [0.5, 0.5]), ValueError),
+    "likelihood-length": (lambda: smc_bdemm_step(
+        SmcEnsembleState.initial(np.zeros((3, 1)), k=1),
+        [GenericStateSpaceModel(lambda x, t, rng: x,
+                                lambda y, x, t: np.zeros(2))],
+        0.0, 1, WTTConfig.identity(), np.random.default_rng(0)), ValueError),
+    "markov-stay-range": (lambda: default_markov_matrix(2, 1.5), ValueError),
+    "markov-stay-word": (lambda: default_markov_matrix(2, "a"), ValueError),
+    "markov-stay-list": (lambda: default_markov_matrix(2, [0.5]), ValueError),
 }
 
 

@@ -41,6 +41,19 @@ def test_self_normalized_case_is_exactly_one():
     assert np.array_equal(w, np.ones(1000))
 
 
+def test_a_sampler_of_scalars_gives_the_densities_an_n_by_1_cloud():
+    # draws of shape (n,) are read as n one-dimensional points
+    flat = Proposal(sample=lambda rng, n: rng.standard_normal(n),
+                    log_density=lambda x: norm.logpdf(x[:, 0]))
+    target = UnnormalizedTarget(
+        log_density=lambda x: norm.logpdf(x[:, 0]) + np.log(3.0))
+    est, w = is_evidence(target, flat, 50, np.random.default_rng(0))
+    ref, w_ref = is_evidence(target, _std_normal_proposal(), 50,
+                             np.random.default_rng(0))
+    assert est == ref == pytest.approx(3.0, rel=1e-12)
+    assert np.array_equal(w, w_ref)
+
+
 def test_conjugate_evidence_within_one_percent():
     # prior N(0,1), likelihood N(y=0 | x, 1): evidence is N(0; 0, 2)
     truth = float(norm.pdf(0.0, loc=0.0, scale=np.sqrt(2.0)))

@@ -484,3 +484,22 @@ def test_one_degenerate_scalar_innovation_in_a_pool_raises(degenerate,
         warnings.simplefilter("error")
         with pytest.raises(SingularInnovationCovError, match=message):
             kf_bdemm_step(state, pool, 0.0, WTTConfig.identity())
+
+
+@pytest.mark.parametrize("degenerate, message", [
+    (dict(B=np.zeros((2, 2)), R=np.zeros((2, 2))), "not positive definite"),
+    (dict(B=np.eye(2), R=1e308 * np.eye(2)), "not finite"),
+], ids=["zero", "overflow"])
+def test_one_degenerate_vector_innovation_in_a_pool_raises(degenerate,
+                                                           message):
+    # m = 2 takes the Cholesky path: S = 0 fails the factorization, and
+    # S = 1e308 + 1e308 on the diagonal factors to a non-finite log det
+    eye = np.eye(2)
+    pool = [LinearGaussianModel(A=eye, Q=0.0 * eye, **degenerate),
+            LinearGaussianModel(A=eye, Q=0.0 * eye, B=eye, R=eye)]
+    state = KfEnsembleState.initial(GaussianBelief(np.zeros(2), 1e308 * eye),
+                                    k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularInnovationCovError, match=message):
+            kf_bdemm_step(state, pool, np.zeros(2), WTTConfig.identity())

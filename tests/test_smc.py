@@ -13,6 +13,7 @@ from bdemm import (
     DimensionMismatchError,
     GaussianBelief,
     GenericStateSpaceModel,
+    InvalidInputError,
     KfEnsembleState,
     LinearGaussianModel,
     NegativeEntryError,
@@ -837,6 +838,19 @@ def test_noise_helper_validation():
         uniform_noise(1.0, 1.0)
     with pytest.raises(ValueError):
         student_t_noise(0.0)
+
+
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (-np.inf, 0.0),
+                                       (0.0, np.inf), (np.nan, 1.0)],
+                         ids=["width-overflows", "low-inf", "high-inf",
+                              "low-nan"])
+def test_uniform_noise_rejects_a_support_without_a_finite_width(low, high):
+    # a width of inf would make the density -inf everywhere: the candidate
+    # would be dead on every row without a word
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="need high > low"):
+            uniform_noise(low, high)
 
 
 @pytest.mark.parametrize("df, scale", [(np.nan, 1.0), (np.inf, 1.0),

@@ -19,7 +19,14 @@ from bdemm import (
     write_report,
 )
 from bdemm import toy
-from bdemm.toy import ALGORITHMS, GAMMA_MAX, toy_observation, toy_transition
+from bdemm.toy import (
+    ALGORITHMS,
+    GAMMA_MAX,
+    OUTLIER_RANGE,
+    REGIME_SWITCH_STEP,
+    toy_observation,
+    toy_transition,
+)
 
 
 def _noise_free(**kw):
@@ -46,12 +53,11 @@ def test_noise_free_trajectory_matches_recursion():
 
 
 def test_observation_map_regimes():
-    cfg = ToyConfig()
-    assert toy_observation(0.0, 31, cfg) == pytest.approx(-2.0, abs=1e-12)
-    assert toy_observation(2.0, 30, cfg) == pytest.approx(0.8, abs=1e-12)
-    assert toy_observation(2.0, 31, cfg) == pytest.approx(-1.6, abs=1e-12)
+    assert toy_observation(0.0, 31) == pytest.approx(-2.0, abs=1e-12)
+    assert toy_observation(2.0, 30) == pytest.approx(0.8, abs=1e-12)
+    assert toy_observation(2.0, 31) == pytest.approx(-1.6, abs=1e-12)
     # vectorized over clouds
-    out = toy_observation(np.array([0.0, 1.0, 2.0]), 1, cfg)
+    out = toy_observation(np.array([0.0, 1.0, 2.0]), 1)
     assert np.allclose(out, [0.0, 0.2, 0.8], atol=1e-12)
 
 
@@ -59,12 +65,12 @@ def test_clean_steps_carry_gaussian_noise_only():
     cfg = _noise_free(horizon=60, gauss_noise_var=0.5)
     states, obs, mask = gen_toy_series(cfg, np.random.default_rng(5))
     steps = np.arange(1, 61)
-    clean = np.where(steps <= cfg.regime_switch_step,
+    clean = np.where(steps <= REGIME_SWITCH_STEP,
                      0.2 * states ** 2, 0.2 * states - 2.0)
     resid = obs - clean
     assert np.array_equal(mask, np.isin(steps, sorted(cfg.outlier_steps)))
-    assert np.all(resid[mask] >= cfg.outlier_low)
-    assert np.all(resid[mask] <= cfg.outlier_high)
+    assert np.all(resid[mask] >= OUTLIER_RANGE[0])
+    assert np.all(resid[mask] <= OUTLIER_RANGE[1])
     assert np.all(np.abs(resid[~mask]) < 6.0 * np.sqrt(cfg.gauss_noise_var))
 
 
@@ -89,6 +95,22 @@ def test_outlier_steps_are_configurable():
     cfg = ToyConfig(horizon=20, outlier_steps=frozenset())
     _, _, mask = gen_toy_series(cfg, np.random.default_rng(0))
     assert mask.sum() == 0
+
+
+def test_outlier_steps_are_stored_as_a_frozenset_of_ints():
+    steps = ToyConfig(outlier_steps=[3.0, np.int64(5), 5]).outlier_steps
+    assert steps == frozenset({3, 5})
+    assert all(type(t) is int for t in steps)
+
+
+@pytest.mark.parametrize("steps", [3, None, [2.5], [0], ["a"], [np.nan]],
+                         ids=["int", "none", "fraction", "zero", "word", "nan"])
+def test_outlier_steps_must_be_whole_numbers_of_at_least_one(steps):
+    # a step of 2.5 or 0 never matches a step of the series
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="outlier steps"):
+            ToyConfig(outlier_steps=steps)
 
 
 def test_config_validation():
@@ -136,10 +158,9 @@ def test_gamma_noise_at_its_bound_keeps_the_state_finite(shape):
 
 
 @pytest.mark.parametrize("kw", [
-    {"gauss_noise_var": -1.0}, {"robust_low": 1.0, "robust_high": 1.0},
+    {"gauss_noise_var": -1.0},
     {"weight_floor": 0.5}, {"weight_floor": "abc"}, {"weight_floor": None},
-], ids=["noise-var-negative", "robust-support-empty", "floor-at-1/K",
-        "floor-word", "floor-none"])
+], ids=["noise-var-negative", "floor-at-1/K", "floor-word", "floor-none"])
 def test_config_builds_the_noises_and_a_weight_step(kw):
     with pytest.raises(InvalidInputError):
         ToyConfig(**kw)
@@ -172,7 +193,7 @@ def test_pool_likelihood_shapes():
     cfg = ToyConfig()
     gauss, unif = toy_pool(cfg)
     cloud = np.array([[1.0], [2.0], [3.0]])
-    y = np.array([toy_observation(2.0, 1, cfg)])
+    y = np.array([toy_observation(2.0, 1)])
     ll_g = gauss.log_likelihood(y, cloud, 1)
     ll_u = unif.log_likelihood(y, cloud, 1)
     assert ll_g.shape == (3,) and ll_u.shape == (3,)
