@@ -18,6 +18,12 @@ Numerical conventions used throughout the package:
 * weight vectors must sum to 1 within ``SIMPLEX_ATOL`` (1e-12),
 * covariance matrices must be symmetric within ``SYM_ATOL`` and have
   eigenvalues >= -``PSD_ATOL`` (1e-10), both scaled by their magnitude,
+* re-symmetrizing halves a matrix before adding its transpose, except a
+  1x1 matrix, which is its own transpose and is kept as it is; the two
+  differ only on an odd multiple of the smallest subnormal, which halving
+  rounds,
+* a step tests an array's finiteness once, by counting its finite entries
+  (:func:`_finite`), and reduces its masks with ``np.count_nonzero``,
 * inputs are validated once, at the boundary: public constructors check
   them, and values an engine step builds from checked ones are not,
 * types that hold arrays compare and hash by identity (``eq=False``), as
@@ -253,9 +259,21 @@ class _EngineState:
         return self.history.last
 
 
+def _finite(*arrays) -> bool:
+    """Whether every entry of every array is finite: one counted test per
+    array, which skips ``ndarray.all``'s Python-level wrapper."""
+    for a in arrays:
+        if np.count_nonzero(np.isfinite(a)) != a.size:
+            return False
+    return True
+
+
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     """``(a + a^T) / 2`` over the last two axes, halved before the sum so
-    that entries near the float limit do not overflow."""
+    that entries near the float limit do not overflow; a 1x1 stack is its
+    own transpose and comes back as it is, not a copy."""
+    if a.shape[-1] == 1:
+        return a
     half = 0.5 * a
     return half + half.swapaxes(-1, -2)
 
@@ -332,10 +350,10 @@ class PointEstimate:
         return self.x_hat.size
 
 
-def _bayes(w: np.ndarray, log_evidences, weight_floor: float):
+def _bayes(w: np.ndarray, log_ev: np.ndarray, weight_floor: float):
     """Posterior weights of the predictive weights ``w`` (on the simplex)
-    under ``log_evidences``, as a fresh array, or ``None`` when every
-    product ``w_k * evidence_k`` is zero; see
+    under the float array ``log_ev``, as a fresh array, or ``None`` when
+    every product ``w_k * evidence_k`` is zero; see
     :func:`update_model_weights_log` for the rules and errors.  Runs under
     its caller's error scope."""
     try:
@@ -345,7 +363,6 @@ def _bayes(w: np.ndarray, log_evidences, weight_floor: float):
     if not in_range:
         raise InvalidInputError("floor must sit in [0, 1/K) = [0, %g), got %r"
                                 % (1.0 / w.size, weight_floor))
-    log_ev = _floats(log_evidences, "log evidences", 1)
     if log_ev.shape != w.shape:
         raise DimensionMismatchError(
             "one log evidence per weight required, got %d for %d weights"
@@ -406,7 +423,8 @@ def update_model_weights_log(prior: WeightVector, log_evidences,
     AllZeroError
         If every product ``prior_k * evidence_k`` is zero.
     """
-    w = _bayes(prior.w, log_evidences, weight_floor)
+    w = _bayes(prior.w, _floats(log_evidences, "log evidences", 1),
+               weight_floor)
     if w is None:
         raise AllZeroError("all prior-times-evidence products are zero")
     return _trusted(WeightVector, w)
@@ -475,16 +493,19 @@ def _collapse(means, covs, w) -> GaussianBelief:
     """:func:`collapse_mixture` of (K, d) ``means`` and (K, d, d) ``covs``
     under the (K,) weights ``w``, on arrays, under its caller's error
     scope."""
-    live = w > 0.0
-    wl = w[live]
     mean = w @ means
-    dev = means[live] - mean
-    spread = (wl[:, None] * dev)[:, :, None] * dev[:, None, :]
+    # a zero weight drops its component, whose far-off mean could turn
+    # 0 * inf into NaN; with none, the same values are summed unindexed
+    if np.count_nonzero(w) < w.size:
+        live = w > 0.0
+        w, means, covs = w[live], means[live], covs[live]
+    dev = means - mean
+    spread = (w[:, None] * dev)[:, :, None] * dev[:, None, :]
     # summed over k in order, rounding as adding one component at a time
     # does: Kalman streams at the roundoff limit turn on it
-    cov = (wl[:, None, None] * covs[live] + spread).sum(axis=0)
+    cov = (w[:, None, None] * covs + spread).sum(axis=0)
     cov = _symmetrized(cov)
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+    if not _finite(mean, cov):
         raise NonFiniteBeliefError(
             "mixture collapse overflowed: component means too far apart")
     return _trusted(GaussianBelief, mean, cov)

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _floats, _quiet, _symmetrized
+from .core import _finite, _floats, _quiet, _symmetrized
 from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -89,7 +89,7 @@ def _log_normalize(lw: np.ndarray):
         If a log weight is NaN or ``+inf``.
     """
     top = lw.max(axis=-1, keepdims=True)
-    if not (top < np.inf).all():  # NaN fails too
+    if np.count_nonzero(top < np.inf) < top.size:  # NaN fails too
         raise NonFiniteWeightError("log weights must be < +inf and not NaN")
     e = np.exp(lw - top)
     total = e.sum(axis=-1, keepdims=True)
@@ -214,11 +214,12 @@ def gaussian_innovation(y, means, covs, B, R):
         # a scalar S needs no LAPACK call: its Cholesky factor is sqrt(S)
         # and each solve one division, bit for bit with one right-hand side
         s = s[:, 0, 0]
-        if not (s > 0.0).all():  # NaN fails too, as it fails the factorization
+        # NaN fails too, as it fails the factorization
+        if np.count_nonzero(s > 0.0) < s.size:
             raise SingularInnovationCovError(
                 "innovation covariance is not positive definite")
         logdet = 2.0 * np.log(np.sqrt(s))
-        if not np.isfinite(logdet).all():
+        if not _finite(logdet):
             raise SingularInnovationCovError(
                 "innovation covariance is not finite")
         sol = resid / s[:, None]
@@ -233,7 +234,7 @@ def gaussian_innovation(y, means, covs, B, R):
     # a non-finite S factors without error but leaves its mark on the
     # diagonal
     logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    if not np.isfinite(logdet).all():
+    if not _finite(logdet):
         raise SingularInnovationCovError(
             "innovation covariance is not finite")
     try:
@@ -259,7 +260,7 @@ def _overflowed_to_inf(quad: np.ndarray, resid: np.ndarray) -> np.ndarray:
     solve made it NaN, and the residual's log density is ``-inf``.
     """
     overflowed = ~np.isfinite(quad)
-    if overflowed.any():
+    if np.count_nonzero(overflowed):
         quad[overflowed & ~np.isnan(resid).any(axis=-1)] = np.inf
     return quad
 

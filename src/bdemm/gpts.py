@@ -44,6 +44,7 @@ from .core import (
     WeightVector,
     _EngineState,
     _count,
+    _finite,
     _floats,
     _frozen,
     _quiet,
@@ -243,7 +244,7 @@ def _forecast(pool: tuple, times, values, t_next: float):
     mu, A, var = _pool_solve(pool, (times - t_next).tobytes())
     # values near the float limit overflow here
     means = mu + (A * (values - mu[:, None])).sum(axis=1)
-    if not np.isfinite(means).all():
+    if not _finite(means):
         raise NonFiniteForecastError("forecast is not finite (means %s, "
                                      "variances %s)" % (means, var))
     return means, var

@@ -16,11 +16,17 @@ keeps the state representation from branching into K^t components.
 A step runs the whole pool at once.  The pool's matrices are stacked once
 (and cached) into (K, ., .) arrays, so one batched predict, one batched
 innovation (closed form for a scalar observation, else one factorization
-and two solves), one batched update with one stacked roundoff check, and
+and two solves), one batched update with one stacked roundoff guard, and
 one array collapse serve all K models: a row's count of numpy calls does
 not grow with K, and with a scalar state and observation it makes no
 LAPACK call.  :func:`kf_predict` is the K = 1 call of the predict kernel,
 and a one-model pool runs the textbook filter.
+
+The roundoff guard reads each posterior covariance's lowest eigenvalue (a
+1x1 matrix's one entry) and raises when it falls below ``-PSD_ATOL`` times
+the matrix's largest magnitude, at least 1.  That tolerance is negative,
+so the magnitudes are computed only on a row where some model's lowest
+eigenvalue is negative.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .core import (
     WeightVector,
     _EngineState,
     _collapse,
+    _finite,
     _floats,
     _frozen,
     _quiet,
@@ -151,7 +158,7 @@ def _predict(A, Q, belief: GaussianBelief):
     means = A @ belief.mean
     covs = A @ belief.cov @ A.swapaxes(1, 2) + Q
     covs = _symmetrized(covs)
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+    if not _finite(means, covs):
         raise NonFiniteBeliefError("predicted belief is not finite")
     return means, covs
 
@@ -170,19 +177,21 @@ def _update(means, covs, B, R, y):
     post_means = means + (gain @ resid[:, :, None])[:, :, 0]
     post_covs = covs - gain @ B @ covs
     post_covs = _symmetrized(post_covs)
-    if kept.any():
+    if np.count_nonzero(kept):
         post_means[kept] = means[kept]
         post_covs[kept] = covs[kept]
-    if not (np.isfinite(post_means).all() and np.isfinite(post_covs).all()):
+    if not _finite(post_means, post_covs):
         raise NonFiniteBeliefError("posterior belief is not finite")
     # P - G B P cancels to roundoff when B P B^T dwarfs R by ~1/eps
-    scale = np.maximum(1.0, np.abs(post_covs).max(axis=(1, 2)))
     # a 1x1 matrix is its own eigenvalue, and eigvalsh returns it as is
     low = (post_covs[:, 0, 0] if post_covs.shape[1] == 1
            else np.linalg.eigvalsh(post_covs)[:, 0])
-    lost = low < -PSD_ATOL * scale
-    if (lost & ~kept).any():
-        raise NonFiniteBeliefError("posterior covariance lost to roundoff")
+    # the tolerance is at least PSD_ATOL, so only a negative low needs it
+    if np.count_nonzero(low < 0.0):
+        scale = np.maximum(1.0, np.abs(post_covs).max(axis=(1, 2)))
+        lost = low < -PSD_ATOL * scale
+        if np.count_nonzero(lost & ~kept):
+            raise NonFiniteBeliefError("posterior covariance lost to roundoff")
     return post_means, post_covs, log_ev
 
 

@@ -62,6 +62,7 @@ from .core import (
     WeightVector,
     _EngineState,
     _count,
+    _finite,
     _floats,
     _frozen,
     _quiet,
@@ -197,7 +198,7 @@ def propagate(model: GenericStateSpaceModel, ensemble: ParticleEnsemble,
                        dtype=float)
     if moved.shape != ensemble.particles.shape:
         raise DimensionMismatchError("transition changed the cloud's shape")
-    if not np.isfinite(moved).all():
+    if not _finite(moved):
         raise NonFiniteBeliefError("propagated particles are not finite")
     return _trusted(ParticleEnsemble, moved, ensemble.weights)
 
@@ -390,7 +391,7 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     ll = _likelihood_rows(pool, clouds, y, t)
     u, log_evs, top = _log_normalize(np.log(ens.weights) + ll)
     dead = top < UNDERFLOW_LOG  # see reweight
-    if dead.any():
+    if np.count_nonzero(dead):
         u[dead] = ens.weights
         log_evs[dead] = -np.inf
 
@@ -467,10 +468,14 @@ def additive_noise_ssm(transition, observation, noise_logpdf) -> GenericStateSpa
 
 @_quiet
 def gaussian_noise(var: float):
-    """Elementwise log N(0, var) density."""
+    """Elementwise log N(0, var) density.  ``var`` must be positive with a
+    finite ``2 pi var``: past about 2.86e307 its log density would be
+    ``-inf`` everywhere."""
     var = _real(var, "variance")
     if not var > 0.0:  # NaN fails too
         raise InvalidInputError("variance must be positive")
+    if not 2.0 * np.pi * var < np.inf:
+        raise InvalidInputError("variance too large: 2 pi var must be finite")
     const = -0.5 * float(np.log(2.0 * np.pi * var))
 
     def logpdf(resid):

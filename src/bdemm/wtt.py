@@ -206,12 +206,13 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
     return _trusted(WeightVector, _transition(config, history))
 
 
-def _weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
-                 weight_floor: float):
-    """The move kernel of :func:`weight_step`, which every engine step runs
-    under its own error scope."""
+def _weight_step(config: WTTConfig, history: WeightHistory,
+                 log_ev: np.ndarray, weight_floor: float):
+    """The move kernel of :func:`weight_step`, on a float array of log
+    evidences; every engine step runs it on its own evidence array, under
+    the step's error scope."""
     predictive = _transition(config, history)
-    w = _bayes(predictive, log_evidences, weight_floor)
+    w = _bayes(predictive, log_ev, weight_floor)
     informative = w is not None
     weights = _trusted(WeightVector, w if informative else predictive)
     return weights, history.append(weights), informative
@@ -239,4 +240,6 @@ def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     informative : bool
         False when the predictive weights were carried forward.
     """
-    return _weight_step(config, history, log_evidences, weight_floor)
+    return _weight_step(config, history,
+                        _floats(log_evidences, "log evidences", 1),
+                        weight_floor)

@@ -391,6 +391,8 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     .replace("B = [1.0]", "B = [1.0, 0.0]"),
     KF_CFG.replace("R = [1.0]", "R = []"),
     SMC_TOY + "smc.model.2.low = -1e308\nsmc.model.2.high = 1e308\n",
+    SMC_TOY + "smc.model.1.var = 1e308\n",
+    SMC_TOY + "smc.model.1.var = inf\n",
 ], ids=["floor-above-1/K", "floor-negative", "wtt-width",
         "urn-total-overflows", "urn-count-infinite", "init-weights-width",
         "init-weights-empty",
@@ -404,7 +406,8 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
         "smc-init-point-dim", "smc-init-mean-dim", "linear-gaussian-B-vs-A",
         "smc-init-cov-asymmetric", "smc-init-mean-vs-cov",
         "linear-gaussian-Q-singular", "kf-R-empty",
-        "uniform-width-overflows"])
+        "uniform-width-overflows", "gaussian-2-pi-var-overflows",
+        "gaussian-var-infinite"])
 def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
                                                           text):
     cfg = tmp_path / "bad.cfg"

@@ -33,6 +33,7 @@ from bdemm import (
     update_model_weights_log,
     weight_step,
 )
+from bdemm.core import _finite, _symmetrized, checked_cov
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,31 @@ def test_belief_near_the_float_limit_is_kept_without_warning():
         assert np.array_equal(GaussianBelief([0.0, 0.0], huge).cov, huge)
         with pytest.raises(ValueError, match="not symmetric"):
             GaussianBelief([0.0, 0.0], [[1.0, 1e308], [-1e308, 1.0]])
+
+
+@pytest.mark.parametrize("a", [
+    np.array([1.0, np.nan]), np.array([np.inf]), np.array([[-np.inf, 0.0]]),
+    np.empty(0), np.empty((0, 2, 2)), np.array(1.0), np.array(np.nan),
+    np.array(-np.inf), np.zeros((2, 1, 1)), np.array([1e308, -1e308]),
+    np.array([5e-324, 0.0]),
+], ids=["nan", "inf", "minus-inf-2d", "empty", "empty-stack", "0-d",
+        "0-d-nan", "0-d-minus-inf", "stack", "near-the-limit", "subnormal"])
+def test_finite_agrees_with_all_of_isfinite(a):
+    expected = bool(np.isfinite(a).all())
+    assert _finite(a) is expected
+    assert _finite(np.zeros(3), a) is expected
+    assert _finite(a, np.array([np.nan])) is False
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1.5e-323, -5e-324])
+def test_a_1x1_symmetrization_keeps_odd_subnormals(tiny):
+    # halving would round an odd multiple of the smallest subnormal; a 1x1
+    # matrix is its own transpose, so it comes back as it is
+    stack = np.array([[[tiny]], [[1.0]]])
+    assert _symmetrized(stack) is stack
+    assert checked_cov([[tiny]]).tolist() == [[tiny]]
+    # a 2x2 matrix is still halved, and rounds it
+    assert _symmetrized(np.array([[1.0, tiny], [tiny, 1.0]]))[0, 1] != tiny
 
 
 def test_belief_accepts_scalar_arguments():
@@ -381,7 +407,12 @@ def test_collapse_single_component_is_identity():
     ([0.0, 1.5e154], [1e-98, 1.0], 1.0 + 1e-98 * 1.5e154 * 1.5e154),
     # huge means whose spread is small: only the spread is squared
     ([2.0 ** 530, 2.0 ** 530 + 2.0 ** 500], [0.5, 0.5], 1.0 + 2.0 ** 998),
-], ids=["zero-weight", "tiny-weight", "close-huge-means"])
+    # the masked sum: the zero-weight component is dropped, not scaled by 0
+    ([1e200, 0.1], [0.0, 1.0], 1.0),
+    # unmasked, its deviation would overflow and 0 * inf make the spread NaN
+    ([1e308, -1e308], [0.0, 1.0], 1.0),
+], ids=["zero-weight", "tiny-weight", "close-huge-means", "zero-weight-1e200",
+        "zero-weight-deviation-overflows"])
 def test_collapse_of_far_off_means_does_not_overflow(means, w, cov):
     comps = [GaussianBelief(m, 1.0) for m in means]
     with warnings.catch_warnings():

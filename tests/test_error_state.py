@@ -350,6 +350,9 @@ CONSTRUCTOR_INPUTS = {
     # the halving symmetrization underflows a subnormal entry to zero
     "checked_cov": (lambda _: checked_cov(
         [[1.0, 5e-324], [5e-324, 1.0]]).tolist(), [[1.0, 0.0], [0.0, 1.0]]),
+    # a 1x1 matrix is its own transpose: not halved, so not rounded
+    "checked_cov-1x1": (lambda _: checked_cov([[5e-324]]).tolist(),
+                        [[5e-324]]),
     # a difference whose square overflows
     "mse": (lambda _: mse(np.array([1e200]), np.array([-1e200])), np.inf),
     # states near 1e300 square to infinite observations
@@ -359,9 +362,9 @@ CONSTRUCTOR_INPUTS = {
     "perturb_pool": (lambda _: perturb_pool(
         GPTSModel(0, 1, 1, np.float64(1e300), 3), [1e10]),
         (ValueError, "noise variance")),
-    # 2 pi var overflows: a density that is -inf everywhere
-    "gaussian_noise": (lambda _: callable(gaussian_noise(np.float64(1e308))),
-                       True),
+    # 2 pi var overflows: rejected, as a density -inf everywhere would be
+    "gaussian_noise": (lambda _: gaussian_noise(np.float64(1e308)),
+                       (InvalidInputError, "2 pi var must be finite")),
     # high - low overflows: rejected, as a density -inf everywhere would be
     "uniform_noise": (lambda _: uniform_noise(np.float64(-1e308),
                                               np.float64(1e308)),

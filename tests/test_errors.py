@@ -242,6 +242,9 @@ LATE_OR_RAW = {
     "toy-seed-fraction": lambda: ToyConfig(seed=2.5),
     # the density would be NaN everywhere
     "gaussian-noise-nan": lambda: gaussian_noise(np.nan),
+    # 2 pi var overflows: the density would be -inf everywhere
+    "gaussian-noise-wide": lambda: gaussian_noise(2.9e307),
+    "gaussian-noise-inf": lambda: gaussian_noise(np.inf),
     # a legacy generator has no bit generator to advance
     "legacy-generator": lambda: smc_bdemm_step(
         SmcEnsembleState.initial(np.zeros((5, 1)), k=1),

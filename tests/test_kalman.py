@@ -283,6 +283,35 @@ def test_update_that_cancels_to_roundoff_raises():
         _one_model_step(model, GaussianBelief(0.0, 1.0524213559718285e30), 0.5)
 
 
+@pytest.mark.parametrize("B, R, cov, y, lost", [
+    (0.0, 1.0, -1e-11, 0.0, False),
+    (0.0, 1.0, -1e-9, 0.0, True),
+    (0.0, 1.0, -2.0, 0.0, True),
+    (1.0, 10.0, -1.0, 1e300, False),
+    (1.0, 10.0, -1.0, 0.0, True),
+], ids=["within-tolerance", "below-tolerance", "below-scaled-tolerance",
+        "kept-model-excused", "updated-model-not-excused"])
+def test_roundoff_guard_on_a_two_model_pool(B, R, cov, y, lost):
+    # the second model's predicted variance is given negative, as roundoff
+    # leaves it; with B = 0 its update keeps it.  A tolerance of
+    # PSD_ATOL * max(1, |variance|) lets -1e-11 pass; a model whose
+    # evidence is -inf keeps its prediction, which the guard excuses
+    means = np.zeros((2, 1))
+    covs = np.array([[[1.0]], [[cov]]])
+    B = np.array([[[1.0]], [[B]]])
+    R = np.array([[[1e300]], [[R]]])
+    with np.errstate(all="ignore"):
+        if lost:
+            with pytest.raises(NonFiniteBeliefError, match="roundoff"):
+                kalman._update(means, covs, B, R, np.array([y]))
+            return
+        post_means, post_covs, log_ev = kalman._update(means, covs, B, R,
+                                                       np.array([y]))
+    assert post_covs[1, 0, 0] == cov
+    assert 0.0 < post_covs[0, 0, 0] <= 1.0
+    assert np.isfinite(log_ev[0]) and (log_ev[1] == -np.inf) == (y > 0.0)
+
+
 def test_update_on_an_unrepresentable_observation_keeps_the_prediction():
     # the gain (~500) times the residual overflows, and so does the
     # quadratic form: the next belief is the prediction N(0, 1), and

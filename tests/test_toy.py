@@ -158,9 +158,10 @@ def test_gamma_noise_at_its_bound_keeps_the_state_finite(shape):
 
 
 @pytest.mark.parametrize("kw", [
-    {"gauss_noise_var": -1.0},
+    {"gauss_noise_var": -1.0}, {"gauss_noise_var": 1e308},
     {"weight_floor": 0.5}, {"weight_floor": "abc"}, {"weight_floor": None},
-], ids=["noise-var-negative", "floor-at-1/K", "floor-word", "floor-none"])
+], ids=["noise-var-negative", "noise-var-2-pi-overflows", "floor-at-1/K",
+        "floor-word", "floor-none"])
 def test_config_builds_the_noises_and_a_weight_step(kw):
     with pytest.raises(InvalidInputError):
         ToyConfig(**kw)
