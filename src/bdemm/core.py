@@ -24,6 +24,9 @@ Numerical conventions used throughout the package:
   rounds,
 * a step tests an array's finiteness once, by counting its finite entries
   (:func:`_finite`), and reduces its masks with ``np.count_nonzero``,
+* a step calls ufunc methods and C-level ndarray methods (``np.add.reduce``,
+  ``a.argsort()``), not numpy's Python-level wrappers (``np.sum``,
+  ``a.sum()``, ``np.argsort``), which only forward to them,
 * inputs are validated once, at the boundary: public constructors check
   them, and values an engine step builds from checked ones are not,
 * types that hold arrays compare and hash by identity (``eq=False``), as
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache, wraps
+from functools import cache
 
 import numpy as np
 
@@ -87,15 +90,12 @@ def _quiet(fn):
 
     The one floating-point error scope of a public function or constructor:
     it and the kernels it reaches run under it and check their results
-    themselves.  A fresh ``np.errstate`` each call, not one shared
-    instance, so that a nested call restores its caller's state on every
-    numpy version.
+    themselves.  numpy's own errstate decorator, built once per function:
+    since numpy 2.0 it keeps each call's context-variable token in that
+    call, so a nested or re-entered call restores its caller's state, and
+    no errstate object is built or entered per call.
     """
-    @wraps(fn)
-    def scoped(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
-    return scoped
+    return np.errstate(all="ignore")(fn)
 
 
 def _frozen(a):
@@ -370,7 +370,7 @@ def _bayes(w: np.ndarray, log_ev: np.ndarray, weight_floor: float):
     # one weight is positive on the simplex, so only its evidence is read
     lw = log_ev if w.size == 1 else np.log(w) + log_ev
     # a NaN or +inf evidence leaves a NaN or +inf maximum
-    m = float(lw.max())
+    m = float(np.maximum.reduce(lw))
     if not m < np.inf:
         raise NonFiniteWeightError("log evidences must be < +inf and not NaN")
     if m == -np.inf:
@@ -383,11 +383,11 @@ def _bayes(w: np.ndarray, log_ev: np.ndarray, weight_floor: float):
     # rounds the weights differently from this log-sum-exp-then-sum, and
     # Kalman streams whose covariance update cancels to roundoff then end
     # on other rows
-    w = np.exp(lw - (m + math.log(float(np.exp(lw - m).sum()))))
-    w /= w.sum()
+    w = np.exp(lw - (m + math.log(float(np.add.reduce(np.exp(lw - m))))))
+    w /= np.add.reduce(w)
     if weight_floor > 0.0:
         w = np.maximum(w, weight_floor)
-        w /= w.sum()
+        w /= np.add.reduce(w)
     return w
 
 
@@ -503,7 +503,7 @@ def _collapse(means, covs, w) -> GaussianBelief:
     spread = (w[:, None] * dev)[:, :, None] * dev[:, None, :]
     # summed over k in order, rounding as adding one component at a time
     # does: Kalman streams at the roundoff limit turn on it
-    cov = (w[:, None, None] * covs + spread).sum(axis=0)
+    cov = np.add.reduce(w[:, None, None] * covs + spread, axis=0)
     cov = _symmetrized(cov)
     if not _finite(mean, cov):
         raise NonFiniteBeliefError(

@@ -88,11 +88,11 @@ def _log_normalize(lw: np.ndarray):
     NonFiniteWeightError
         If a log weight is NaN or ``+inf``.
     """
-    top = lw.max(axis=-1, keepdims=True)
+    top = np.maximum.reduce(lw, axis=-1, keepdims=True)
     if np.count_nonzero(top < np.inf) < top.size:  # NaN fails too
         raise NonFiniteWeightError("log weights must be < +inf and not NaN")
     e = np.exp(lw - top)
-    total = e.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
     return e / total, (top + np.log(total))[..., 0], top[..., 0]
 
 

@@ -243,7 +243,7 @@ def _forecast(pool: tuple, times, values, t_next: float):
     # leaves a non-finite relative time, which the solve rejects
     mu, A, var = _pool_solve(pool, (times - t_next).tobytes())
     # values near the float limit overflow here
-    means = mu + (A * (values - mu[:, None])).sum(axis=1)
+    means = mu + np.add.reduce(A * (values - mu[:, None]), axis=1)
     if not _finite(means):
         raise NonFiniteForecastError("forecast is not finite (means %s, "
                                      "variances %s)" % (means, var))
@@ -270,9 +270,9 @@ def _fuse(means, variances, w) -> PredictiveGaussian:
     the precision is at least 1 / max variance > 0 for any pool of fewer than
     1e15 models; a subnormal one inverts to an infinite variance."""
     precision = w / variances
-    lam = precision.sum()
+    lam = np.add.reduce(precision)
     # means near the float limit overflow here
-    mean, var = float((precision * means).sum() / lam), float(1.0 / lam)
+    mean, var = float(np.add.reduce(precision * means) / lam), float(1.0 / lam)
     if not (math.isfinite(mean) and 0.0 < var < math.inf):
         raise NonFiniteForecastError(
             "fused forecast is not finite (mean %g, variance %g)" % (mean, var))

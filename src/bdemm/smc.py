@@ -302,22 +302,22 @@ def resample(particles, weights, n_out: int,
                                      "one particle, required")
     n_out = _count(n_out, InvalidInputError,
                    "need a whole number of output particles, at least one")
-    if w.min() < 0.0:
+    if np.minimum.reduce(w) < 0.0:
         raise NegativeEntryError("particle weights must be nonnegative")
-    cdf = np.cumsum(w)  # an overflowing total fails below
+    cdf = np.add.accumulate(w)  # an overflowing total fails below
     if not 0.0 < cdf[-1] < np.inf:  # NaN fails too
         if cdf[-1] == 0.0:
             raise AllZeroError("cannot resample from an all-zero weight set")
         raise NonFiniteWeightError("particle weight total is not finite")
-    cdf = cdf / cdf[-1]
+    cdf /= cdf[-1]
     cdf[-1] = 1.0  # every uniform in [0, 1) then picks an index below n
     u = rng.random(n_out)
     # each uniform's index is its own: searched in sorted order, where the
     # binary search narrows from the last one, and put back in draw order
-    order = np.argsort(u)
+    order = u.argsort()
     idx = np.empty(n_out, dtype=np.intp)
-    idx[order] = np.searchsorted(cdf, u[order], side="right")
-    return _trusted(ParticleEnsemble, particles[idx],
+    idx[order] = cdf.searchsorted(u.take(order), side="right")
+    return _trusted(ParticleEnsemble, particles.take(idx, axis=0),
                     np.full(n_out, 1.0 / n_out))
 
 
@@ -420,7 +420,9 @@ def linear_gaussian_ssm(A, Q, B, R) -> GenericStateSpaceModel:
     The matrices are checked as a :class:`~bdemm.kalman.LinearGaussianModel`.
     Useful for validating the particle path against the exact Kalman answer.
     As in :func:`~bdemm.evidence.gaussian_innovation`, a residual whose
-    quadratic form overflows has log likelihood ``-inf``.  A ``Q`` or ``R``
+    quadratic form overflows has log likelihood ``-inf``.  The likelihood
+    takes an (m,) ``y`` for the m rows of ``B``; any other shape raises
+    ``DimensionMismatchError``, with no broadcast.  A ``Q`` or ``R``
     that a 1e-300 jitter leaves without a Cholesky factor (a singular one
     such as ``[[1, 1], [1, 1]]``) raises ``FactorizationFailureError``.
     """
@@ -443,9 +445,13 @@ def linear_gaussian_ssm(A, Q, B, R) -> GenericStateSpaceModel:
             return x @ A.T + noise
 
     def log_likelihood(y, x, t):
+        y = np.asarray(y, dtype=float)
+        if y.shape != (m,):
+            raise DimensionMismatchError("y must have one entry per row of B")
         resid = y[None, :] - x @ B.T
         z = np.linalg.solve(r_chol, resid.T)
-        return const - 0.5 * _overflowed_to_inf(np.sum(z * z, axis=0), resid)
+        return const - 0.5 * _overflowed_to_inf(np.add.reduce(z * z, axis=0),
+                                                resid)
 
     return GenericStateSpaceModel(sample_transition, log_likelihood)
 
@@ -454,13 +460,17 @@ def additive_noise_ssm(transition, observation, noise_logpdf) -> GenericStateSpa
     """Model with observation ``y = observation(x, t) + noise``.
 
     ``transition(x, t, rng)`` samples the next cloud, ``observation(x, t)``
-    maps an (N, d) cloud to (N,) predicted observations (scalar y only), and
-    ``noise_logpdf(resid)`` scores the residuals elementwise.  This is the
-    shape shared by the robust-filtering candidate models, which differ only
-    in their noise assumption.
+    maps an (N, d) cloud to (N,) predicted observations, and
+    ``noise_logpdf(resid)`` scores the residuals elementwise.  A ``y`` of
+    more or fewer than one entry raises ``DimensionMismatchError``.
+    This is the shape shared by the robust-filtering candidate models, which
+    differ only in their noise assumption.
     """
     def log_likelihood(y, x, t):
-        resid = float(y[0] if np.ndim(y) else y) - observation(x, t)
+        y = np.asarray(y, dtype=float)
+        if y.size != 1:
+            raise DimensionMismatchError("y must be one scalar observation")
+        resid = y.item() - observation(x, t)
         return noise_logpdf(np.asarray(resid, dtype=float))
 
     return GenericStateSpaceModel(transition, log_likelihood)

@@ -185,7 +185,7 @@ def _transition(config: WTTConfig, history: WeightHistory) -> np.ndarray:
             return p
         # markov: w' = w @ T stays on the simplex, as the rows of T sum to 1
         raw = last @ p if kind == "markov" else p + history.cumulative
-    s = float(raw.sum())
+    s = float(np.add.reduce(raw))
     return raw if abs(s - 1.0) <= SIMPLEX_ATOL else raw / s
 
 

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -57,3 +58,12 @@ def test_library_imports_and_streams_without_scipy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["kf 6", "intel 6", "smc 6"]
+
+
+def test_numpy_floor_is_two():
+    # the error scope is numpy's errstate decorator, which keeps each
+    # call's state in that call only from numpy 2.0 on; tomllib is 3.11+,
+    # so the line is read with a pattern
+    text = (ROOT / "pyproject.toml").read_text()
+    floors = re.findall(r'"numpy>=(\d+)(?:\.\d+)*"', text)
+    assert len(floors) == 1 and int(floors[0]) >= 2

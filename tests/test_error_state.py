@@ -58,6 +58,7 @@ from bdemm import (
     smc_bdemm_step,
     update_model_weights_log,
 )
+from bdemm.core import _quiet
 from bdemm import stream, toy
 from bdemm.core import checked_cov
 from bdemm.smc import gaussian_noise, uniform_noise
@@ -404,6 +405,25 @@ def test_newly_scoped_functions_keep_their_names_and_signatures(fn, name):
     assert inspect.signature(fn) == inspect.signature(fn.__wrapped__)
 
 
+def test_a_reentered_scope_restores_each_callers_error_state():
+    # numpy 1.x's errstate decorator kept one saved state per function, so
+    # a function that re-entered itself restored its own scope on return
+    inside = []
+
+    @_quiet
+    def nested(depth):
+        if depth:
+            nested(depth - 1)
+        inside.append(np.geterr())  # after the inner call has returned
+        return np.float64(1.0) / 0.0
+
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        assert nested(2) == np.inf
+        assert np.geterr() == before
+    assert inside == [dict.fromkeys(before, "ignore")] * 3
+
+
 def test_errstate_is_entered_only_by_the_scope_and_one_model_callable():
     # every other function runs under a caller's scope or under _quiet;
     # linear_gaussian_ssm's transition is model code that the unscoped,
@@ -417,5 +437,5 @@ def test_errstate_is_entered_only_by_the_scope_and_one_model_callable():
             if "np.errstate(" in line:
                 sites.append((path.name, [d.name for d in defs
                                           if d.lineno <= lineno <= d.end_lineno]))
-    assert sites == [("core.py", ["_quiet", "scoped"]),
+    assert sites == [("core.py", ["_quiet"]),
                      ("smc.py", ["linear_gaussian_ssm", "sample_transition"])]

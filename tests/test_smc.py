@@ -37,6 +37,7 @@ from bdemm import (
     uniform_noise,
 )
 from bdemm import smc
+from bdemm.toy import ToyConfig, toy_pool
 from bdemm.smc import DRAW_STRIDE, UNDERFLOW_LOG
 
 
@@ -870,3 +871,41 @@ def test_additive_noise_ssm_wires_residuals():
     cloud = np.array([[1.0], [3.0]])
     ll = model.log_likelihood(np.array([2.0]), cloud, 1)
     assert np.allclose(ll, norm.logpdf(2.0 - 2.0 * cloud[:, 0]), atol=1e-12)
+
+
+def _toy_pool_step(y):
+    state = SmcEnsembleState.initial(np.full((20, 1), 1.0), k=2)
+    return smc_bdemm_step(state, toy_pool(ToyConfig()), y, 1,
+                          WTTConfig.identity(), np.random.default_rng(0))
+
+
+def test_additive_noise_ssm_scores_only_a_one_entry_observation():
+    _, est, log_evs = _toy_pool_step([3.0])
+    # one entry in any shape is that entry
+    for y in (3.0, [[3.0]]):
+        _, other_est, other_evs = _toy_pool_step(y)
+        assert other_est.x_hat.tolist() == est.x_hat.tolist()
+        assert other_evs.tolist() == log_evs.tolist()
+    # a second entry is not dropped
+    for y in ([3.0, 99.0], np.empty(0)):
+        with pytest.raises(DimensionMismatchError, match="one scalar"):
+            _toy_pool_step(y)
+    model = toy_pool(ToyConfig())[0]
+    with pytest.raises(DimensionMismatchError, match="one scalar"):
+        model.log_likelihood(np.array([3.0, 99.0]), np.ones((4, 1)), 1)
+
+
+def test_linear_gaussian_ssm_takes_one_entry_per_row_of_b():
+    model = linear_gaussian_ssm(A=np.eye(2), Q=np.eye(2), B=np.eye(2),
+                                R=np.eye(2))
+    state = SmcEnsembleState.initial(np.zeros((10, 2)), k=1)
+    # no broadcast of [3.0] to [3.0, 3.0], and no raw broadcast error
+    for y in ([3.0], [3.0, 3.0, 3.0], [[3.0, 3.0]]):
+        with pytest.raises(DimensionMismatchError, match="one entry per row"):
+            smc_bdemm_step(state, [model], y, 1, WTTConfig.identity(),
+                           np.random.default_rng(0))
+        with pytest.raises(DimensionMismatchError, match="one entry per row"):
+            model.log_likelihood(np.asarray(y, dtype=float),
+                                 state.ensemble.particles, 1)
+    smc_bdemm_step(state, [model], [3.0, 3.0], 1, WTTConfig.identity(),
+                   np.random.default_rng(0))
