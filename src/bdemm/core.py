@@ -124,10 +124,12 @@ def _real(value, name, error=InvalidInputError) -> float:
 
 
 def _count(n, error, message) -> int:
-    """``n`` as an ``int`` if it is a whole number of at least 1, a
-    whole-valued float included; anything else raises ``error(message)``."""
+    """``n`` as an ``int`` if it is a whole number from 1 to 2**53, a
+    whole-valued float included; anything else raises ``error(message)``.
+    The package's one whole-number rule: above 2**53 a float holds no exact
+    whole number, and numpy could not shape such a count anyway."""
     try:
-        if int(n) == n >= 1:
+        if int(n) == n and 1 <= n <= 2**53:
             return int(n)
     except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
         pass

@@ -25,14 +25,13 @@ estimates at numpy speed.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import _finite, _floats, _quiet, _symmetrized
+from .core import _count, _finite, _floats, _quiet, _symmetrized
 from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
@@ -121,17 +120,16 @@ def is_evidence(target: UnnormalizedTarget, proposal: Proposal, n: int,
     Raises
     ------
     DimensionMismatchError
-        If ``n`` is not an integer (Python's or numpy's) of at least 1, or a
-        log density does not give one value per sample.
+        If ``n`` is not a whole number from 1 to 2**53 (a whole-valued float
+        included), or a log density does not give one value per sample.
     NonFiniteWeightError
         If any log weight comes out NaN or +inf, which means the proposal
         does not actually cover the target, or if a weight or the estimate
         overflows the linear domain; :func:`bdemm.smc.mc_log_evidence`
         gives the log estimate the message names.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DimensionMismatchError(
-            "need a whole number of samples, at least one (got %r)" % (n,))
+    n = _count(n, DimensionMismatchError,
+               "need a whole number of samples, at least one (got %r)" % (n,))
     x = proposal.sample(rng, n)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim == 1:

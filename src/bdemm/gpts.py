@@ -98,8 +98,9 @@ class GPTSModel:
 
     Every parameter must be finite: a NaN or infinite one raises
     ``InvalidInputError``, so :func:`perturb_pool` cannot build a model whose
-    scaled noise variance overflows.  Solves are cached by model value;
-    the value hash is computed once, when the model is built.
+    scaled noise variance overflows.  Each real one is kept as the float it
+    reads as.  Solves are cached by model value; the value hash is computed
+    once, when the model is built.
     """
 
     mean_const: float
@@ -110,14 +111,17 @@ class GPTSModel:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # written so that NaN fails every check; the fields keep their values
-        if not abs(_real(self.mean_const, "mean")) < np.inf:
+        # each field becomes the float it reads as, so a string such as "1.0"
+        # never reaches the kernel; written so that NaN fails every check
+        for name in ("mean_const", "signal_variance", "lengthscale", "noise_var"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not abs(self.mean_const) < np.inf:
             raise InvalidInputError("mean must be finite")
-        if not 0.0 < _real(self.signal_variance, "signal variance") < np.inf:
+        if not 0.0 < self.signal_variance < np.inf:
             raise InvalidInputError("signal variance must be positive and finite")
-        if not 0.0 < _real(self.lengthscale, "lengthscale") < np.inf:
+        if not 0.0 < self.lengthscale < np.inf:
             raise InvalidInputError("lengthscale must be positive and finite")
-        if not 0.0 <= _real(self.noise_var, "noise variance") < np.inf:
+        if not 0.0 <= self.noise_var < np.inf:
             raise InvalidInputError("noise variance must be nonnegative and finite")
         object.__setattr__(self, "window", _count(
             self.window, InvalidInputError,
@@ -157,7 +161,7 @@ class PredictiveGaussian:
     @_quiet
     def logpdf(self, y: float) -> float:
         """Log density at ``y``; ``-inf`` where the squared residual overflows."""
-        return float(_log_density(np.float64(y), self.mean, self.var))
+        return float(_log_density(_real(y, "y"), self.mean, self.var))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,13 +202,13 @@ def _pool_solve(pool: tuple, key: bytes):
     rel = np.frombuffer(key)
     # Rounding is monotone, so strictly increasing relative times imply
     # strictly increasing times; a cached window therefore needs no check.
-    if not (np.isfinite(rel).all() and (rel[1:] > rel[:-1]).all()):
+    if not _finite(rel) or np.count_nonzero(rel[1:] <= rel[:-1]):
         raise InvalidInputError("time stamps must be finite, finitely far "
                                 "apart and strictly increasing")
     mu = np.array([m.mean_const for m in pool], dtype=float)
     A, var = np.zeros((len(pool), rel.size)), np.empty(len(pool))
     for k, model in enumerate(pool):
-        ext = np.append(rel[-model.window:], 0.0)
+        ext = np.concatenate((rel[-model.window:], (0.0,)))
         n = ext.size - 1
         # a gap whose square overflows is an infinite one: its entry is 0
         z = (ext[:, None] - ext) / model.lengthscale
@@ -229,7 +233,7 @@ def _pool_solve(pool: tuple, key: bytes):
         var[k] = full[-1, -1] - k_star @ a
     # cancellation can push a near-zero variance a hair negative
     var = np.maximum(var, 1e-300)
-    if not np.isfinite(var).all():
+    if not _finite(var):
         raise NonFiniteForecastError(
             "forecast is not finite (variances %s)" % (var,))
     return _frozen(mu), _frozen(A), _frozen(var)

@@ -11,8 +11,8 @@ weights, is its (log) evidence.
 Model weights then get the usual transition-then-Bayes treatment, and the
 clouds are merged back into one: every (model, particle) pair enters an
 augmented set with weight ``model_weight * particle_weight``, from which N
-particles are resampled.  Resampling runs every step; the effective sample
-size is logged as a diagnostic but never acted on.
+particles are resampled.  Resampling runs every step, whatever the effective
+sample size of the augmented set.
 
 Vectorization convention
 ------------------------
@@ -49,7 +49,6 @@ object is bit-identical to giving each model its own copy.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -79,15 +78,9 @@ from .errors import (
     NonFiniteBeliefError,
     NonFiniteWeightError,
 )
-from .evidence import (
-    _log_normalize,
-    _overflowed_to_inf,
-    effective_sample_size,
-)
+from .evidence import _log_normalize, _overflowed_to_inf
 from .kalman import LinearGaussianModel
 from .wtt import WTTConfig, _weight_step
-
-logger = logging.getLogger(__name__)
 
 # Log of the smallest positive double (subnormal).  A log weight below this
 # is exactly 0.0 after exponentiation, i.e. a genuine linear-domain underflow.
@@ -401,9 +394,6 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     estimate = _trusted(PointEstimate, weights.w @ estimates)
 
     aug_weights = (weights.w[:, None] * u).ravel()
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("smc step %d: ess %.1f of %d", t,
-                     effective_sample_size(aug_weights), aug_weights.size)
     advance(DRAW_STRIDE)  # past every transition's draws, however many
     new_ens = resample(aug_particles, aug_weights, ens.n, rng)
 
@@ -517,8 +507,9 @@ def student_t_noise(df: float, scale: float = 1.0):
     try:
         const = float(math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
                       - 0.5 * np.log(df * np.pi) - np.log(scale))
-    except OverflowError:
-        raise InvalidInputError("df too large: its log-gamma overflows") from None
+    except (OverflowError, ValueError):  # a subnormal df halves to 0
+        raise InvalidInputError("df out of range: its log-gamma is not "
+                                "finite") from None
 
     def logpdf(resid):
         z = resid / scale

@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .core import GaussianBelief, WeightVector, _quiet
+from .core import GaussianBelief, WeightVector, _count, _quiet
 from .errors import BdemmError, ConfigError, ParseError
 from .gpts import GPTSModel, IntelState, intel_step, perturb_pool
 from .kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
@@ -135,12 +135,6 @@ class _Config:
             raise ConfigError("key %r must be a bracketed list" % key)
         return val
 
-    def get_int(self, key, default=None, required=False, minimum=0):
-        val = self.get(key, default=default, required=required)
-        if not isinstance(val, int) or val < minimum:
-            raise ConfigError("key %r must be an integer >= %d" % (key, minimum))
-        return val
-
     def check_exhausted(self):
         extra = sorted(set(self.raw) - self.used)
         if extra:
@@ -196,7 +190,8 @@ def _pool_dims(dims, engine: str):
 
 class _KfEngine:
     def __init__(self, cfg: _Config):
-        k = cfg.get_int("kf.models", required=True, minimum=1)
+        k = _count(cfg.get("kf.models", required=True), ConfigError,
+                   "key 'kf.models' must be a whole number >= 1")
         self.pool = [_linear_model(cfg, "kf.model.%d." % i)
                      for i in range(1, k + 1)]
         self.est_dim, self.obs_dim = _pool_dims(
@@ -240,20 +235,23 @@ def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
 
 class _SmcEngine:
     def __init__(self, cfg: _Config):
-        k = cfg.get_int("smc.models", required=True, minimum=1)
-        n = cfg.get_int("smc.particles", default=200, minimum=1)
-        seed = cfg.get_int("smc.seed", default=0)
-        toy = ToyConfig(gamma_shape=cfg.get("smc.gamma_shape", default=3.0),
+        k = _count(cfg.get("smc.models", required=True), ConfigError,
+                   "key 'smc.models' must be a whole number >= 1")
+        # the toy rules check the particle count, the seed and the gamma noise
+        toy = ToyConfig(particles=cfg.get("smc.particles", default=200),
+                        seed=cfg.get("smc.seed", default=0),
+                        gamma_shape=cfg.get("smc.gamma_shape", default=3.0),
                         gamma_scale=cfg.get("smc.gamma_scale", default=2.0))
         transition = toy_transition(toy)
         self.pool, dims = zip(*[
             _smc_model(cfg, "smc.model.%d." % i, toy, transition)
             for i in range(1, k + 1)])
         self.est_dim, self.obs_dim = _pool_dims(list(dims), "smc")
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(toy.seed)
         point = cfg.get_list("smc.init.point")
         if point is not None:
-            particles = np.tile(np.asarray(point, dtype=float), (n, 1))
+            particles = np.tile(np.asarray(point, dtype=float),
+                                (toy.particles, 1))
         else:
             belief = GaussianBelief(
                 cfg.get_list("smc.init.mean", required=True),
@@ -264,7 +262,7 @@ class _SmcEngine:
             except np.linalg.LinAlgError:
                 raise ConfigError("key 'smc.init.cov' must be positive definite")
             particles = belief.mean + self.rng.standard_normal(
-                (n, belief.dim)) @ chol.T
+                (toy.particles, belief.dim)) @ chol.T
         if particles.shape[1] != self.est_dim:
             raise ConfigError("key %r does not match the state dim" % (
                 "smc.init.mean" if point is None else "smc.init.point"))

@@ -119,13 +119,16 @@ class ToyConfig:
         # zero scale is the noise-free recursion; 5e6 draws per shape from
         # 1e-3 to 1e303 peaked at 16 * GAMMA_MAX, far from overflowing the
         # drift 1 + sin + 0.5 x + u, whose states stay below 2 (2 + u)
-        shape = _real(self.gamma_shape, "gamma shape")
-        scale = _real(self.gamma_scale, "gamma scale")
+        # kept as floats, a -0.0 as 0.0, which numpy's gamma sampler rejects
+        shape = _real(self.gamma_shape, "gamma shape") + 0.0
+        scale = _real(self.gamma_scale, "gamma scale") + 0.0
         if not (0.0 <= shape and 0.0 <= scale <= GAMMA_MAX
                 and shape * scale <= GAMMA_MAX):  # NaN fails too
             raise InvalidInputError(
                 "gamma shape and scale must be nonnegative, with scale and "
                 "shape * scale at most %g" % GAMMA_MAX)
+        object.__setattr__(self, "gamma_shape", shape)
+        object.__setattr__(self, "gamma_scale", scale)
         message = "outlier steps must be whole numbers >= 1"
         try:
             steps = iter(self.outlier_steps)

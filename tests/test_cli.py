@@ -358,6 +358,9 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     KF_PAIR + "kf.init.weights = []\n",
     SMC_TOY + "smc.particles = 2.5\n",
     SMC_TOY + "smc.particles = 0\n",
+    SMC_TOY + "smc.particles = 1000000000000000000000000000000\n",
+    KF_PAIR.replace("kf.models = 2", "kf.models = 1.5"),
+    SMC_TOY.replace("smc.models = 2", "smc.models = 1e300"),
     SMC_TOY + "smc.seed = -1\n",
     SMC_TOY + "smc.seed = abc\n",
     SMC_TOY + "smc.resampling = bogus\n",
@@ -393,10 +396,13 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
     SMC_TOY + "smc.model.2.low = -1e308\nsmc.model.2.high = 1e308\n",
     SMC_TOY + "smc.model.1.var = 1e308\n",
     SMC_TOY + "smc.model.1.var = inf\n",
+    SMC_TOY.replace("toy_uniform", "toy_student_t")
+    + "smc.model.2.df = 5e-324\n",
 ], ids=["floor-above-1/K", "floor-negative", "wtt-width",
         "urn-total-overflows", "urn-count-infinite", "init-weights-width",
         "init-weights-empty",
-        "particles-fraction", "particles-zero", "seed-negative", "seed-word",
+        "particles-fraction", "particles-zero", "particles-past-2**53",
+        "kf-models-fraction", "smc-models-past-2**53", "seed-negative", "seed-word",
         "resampling-unknown", "gamma-shape-negative", "gamma-scale-infinite",
         "gamma-mean-overflows", "gamma-draws-overflow", "noise-var-negative",
         "linear-gaussian-Q-negative", "window-word", "window-zero",
@@ -407,7 +413,7 @@ SMC_LINEAR_OK = SMC_LINEAR.replace("Q = [-1.0]", "Q = [1.0]")
         "smc-init-cov-asymmetric", "smc-init-mean-vs-cov",
         "linear-gaussian-Q-singular", "kf-R-empty",
         "uniform-width-overflows", "gaussian-2-pi-var-overflows",
-        "gaussian-var-infinite"])
+        "gaussian-var-infinite", "student-t-df-subnormal"])
 def test_stream_bad_config_values_exit_one_before_any_row(tmp_path, capsys,
                                                           text):
     cfg = tmp_path / "bad.cfg"

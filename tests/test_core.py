@@ -33,7 +33,8 @@ from bdemm import (
     update_model_weights_log,
     weight_step,
 )
-from bdemm.core import _finite, _symmetrized, checked_cov
+from bdemm.core import _count, _finite, _symmetrized, checked_cov
+from bdemm.evidence import Proposal, UnnormalizedTarget, is_evidence
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +456,18 @@ def test_collapse_rejects_mismatches():
 
 COUNTED = {
     "resample": (lambda n: resample([[0.0]], [1.0], n,
-                                    np.random.default_rng(0)), ValueError),
+                                    np.random.default_rng(0)),
+                 InvalidInputError),
     "uniform-weights": (WeightVector.uniform, DimensionMismatchError),
     "markov-matrix": (default_markov_matrix, ConfigMismatchError),
     "toy-horizon": (lambda n: gen_toy_series(ToyConfig(horizon=n, runs=1), 0),
-                    ValueError),
-    "gp-window": (lambda n: GPTSModel(0, 1, 1, 0.1, n), ValueError),
+                    InvalidInputError),
+    "gp-window": (lambda n: GPTSModel(0, 1, 1, 0.1, n), InvalidInputError),
+    "is-evidence": (lambda n: is_evidence(
+        UnnormalizedTarget(lambda x: np.zeros(len(x))),
+        Proposal(lambda rng, n: np.zeros((n, 1)),
+                 lambda x: np.zeros(len(x))),
+        n, np.random.default_rng(0)), DimensionMismatchError),
 }
 
 
@@ -468,9 +475,22 @@ COUNTED = {
 def test_a_count_must_be_a_whole_number(name):
     build, error = COUNTED[name]
     build(2.0)  # a whole-valued float is a count
-    for n in (2.5, np.nan, np.inf, "2"):
+    # past 2**53 a float holds no exact whole number, and numpy could not
+    # shape such a count: the caller's error, not numpy's
+    for n in (2.5, np.nan, np.inf, "2", 1e300, 2**53 + 2, 10**30):
         with pytest.raises(error):
             build(n)
+
+
+def test_the_whole_number_rule_runs_from_1_to_2_to_the_53():
+    for n, whole in ((1, 1), (1.0, 1), (np.int64(7), 7), (2**53, 2**53),
+                     (2.0**53, 2**53)):
+        got = _count(n, InvalidInputError, "count")
+        assert got == whole and type(got) is int
+    for n in (0, -1, 0.5, 2**53 + 1, 2**53 + 2, 2.0**53 + 2, 1e300, 10**30,
+              np.nan, np.inf, "1", None, [1]):
+        with pytest.raises(InvalidInputError, match="^count$"):
+            _count(n, InvalidInputError, "count")
 
 
 # ---------------------------------------------------------------------------

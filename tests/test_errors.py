@@ -183,6 +183,10 @@ BAD_VALUES = {
     "mse-word": (lambda: mse("a", "b"), ValueError),
     "forecast-variance": (lambda: PredictiveGaussian(0.0, -1.0), ValueError),
     "forecast-mean-word": (lambda: PredictiveGaussian("a", 1.0), TypeError),
+    "logpdf-word": (lambda: PredictiveGaussian(0.0, 1.0).logpdf("a"),
+                    ValueError),
+    "logpdf-list": (lambda: PredictiveGaussian(0.0, 1.0).logpdf([1.0]),
+                    TypeError),
     "floor-nan": (lambda: update_model_weights_log(
         WeightVector([0.5, 0.5]), [0.0, 0.0], np.nan), ValueError),
     "evidence-word": (lambda: update_model_weights_log(

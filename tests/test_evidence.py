@@ -122,6 +122,11 @@ def test_sample_count_validation():
                                     np.random.default_rng(0))
     assert estimate == 1.0
     assert weights.shape == (3,)
+    # and so is a whole-valued float, as every count of the package takes it
+    estimate, weights = is_evidence(target, prop, 3.0,
+                                    np.random.default_rng(0))
+    assert estimate == 1.0
+    assert weights.shape == (3,)
 
 
 def test_sample_count_and_density_shapes_raise_library_errors():
@@ -129,7 +134,8 @@ def test_sample_count_and_density_shapes_raise_library_errors():
     good = prop.log_density
     wide = lambda x: np.append(good(x), 0.0)
     column = lambda x: good(x)[:, None]
-    cases = [(good, prop, 0), (good, prop, 2.5), (good, prop, 3.0),
+    cases = [(good, prop, 0), (good, prop, 2.5), (good, prop, 1e300),
+             (good, prop, 2**53 + 2),
              (wide, prop, 10), (column, prop, 10),
              (good, Proposal(prop.sample, wide), 10),
              (good, Proposal(prop.sample, column), 10)]

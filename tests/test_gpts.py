@@ -611,6 +611,21 @@ def test_reused_factorization_gives_bitwise_a_fresh_models_forecast(
         "noise_var=0.05, window=10)")
 
 
+def test_a_model_stores_each_real_parameter_as_a_float():
+    # a string numpy reads as a number once reached the kernel as a string
+    model = GPTSModel("0.5", "1.0", np.float32(2.0), 1, 3)
+    assert (model.mean_const, model.signal_variance, model.lengthscale,
+            model.noise_var) == (0.5, 1.0, 2.0, 1.0)
+    assert all(type(v) is float for v in (
+        model.mean_const, model.signal_variance, model.lengthscale,
+        model.noise_var))
+    fresh = GPTSModel(0.5, 1.0, 2.0, 1.0, 3)
+    assert model == fresh and hash(model) == hash(fresh)
+    times = np.arange(4.0)
+    forecast = gp_predict_next(model, times, np.sin(times), 4.0)
+    assert forecast == gp_predict_next(fresh, times, np.sin(times), 4.0)
+
+
 def test_unit_spaced_stream_runs_no_cholesky_once_the_window_is_full(
         monkeypatch):
     window, rows = 6, 20

@@ -855,12 +855,15 @@ def test_uniform_noise_rejects_a_support_without_a_finite_width(low, high):
 
 
 @pytest.mark.parametrize("df, scale", [(np.nan, 1.0), (np.inf, 1.0),
-                                       (1e307, 1.0), (3.0, np.inf)])
+                                       (1e307, 1.0), (3.0, np.inf),
+                                       (5e-324, 1.0)])
 def test_student_t_rejects_parameters_without_a_finite_density(df, scale):
-    # 1e307 overflows the log-gamma; NaN and inf would make every density NaN
+    # 1e307 overflows the log-gamma, and 5e-324 halves to 0, its pole, where
+    # math.lgamma raises a domain error; NaN and inf would make every
+    # density NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInputError):
             student_t_noise(df, scale)
 
 

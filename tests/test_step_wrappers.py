@@ -18,7 +18,7 @@ import numpy as np
 import numpy._core._methods
 import numpy._core.fromnumeric
 
-from bdemm import stream, toy
+from bdemm import gpts, stream, toy
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WRAPPER_FILES = {numpy._core._methods.__file__,
@@ -35,16 +35,19 @@ def _inputs():
     return module
 
 
-def _counted(step, per_call):
+def _counted(step, per_call, errstate=True):
     """``step``, appending to ``per_call`` a count of the wrapper frames
-    each call enters, by function name."""
+    each call enters, by function name; ``errstate=False`` leaves out the
+    errstate frames, which ``numpy.linalg`` enters on every call."""
+    codes = ERRSTATE_CODES if errstate else set()
+
     def counted(*args, **kwargs):
         counts = collections.Counter()
 
         def profile(frame, event, arg):
             code = frame.f_code
             if event == "call" and (code.co_filename in WRAPPER_FILES
-                                    or code in ERRSTATE_CODES):
+                                    or code in codes):
                 counts[code.co_name] += 1
 
         sys.setprofile(profile)
@@ -66,10 +69,11 @@ def test_a_toy_batch_step_enters_no_numpy_wrapper(monkeypatch):
     assert sum(per_step, collections.Counter()) == {}
 
 
-def _stream_steps(monkeypatch, tmp_path, step_name, config, series):
+def _stream_steps(monkeypatch, tmp_path, step_name, config, series,
+                  errstate=True):
     per_step = []
-    monkeypatch.setattr(stream, step_name,
-                        _counted(getattr(stream, step_name), per_step))
+    monkeypatch.setattr(stream, step_name, _counted(
+        getattr(stream, step_name), per_step, errstate))
     (tmp_path / "stream.cfg").write_text(config)
     (tmp_path / "obs.csv").write_bytes(_inputs().csv_bytes(series))
     rows = stream.run_stream(tmp_path / "stream.cfg", tmp_path / "obs.csv",
@@ -93,3 +97,16 @@ def test_a_full_window_gp_step_enters_no_numpy_wrapper(monkeypatch, tmp_path):
     per_step = _stream_steps(monkeypatch, tmp_path, "intel_step",
                              inputs.gp_config(), inputs.gp_stream(1, 120))
     assert sum(per_step[inputs.GP_WINDOW:], collections.Counter()) == {}
+
+
+def test_a_gp_step_enters_no_numpy_wrapper_while_its_window_fills(
+        monkeypatch, tmp_path):
+    # each forecast of rows 1-32 solves a new set of relative times, so the
+    # solve itself, the path a cache miss takes, must enter no wrapper
+    # either; its factorizations and solves enter numpy.linalg's errstate
+    inputs = _inputs()
+    per_step = _stream_steps(monkeypatch, tmp_path, "intel_step",
+                             inputs.gp_config(),
+                             inputs.gp_stream(1, inputs.GP_WINDOW), False)
+    assert gpts._pool_solve.cache_info().misses >= inputs.GP_WINDOW
+    assert sum(per_step, collections.Counter()) == {}

@@ -310,6 +310,38 @@ weight_floor = 0.02
         assert abs(cells[2] + cells[3] - 1.0) <= 1e-9
 
 
+SMC_TOY_PAIR = """\
+engine = smc
+smc.models = 2
+smc.particles = 40
+smc.model.1.kind = toy_gaussian
+smc.model.2.kind = toy_uniform
+smc.init.point = [1.0]
+"""
+
+
+@pytest.mark.parametrize("text, counts", [
+    (README_POOL, {"kf.models = 2": "kf.models = 2.0"}),
+    (SMC_TOY_PAIR, {"smc.models = 2": "smc.models = 2.0",
+                    "smc.particles = 40": "smc.particles = 40.0"}),
+], ids=["kf", "smc"])
+def test_a_whole_valued_float_count_streams_as_the_integer(tmp_path, text,
+                                                           counts):
+    # the model and particle counts follow the library's whole-number rule
+    floats = text
+    for key, value in counts.items():
+        floats = floats.replace(key, value)
+    assert all(value in floats for value in counts.values())
+    obs = _write(tmp_path, "obs.csv", "0.1\n0.3\n-0.2\n")
+    outs = []
+    for i, config in enumerate((text, floats)):
+        out = tmp_path / ("%d.csv" % i)
+        assert run_stream(_write(tmp_path, "%d.cfg" % i, config), obs,
+                          str(out)) == 3
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_smc_toy_models_share_one_transition(tmp_path):
     # one transition object for the whole pool: the step propagates once
     cfg = _write(tmp_path, "smcshared.cfg", """\

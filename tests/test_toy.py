@@ -145,6 +145,23 @@ def test_gamma_noise_must_have_a_finite_mean(kw):
         ToyConfig(**kw)
 
 
+@pytest.mark.parametrize("kw", [{"gamma_shape": -0.0}, {"gamma_scale": -0.0},
+                                {"gamma_shape": "3.0", "gamma_scale": "0"}],
+                         ids=["shape-negative-zero", "scale-negative-zero",
+                              "words"])
+def test_gamma_noise_is_kept_as_the_floats_it_reads_as(kw):
+    # numpy's gamma sampler rejects a -0.0 shape or scale as negative
+    config = ToyConfig(**kw)
+    for name in ("gamma_shape", "gamma_scale"):
+        value = getattr(config, name)
+        assert type(value) is float and not np.signbit(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, _, _ = gen_toy_series(config, 0)
+        toy_transition(config)(np.zeros((3, 1)), 1, np.random.default_rng(0))
+    assert np.isfinite(states).all()
+
+
 @pytest.mark.parametrize("shape", [1e-3, 0.5, 1.0, 3.0, 1e3, GAMMA_MAX])
 def test_gamma_noise_at_its_bound_keeps_the_state_finite(shape):
     config = ToyConfig(gamma_shape=shape,
