@@ -260,6 +260,16 @@ class _EngineState:
         """Current model weights (the history's latest row)."""
         return self.history.last
 
+    def _pool(self, pool) -> tuple:
+        """``pool`` as a tuple, one model per model weight; a pool of
+        another size raises ``DimensionMismatchError``.  Every engine step
+        checks its pool here before it computes anything."""
+        pool = tuple(pool)
+        if len(pool) != len(self.model_weights):
+            raise DimensionMismatchError(
+                "pool size does not match weight vector")
+        return pool
+
 
 def _finite(*arrays) -> bool:
     """Whether every entry of every array is finite: one counted test per

@@ -221,7 +221,10 @@ def gaussian_innovation(y, means, covs, B, R):
             raise SingularInnovationCovError(
                 "innovation covariance is not finite")
         sol = resid / s[:, None]
-        quad = _overflowed_to_inf((resid * sol)[:, 0], resid)
+        # with s finite and positive, r * (r / s) is finite or +inf for any
+        # NaN-free r, never NaN: there is no inf - inf for the fixup of the
+        # m > 1 path to mend
+        quad = (resid * sol)[:, 0]
         return (-0.5 * (y.size * LOG_2PI + logdet + quad), resid,
                 bp / s[:, None, None])
     try:

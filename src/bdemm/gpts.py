@@ -373,9 +373,7 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     log_evidences : ndarray, shape (K,)
         Each model's log density of ``y_t``; ``-inf`` where it underflows.
     """
-    pool = tuple(pool)
-    if len(pool) != len(state.model_weights):
-        raise DimensionMismatchError("pool size does not match weight vector")
+    pool = state._pool(pool)
     try:
         t, y_t = float(t), float(y_t)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -245,10 +245,7 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         If a prediction, a posterior or the collapse overflows, or a
         posterior covariance cancels to roundoff.
     """
-    pool = tuple(pool)
-    if len(pool) != len(state.model_weights):
-        raise DimensionMismatchError("pool size does not match weight vector")
-    A, Q, B, R = _stacked(pool)
+    A, Q, B, R = _stacked(state._pool(pool))
     y = _observation(state.belief, B, y)
     means, covs = _predict(A, Q, state.belief)
     means, covs, log_evs = _update(means, covs, B, R, y)

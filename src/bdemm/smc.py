@@ -357,10 +357,8 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
     if advance is None:
         raise InvalidInputError("the particle step needs a bit generator with "
                                 "advance(), such as numpy's default PCG64")
-    pool = list(pool)
+    pool = state._pool(pool)
     k_models = len(pool)
-    if k_models != len(state.model_weights):
-        raise DimensionMismatchError("pool size does not match weight vector")
     y = _floats(y, "y", 1)
     ens = state.ensemble
 

@@ -5,7 +5,9 @@ line, ``#`` starts a comment, keys are dotted paths, values are scalars
 (int, float, bare word) or bracketed numeric lists like ``[1.0, 0.5]``.
 Matrices are row-major lists; square shapes are inferred from the length
 and ``B`` takes as many rows as ``R``.  Unknown keys are rejected, so typos
-fail loudly instead of silently running a default.
+fail loudly instead of silently running a default: each reader takes its
+keys out of a copy of the parsed dict, and a key still there once the
+engine is built is one nothing reads.
 
 Example::
 
@@ -114,31 +116,19 @@ def _parse_value(value: str, lineno: int):
     return value
 
 
-class _Config:
-    """Config dict wrapper that tracks key usage and typing."""
+def _take(cfg: dict, key, default=None, required=False):
+    """Remove ``key`` from ``cfg`` and return its value, or ``default``."""
+    if required and key not in cfg:
+        raise ConfigError("missing required key %r" % key)
+    return cfg.pop(key, default)
 
-    def __init__(self, raw: dict):
-        self.raw = raw
-        self.used = set()
 
-    def get(self, key, default=None, required=False):
-        if key in self.raw:
-            self.used.add(key)
-            return self.raw[key]
-        if required:
-            raise ConfigError("missing required key %r" % key)
-        return default
-
-    def get_list(self, key, default=None, required=False):
-        val = self.get(key, default=default, required=required)
-        if val is not None and not isinstance(val, list):
-            raise ConfigError("key %r must be a bracketed list" % key)
-        return val
-
-    def check_exhausted(self):
-        extra = sorted(set(self.raw) - self.used)
-        if extra:
-            raise ConfigError("unknown key %r" % extra[0])
+def _take_list(cfg: dict, key, default=None, required=False):
+    """:func:`_take` for a key whose value must be a bracketed list."""
+    val = _take(cfg, key, default=default, required=required)
+    if val is not None and not isinstance(val, list):
+        raise ConfigError("key %r must be a bracketed list" % key)
+    return val
 
 
 def _square(values, key):
@@ -154,27 +144,27 @@ _WTT_KEYS = {"constant": "wtt.constants", "markov": "wtt.matrix",
              "forgetting": "wtt.alpha", "polya_urn": "wtt.beta"}
 
 
-def _wtt_from_config(cfg: _Config) -> WTTConfig:
-    kind = cfg.get("wtt.kind", default="identity")
+def _wtt_from_config(cfg: dict) -> WTTConfig:
+    kind = _take(cfg, "wtt.kind", default="identity")
     key = _WTT_KEYS.get(kind) if isinstance(kind, str) else None
     if key is None:  # identity, or a kind WTTConfig rejects
         return WTTConfig(kind)
     if kind == "forgetting":
-        return WTTConfig(kind, cfg.get(key, required=True))
-    values = cfg.get_list(key, required=True)
+        return WTTConfig(kind, _take(cfg, key, required=True))
+    values = _take_list(cfg, key, required=True)
     return WTTConfig(kind, _square(values, key) if kind == "markov" else values)
 
 
-def _linear_model(cfg: _Config, base: str) -> LinearGaussianModel:
+def _linear_model(cfg: dict, base: str) -> LinearGaussianModel:
     """One linear-Gaussian candidate; ``B`` takes as many rows as ``R``."""
-    r = _square(cfg.get_list(base + "R", required=True), base + "R")
-    b = cfg.get_list(base + "B", required=True)
+    r = _square(_take_list(cfg, base + "R", required=True), base + "R")
+    b = _take_list(cfg, base + "B", required=True)
     if len(b) % r.shape[0]:
         raise ConfigError("key %r length does not fit the obs dim"
                           % (base + "B",))
     return LinearGaussianModel(
-        A=_square(cfg.get_list(base + "A", required=True), base + "A"),
-        Q=_square(cfg.get_list(base + "Q", required=True), base + "Q"),
+        A=_square(_take_list(cfg, base + "A", required=True), base + "A"),
+        Q=_square(_take_list(cfg, base + "Q", required=True), base + "Q"),
         B=np.reshape(b, (r.shape[0], -1)),
         R=r,
     )
@@ -189,20 +179,21 @@ def _pool_dims(dims, engine: str):
 
 
 class _KfEngine:
-    def __init__(self, cfg: _Config):
-        k = _count(cfg.get("kf.models", required=True), ConfigError,
+    def __init__(self, cfg: dict):
+        k = _count(_take(cfg, "kf.models", required=True), ConfigError,
                    "key 'kf.models' must be a whole number >= 1")
         self.pool = [_linear_model(cfg, "kf.model.%d." % i)
                      for i in range(1, k + 1)]
         self.est_dim, self.obs_dim = _pool_dims(
             [(m.state_dim, m.obs_dim) for m in self.pool], "kf")
         belief = GaussianBelief(
-            cfg.get_list("kf.init.mean", required=True),
-            _square(cfg.get_list("kf.init.cov", required=True), "kf.init.cov"))
+            _take_list(cfg, "kf.init.mean", required=True),
+            _square(_take_list(cfg, "kf.init.cov", required=True),
+                    "kf.init.cov"))
         if belief.dim != self.est_dim:
             raise ConfigError("key 'kf.init.mean' does not match the state dim")
         weights = WeightVector(
-            cfg.get_list("kf.init.weights", default=[1.0 / k] * k))
+            _take_list(cfg, "kf.init.weights", default=[1.0 / k] * k))
         self.state = KfEnsembleState.initial(belief, weights=weights)
 
     def step(self, y, t):
@@ -211,51 +202,52 @@ class _KfEngine:
         return est.x_hat, self.state.model_weights.w, log_evs
 
 
-def _smc_model(cfg: _Config, base: str, toy: ToyConfig, transition):
+def _smc_model(cfg: dict, base: str, toy: ToyConfig, transition):
     """One candidate and its (state, obs) dimensions; toy kinds are 1-d and
     share ``transition``, so the pool propagates its cloud once per step."""
-    kind = cfg.get(base + "kind", required=True)
+    kind = _take(cfg, base + "kind", required=True)
     if kind == "linear_gaussian":
         m = _linear_model(cfg, base)
         return (linear_gaussian_ssm(m.A, m.Q, m.B, m.R),
                 (m.state_dim, m.obs_dim))
     if kind == "toy_gaussian":
-        noise = gaussian_noise(cfg.get(base + "var",
-                                       default=toy.gauss_noise_var))
+        noise = gaussian_noise(_take(cfg, base + "var",
+                                     default=toy.gauss_noise_var))
     elif kind == "toy_uniform":
-        noise = uniform_noise(cfg.get(base + "low", default=ROBUST_SUPPORT[0]),
-                              cfg.get(base + "high", default=ROBUST_SUPPORT[1]))
+        noise = uniform_noise(
+            _take(cfg, base + "low", default=ROBUST_SUPPORT[0]),
+            _take(cfg, base + "high", default=ROBUST_SUPPORT[1]))
     elif kind == "toy_student_t":
-        noise = student_t_noise(cfg.get(base + "df", default=3.0),
-                                cfg.get(base + "scale", default=1.0))
+        noise = student_t_noise(_take(cfg, base + "df", default=3.0),
+                                _take(cfg, base + "scale", default=1.0))
     else:
         raise ConfigError("unknown key %r value %r" % (base + "kind", kind))
     return toy_candidate(transition, noise), (1, 1)
 
 
 class _SmcEngine:
-    def __init__(self, cfg: _Config):
-        k = _count(cfg.get("smc.models", required=True), ConfigError,
+    def __init__(self, cfg: dict):
+        k = _count(_take(cfg, "smc.models", required=True), ConfigError,
                    "key 'smc.models' must be a whole number >= 1")
-        # the toy rules check the particle count, the seed and the gamma noise
-        toy = ToyConfig(particles=cfg.get("smc.particles", default=200),
-                        seed=cfg.get("smc.seed", default=0),
-                        gamma_shape=cfg.get("smc.gamma_shape", default=3.0),
-                        gamma_scale=cfg.get("smc.gamma_scale", default=2.0))
+        # the toy rules check the particle count, the seed and the gamma
+        # noise; a key the config leaves out takes ToyConfig's default
+        toy = ToyConfig(**{name: cfg.pop("smc." + name) for name in (
+            "particles", "seed", "gamma_shape", "gamma_scale")
+            if "smc." + name in cfg})
         transition = toy_transition(toy)
         self.pool, dims = zip(*[
             _smc_model(cfg, "smc.model.%d." % i, toy, transition)
             for i in range(1, k + 1)])
         self.est_dim, self.obs_dim = _pool_dims(list(dims), "smc")
         self.rng = np.random.default_rng(toy.seed)
-        point = cfg.get_list("smc.init.point")
+        point = _take_list(cfg, "smc.init.point")
         if point is not None:
             particles = np.tile(np.asarray(point, dtype=float),
                                 (toy.particles, 1))
         else:
             belief = GaussianBelief(
-                cfg.get_list("smc.init.mean", required=True),
-                _square(cfg.get_list("smc.init.cov", required=True),
+                _take_list(cfg, "smc.init.mean", required=True),
+                _square(_take_list(cfg, "smc.init.cov", required=True),
                         "smc.init.cov"))
             try:
                 chol = np.linalg.cholesky(belief.cov)
@@ -276,15 +268,15 @@ class _SmcEngine:
 
 
 class _IntelEngine:
-    def __init__(self, cfg: _Config):
+    def __init__(self, cfg: dict):
         nominal = GPTSModel(
-            mean_const=cfg.get("intel.mean", default=0.0),
-            signal_variance=cfg.get("intel.signal_variance", default=1.0),
-            lengthscale=cfg.get("intel.lengthscale", default=1.0),
-            noise_var=cfg.get("intel.noise_variance", default=0.01),
-            window=cfg.get("intel.window", default=10),
+            mean_const=_take(cfg, "intel.mean", default=0.0),
+            signal_variance=_take(cfg, "intel.signal_variance", default=1.0),
+            lengthscale=_take(cfg, "intel.lengthscale", default=1.0),
+            noise_var=_take(cfg, "intel.noise_variance", default=0.01),
+            window=_take(cfg, "intel.window", default=10),
         )
-        factors = cfg.get_list("intel.noise_factors", default=[1.0, 100.0])
+        factors = _take_list(cfg, "intel.noise_factors", default=[1.0, 100.0])
         self.pool = perturb_pool(nominal, factors)
         self.state = IntelState.initial(k=len(self.pool))
         self.est_dim = self.obs_dim = 1  # GP candidates are scalar
@@ -304,8 +296,8 @@ def build_engine(config: dict):
     :class:`~bdemm.errors.ConfigError`; where the library owns the rule, it
     wraps the library's error and carries its message.
     """
-    cfg = _Config(config)
-    engine_kind = cfg.get("engine", required=True)
+    cfg = dict(config)  # each reader takes its keys out of this copy
+    engine_kind = _take(cfg, "engine", required=True)
     try:
         if engine_kind == "kf":
             engine = _KfEngine(cfg)
@@ -318,14 +310,15 @@ def build_engine(config: dict):
         # the weight settings are the same for every engine: read them once,
         # and check them against the pool with one step on zero evidence
         engine.wtt = _wtt_from_config(cfg)
-        engine.weight_floor = cfg.get("weight_floor", default=0.0)
+        engine.weight_floor = _take(cfg, "weight_floor", default=0.0)
         weight_step(engine.wtt, engine.state.history,
                     np.zeros(len(engine.pool)), engine.weight_floor)
     except ConfigError:
         raise
     except BdemmError as exc:
         raise ConfigError("bad %s config: %s" % (engine_kind, exc)) from exc
-    cfg.check_exhausted()
+    if cfg:  # every key the engine reads is taken: what is left is unknown
+        raise ConfigError("unknown key %r" % min(cfg))
     return engine
 
 

@@ -109,9 +109,11 @@ def _assert_estimate_passes(estimate: PointEstimate):
     _assert_read_only(estimate.x_hat)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("seed", range(6))
-def test_kf_steps_return_values_their_constructors_accept(seed, d):
+def random_kf_stream(seed, d):
+    """A ``step(state, t, y)`` over a random pool of one to three models
+    with d-dimensional states and observations, its opening state and 40
+    scalar rows, each observed in every coordinate.  tools/same_outputs.py
+    counts how these streams end, over seeds 0-299 and d = 1, 2."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 4))
     pool = [_random_linear_model(rng, d, d) for _ in range(k)]
@@ -119,11 +121,19 @@ def test_kf_steps_return_values_their_constructors_accept(seed, d):
     state = KfEnsembleState.initial(
         GaussianBelief(rng.standard_normal(d), np.eye(d)),
         weights=WeightVector(rng.dirichlet(np.ones(k))))
+
     def step(state, t, y):
         return kf_bdemm_step(state, pool, np.full(d, y), wtt,
                              weight_floor=floor)
 
-    for state, est in _run(step, state, _random_rows(rng, 40, 2.0)):
+    return step, state, _random_rows(rng, 40, 2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_kf_steps_return_values_their_constructors_accept(seed, d):
+    step, state, rows = random_kf_stream(seed, d)
+    for state, est in _run(step, state, rows):
         b = state.belief
         GaussianBelief(b.mean, b.cov)
         _assert_read_only(b.mean, b.cov)

@@ -31,3 +31,20 @@ def test_numbers_inside_names_are_text():
     # the digit of a column name such as w1_avg is not a value
     assert same_outputs.NUMBER.findall("w1_avg,ev_2,3.5e-1,-inf,nan") == [
         "3.5e-1", "-inf", "nan"]
+
+
+def test_boundary_ends_counts_each_stream_once_by_its_reason():
+    # the report's robustness file on 20 of its 300 seeds
+    text = same_outputs.boundary_ends(seeds=range(20))
+    lines = text.splitlines()
+    headers = [i for i, line in enumerate(lines) if line.startswith("d = ")]
+    assert [lines[i].split(":")[0] for i in headers] == ["d = 1", "d = 2"]
+    for start, stop in zip(headers, headers[1:] + [len(lines)]):
+        ended, of = (int(w) for w in lines[start].split()[3:6:2])
+        reasons = lines[start + 1:stop]
+        assert of == 20
+        assert ended == sum(int(r.rsplit(": ", 1)[1]) for r in reasons)
+        assert reasons == sorted(reasons)
+        assert all(r.startswith("  ") for r in reasons)
+    # some streams do end early, so the reason lines are exercised
+    assert len(lines) > len(headers)

@@ -792,6 +792,17 @@ def test_step_validates_pool_size():
         SmcEnsembleState.initial(np.zeros((10, 1)))
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_a_mismatched_pool_raises_before_any_draw(size):
+    state = SmcEnsembleState.initial(np.zeros((10, 1)), k=2)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    pool = [_random_walk_model() for _ in range(size)]
+    with pytest.raises(DimensionMismatchError, match="pool size"):
+        smc_bdemm_step(state, pool, 0.0, 1, WTTConfig.identity(), rng)
+    assert rng.bit_generator.state == before
+
+
 # ---------------------------------------------------------------------------
 # model constructors
 

@@ -12,7 +12,11 @@ the path, on the inputs of *this* tree's ``perfbench/inputs.py``:
 * ``bdemm toy --seed 7`` under each of the five ``--wtt`` kinds, and with
   ``--particles 1``: its summary.txt, runs.csv and weights.csv;
 * the stdout of each tree's own demos, with the temporary directory that
-  ``csv_streaming.py`` prints replaced by ``<tmp>``.
+  ``csv_streaming.py`` prints replaced by ``<tmp>``;
+* how often, and why, the random Kalman streams of *this* tree's
+  ``tests/test_boundary.py`` end early with a ``BdemmError``, over seeds
+  0-299 with d = 1 and d = 2: a change that moves rounding can move these
+  robustness counts too.
 
 For each file it prints ``identical``, or the count of lines that differ,
 the largest absolute and relative deviation between numbers in the same
@@ -24,6 +28,7 @@ network.
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib.util
 import io
 import math
@@ -43,6 +48,7 @@ TOY_RUNS = [["--wtt", kind] for kind in (
     "identity", "constant", "markov", "forgetting", "polya_urn")] + [
     ["--particles", "1"]]
 TOY_FILES = ("summary.txt", "runs.csv", "weights.csv")
+BOUNDARY_SEEDS = range(300)
 
 # runs in the tree's interpreter: refuses to run another tree's bdemm
 PREAMBLE = """\
@@ -60,9 +66,46 @@ RUN_CLI = PREAMBLE + """\
 from bdemm.cli import main
 sys.exit(main(sys.argv[2:]))
 """
+RUN_BOUNDARY = PREAMBLE + """\
+sys.path.insert(0, sys.argv[2])
+from same_outputs import boundary_ends
+sys.stdout.write(boundary_ends())
+"""
 
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:inf|nan|(?:\d+\.\d*|\.\d+|\d+)"
                     r"(?:[eE][-+]?\d+)?)(?![\w.])")
+
+
+def _load(name: str, path: Path):
+    """The module at ``path``, imported under ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def boundary_ends(seeds=BOUNDARY_SEEDS) -> str:
+    """How many of the random Kalman streams of ``tests/test_boundary.py``
+    end early, per dimension, and the count of each ``BdemmError`` message
+    that ends them, in the messages' order, as text.  Runs on whichever
+    ``bdemm`` the interpreter imports."""
+    from bdemm.errors import BdemmError
+    boundary = _load("boundary", ROOT / "tests" / "test_boundary.py")
+    lines = []
+    for d in (1, 2):
+        reasons = collections.Counter()
+        for seed in seeds:
+            step, state, rows = boundary.random_kf_stream(seed, d)
+            for t, y in enumerate(rows, start=1):
+                try:
+                    state = step(state, t, y)[0]
+                except BdemmError as exc:
+                    reasons[str(exc)] += 1
+                    break
+        lines.append("d = %d: %d of %d streams end early" % (
+            d, sum(reasons.values()), len(seeds)))
+        lines += ["  %s: %d" % item for item in sorted(reasons.items())]
+    return "\n".join(lines) + "\n"
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -80,10 +123,7 @@ def export(rev: str, dest: Path) -> Path:
 def write_inputs(dest: Path) -> dict:
     """The two stream workloads' configs and CSVs, from this tree's
     ``perfbench/inputs.py``, written under ``dest``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", ROOT / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = _load("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
     dest.mkdir()
     files = {}
     for name, config, rows in (
@@ -129,6 +169,8 @@ def produce(tree: Path, inputs: dict, out: Path) -> dict:
         text = run(tree, [demo], scratch)
         pattern = re.escape(str(scratch) + os.sep) + r"tmp\w+"
         found["demo-%s.txt" % demo.stem] = re.sub(pattern, "<tmp>", text)
+    found["kf-boundary-ends.txt"] = run(
+        tree, ["-c", RUN_BOUNDARY, tree, ROOT / "tools"], scratch)
     return found
 
 
