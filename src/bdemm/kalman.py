@@ -18,15 +18,23 @@ A step runs the whole pool at once.  The pool's matrices are stacked once
 innovation (closed form for a scalar observation, else one factorization
 and two solves), one batched update with one stacked roundoff guard, and
 one array collapse serve all K models: a row's count of numpy calls does
-not grow with K, and with a scalar state and observation it makes no
-LAPACK call.  :func:`kf_predict` is the K = 1 call of the predict kernel,
-and a one-model pool runs the textbook filter.
+not grow with K.  :func:`kf_predict` is the K = 1 call of the predict
+kernel, and a one-model pool runs the textbook filter.
+
+A pool with a scalar state and a scalar observation (d = m = 1) runs
+instead on the (K,) vectors of its four entries, cached with the stacks.
+That row takes the same elementwise operations in the same order, where
+the stacked kernels take a 1x1 matmul for each product, and raises the same
+errors in the same order.  It makes no LAPACK call, and its values equal the
+stacked kernels' under ``==``: a matmul adds its product to +0.0, so only a
+zero's sign can differ inside a row, and the estimate, the weights and the
+evidences are the same bytes.
 
 The roundoff guard reads each posterior covariance's lowest eigenvalue (a
-1x1 matrix's one entry) and raises when it falls below ``-PSD_ATOL`` times
-the matrix's largest magnitude, at least 1.  That tolerance is negative,
-so the magnitudes are computed only on a row where some model's lowest
-eigenvalue is negative.
+variance or a 1x1 matrix is its own) and raises when it falls below
+``-PSD_ATOL`` times the matrix's largest magnitude, at least 1.  That
+tolerance is negative, so the magnitudes are computed only on a row where
+some model's lowest eigenvalue is negative.
 """
 
 from __future__ import annotations
@@ -57,8 +65,9 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     NonFiniteBeliefError,
+    SingularInnovationCovError,
 )
-from .evidence import gaussian_innovation
+from .evidence import LOG_2PI, gaussian_innovation
 from .wtt import WTTConfig, _weight_step
 
 __all__ = [
@@ -131,14 +140,18 @@ class KfEnsembleState(_EngineState):
 @lru_cache(maxsize=8)
 def _stacked(pool: tuple):
     """The pool's ``A, Q, B, R`` stacked into (K, d, d), (K, d, d),
-    (K, m, d) and (K, m, m) arrays.  The cache holds the models, so their
-    identities are not reused while a stack is kept."""
+    (K, m, d) and (K, m, m) arrays, then, with a scalar state and
+    observation, the (K,) vectors of their one entries, else None.  The
+    cache holds the models, so their identities are not reused while a
+    stack is kept."""
     d, m = pool[0].state_dim, pool[0].obs_dim
     if any(model.state_dim != d or model.obs_dim != m for model in pool):
         raise DimensionMismatchError(
             "pool models differ in state or observation dimension")
-    return tuple(_frozen(np.stack([getattr(model, name) for model in pool]))
-                 for name in "AQBR")
+    stacks = tuple(_frozen(np.stack([getattr(model, name) for model in pool]))
+                   for name in "AQBR")
+    entries = tuple(s[:, 0, 0] for s in stacks) if d == m == 1 else None
+    return stacks + (entries,)
 
 
 def _observation(belief: GaussianBelief, B, y) -> np.ndarray:
@@ -171,28 +184,90 @@ def _update(means, covs, B, R, y):
     Runs under its caller's error scope.
     """
     log_ev, resid, gain_t = gaussian_innovation(y, means, covs, B, R)
-    kept = log_ev == -np.inf
     # gain G = P B^T S^{-1}, as solve(S, B P)^T since P is symmetric
     gain = gain_t.swapaxes(1, 2)
     post_means = means + (gain @ resid[:, :, None])[:, :, 0]
     post_covs = covs - gain @ B @ covs
     post_covs = _symmetrized(post_covs)
+    return _posterior(means, covs, post_means, post_covs, log_ev)
+
+
+def _scalar_update(a, q, b, r, belief: GaussianBelief, y):
+    """:func:`_predict`, then :func:`gaussian_innovation`'s closed form and
+    :func:`_update`, for a pool with a scalar state and observation, on the
+    (K,) vectors ``a, q, b, r`` of its entries.
+
+    Each 1x1 matmul of the stacked kernels is one elementwise product here,
+    taken in the same order, and every check raises the same error in the
+    same order.  So the results equal theirs under ``==``; only a zero's
+    sign can differ, since a matmul adds its product to +0.0.  Returns the
+    (K,) posterior means, variances and log evidences.  Runs under its
+    caller's error scope.
+    """
+    means = a * belief.mean
+    covs = a * belief.cov[0] * a + q
+    if not _finite(means, covs):
+        raise NonFiniteBeliefError("predicted belief is not finite")
+    bp = b * covs
+    s = bp * b + r
+    resid = y - b * means
+    # NaN fails too: the closed form's checks, as gaussian_innovation's
+    if np.count_nonzero(s > 0.0) < s.size:
+        raise SingularInnovationCovError(
+            "innovation covariance is not positive definite")
+    logdet = 2.0 * np.log(np.sqrt(s))
+    if not _finite(logdet):
+        raise SingularInnovationCovError("innovation covariance is not finite")
+    log_ev = -0.5 * (LOG_2PI + logdet + resid * (resid / s))
+    gain = bp / s
+    post_means = means + gain * resid
+    post_covs = covs - gain * b * covs
+    return _posterior(means, covs, post_means, post_covs, log_ev)
+
+
+def _posterior(means, covs, post_means, post_covs, log_ev):
+    """The update's last stage, on stacked beliefs or on a scalar state's
+    (K,) vectors: each model whose log evidence is ``-inf`` keeps its
+    prediction, then the posterior is checked for finiteness and for
+    roundoff.  Returns ``post_means, post_covs, log_ev``."""
+    kept = log_ev == -np.inf
     if np.count_nonzero(kept):
         post_means[kept] = means[kept]
         post_covs[kept] = covs[kept]
     if not _finite(post_means, post_covs):
         raise NonFiniteBeliefError("posterior belief is not finite")
     # P - G B P cancels to roundoff when B P B^T dwarfs R by ~1/eps
-    # a 1x1 matrix is its own eigenvalue, and eigvalsh returns it as is
-    low = (post_covs[:, 0, 0] if post_covs.shape[1] == 1
+    # a variance or a 1x1 matrix is its own eigenvalue, and eigvalsh
+    # returns it as is
+    k = len(post_covs)
+    low = (post_covs.reshape(k) if post_covs.size == k
            else np.linalg.eigvalsh(post_covs)[:, 0])
     # the tolerance is at least PSD_ATOL, so only a negative low needs it
     if np.count_nonzero(low < 0.0):
-        scale = np.maximum(1.0, np.abs(post_covs).max(axis=(1, 2)))
+        scale = np.maximum(1.0, np.abs(post_covs).reshape(k, -1).max(axis=1))
         lost = low < -PSD_ATOL * scale
         if np.count_nonzero(lost & ~kept):
             raise NonFiniteBeliefError("posterior covariance lost to roundoff")
     return post_means, post_covs, log_ev
+
+
+def _scalar_collapse(means, covs, w) -> GaussianBelief:
+    """:func:`~bdemm.core.collapse_mixture` of the (K,) posterior means and
+    variances of a scalar state, with the stacked collapse's operations in
+    its order, under its caller's error scope."""
+    # a matmul, as the stacked collapse's, adds each product to +0.0
+    mean = w @ means[:, None]
+    # a zero weight drops its component, whose far-off mean could turn
+    # 0 * inf into NaN
+    if np.count_nonzero(w) < w.size:
+        live = w > 0.0
+        w, means, covs = w[live], means[live], covs[live]
+    dev = means - mean
+    cov = np.add.reduce(w * covs + w * dev * dev)
+    if not _finite(mean, cov):
+        raise NonFiniteBeliefError(
+            "mixture collapse overflowed: component means too far apart")
+    return _trusted(GaussianBelief, mean, cov.reshape(1, 1))
 
 
 @_quiet
@@ -245,13 +320,18 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         If a prediction, a posterior or the collapse overflows, or a
         posterior covariance cancels to roundoff.
     """
-    A, Q, B, R = _stacked(state._pool(pool))
+    A, Q, B, R, entries = _stacked(state._pool(pool))
     y = _observation(state.belief, B, y)
-    means, covs = _predict(A, Q, state.belief)
-    means, covs, log_evs = _update(means, covs, B, R, y)
+    if entries is None:
+        means, covs = _predict(A, Q, state.belief)
+        means, covs, log_evs = _update(means, covs, B, R, y)
+        collapse = _collapse
+    else:
+        means, covs, log_evs = _scalar_update(*entries, state.belief, y)
+        collapse = _scalar_collapse
 
     weights, history, _ = _weight_step(wtt_config, state.history, log_evs,
                                        weight_floor)
-    belief = _collapse(means, covs, weights.w)
+    belief = collapse(means, covs, weights.w)
     estimate = _trusted(PointEstimate, belief.mean)
     return KfEnsembleState(belief, history), estimate, log_evs

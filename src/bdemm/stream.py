@@ -43,6 +43,8 @@ engines report log evidences; the ``ev_k`` columns hold ``exp`` of them,
 which is 0.0 where it underflows and ``inf`` where it overflows.  An input
 with no data rows produces an empty output file; a bad row raises
 :class:`~bdemm.errors.ParseError` after the rows before it are written.
+Both files are read as UTF-8, and a byte that is not UTF-8 makes its line
+a bad one.
 """
 
 from __future__ import annotations
@@ -75,11 +77,16 @@ def parse_config(path) -> dict:
 
     Values come back as int, float, str or list[float].  Raises
     :class:`~bdemm.errors.ParseError` with the offending 1-based line number
-    on any syntax problem, including duplicate keys.
+    on any syntax problem, including duplicate keys and bytes that are not
+    UTF-8.
     """
     out = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:  # a byte that is not UTF-8
+                raise ParseError("not valid UTF-8", line=lineno) from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -354,7 +361,9 @@ def run_stream(config_path, input_path, output_path) -> int:
     header = (["step"] + ["est_%d" % j for j in range(1, engine.est_dim + 1)]
               + ["w_%d" % j for j in models] + ["ev_%d" % j for j in models])
     t = 0
-    with open(input_path, newline="") as src, \
+    # a byte that is not UTF-8 stays in its row, which then fails to parse
+    with open(input_path, newline="", encoding="utf-8",
+              errors="surrogateescape") as src, \
             open(output_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for t, y in enumerate(_observations(src, engine.obs_dim), start=1):

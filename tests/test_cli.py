@@ -244,6 +244,25 @@ def _stream_with_warnings_as_errors(tmp_path, config, rows):
     return rc, out
 
 
+@pytest.mark.parametrize("config, rows", [
+    (KF_CFG.encode() + b"# \xff\n", b"0.1\n"),
+    (KF_CFG.encode(), b"0.1\n\xff\n"),
+], ids=["config", "input"])
+def test_stream_bytes_that_are_not_utf8_exit_one(tmp_path, capsys, config,
+                                                 rows):
+    cfg, obs = tmp_path / "s.cfg", tmp_path / "obs.csv"
+    cfg.write_bytes(config)
+    obs.write_bytes(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["stream", "--config", str(cfg), "--input", str(obs),
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bdemm stream: line ")
+    assert "Traceback" not in err
+
+
 def test_stream_kf_far_off_rows_exit_zero(tmp_path, capsys):
     # the mixture collapse centres the means before squaring them
     for rows in ("0.1\n1.5e154\n0.2\n",

@@ -1,5 +1,7 @@
 """Kalman engine: per-model recursions and the ensemble step."""
 
+import collections
+import functools
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from bdemm import (
     kf_predict,
     weight_step,
 )
-from bdemm import kalman
+from bdemm import BdemmError, core, kalman
 from bdemm.wtt import KINDS
 
 
@@ -295,21 +297,26 @@ def test_roundoff_guard_on_a_two_model_pool(B, R, cov, y, lost):
     # the second model's predicted variance is given negative, as roundoff
     # leaves it; with B = 0 its update keeps it.  A tolerance of
     # PSD_ATOL * max(1, |variance|) lets -1e-11 pass; a model whose
-    # evidence is -inf keeps its prediction, which the guard excuses
-    means = np.zeros((2, 1))
-    covs = np.array([[[1.0]], [[cov]]])
-    B = np.array([[[1.0]], [[B]]])
-    R = np.array([[[1e300]], [[R]]])
-    with np.errstate(all="ignore"):
-        if lost:
-            with pytest.raises(NonFiniteBeliefError, match="roundoff"):
-                kalman._update(means, covs, B, R, np.array([y]))
-            return
-        post_means, post_covs, log_ev = kalman._update(means, covs, B, R,
-                                                       np.array([y]))
-    assert post_covs[1, 0, 0] == cov
-    assert 0.0 < post_covs[0, 0, 0] <= 1.0
-    assert np.isfinite(log_ev[0]) and (log_ev[1] == -np.inf) == (y > 0.0)
+    # evidence is -inf keeps its prediction, which the guard excuses.
+    # The stacked update takes the predictions as given; the vector row of
+    # a scalar state predicts them from N(0, 1): A = (1, 0), Q = (0, cov)
+    stacked = functools.partial(
+        kalman._update, np.zeros((2, 1)), np.array([[[1.0]], [[cov]]]),
+        np.array([[[1.0]], [[B]]]), np.array([[[1e300]], [[R]]]))
+    vector = functools.partial(
+        kalman._scalar_update, np.array([1.0, 0.0]), np.array([0.0, cov]),
+        np.array([1.0, B]), np.array([1e300, R]), GaussianBelief(0.0, 1.0))
+    for update in (stacked, vector):
+        with np.errstate(all="ignore"):
+            if lost:
+                with pytest.raises(NonFiniteBeliefError, match="roundoff"):
+                    update(np.array([y]))
+                continue
+            post_means, post_covs, log_ev = update(np.array([y]))
+        post_covs = post_covs.reshape(2)
+        assert post_covs[1] == cov
+        assert 0.0 < post_covs[0] <= 1.0
+        assert np.isfinite(log_ev[0]) and (log_ev[1] == -np.inf) == (y > 0.0)
 
 
 def test_update_on_an_unrepresentable_observation_keeps_the_prediction():
@@ -532,3 +539,157 @@ def test_one_degenerate_vector_innovation_in_a_pool_raises(degenerate,
         warnings.simplefilter("error")
         with pytest.raises(SingularInnovationCovError, match=message):
             kf_bdemm_step(state, pool, np.zeros(2), WTTConfig.identity())
+
+
+# ---------------------------------------------------------------------------
+# the (K,) vector row of a scalar state against the stacked kernels
+
+
+def _stacked_row(state, pool, y, wtt, floor):
+    """One step of a 1-D pool through the stacked kernels, the path of every
+    d > 1 or m > 1 pool: the posterior means, covariances and log
+    evidences, the weights and the collapsed belief, or the error raised as
+    its class and message."""
+    A, Q, B, R, _ = kalman._stacked(tuple(pool))
+    try:
+        with np.errstate(all="ignore"):
+            means, covs = kalman._predict(A, Q, state.belief)
+            means, covs, log_evs = kalman._update(means, covs, B, R,
+                                                  np.array([y]))
+            weights, _, _ = weight_step(wtt, state.history, log_evs, floor)
+            belief = core._collapse(means, covs, weights.w)
+    except BdemmError as exc:
+        return type(exc), str(exc)
+    return means, covs, log_evs, weights.w, belief
+
+
+def _vector_row(state, pool, y, wtt, floor):
+    """The same step as :func:`_stacked_row` through the vector kernels and
+    through ``kf_bdemm_step``, which must agree with each other."""
+    a, q, b, r = kalman._stacked(tuple(pool))[4]
+    try:
+        with np.errstate(all="ignore"):
+            means, covs, log_evs = kalman._scalar_update(
+                a, q, b, r, state.belief, np.array([y]))
+    except BdemmError as exc:
+        failure = type(exc), str(exc)
+    else:
+        failure = None
+    try:
+        new, est, step_log_evs = kf_bdemm_step(state, pool, y, wtt,
+                                               weight_floor=floor)
+    except BdemmError as exc:
+        # the failure is the kernel's, or one after it: weights, collapse
+        assert failure in (None, (type(exc), str(exc)))
+        return type(exc), str(exc)
+    assert failure is None
+    assert step_log_evs.tobytes() == log_evs.tobytes()
+    assert est.x_hat.tobytes() == new.belief.mean.tobytes()
+    return means, covs, log_evs, new.model_weights.w, new.belief, new
+
+
+def _random_scalar_pool(rng, k):
+    """K scalar models: maps that include -1, 0 and 1, noise from zero to
+    1e300, so that rows at +-1e300 are kept by some models and scored by
+    others."""
+    def pick(draw, *exact):
+        return [float(rng.choice(exact)) if exact and rng.random() < 0.25
+                else float(draw()) for _ in range(k)]
+
+    a = pick(lambda: rng.normal(0.0, 1.2), -1.0, 0.0, 1.0)
+    q = pick(lambda: rng.exponential(0.5), 0.0)
+    b = pick(lambda: rng.normal(0.0, 2.0), 1.0, -1.0)
+    r = pick(lambda: 10.0 ** rng.uniform(-3.0, 3.0), 1e300, 1e-300)
+    return [LinearGaussianModel(A=ak, Q=qk, B=bk, R=rk)
+            for ak, qk, bk, rk in zip(a, q, b, r)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_vector_row_equals_the_stacked_kernels(kind):
+    # K = 1..12 reaches numpy's pairwise sum (9 terms and up) in the
+    # collapse; far-off rows keep some models' predictions, zero initial
+    # or constant weights leave zero weights for the collapse to drop, and
+    # a failure restarts the stream.  Means and variances agree under ==
+    # (a matmul turns a -0.0 product into +0.0, an elementwise product
+    # keeps it); evidences, weights and the estimate byte for byte
+    seen = collections.Counter()
+    for k in range(1, 13):
+        rng = np.random.default_rng([KINDS.index(kind), k])
+        pool = _random_scalar_pool(rng, k)
+        w0 = rng.dirichlet(np.ones(k))
+        if k > 1 and rng.random() < 0.5:
+            w0[rng.integers(k)] = 0.0
+            w0 /= w0.sum()
+        if kind == "constant":
+            wtt = WTTConfig.constant(w0)
+        else:
+            wtt = _wtt_of_kind(kind, rng, k)
+        floor = 0.0 if k % 3 else float(rng.uniform(0.0, 0.5 / k))
+        start = KfEnsembleState.initial(
+            GaussianBelief(float(rng.choice([0.0, rng.normal()])), 1.0),
+            weights=WeightVector(w0))
+        state = start
+        for _ in range(60):
+            u = rng.random()
+            y = (float(rng.choice([1e300, -1e300])) if u < 0.1
+                 else float(rng.choice([0.0, -0.0])) if u < 0.2
+                 else float(rng.normal(0.0, 3.0)))
+            want = _stacked_row(state, pool, y, wtt, floor)
+            got = _vector_row(state, pool, y, wtt, floor)
+            if len(want) == 2:
+                assert got == want
+                seen[want[1]] += 1
+                state = start
+                continue
+            means, covs, log_evs, w, belief = want
+            assert np.array_equal(got[0], means[:, 0])
+            assert np.array_equal(got[1], covs[:, 0, 0])
+            assert got[2].tobytes() == log_evs.tobytes()
+            assert got[3].tobytes() == w.tobytes()
+            assert got[4].mean.tobytes() == belief.mean.tobytes()
+            assert np.array_equal(got[4].cov, belief.cov)
+            seen["kept"] += np.count_nonzero(log_evs == -np.inf) > 0
+            seen["zero weight"] += np.count_nonzero(w) < w.size
+            seen["pairwise"] += w.size >= 9
+            state = got[5]
+    # the regimes the pools are built to reach are reached
+    assert seen["kept"] and seen["zero weight"] and seen["pairwise"]
+
+
+_HEALTHY = dict(A=1.0, Q=0.0, B=1.0, R=1.0)
+
+
+@pytest.mark.parametrize("models, mean, cov, y, message", [
+    ([dict(A=10.0, Q=0.0, B=1.0, R=1.0), _HEALTHY], 0.0, 1e307, 0.0,
+     "predicted belief is not finite"),
+    ([dict(A=1.0, Q=0.0, B=0.0, R=0.0), _HEALTHY], 0.0, 1.0, 0.0,
+     "innovation covariance is not positive definite"),
+    ([dict(A=1.0, Q=0.0, B=1.0, R=1e308), _HEALTHY], 0.0, 1e308, 0.0,
+     "innovation covariance is not finite"),
+    ([_HEALTHY, _HEALTHY], 0.0, 1.0, np.nan,
+     "posterior belief is not finite"),
+    ([dict(A=1.0, Q=1.0, B=0.8612346669752943, R=1.0), _HEALTHY], 0.0,
+     1.0524213559718285e30, 0.5, "posterior covariance lost to roundoff"),
+    ([dict(A=1.0, Q=1.0, B=1.0, R=1e306), dict(A=-1.0, Q=1.0, B=1.0, R=1e306)],
+     1.5e154, 1.0, 0.0,
+     "mixture collapse overflowed: component means too far apart"),
+], ids=["predicted", "not-pd", "not-finite", "posterior", "roundoff",
+        "collapse"])
+def test_the_vector_row_fails_as_the_stacked_kernels_do(models, mean, cov, y,
+                                                         message):
+    pool = [LinearGaussianModel(**m) for m in models]
+    state = KfEnsembleState.initial(GaussianBelief(mean, cov), k=2)
+    wtt = WTTConfig.identity()
+    want = _stacked_row(state, pool, y, wtt, 0.0)
+    assert want[1] == message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _vector_row(state, pool, y, wtt, 0.0) == want
+
+
+def test_pools_with_a_vector_state_or_observation_stay_stacked():
+    rng = np.random.default_rng(8)
+    for d, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        entries = kalman._stacked(tuple(_random_model(rng, d, m)
+                                        for _ in range(3)))[4]
+        assert (entries is None) == (d > 1 or m > 1)

@@ -158,6 +158,38 @@ def test_bad_row_keeps_the_rows_before_it(tmp_path):
     assert len(out_bad.read_text().splitlines()) == 3
 
 
+def test_a_row_that_is_not_utf8_keeps_the_rows_before_it(tmp_path):
+    # the decoder reads ahead, so a strict one would fail before it yields
+    # the rows in its buffer: every good row must be written first
+    cfg = _write(tmp_path, "kf.cfg", KF_SINGLE)
+    good_rows = "".join("%r\n" % (0.001 * i) for i in range(5000))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(good_rows.encode() + b"\xff\n")
+    good = _write(tmp_path, "good.csv", good_rows)
+    out_bad = tmp_path / "bad_out.csv"
+    out_good = tmp_path / "good_out.csv"
+    with pytest.raises(ParseError, match="line 5001: row does not parse"):
+        run_stream(cfg, str(bad), str(out_bad))
+    assert run_stream(cfg, good, str(out_good)) == 5000
+    assert out_bad.read_bytes() == out_good.read_bytes()
+
+
+@pytest.mark.parametrize("line", [b"kf.init.cov = [1.0\xff]",
+                                  b"# \xfe comment", b"\xc3 = 1"],
+                         ids=["value", "comment", "key"])
+def test_a_config_line_that_is_not_utf8_names_its_line(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"engine = kf\n" + line + b"\nkf.models = 1\n")
+    with pytest.raises(ParseError, match="line 2: not valid UTF-8"):
+        parse_config(str(path))
+
+
+def test_a_config_in_utf8_reads_as_utf8(tmp_path):
+    path = tmp_path / "utf8.cfg"
+    path.write_bytes("# é\nname = café\n".encode())
+    assert parse_config(str(path)) == {"name": "café"}
+
+
 def test_empty_input_gives_empty_output(tmp_path):
     cfg = _write(tmp_path, "kf.cfg", KF_SINGLE)
     obs = _write(tmp_path, "obs.csv", "")
