@@ -105,11 +105,24 @@ def _frozen(a):
     return out
 
 
+def _not_complex(value):
+    """``value`` itself, unless it is a numpy complex number or array, which
+    numpy would cast to a real with a ``ComplexWarning``, dropping its
+    imaginary part: that raises ``InvalidInputError``, a ``TypeError`` that
+    each converter reports as its own error.  (``float`` and ``int``
+    already refuse Python's ``complex``.)"""
+    if getattr(getattr(value, "dtype", None), "kind", None) == "c":
+        raise InvalidInputError("got a numpy complex value")
+    return value
+
+
 def _floats(value, name, ndmin=0, error=InvalidInputError) -> np.ndarray:
     """``value`` as a fresh float array of at least ``ndmin`` dimensions;
-    one numpy cannot read as numbers raises ``error``."""
+    one numpy cannot read as real numbers, a complex one included, raises
+    ``error``."""
     try:
-        return np.array(value, dtype=float, ndmin=ndmin)
+        x = np.array(value, ndmin=ndmin)
+        return x if x.dtype.char == "d" else _not_complex(x).astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error("%s must be numeric (%s)" % (name, exc)) from None
 
@@ -125,11 +138,12 @@ def _real(value, name, error=InvalidInputError) -> float:
 
 def _count(n, error, message) -> int:
     """``n`` as an ``int`` if it is a whole number from 1 to 2**53, a
-    whole-valued float included; anything else raises ``error(message)``.
-    The package's one whole-number rule: above 2**53 a float holds no exact
-    whole number, and numpy could not shape such a count anyway."""
+    whole-valued float included; anything else, a complex number too,
+    raises ``error(message)``.  The package's one whole-number rule: above
+    2**53 a float holds no exact whole number, and numpy could not shape
+    such a count anyway."""
     try:
-        if int(n) == n and 1 <= n <= 2**53:
+        if int(_not_complex(n)) == n and 1 <= n <= 2**53:
             return int(n)
     except (TypeError, ValueError, OverflowError):  # NaN, inf, non-numbers
         pass
@@ -369,7 +383,8 @@ def _bayes(w: np.ndarray, log_ev: np.ndarray, weight_floor: float):
     :func:`update_model_weights_log` for the rules and errors.  Runs under
     its caller's error scope."""
     try:
-        in_range = 0.0 <= weight_floor < 1.0 / w.size  # NaN fails too
+        # NaN fails too; a numpy complex floor would pass the comparison
+        in_range = 0.0 <= _not_complex(weight_floor) < 1.0 / w.size
     except (TypeError, ValueError):  # not a number, or not one number
         in_range = False
     if not in_range:

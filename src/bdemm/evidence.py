@@ -192,7 +192,9 @@ def gaussian_innovation(y, means, covs, B, R):
     the (K, m) residuals ``y - B_k mean_k`` and the (K, m, d) solves
     ``S_k^{-1} B_k cov_k``, the transposed Kalman gains.  A scalar
     observation (m = 1) is closed form, with no LAPACK call: ``sqrt(S_k)``
-    is the Cholesky factor and each solve a division; for m > 1 one
+    is the Cholesky factor and each solve a division, bit for bit with one
+    right-hand side, and :func:`_scalar_log_density`, which the Kalman
+    engine's 1-D vector row shares, gives the log density; for m > 1 one
     Cholesky factorization and two solves of the stack serve all K.  A
     residual so large that its quadratic form overflows, whatever the signs
     of its entries, gives ``log_ev = -inf``; a NaN in ``y`` gives a NaN
@@ -209,24 +211,7 @@ def gaussian_innovation(y, means, covs, B, R):
     s = _symmetrized(s)
     resid = y - (B @ means[:, :, None])[:, :, 0]
     if s.shape[1] == 1:
-        # a scalar S needs no LAPACK call: its Cholesky factor is sqrt(S)
-        # and each solve one division, bit for bit with one right-hand side
-        s = s[:, 0, 0]
-        # NaN fails too, as it fails the factorization
-        if np.count_nonzero(s > 0.0) < s.size:
-            raise SingularInnovationCovError(
-                "innovation covariance is not positive definite")
-        logdet = 2.0 * np.log(np.sqrt(s))
-        if not _finite(logdet):
-            raise SingularInnovationCovError(
-                "innovation covariance is not finite")
-        sol = resid / s[:, None]
-        # with s finite and positive, r * (r / s) is finite or +inf for any
-        # NaN-free r, never NaN: there is no inf - inf for the fixup of the
-        # m > 1 path to mend
-        quad = (resid * sol)[:, 0]
-        return (-0.5 * (y.size * LOG_2PI + logdet + quad), resid,
-                bp / s[:, None, None])
+        return _scalar_log_density(resid[:, 0], s[:, 0, 0]), resid, bp / s
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
@@ -249,6 +234,31 @@ def gaussian_innovation(y, means, covs, B, R):
             "innovation covariance is numerically singular") from exc
     quad = _overflowed_to_inf((resid[:, None, :] @ sol)[:, 0, 0], resid)
     return -0.5 * (y.size * LOG_2PI + logdet + quad), resid, gain_t
+
+
+def _scalar_log_density(resid, s):
+    """The (K,) log densities of residuals ``resid`` under scalar innovation
+    variances ``s``: :func:`gaussian_innovation`'s closed form for m = 1,
+    which the Kalman engine's vector row of a scalar state shares.  Runs
+    under its caller's error scope.
+
+    Raises
+    ------
+    SingularInnovationCovError
+        If an ``s`` is not positive (NaN included, as it fails the
+        factorization) or its log determinant is not finite.
+    """
+    if np.count_nonzero(s > 0.0) < s.size:
+        raise SingularInnovationCovError(
+            "innovation covariance is not positive definite")
+    logdet = 2.0 * np.log(np.sqrt(s))
+    if not _finite(logdet):
+        raise SingularInnovationCovError(
+            "innovation covariance is not finite")
+    # with s finite and positive, r * (r / s) is finite or +inf for any
+    # NaN-free r, never NaN: there is no inf - inf for the fixup of the
+    # m > 1 path to mend
+    return -0.5 * (LOG_2PI + logdet + resid * (resid / s))
 
 
 def _overflowed_to_inf(quad: np.ndarray, resid: np.ndarray) -> np.ndarray:

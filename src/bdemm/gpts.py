@@ -47,6 +47,7 @@ from .core import (
     _finite,
     _floats,
     _frozen,
+    _not_complex,
     _quiet,
     _real,
     _start_history,
@@ -375,7 +376,7 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     """
     pool = state._pool(pool)
     try:
-        t, y_t = float(t), float(y_t)
+        t, y_t = float(_not_complex(t)), float(_not_complex(y_t))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError("t and y_t must be real numbers (%s)" % exc) from None
     if not math.isfinite(t):

@@ -21,13 +21,16 @@ one array collapse serve all K models: a row's count of numpy calls does
 not grow with K.  :func:`kf_predict` is the K = 1 call of the predict
 kernel, and a one-model pool runs the textbook filter.
 
-A pool with a scalar state and a scalar observation (d = m = 1) runs
-instead on the (K,) vectors of its four entries, cached with the stacks.
-That row takes the same elementwise operations in the same order, where
-the stacked kernels take a 1x1 matmul for each product, and raises the same
-errors in the same order.  It makes no LAPACK call, and its values equal the
-stacked kernels' under ``==``: a matmul adds its product to +0.0, so only a
-zero's sign can differ inside a row, and the estimate, the weights and the
+A pool with a scalar state and a scalar observation (d = m = 1) predicts
+and updates instead on the (K,) vectors of its four entries, cached with
+the stacks.  That row takes the same elementwise operations in the same
+order, where the stacked kernels take a 1x1 matmul for each product, and
+raises the same errors in the same order.  It shares the rest: it scores
+through the closed form of :func:`gaussian_innovation` and collapses
+through :func:`~bdemm.core._collapse`, on (K, 1) and (K, 1, 1) views of its
+posteriors.  It makes no LAPACK call, and its values equal the stacked
+kernels' under ``==``: a matmul adds its product to +0.0, so only a zero's
+sign can differ inside a row, and the estimate, the weights and the
 evidences are the same bytes.
 
 The roundoff guard reads each posterior covariance's lowest eigenvalue (a
@@ -65,9 +68,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidInputError,
     NonFiniteBeliefError,
-    SingularInnovationCovError,
 )
-from .evidence import LOG_2PI, gaussian_innovation
+from .evidence import _scalar_log_density, gaussian_innovation
 from .wtt import WTTConfig, _weight_step
 
 __all__ = [
@@ -193,9 +195,11 @@ def _update(means, covs, B, R, y):
 
 
 def _scalar_update(a, q, b, r, belief: GaussianBelief, y):
-    """:func:`_predict`, then :func:`gaussian_innovation`'s closed form and
-    :func:`_update`, for a pool with a scalar state and observation, on the
-    (K,) vectors ``a, q, b, r`` of its entries.
+    """:func:`_predict`, the closed-form score that :func:`gaussian_innovation`
+    takes for a scalar observation (the shared
+    :func:`~bdemm.evidence._scalar_log_density`) and :func:`_update`, for a
+    pool with a scalar state and observation, on the (K,) vectors
+    ``a, q, b, r`` of its entries.
 
     Each 1x1 matmul of the stacked kernels is one elementwise product here,
     taken in the same order, and every check raises the same error in the
@@ -211,14 +215,7 @@ def _scalar_update(a, q, b, r, belief: GaussianBelief, y):
     bp = b * covs
     s = bp * b + r
     resid = y - b * means
-    # NaN fails too: the closed form's checks, as gaussian_innovation's
-    if np.count_nonzero(s > 0.0) < s.size:
-        raise SingularInnovationCovError(
-            "innovation covariance is not positive definite")
-    logdet = 2.0 * np.log(np.sqrt(s))
-    if not _finite(logdet):
-        raise SingularInnovationCovError("innovation covariance is not finite")
-    log_ev = -0.5 * (LOG_2PI + logdet + resid * (resid / s))
+    log_ev = _scalar_log_density(resid, s)
     gain = bp / s
     post_means = means + gain * resid
     post_covs = covs - gain * b * covs
@@ -249,25 +246,6 @@ def _posterior(means, covs, post_means, post_covs, log_ev):
         if np.count_nonzero(lost & ~kept):
             raise NonFiniteBeliefError("posterior covariance lost to roundoff")
     return post_means, post_covs, log_ev
-
-
-def _scalar_collapse(means, covs, w) -> GaussianBelief:
-    """:func:`~bdemm.core.collapse_mixture` of the (K,) posterior means and
-    variances of a scalar state, with the stacked collapse's operations in
-    its order, under its caller's error scope."""
-    # a matmul, as the stacked collapse's, adds each product to +0.0
-    mean = w @ means[:, None]
-    # a zero weight drops its component, whose far-off mean could turn
-    # 0 * inf into NaN
-    if np.count_nonzero(w) < w.size:
-        live = w > 0.0
-        w, means, covs = w[live], means[live], covs[live]
-    dev = means - mean
-    cov = np.add.reduce(w * covs + w * dev * dev)
-    if not _finite(mean, cov):
-        raise NonFiniteBeliefError(
-            "mixture collapse overflowed: component means too far apart")
-    return _trusted(GaussianBelief, mean, cov.reshape(1, 1))
 
 
 @_quiet
@@ -325,13 +303,12 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
     if entries is None:
         means, covs = _predict(A, Q, state.belief)
         means, covs, log_evs = _update(means, covs, B, R, y)
-        collapse = _collapse
     else:
         means, covs, log_evs = _scalar_update(*entries, state.belief, y)
-        collapse = _scalar_collapse
+        means, covs = means[:, None], covs[:, None, None]
 
     weights, history, _ = _weight_step(wtt_config, state.history, log_evs,
                                        weight_floor)
-    belief = collapse(means, covs, weights.w)
+    belief = _collapse(means, covs, weights.w)
     estimate = _trusted(PointEstimate, belief.mean)
     return KfEnsembleState(belief, history), estimate, log_evs

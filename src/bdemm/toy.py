@@ -187,16 +187,23 @@ def gen_toy_series(config: ToyConfig, rng):
     states = np.empty(t_count)
     x = X0
     for i in range(t_count):
-        t = i + 1
-        x = 1.0 + np.sin(0.04 * np.pi * t) + 0.5 * x + gamma[i]
+        x = _toy_drift(x, i + 1) + gamma[i]
         states[i] = x
 
-    steps = np.arange(1, t_count + 1)
-    outlier_mask = np.isin(steps, sorted(config.outlier_steps))
+    outlier_mask = np.isin(np.arange(1, t_count + 1),
+                           sorted(config.outlier_steps))
     noise = np.where(outlier_mask, unif, gauss)
-    clean = np.where(steps <= REGIME_SWITCH_STEP,
-                     0.2 * states * states, 0.2 * states - 2.0)
+    # the filters' map, once on each regime's states
+    clean = np.concatenate((
+        toy_observation(states[:REGIME_SWITCH_STEP], 1),
+        toy_observation(states[REGIME_SWITCH_STEP:], REGIME_SWITCH_STEP + 1)))
     return states, clean + noise, outlier_mask
+
+
+def _toy_drift(x, t):
+    """The state's deterministic part, ``1 + sin(0.04 pi t) + 0.5 x``, which
+    the simulator and the filters' transition share."""
+    return 1.0 + np.sin(0.04 * np.pi * t) + 0.5 * x
 
 
 def toy_transition(config: ToyConfig):
@@ -204,8 +211,7 @@ def toy_transition(config: ToyConfig):
     shape, scale = config.gamma_shape, config.gamma_scale
 
     def sample(x, t, rng):
-        drift = 1.0 + np.sin(0.04 * np.pi * t) + 0.5 * x
-        return drift + rng.gamma(shape, scale, size=x.shape)
+        return _toy_drift(x, t) + rng.gamma(shape, scale, size=x.shape)
 
     return sample
 

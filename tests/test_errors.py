@@ -34,7 +34,9 @@ from bdemm import (
     WTTConfig,
     bma_point_estimate,
     default_markov_matrix,
+    effective_sample_size,
     errors,
+    gaussian_log_evidence,
     gaussian_noise,
     gp_predict_next,
     intel_step,
@@ -43,6 +45,7 @@ from bdemm import (
     linear_gaussian_ssm,
     mse,
     perturb_pool,
+    resample,
     smc_bdemm_step,
     student_t_noise,
     uniform_noise,
@@ -294,6 +297,55 @@ def test_a_value_that_failed_late_or_raw_raises_invalid_input(name):
         warnings.simplefilter("error")
         with pytest.raises(errors.InvalidInputError):
             LATE_OR_RAW[name]()
+
+
+def _complex_calls(c):
+    """Every converter of caller numbers, handed the numpy complex ``c``:
+    bare, in a complex array or in a list."""
+    belief = GaussianBelief(0.0, 1.0)
+    return {
+        "weights-array": lambda: WeightVector(np.array([c, 0.5])),
+        "weights-list": lambda: WeightVector([c, 0.5]),
+        "uniform-count": lambda: WeightVector.uniform(2 * c),
+        "belief-mean": lambda: GaussianBelief(c, 1.0),
+        "model-A": lambda: LinearGaussianModel(c, 1.0, 1.0, 1.0),
+        "gp-window": lambda: GPTSModel(0.0, 1.0, 1.0, 0.1, 6 * c),
+        "forgetting-alpha": lambda: WTTConfig.forgetting(c),
+        "gaussian-noise": lambda: gaussian_noise(c),
+        "toy-noise": lambda: ToyConfig(gauss_noise_var=c),
+        "resample-weights": lambda: resample(
+            np.zeros(2), [c, 0.5], 2, np.random.default_rng(0)),
+        "resample-count": lambda: resample(
+            np.zeros(2), [0.5, 0.5], 4 * c, np.random.default_rng(0)),
+        "mse": lambda: mse([c], [1.0]),
+        "ess": lambda: effective_sample_size([c, 0.5]),
+        "forecast": lambda: PredictiveGaussian(c, 1.0),
+        "log-evidence": lambda: gaussian_log_evidence([c], belief, 1.0, 1.0),
+        "kf-y": lambda: kf_bdemm_step(
+            KfEnsembleState.initial(belief, k=1),
+            [LinearGaussianModel(1.0, 1.0, 1.0, 1.0)], c,
+            WTTConfig.identity()),
+        "intel-y": lambda: intel_step(IntelState.initial(k=1), [NOMINAL], c,
+                                      1.0, WTTConfig.identity()),
+        "intel-t": lambda: intel_step(IntelState.initial(k=1), [NOMINAL],
+                                      1.0, 2 * c, WTTConfig.identity()),
+        **{"floor-" + path: call
+           for path, call in _floor_calls(c / 5).items()},
+        "floor-array": lambda: weight_step(
+            WTTConfig.identity(), WeightHistory.start(WeightVector([0.5, 0.5])),
+            [0.0, 0.0], np.array(c / 5)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_complex_calls(0.5)))
+@pytest.mark.parametrize("kind", [np.complex64, np.complex128])
+def test_a_numpy_complex_value_raises_a_library_error(kind, name):
+    # numpy would cast it to a real with a ComplexWarning, dropping its
+    # imaginary part, or, for a floor, compute complex weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BdemmError):
+            _complex_calls(kind(0.5))[name]()
 
 
 # every frozen type that holds an array, and a factory of equal values

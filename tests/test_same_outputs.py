@@ -1,9 +1,13 @@
-"""The verdicts of tools/same_outputs.py on pairs of output texts."""
+"""The verdicts of tools/same_outputs.py on pairs of output texts, and the
+streams it writes."""
 
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
+
+from bdemm.stream import build_engine, parse_config, run_stream
 
 TOOL = (pathlib.Path(__file__).resolve().parent.parent / "tools"
         / "same_outputs.py")
@@ -48,3 +52,28 @@ def test_boundary_ends_counts_each_stream_once_by_its_reason():
         assert all(r.startswith("  ") for r in reasons)
     # some streams do end early, so the reason lines are exercised
     assert len(lines) > len(headers)
+
+
+def test_the_tool_writes_its_kalman_shapes(tmp_path):
+    # besides the two workloads' streams: a d = 2, m = 1 pool under markov
+    # whose weight floor binds, and a 1-D K = 10 pool under constant
+    # weights, the first zero, which the collapse drops
+    files = same_outputs.write_inputs(tmp_path / "inputs")
+    assert sorted(files) == ["gp", "kf", "kf-d2-markov-floor",
+                             "kf-k10-constant"]
+    shapes = {}
+    for name in ("kf-d2-markov-floor", "kf-k10-constant"):
+        cfg, csv = files[name]
+        engine = build_engine(parse_config(cfg))
+        out = tmp_path / ("%s-stream.csv" % name)
+        assert run_stream(cfg, csv, out) == same_outputs.SHAPE_ROWS
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        k = len(engine.pool)
+        shapes[name] = (engine.est_dim, engine.obs_dim, k, engine.wtt.kind)
+        weights = rows[:, 1 + engine.est_dim:1 + engine.est_dim + k]
+        if engine.weight_floor:
+            assert np.count_nonzero(weights.min(axis=1) < engine.weight_floor)
+        else:
+            assert (weights[:, 0] == 0.0).all() and (weights[:, 1:] > 0.0).all()
+    assert shapes == {"kf-d2-markov-floor": (2, 1, 3, "markov"),
+                      "kf-k10-constant": (1, 1, 10, "constant")}

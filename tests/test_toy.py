@@ -61,6 +61,26 @@ def test_observation_map_regimes():
     assert np.allclose(out, [0.0, 0.2, 0.8], atol=1e-12)
 
 
+def test_the_simulator_observes_through_the_filters_map(monkeypatch):
+    # the series is written with the map the filters score against: one
+    # vectorized call on each regime's states, and a new map is followed
+    cfg = ToyConfig(horizon=45)
+    states, obs, _ = gen_toy_series(cfg, 3)
+    calls = []
+
+    def silent(x, t):
+        calls.append((x.size, t))
+        return np.zeros_like(x)
+
+    monkeypatch.setattr(toy, "toy_observation", silent)
+    same_states, noise, _ = gen_toy_series(cfg, 3)
+    assert calls == [(REGIME_SWITCH_STEP, 1),
+                     (45 - REGIME_SWITCH_STEP, REGIME_SWITCH_STEP + 1)]
+    assert np.array_equal(same_states, states)
+    clean = [toy_observation(x, t) for t, x in enumerate(states, start=1)]
+    np.testing.assert_allclose(obs - noise, clean, rtol=1e-12, atol=1e-12)
+
+
 def test_clean_steps_carry_gaussian_noise_only():
     cfg = _noise_free(horizon=60, gauss_noise_var=0.5)
     states, obs, mask = gen_toy_series(cfg, np.random.default_rng(5))

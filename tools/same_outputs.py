@@ -8,7 +8,12 @@ REV is exported with ``git archive`` into a temporary directory.  Both
 trees then run, each in its own subprocesses with its own ``src`` first on
 the path, on the inputs of *this* tree's ``perfbench/inputs.py``:
 
-* ``run_stream`` over the seed-1 kf-stream and gp-stream CSVs;
+* ``run_stream`` over the seed-1 kf-stream and gp-stream CSVs, and over
+  two Kalman streams the tool writes itself (:func:`kf_shapes`), of at
+  most 300 rows each: a d = 2, m = 1 pool under ``markov`` with a weight
+  floor, which scores through the stacked closed-form innovation, and a
+  1-D pool of K = 10 under ``constant`` with one zero constant weight,
+  whose collapse drops that model and sums nine;
 * ``bdemm toy --seed 7`` under each of the five ``--wtt`` kinds, and with
   ``--particles 1``: its summary.txt, runs.csv and weights.csv;
 * the stdout of each tree's own demos, with the temporary directory that
@@ -40,6 +45,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 STREAM_SEED = 1
@@ -49,6 +56,7 @@ TOY_RUNS = [["--wtt", kind] for kind in (
     ["--particles", "1"]]
 TOY_FILES = ("summary.txt", "runs.csv", "weights.csv")
 BOUNDARY_SEEDS = range(300)
+SHAPE_ROWS = 300
 
 # runs in the tree's interpreter: refuses to run another tree's bdemm
 PREAMBLE = """\
@@ -120,15 +128,61 @@ def export(rev: str, dest: Path) -> Path:
     return dest
 
 
+def _kf_config(models, init_mean, init_cov, *settings) -> str:
+    """A ``kf`` stream config: the ``settings`` lines, then one
+    ``(A, Q, B, R)`` tuple of row-major lists per model."""
+    lines = ["engine = kf", *settings, "kf.models = %d" % len(models)]
+    for i, model in enumerate(models, start=1):
+        lines += ["kf.model.%d.%s = %r" % (i, name, values)
+                  for name, values in zip("AQBR", model)]
+    lines += ["kf.init.mean = %r" % init_mean, "kf.init.cov = %r" % init_cov]
+    return "\n".join(lines) + "\n"
+
+
+def kf_shapes(rows: int = SHAPE_ROWS) -> dict:
+    """The tool's own Kalman streams, as ``{name: (config, observations)}``.
+
+    ``kf-d2-markov-floor``: three constant-velocity models (d = 2) that see
+    the position only (m = 1) and differ in process and observation noise,
+    under a sticky ``markov`` operator with ``weight_floor = 0.05``, which
+    binds on most rows, tracking a target whose velocity walks.
+    ``kf-k10-constant``: ten 1-D models with transitions 1.0 down to 0.91
+    and observation variances 0.1 up to 10 under ``constant`` weights, the
+    first of them zero, on a noisy random walk.
+    """
+    rng = np.random.default_rng(STREAM_SEED)
+    position = np.cumsum(np.cumsum(rng.normal(0.0, 0.3, rows)))
+    track = position + rng.normal(0.0, 1.0, rows)
+    walk = np.cumsum(rng.normal(0.0, 0.5, rows)) + rng.normal(0.0, 1.0, rows)
+    track_models = [([1.0, 1.0, 0.0, 1.0], [q / 3, q / 2, q / 2, q],
+                     [1.0, 0.0], [r])
+                    for q, r in ((0.01, 1.0), (0.1, 1.0), (1.0, 9.0))]
+    walk_models = [([1.0 - 0.01 * i], [0.25], [1.0], [10.0 ** (i / 4.5 - 1)])
+                   for i in range(10)]
+    constants = [0.0, 0.25] + [0.125] * 4 + [0.0625] * 4
+    return {
+        "kf-d2-markov-floor": (_kf_config(
+            track_models, [0.0, 0.0], [10.0, 0.0, 0.0, 10.0],
+            "wtt.kind = markov",
+            "wtt.matrix = [0.98, 0.01, 0.01, 0.01, 0.98, 0.01, 0.01, 0.01, 0.98]",
+            "weight_floor = 0.05"), track),
+        "kf-k10-constant": (_kf_config(
+            walk_models, [0.0], [1.0], "wtt.kind = constant",
+            "wtt.constants = %r" % constants), walk),
+    }
+
+
 def write_inputs(dest: Path) -> dict:
-    """The two stream workloads' configs and CSVs, from this tree's
-    ``perfbench/inputs.py``, written under ``dest``."""
+    """The stream configs and CSVs, written under ``dest``: the two stream
+    workloads' from this tree's ``perfbench/inputs.py``, and
+    :func:`kf_shapes`."""
     inputs = _load("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
     dest.mkdir()
     files = {}
-    for name, config, rows in (
-            ("kf", inputs.kf_config(), inputs.kf_stream(STREAM_SEED)),
-            ("gp", inputs.gp_config(), inputs.gp_stream(STREAM_SEED))):
+    streams = [("kf", inputs.kf_config(), inputs.kf_stream(STREAM_SEED)),
+               ("gp", inputs.gp_config(), inputs.gp_stream(STREAM_SEED))]
+    streams += [(name, *stream) for name, stream in kf_shapes().items()]
+    for name, config, rows in streams:
         cfg, csv = dest / (name + ".cfg"), dest / (name + ".csv")
         cfg.write_text(config)
         csv.write_bytes(inputs.csv_bytes(rows))
