@@ -119,10 +119,16 @@ def _not_complex(value):
 def _floats(value, name, ndmin=0, error=InvalidInputError) -> np.ndarray:
     """``value`` as a fresh float array of at least ``ndmin`` dimensions;
     one numpy cannot read as real numbers, a complex one included, raises
-    ``error``."""
+    ``error``.  Only an object array, which can hold numpy complex
+    scalars, has its elements checked one by one."""
     try:
         x = np.array(value, ndmin=ndmin)
-        return x if x.dtype.char == "d" else _not_complex(x).astype(float)
+        if x.dtype.char == "d":
+            return x
+        if x.dtype.char == "O":
+            for item in x.flat:
+                _not_complex(item)
+        return _not_complex(x).astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error("%s must be numeric (%s)" % (name, exc)) from None
 
@@ -216,11 +222,18 @@ class WeightHistory:
     the column sums ``cumulative[k] = sum_rows w_k``, so those two and the
     row count are all a history keeps: its size is O(K) however long the
     stream runs.  Callers that want the trajectory record it themselves.
+
+    A history also remembers the predictive weights of the last
+    :class:`~bdemm.wtt.WTTConfig` object applied to it, so the GP step,
+    which fuses with the predictive weights the next step starts from,
+    runs the operator once per row.  That memo is not a field: it takes
+    no part in construction or ``repr``, and it holds one array.
     """
 
     last: WeightVector
     cumulative: np.ndarray
     count: int = 1
+    _predictive = None  # (config, read-only predictive weights), see wtt
 
     def __post_init__(self):
         if not isinstance(self.last, WeightVector):

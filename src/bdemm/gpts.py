@@ -135,11 +135,12 @@ class GPTSModel:
         return self._hash
 
 
-def _log_density(y, mean, var):
-    """Elementwise log N(y; mean, var); -inf where the residual overflows.
-    Runs under its caller's error scope."""
+def _log_density(y, mean, var, const):
+    """Elementwise log N(y; mean, var), given ``const = LOG_2PI +
+    np.log(var)``; -inf where the residual overflows.  Runs under its
+    caller's error scope."""
     resid = y - mean
-    return -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
+    return -0.5 * (const + resid * resid / var)
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,8 @@ class PredictiveGaussian:
     @_quiet
     def logpdf(self, y: float) -> float:
         """Log density at ``y``; ``-inf`` where the squared residual overflows."""
-        return float(_log_density(_real(y, "y"), self.mean, self.var))
+        return float(_log_density(_real(y, "y"), self.mean, self.var,
+                                  LOG_2PI + np.log(self.var)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,16 +192,18 @@ class IntelState(_EngineState):
 
 @lru_cache(maxsize=SOLVE_CACHE_SIZE)
 def _pool_solve(pool: tuple, key: bytes):
-    """Read-only ``(mu, A, var)`` of ``pool`` for the window whose times
-    relative to the forecast time have the bytes ``key``: the (K,) prior
-    means, the (K, W) rows ``a_k = (K_k + noise_k I)^-1 k*_k`` of each
-    model's last ``window`` times, zero-padded on the left, and the (K,)
-    variances.  Each Gram matrix takes a jitter from 1e-10 tenfold up to
-    1e-4 times ``signal_variance`` until it passes a Cholesky
-    factorization; an empty window gives the priors.  A variance past the
-    float range raises ``NonFiniteForecastError`` here, once per solve, so
-    a forecast from a cached solve checks only its means.  Runs under its
-    caller's error scope."""
+    """Read-only ``(mu, A, var, const)`` of ``pool`` for the window whose
+    times relative to the forecast time have the bytes ``key``: the (K,)
+    prior means, the (K, W) rows ``a_k = (K_k + noise_k I)^-1 k*_k`` of
+    each model's last ``window`` times, zero-padded on the left, the (K,)
+    variances and the (K,) log-density constants ``LOG_2PI + log var``,
+    so a row that scores from a cached solve takes no logarithm.  Each
+    Gram matrix takes a jitter from 1e-10 tenfold up to 1e-4 times
+    ``signal_variance`` until it passes a Cholesky factorization; an empty
+    window gives the priors.  A variance past the float range raises
+    ``NonFiniteForecastError`` here, once per solve, so a forecast from a
+    cached solve checks only its means.  Runs under its caller's error
+    scope."""
     rel = np.frombuffer(key)
     # Rounding is monotone, so strictly increasing relative times imply
     # strictly increasing times; a cached window therefore needs no check.
@@ -237,22 +241,23 @@ def _pool_solve(pool: tuple, key: bytes):
     if not _finite(var):
         raise NonFiniteForecastError(
             "forecast is not finite (variances %s)" % (var,))
-    return _frozen(mu), _frozen(A), _frozen(var)
+    return (_frozen(mu), _frozen(A), _frozen(var),
+            _frozen(LOG_2PI + np.log(var)))
 
 
 def _forecast(pool: tuple, times, values, t_next: float):
-    """The (K,) means ``mu + A (v - mu)`` and variances of the pool's
-    forecasts at ``t_next`` from one window of ``times`` and ``values``,
-    under its caller's error scope."""
+    """The (K,) means ``mu + A (v - mu)``, variances and log-density
+    constants of the pool's forecasts at ``t_next`` from one window of
+    ``times`` and ``values``, under its caller's error scope."""
     # a NaN or infinite time stamp, or a gap to t_next past the float range,
     # leaves a non-finite relative time, which the solve rejects
-    mu, A, var = _pool_solve(pool, (times - t_next).tobytes())
+    mu, A, var, const = _pool_solve(pool, (times - t_next).tobytes())
     # values near the float limit overflow here
     means = mu + np.add.reduce(A * (values - mu[:, None]), axis=1)
     if not _finite(means):
         raise NonFiniteForecastError("forecast is not finite (means %s, "
                                      "variances %s)" % (means, var))
-    return means, var
+    return means, var, const
 
 
 @lru_cache(maxsize=2)
@@ -264,9 +269,9 @@ def _pool_forecast(pool: tuple, window: bytes, t_next: float):
     A forecast that raises is not kept.  Runs under its caller's error
     scope."""
     rows = np.frombuffer(window)
-    means, var = _forecast(pool, rows[0::2], rows[1::2], t_next)
+    means, var, const = _forecast(pool, rows[0::2], rows[1::2], t_next)
     means.setflags(write=False)
-    return means, var
+    return means, var, const
 
 
 def _fuse(means, variances, w) -> PredictiveGaussian:
@@ -314,7 +319,8 @@ def gp_predict_next(model: GPTSModel, times, values, t_next: float) -> Predictiv
     values = _floats(values, "values", 1)
     if times.ndim != 1 or times.shape != values.shape or times.size < 1:
         raise DimensionMismatchError("times and values must be matching vectors")
-    (mean,), (var,) = _forecast((model,), times, values, _real(t_next, "t_next"))
+    (mean,), (var,), _ = _forecast((model,), times, values,
+                                   _real(t_next, "t_next"))
     return _trusted(PredictiveGaussian, float(mean), float(var))
 
 
@@ -358,10 +364,13 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     previous row made for ``t``, and the row computes only the next-step
     forecast: one cached pool solve plus a row-wise product, with no
     factorization while the window's times relative to the forecast time
-    repeat.  Models may
-    differ in every parameter; the buffer keeps the longest window, and a
-    shorter one weighs the values before its own by zero, so a residual
-    ``v - mu`` that overflows anywhere in the buffer raises
+    repeat.  The solve keeps its variances' log-density constants, so a
+    row scores without a logarithm, and the returned history remembers
+    the predictive weights the fusion used, so the next row stepped with
+    the same ``wtt_config`` object runs the operator once, not twice.
+    Models may differ in every parameter; the buffer keeps the longest
+    window, and a shorter one weighs the values before its own by zero, so
+    a residual ``v - mu`` that overflows anywhere in the buffer raises
     ``NonFiniteForecastError``.  A ``t`` or ``y_t`` that is not a finite
     number raises ``InvalidInputError`` before any scoring or buffering.
 
@@ -391,8 +400,8 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
                                  weight_floor)
 
     buffer = np.concatenate((state.buffer, ((t, y_t),)))[-max(m.window for m in pool):]
-    fused = _fuse(*_pool_forecast(pool, buffer.tobytes(), t + 1.0),
-                  _transition(wtt_config, history))
+    means, var, _ = _pool_forecast(pool, buffer.tobytes(), t + 1.0)
+    fused = _fuse(means, var, _transition(wtt_config, history))
     return _trusted(IntelState, buffer, history), fused, log_evs
 
 

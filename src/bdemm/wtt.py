@@ -32,7 +32,9 @@ operator followed by Bayes' rule; every engine step runs its kernel,
 plain arrays, so a step builds one posterior ``WeightVector`` and one
 ``WeightHistory``; :func:`apply_wtt` and
 :func:`~bdemm.core.update_model_weights_log` are the one-call public forms
-of the two kernels.
+of the two kernels.  A history remembers the predictive weights of the
+last config object applied to it, so applying that object to it again
+returns them without running the operator.
 """
 
 from __future__ import annotations
@@ -159,34 +161,42 @@ class WTTConfig:
 
 
 def _transition(config: WTTConfig, history: WeightHistory) -> np.ndarray:
-    """The operator kernel: predictive weights of ``history`` as an array.
+    """The operator kernel: predictive weights of ``history`` as a read-only
+    array.
 
     ``identity`` returns ``history.last.w`` itself and ``constant``
     ``config.param``; the others return a fresh array, divided by its sum
     unless that sum is 1 within ``SIMPLEX_ATOL``.  Only the width of the
     config's array parameter is checked against the history; the weights
-    and the parameter were validated when they were built.
+    and the parameter were validated when they were built.  The history
+    keeps the result for the last config object applied to it, so applying
+    that same object again returns the same array without running the
+    operator; any other config object, an equal one too, runs it afresh.
     """
-    last = history.last.w
+    memo = history._predictive
+    if memo is not None and memo[0] is config:
+        return memo[1]
+    w = history.last.w
     kind, p = config.kind, config.param
-
-    if kind == "identity":
-        return last
-    if kind == "forgetting":
-        # 0^alpha = 0: a model with exactly zero weight stays dead
-        raw = np.power(last, p)
-    else:
+    if kind != "identity":
         # each array parameter holds one row per model (markov's is square)
-        if p.shape[0] != last.size:
+        if kind != "forgetting" and p.shape[0] != w.size:
             raise ConfigMismatchError(
                 "%s parameter has width %d for %d models"
-                % (kind, p.shape[0], last.size))
+                % (kind, p.shape[0], w.size))
         if kind == "constant":
-            return p
-        # markov: w' = w @ T stays on the simplex, as the rows of T sum to 1
-        raw = last @ p if kind == "markov" else p + history.cumulative
-    s = float(np.add.reduce(raw))
-    return raw if abs(s - 1.0) <= SIMPLEX_ATOL else raw / s
+            w = p
+        else:
+            # forgetting: 0^alpha = 0, so a model with exactly zero weight
+            # stays dead; markov: w' = w @ T stays on the simplex, as the
+            # rows of T sum to 1
+            raw = (np.power(w, p) if kind == "forgetting" else
+                   w @ p if kind == "markov" else p + history.cumulative)
+            s = float(np.add.reduce(raw))
+            w = raw if abs(s - 1.0) <= SIMPLEX_ATOL else raw / s
+            w.setflags(False)  # write=False, without numpy's keyword parse
+    object.__setattr__(history, "_predictive", (config, w))
+    return w
 
 
 @_quiet

@@ -301,11 +301,15 @@ def test_a_value_that_failed_late_or_raw_raises_invalid_input(name):
 
 def _complex_calls(c):
     """Every converter of caller numbers, handed the numpy complex ``c``:
-    bare, in a complex array or in a list."""
+    bare, in a complex array, in an object array or in a list."""
     belief = GaussianBelief(0.0, 1.0)
     return {
         "weights-array": lambda: WeightVector(np.array([c, 0.5])),
         "weights-list": lambda: WeightVector([c, 0.5]),
+        # numpy reads both as object arrays, which hold c as it is
+        "weights-object-array": lambda: WeightVector(
+            np.array([c, 0.5], dtype=object)),
+        "weights-object-list": lambda: WeightVector([c, None]),
         "uniform-count": lambda: WeightVector.uniform(2 * c),
         "belief-mean": lambda: GaussianBelief(c, 1.0),
         "model-A": lambda: LinearGaussianModel(c, 1.0, 1.0, 1.0),

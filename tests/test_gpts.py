@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import norm
 
 from bdemm import gpts as gpts_module
+from bdemm import wtt as wtt_module
 from bdemm import (
     DimensionMismatchError,
     FactorizationFailureError,
@@ -403,6 +404,61 @@ def test_intel_step_forecasts_once_per_model_per_step():
     assert calls == [2] + [1] * 11
 
 
+def _forgetting_rows(rows, config):
+    """Per row of a smooth series, under forgetting weights: the buffer,
+    weights, fusion and log evidences; ``config()`` gives each row's
+    config object."""
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+                        [1.0, 10.0, 100.0])
+    state = IntelState.initial(k=3)
+    for t, v in zip(*_smooth_series(rows)):
+        state, fused, evs = intel_step(state, pool, float(v), float(t),
+                                       config())
+        yield (state.buffer.tobytes(), state.model_weights.w.tobytes(),
+               fused.mean, fused.var, evs.tobytes())
+
+
+def test_a_gp_row_runs_the_weight_operator_once(numpy_calls):
+    power = numpy_calls(wtt_module, "power")
+    alpha, per_row = WTTConfig.forgetting(0.8), []
+    for _ in _forgetting_rows(20, lambda: alpha):
+        per_row.append(len(power) - sum(per_row))
+    # the first row moves the opening weights, then fuses with the next
+    # predictive ones; each later row starts from the weights the row
+    # before fused with, which its history kept
+    assert per_row == [2] + [1] * 19
+
+
+def test_kept_predictive_weights_give_bitwise_a_fresh_configs_run():
+    alpha = WTTConfig.forgetting(0.8)
+    kept = list(_forgetting_rows(40, lambda: alpha))
+    # a new, equal config every row: each row runs the operator twice
+    assert kept == list(_forgetting_rows(
+        40, lambda: WTTConfig.forgetting(0.8)))
+
+
+@pytest.mark.parametrize("grid", ["unit", "irregular"])
+def test_a_gp_row_takes_its_variances_log_once_per_solve(numpy_calls, grid):
+    logs = numpy_calls(gpts_module, "log")
+    rng = np.random.default_rng(107)
+    times = np.cumsum(np.ones(40) if grid == "unit"
+                      else rng.uniform(0.5, 1.5, size=40))
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+                        [1.0, 10.0, 100.0])
+    state, per_row, misses = IntelState.initial(k=3), [], []
+    for t in times:
+        before, missed = len(logs), gpts_module._pool_solve.cache_info().misses
+        state, _, _ = intel_step(state, pool, float(np.sin(t)), float(t),
+                                 WTTConfig.identity())
+        per_row.append(len(logs) - before)
+        misses.append(gpts_module._pool_solve.cache_info().misses - missed)
+    # the solve keeps its variances' log-density constants; a unit grid
+    # solves nothing once the window is full, an irregular one every row
+    assert per_row == misses
+    assert misses == ([2] + [1] * 5 + [0] * 34 if grid == "unit"
+                      else [2] * 40)
+
+
 def _forecast_memo_hits():
     return gpts_module._pool_forecast.cache_info().hits
 
@@ -455,11 +511,12 @@ def test_memoized_forecasts_are_read_only_and_shared():
                                  WTTConfig.identity())
     key = (pool, state.buffer.tobytes(), 3.0)
     hits = _forecast_memo_hits()
-    means, var = gpts_module._pool_forecast(*key)
+    means, var, const = gpts_module._pool_forecast(*key)
     assert _forecast_memo_hits() == hits + 1
-    assert not (means.flags.writeable or var.flags.writeable)
+    assert not (means.flags.writeable or var.flags.writeable
+                or const.flags.writeable)
     again = gpts_module._pool_forecast(*key)
-    assert again[0] is means and again[1] is var
+    assert again[0] is means and again[1] is var and again[2] is const
 
 
 def test_a_forecast_that_raised_raises_again_on_the_same_window():
@@ -686,13 +743,14 @@ def test_each_model_holds_one_window_after_a_long_irregular_run():
     pool, state, times = _irregular_run(500)
     last = np.array([t for t, _ in state.buffer[-6:]])
     hits = gpts_module._pool_solve.cache_info().hits
-    _, A, var = gpts_module._pool_solve(
+    _, A, var, const = gpts_module._pool_solve(
         pool, (last - (times[-1] + 1.0)).tobytes())
     assert gpts_module._pool_solve.cache_info().hits == hits + 1
     # one row of forecast weights per model, read-only
     assert A.shape == (3, 6)
     assert (var > 0.0).all()
-    assert not (A.flags.writeable or var.flags.writeable)
+    assert not (A.flags.writeable or var.flags.writeable
+                or const.flags.writeable)
 
 
 def test_solve_cache_stays_bounded_over_a_long_irregular_run():

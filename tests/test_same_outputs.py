@@ -2,11 +2,13 @@
 streams it writes."""
 
 import importlib.util
+import io
 import pathlib
 
 import numpy as np
 import pytest
 
+from bdemm import gpts
 from bdemm.stream import build_engine, parse_config, run_stream
 
 TOOL = (pathlib.Path(__file__).resolve().parent.parent / "tools"
@@ -77,3 +79,32 @@ def test_the_tool_writes_its_kalman_shapes(tmp_path):
             assert (weights[:, 0] == 0.0).all() and (weights[:, 1:] > 0.0).all()
     assert shapes == {"kf-d2-markov-floor": (2, 1, 3, "markov"),
                       "kf-k10-constant": (1, 1, 10, "constant")}
+
+
+def test_the_tool_writes_its_gp_shapes():
+    # compared as these files, each written in the tree's own interpreter
+    assert same_outputs.TOOL_FILES == {
+        "kf-boundary-ends.txt": "boundary_ends",
+        "gp-k2-w8-urn-floor-stream.csv": "gp_urn_floor",
+        "gp-irregular.csv": "gp_irregular"}
+    rows = same_outputs.SHAPE_ROWS
+    # bdemm stream's output for a pool of two under polya_urn, whose
+    # weight floor of 0.1 binds: such a weight reads 0.1 / 1.1
+    urn = np.loadtxt(io.StringIO(same_outputs.gp_urn_floor()),
+                     delimiter=",", skiprows=1)
+    assert urn.shape == (rows, 1 + 1 + 2 + 2)
+    assert urn[:, 0].tolist() == list(range(1, rows + 1))
+    floored = urn[:, 2:4].min(axis=1) < 0.1
+    assert 0 < np.count_nonzero(floored) < rows
+    # intel_step on gaps uniform in [0.5, 1.5]: every row misses the solve
+    # cache twice, for its score and for its forecast
+    misses = gpts._pool_solve.cache_info().misses
+    text = same_outputs.gp_irregular().splitlines()
+    assert gpts._pool_solve.cache_info().misses - misses == 2 * rows
+    assert text[0] == ("t,y,mean,var,w_1,w_2,w_3,"
+                       "logev_1,logev_2,logev_3")
+    irregular = np.array([[float(x) for x in line.split(",")]
+                          for line in text[1:]])
+    gaps = np.diff(irregular[:, 0])
+    assert irregular.shape == (rows, 10)
+    assert 0.5 <= gaps.min() and gaps.max() <= 1.5

@@ -14,6 +14,11 @@ the path, on the inputs of *this* tree's ``perfbench/inputs.py``:
   floor, which scores through the stacked closed-form innovation, and a
   1-D pool of K = 10 under ``constant`` with one zero constant weight,
   whose collapse drops that model and sums nine;
+* two GP runs of 300 rows, each in the tree's own interpreter:
+  ``run_stream`` over a pool of K = 2 and an 8-row window under
+  ``polya_urn`` with a weight floor (:func:`gp_urn_floor`), and
+  ``intel_step`` on irregular time stamps (:func:`gp_irregular`), where
+  no window repeats, so every row solves its windows afresh;
 * ``bdemm toy --seed 7`` under each of the five ``--wtt`` kinds, and with
   ``--particles 1``: its summary.txt, runs.csv and weights.csv;
 * the stdout of each tree's own demos, with the temporary directory that
@@ -27,13 +32,14 @@ For each file it prints ``identical``, or the count of lines that differ,
 the largest absolute and relative deviation between numbers in the same
 place on a line, and whether text other than numbers differs.  It exits 0
 when every file is identical and 1 otherwise; it uses plain git and no
-network.
+network.  The two trees run side by side, each one subprocess at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import concurrent.futures
 import importlib.util
 import io
 import math
@@ -74,11 +80,16 @@ RUN_CLI = PREAMBLE + """\
 from bdemm.cli import main
 sys.exit(main(sys.argv[2:]))
 """
-RUN_BOUNDARY = PREAMBLE + """\
+# prints what the tool's function sys.argv[3] returns, on the tree's bdemm
+RUN_TOOL = PREAMBLE + """\
 sys.path.insert(0, sys.argv[2])
-from same_outputs import boundary_ends
-sys.stdout.write(boundary_ends())
+import same_outputs
+sys.stdout.write(getattr(same_outputs, sys.argv[3])())
 """
+# compared file, and the function of this module that writes it
+TOOL_FILES = {"kf-boundary-ends.txt": "boundary_ends",
+              "gp-k2-w8-urn-floor-stream.csv": "gp_urn_floor",
+              "gp-irregular.csv": "gp_irregular"}
 
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:inf|nan|(?:\d+\.\d*|\.\d+|\d+)"
                     r"(?:[eE][-+]?\d+)?)(?![\w.])")
@@ -172,6 +183,62 @@ def kf_shapes(rows: int = SHAPE_ROWS) -> dict:
     }
 
 
+def gp_urn_floor(rows: int = SHAPE_ROWS) -> str:
+    """``run_stream``'s output for the tool's own GP stream, as text.
+
+    Two models of an 8-row window, the second with 25 times the first's
+    noise variance, under ``polya_urn`` with ``weight_floor = 0.1``, on a
+    sine whose noise switches between the two levels every 50 rows.  Runs
+    on whichever ``bdemm`` the interpreter imports.
+    """
+    from bdemm.stream import run_stream
+    rng = np.random.default_rng(STREAM_SEED)
+    t = np.arange(1, rows + 1)
+    noise_sd = np.where((t - 1) // 50 % 2, 1.0, 0.2)
+    series = (np.sin(2.0 * np.pi * t / 60.0)
+              + noise_sd * rng.standard_normal(rows))
+    with tempfile.TemporaryDirectory() as work:
+        cfg, csv, out = (Path(work) / name for name in ("cfg", "csv", "out"))
+        cfg.write_text("\n".join([
+            "engine = intel", "wtt.kind = polya_urn", "wtt.beta = [1.0, 2.0]",
+            "weight_floor = 0.1", "intel.lengthscale = 8.0",
+            "intel.noise_variance = 0.04", "intel.window = 8",
+            "intel.noise_factors = [1.0, 25.0]"]) + "\n")
+        csv.write_text("".join("%r\n" % v for v in series.tolist()))
+        run_stream(cfg, csv, out)
+        return out.read_text()
+
+
+def gp_irregular(rows: int = SHAPE_ROWS) -> str:
+    """A GP run on irregular time stamps, as CSV text: per row the time,
+    the observation, the fused forecast for one time unit on, the weights
+    and the log evidences.
+
+    The gaps are uniform in [0.5, 1.5], so no window's times relative to a
+    forecast time repeat, and every row solves both of its windows afresh.
+    Three models of a 16-row window, with noise variances 1, 9 and 36
+    times 0.04, move their weights under a sticky ``markov`` operator.
+    Runs on whichever ``bdemm`` the interpreter imports.
+    """
+    from bdemm import (GPTSModel, IntelState, WTTConfig,
+                       default_markov_matrix, intel_step, perturb_pool)
+    rng = np.random.default_rng(STREAM_SEED)
+    times = np.cumsum(rng.uniform(0.5, 1.5, rows))
+    values = np.sin(0.2 * times) + rng.normal(0.0, 0.3, rows)
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 3.0, 0.04, 16), [1.0, 9.0, 36.0])
+    wtt = WTTConfig.markov(default_markov_matrix(len(pool)))
+    state = IntelState.initial(k=len(pool))
+    models = range(1, len(pool) + 1)
+    lines = [",".join(["t", "y", "mean", "var"] + ["w_%d" % k for k in models]
+                      + ["logev_%d" % k for k in models])]
+    for t, y in zip(times.tolist(), values.tolist()):
+        state, fused, log_evs = intel_step(state, pool, y, t, wtt)
+        lines.append(",".join(map(repr, [
+            t, y, fused.mean, fused.var, *state.model_weights.w.tolist(),
+            *log_evs.tolist()])))
+    return "\n".join(lines) + "\n"
+
+
 def write_inputs(dest: Path) -> dict:
     """The stream configs and CSVs, written under ``dest``: the two stream
     workloads' from this tree's ``perfbench/inputs.py``, and
@@ -223,8 +290,9 @@ def produce(tree: Path, inputs: dict, out: Path) -> dict:
         text = run(tree, [demo], scratch)
         pattern = re.escape(str(scratch) + os.sep) + r"tmp\w+"
         found["demo-%s.txt" % demo.stem] = re.sub(pattern, "<tmp>", text)
-    found["kf-boundary-ends.txt"] = run(
-        tree, ["-c", RUN_BOUNDARY, tree, ROOT / "tools"], scratch)
+    for name, function in TOOL_FILES.items():
+        found[name] = run(tree, ["-c", RUN_TOOL, tree, ROOT / "tools",
+                                 function], scratch)
     return found
 
 
@@ -273,8 +341,11 @@ def main(argv=None) -> int:
         work = Path(work)
         base_tree = export(args.against, work / "base")
         inputs = write_inputs(work / "inputs")
-        base = produce(base_tree, inputs, work / "base-out")
-        head = produce(ROOT, inputs, work / "head-out")
+        # one tree's subprocesses at a time each, the two trees side by side
+        with concurrent.futures.ThreadPoolExecutor(1) as other:
+            base = other.submit(produce, base_tree, inputs, work / "base-out")
+            head = produce(ROOT, inputs, work / "head-out")
+            base = base.result()
     same = True
     for name in sorted(set(base) | set(head)):
         if name not in base or name not in head:
