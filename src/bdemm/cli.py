@@ -11,7 +11,9 @@ Two subcommands:
 
 Exit codes: 0 on success, 1 on usage, config, parse or file errors (a bad
 config value is caught before any row is read), 2 on numeric failures (a
-library error raised by an engine mid-run).
+library error raised by an engine mid-run) and when memory runs out (a
+particle count too large to allocate, say), each with the command's own
+one-line message and no traceback.
 """
 
 from __future__ import annotations
@@ -104,9 +106,12 @@ def _cmd_stream(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "toy":
-        return _cmd_toy(args)
-    return _cmd_stream(args)
+    try:
+        return (_cmd_toy if args.command == "toy" else _cmd_stream)(args)
+    except MemoryError as exc:  # a size read from input, say
+        print("bdemm %s: out of memory: %s" % (args.command, exc),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

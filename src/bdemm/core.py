@@ -101,7 +101,7 @@ def _quiet(fn):
 def _frozen(a):
     """Return a read-only float copy of ``a``."""
     out = np.array(a, dtype=float)
-    out.setflags(write=False)
+    out.setflags(False)  # write=False, without numpy's keyword parse
     return out
 
 
@@ -168,7 +168,7 @@ def _trusted(cls, *values):
     obj = object.__new__(cls)
     for name, value in zip(_field_names(cls), values, strict=True):
         if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+            value.setflags(False)  # write=False, as in _frozen
         object.__setattr__(obj, name, value)
     return obj
 
@@ -222,18 +222,11 @@ class WeightHistory:
     the column sums ``cumulative[k] = sum_rows w_k``, so those two and the
     row count are all a history keeps: its size is O(K) however long the
     stream runs.  Callers that want the trajectory record it themselves.
-
-    A history also remembers the predictive weights of the last
-    :class:`~bdemm.wtt.WTTConfig` object applied to it, so the GP step,
-    which fuses with the predictive weights the next step starts from,
-    runs the operator once per row.  That memo is not a field: it takes
-    no part in construction or ``repr``, and it holds one array.
     """
 
     last: WeightVector
     cumulative: np.ndarray
     count: int = 1
-    _predictive = None  # (config, read-only predictive weights), see wtt
 
     def __post_init__(self):
         if not isinstance(self.last, WeightVector):

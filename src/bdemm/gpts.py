@@ -20,9 +20,9 @@ times relative to the forecast time.  The pool is solved for those at once,
 rows ``A[k] = (K_k + noise_k I)^-1 k*_k`` and the variances, and the last
 ``SOLVE_CACHE_SIZE`` solves are cached; on a hit the K forecast means are
 one row-wise product ``mu + A (v - mu)``, so a unit-spaced stream with a
-full window runs no Cholesky at all.  The last two forecasts are cached by
-value too, so on such a stream a row scores its observation with the
-forecast the row before made for its time.
+full window runs no Cholesky at all.  A state carries the forecast its
+row made for ``t + 1``, so on such a stream the next row scores its
+observation with it and forecasts only once.
 
 Candidate pools typically come from :func:`perturb_pool`: take a nominal
 model and scale its noise variance by a few factors (say 1x and 100x), so
@@ -170,10 +170,20 @@ class PredictiveGaussian:
 @dataclass(frozen=True, eq=False)
 class IntelState(_EngineState):
     """Observation window and weight history of a GP ensemble; ``buffer``,
-    any (n, 2) array-like of (time, value) rows, becomes a read-only float array."""
+    any (n, 2) array-like of (time, value) rows, becomes a read-only float array.
+
+    A state that :func:`intel_step` returns also carries what its next row
+    reuses: the pool, the forecast time ``t + 1``, the read-only (K,)
+    means, variances and log-density constants of the pool's forecasts for
+    it, and the config object and predictive weights the fusion used.  It
+    takes no part in construction or ``repr``; a constructed state carries
+    ``None`` for each, so its first row computes both afresh.
+    """
 
     buffer: np.ndarray
     history: WeightHistory
+    # (pool, t + 1, means, variances, constants, config, predictive weights)
+    _carry: tuple = field(default=(None,) * 7, init=False, repr=False)
 
     def __post_init__(self):
         buf = _floats(self.buffer, "buffer")
@@ -182,7 +192,7 @@ class IntelState(_EngineState):
         buf = buf.reshape(-1, 2)
         if not (np.isfinite(buf).all() and (buf[1:, 0] > buf[:-1, 0]).all()):
             raise InvalidInputError("buffer must be finite, its times strictly increasing")
-        buf.setflags(write=False)
+        buf.setflags(False)  # write=False, without numpy's keyword parse
         object.__setattr__(self, "buffer", buf)
 
     @classmethod
@@ -246,9 +256,9 @@ def _pool_solve(pool: tuple, key: bytes):
 
 
 def _forecast(pool: tuple, times, values, t_next: float):
-    """The (K,) means ``mu + A (v - mu)``, variances and log-density
-    constants of the pool's forecasts at ``t_next`` from one window of
-    ``times`` and ``values``, under its caller's error scope."""
+    """The read-only (K,) means ``mu + A (v - mu)``, variances and
+    log-density constants of the pool's forecasts at ``t_next`` from one
+    window of ``times`` and ``values``, under its caller's error scope."""
     # a NaN or infinite time stamp, or a gap to t_next past the float range,
     # leaves a non-finite relative time, which the solve rejects
     mu, A, var, const = _pool_solve(pool, (times - t_next).tobytes())
@@ -257,20 +267,7 @@ def _forecast(pool: tuple, times, values, t_next: float):
     if not _finite(means):
         raise NonFiniteForecastError("forecast is not finite (means %s, "
                                      "variances %s)" % (means, var))
-    return means, var, const
-
-
-@lru_cache(maxsize=2)
-def _pool_forecast(pool: tuple, window: bytes, t_next: float):
-    """Read-only :func:`_forecast` of ``pool`` at ``t_next`` from the
-    buffer whose ``(time, value)`` rows have the bytes ``window``.  The last
-    two are kept by value: a row's score and forecast, so on a unit-spaced
-    grid the next row scores with the forecast this row made for its time.
-    A forecast that raises is not kept.  Runs under its caller's error
-    scope."""
-    rows = np.frombuffer(window)
-    means, var, const = _forecast(pool, rows[0::2], rows[1::2], t_next)
-    means.setflags(write=False)
+    means.setflags(False)  # write=False, without numpy's keyword parse
     return means, var, const
 
 
@@ -358,16 +355,16 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     very first step).  Weights update from those evidences, the buffer
     absorbs ``(t, y_t)``, the pool forecasts ``t + 1``, and the forecasts
     fuse by product of experts with the *next-step predictive* weights as
-    exponents.  The state is just the buffer and the history; the last two
-    forecasts are kept by the pool, the buffer's bytes and the forecast
-    time, so on a unit-spaced grid the score is, bitwise, the forecast the
-    previous row made for ``t``, and the row computes only the next-step
-    forecast: one cached pool solve plus a row-wise product, with no
-    factorization while the window's times relative to the forecast time
-    repeat.  The solve keeps its variances' log-density constants, so a
-    row scores without a logarithm, and the returned history remembers
-    the predictive weights the fusion used, so the next row stepped with
-    the same ``wtt_config`` object runs the operator once, not twice.
+    exponents.  The returned state carries that forecast and those
+    weights.  A row whose ``t`` is the carried forecast time, and whose
+    pool equals the carried one, scores with the carried forecast, so on a
+    unit-spaced grid the row computes only the next-step forecast: one
+    cached pool solve plus a row-wise product, with no factorization while
+    the window's times relative to the forecast time repeat.  A row
+    stepped with the carried ``wtt_config`` object starts from the carried
+    predictive weights, so it runs the operator once, not twice; any other
+    config object, an equal one too, runs it afresh.  The solve keeps its
+    variances' log-density constants, so a row scores without a logarithm.
     Models may differ in every parameter; the buffer keeps the longest
     window, and a shorter one weighs the values before its own by zero, so
     a residual ``v - mu`` that overflows anywhere in the buffer raises
@@ -395,14 +392,22 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     if not math.isfinite(y_t):
         raise InvalidInputError("observations must be finite (got %r)" % y_t)
 
-    log_evs = _log_density(y_t, *_pool_forecast(pool, state.buffer.tobytes(), t))
-    _, history, _ = _weight_step(wtt_config, state.history, log_evs,
-                                 weight_floor)
+    kept_pool, kept_t, means, var, const, config, predictive = state._carry
+    if kept_t != t or kept_pool != pool:
+        means, var, const = _forecast(pool, state.buffer[:, 0],
+                                      state.buffer[:, 1], t)
+    log_evs = _log_density(y_t, means, var, const)
+    _, history, _ = _weight_step(
+        predictive if config is wtt_config
+        else _transition(wtt_config, state.history),
+        state.history, log_evs, weight_floor)
 
     buffer = np.concatenate((state.buffer, ((t, y_t),)))[-max(m.window for m in pool):]
-    means, var, _ = _pool_forecast(pool, buffer.tobytes(), t + 1.0)
-    fused = _fuse(means, var, _transition(wtt_config, history))
-    return _trusted(IntelState, buffer, history), fused, log_evs
+    means, var, const = _forecast(pool, buffer[:, 0], buffer[:, 1], t + 1.0)
+    predictive = _transition(wtt_config, history)
+    fused = _fuse(means, var, predictive)
+    return _trusted(IntelState, buffer, history, (
+        pool, t + 1.0, means, var, const, wtt_config, predictive)), fused, log_evs
 
 
 @_quiet

@@ -70,7 +70,7 @@ from .errors import (
     NonFiniteBeliefError,
 )
 from .evidence import _scalar_log_density, gaussian_innovation
-from .wtt import WTTConfig, _weight_step
+from .wtt import WTTConfig, _transition, _weight_step
 
 __all__ = [
     "LinearGaussianModel",
@@ -307,8 +307,9 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         means, covs, log_evs = _scalar_update(*entries, state.belief, y)
         means, covs = means[:, None], covs[:, None, None]
 
-    weights, history, _ = _weight_step(wtt_config, state.history, log_evs,
-                                       weight_floor)
+    weights, history, _ = _weight_step(
+        _transition(wtt_config, state.history), state.history, log_evs,
+        weight_floor)
     belief = _collapse(means, covs, weights.w)
     estimate = _trusted(PointEstimate, belief.mean)
     return KfEnsembleState(belief, history), estimate, log_evs

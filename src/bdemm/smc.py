@@ -80,7 +80,7 @@ from .errors import (
 )
 from .evidence import _log_normalize, _overflowed_to_inf
 from .kalman import LinearGaussianModel
-from .wtt import WTTConfig, _weight_step
+from .wtt import WTTConfig, _transition, _weight_step
 
 # Log of the smallest positive double (subnormal).  A log weight below this
 # is exactly 0.0 after exponentiation, i.e. a genuine linear-domain underflow.
@@ -386,8 +386,9 @@ def smc_bdemm_step(state: SmcEnsembleState, pool, y, t: int,
         u[dead] = ens.weights
         log_evs[dead] = -np.inf
 
-    weights, history, _ = _weight_step(wtt_config, state.history, log_evs,
-                                       weight_floor)
+    weights, history, _ = _weight_step(
+        _transition(wtt_config, state.history), state.history, log_evs,
+        weight_floor)
     estimates = (u[:, None, :] @ cloud)[:, 0]
     estimate = _trusted(PointEstimate, weights.w @ estimates)
 

@@ -27,14 +27,15 @@ A :class:`WTTConfig` is ``(kind, param)``, the operator and the one
 parameter it reads; against a history only the width of an array parameter
 is checked, with one :class:`~bdemm.errors.ConfigMismatchError` message.
 :func:`weight_step` runs one whole move of the dynamic ensemble, the
-operator followed by Bayes' rule; every engine step runs its kernel,
-``_weight_step``, under the step's own error scope.  Both moves run on
-plain arrays, so a step builds one posterior ``WeightVector`` and one
-``WeightHistory``; :func:`apply_wtt` and
+operator followed by Bayes' rule; every engine step runs its two kernels,
+``_transition`` and ``_weight_step``, under the step's own error scope.
+Both moves run on plain arrays, so a step builds one posterior
+``WeightVector`` and one ``WeightHistory``; :func:`apply_wtt` and
 :func:`~bdemm.core.update_model_weights_log` are the one-call public forms
-of the two kernels.  A history remembers the predictive weights of the
-last config object applied to it, so applying that object to it again
-returns them without running the operator.
+of the two kernels.  ``_weight_step`` takes the predictive weights, not
+the config, so the GP step, whose state carries the predictive weights
+its fusion used, starts its next row from them and runs the operator
+once per row.
 """
 
 from __future__ import annotations
@@ -168,14 +169,8 @@ def _transition(config: WTTConfig, history: WeightHistory) -> np.ndarray:
     ``config.param``; the others return a fresh array, divided by its sum
     unless that sum is 1 within ``SIMPLEX_ATOL``.  Only the width of the
     config's array parameter is checked against the history; the weights
-    and the parameter were validated when they were built.  The history
-    keeps the result for the last config object applied to it, so applying
-    that same object again returns the same array without running the
-    operator; any other config object, an equal one too, runs it afresh.
+    and the parameter were validated when they were built.
     """
-    memo = history._predictive
-    if memo is not None and memo[0] is config:
-        return memo[1]
     w = history.last.w
     kind, p = config.kind, config.param
     if kind != "identity":
@@ -195,7 +190,6 @@ def _transition(config: WTTConfig, history: WeightHistory) -> np.ndarray:
             s = float(np.add.reduce(raw))
             w = raw if abs(s - 1.0) <= SIMPLEX_ATOL else raw / s
             w.setflags(False)  # write=False, without numpy's keyword parse
-    object.__setattr__(history, "_predictive", (config, w))
     return w
 
 
@@ -216,12 +210,12 @@ def apply_wtt(config: WTTConfig, history: WeightHistory) -> WeightVector:
     return _trusted(WeightVector, _transition(config, history))
 
 
-def _weight_step(config: WTTConfig, history: WeightHistory,
+def _weight_step(predictive: np.ndarray, history: WeightHistory,
                  log_ev: np.ndarray, weight_floor: float):
-    """The move kernel of :func:`weight_step`, on a float array of log
-    evidences; every engine step runs it on its own evidence array, under
-    the step's error scope."""
-    predictive = _transition(config, history)
+    """The move kernel of :func:`weight_step`, from the read-only
+    predictive weights :func:`_transition` gave for ``history``, on a float
+    array of log evidences; every engine step runs it on its own evidence
+    array, under the step's error scope."""
     w = _bayes(predictive, log_ev, weight_floor)
     informative = w is not None
     weights = _trusted(WeightVector, w if informative else predictive)
@@ -250,6 +244,6 @@ def weight_step(config: WTTConfig, history: WeightHistory, log_evidences,
     informative : bool
         False when the predictive weights were carried forward.
     """
-    return _weight_step(config, history,
+    return _weight_step(_transition(config, history), history,
                         _floats(log_evidences, "log evidences", 1),
                         weight_floor)

@@ -1,5 +1,10 @@
 """Console entry point: subcommands, exit codes, reproducibility."""
 
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -504,3 +509,42 @@ def test_stream_smc_resampling_is_an_unknown_key(tmp_path, capsys):
     assert rc == 1
     assert "unknown key 'smc.resampling'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the address space of a child that asks for far more: 1.5e6 KiB, as
+# ``ulimit -v 1500000`` sets it
+CHILD_ADDRESS_SPACE = 1_500_000 * 1024
+
+
+def _limit_address_space():
+    """Run in the child only, before it starts: an allocation past the
+    limit then fails at once rather than succeeding lazily."""
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("command", ["stream", "toy"])
+def test_a_size_past_memory_exits_two_without_a_traceback(tmp_path, command):
+    # 10**12 particles ask numpy for 7.28 TiB; never run without the limit
+    particles = "1000000000000"
+    if command == "stream":
+        (tmp_path / "smc.cfg").write_text(
+            "engine = smc\nsmc.models = 1\nsmc.model.1.kind = toy_gaussian\n"
+            "smc.particles = %s\nsmc.init.point = [1.0]\n" % particles)
+        (tmp_path / "obs.csv").write_text("0.1\n0.2\n")
+        args = ["stream", "--config", str(tmp_path / "smc.cfg"),
+                "--input", str(tmp_path / "obs.csv"),
+                "--out", str(tmp_path / "out.csv")]
+    else:
+        args = ["toy", "--runs", "1", "--particles", particles,
+                "--out", str(tmp_path / "report")]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "bdemm.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_limit_address_space, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("bdemm %s: out of memory: " % command)
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out.csv").exists()

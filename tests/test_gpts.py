@@ -459,12 +459,25 @@ def test_a_gp_row_takes_its_variances_log_once_per_solve(numpy_calls, grid):
                       else [2] * 40)
 
 
-def _forecast_memo_hits():
-    return gpts_module._pool_forecast.cache_info().hits
+def _counted_forecasts(monkeypatch):
+    """From then on, the forecast time of each pool forecast made."""
+    times, forecast = [], gpts_module._forecast
+
+    def counted(pool, window_times, values, t_next):
+        times.append(t_next)
+        return forecast(pool, window_times, values, t_next)
+    monkeypatch.setattr(gpts_module, "_forecast", counted)
+    return times
+
+
+def _row(state, fused, log_evs):
+    """What a row returns, as values: buffer, weights, fusion, evidences."""
+    return (state.buffer.tobytes(), state.model_weights.w.tobytes(),
+            fused.mean, fused.var, log_evs.tobytes())
 
 
 @pytest.mark.parametrize("grid", ["unit", "half-spaced", "irregular"])
-def test_memoized_windows_give_bitwise_a_fresh_pools_run(grid):
+def test_memoized_windows_give_bitwise_a_fresh_pools_run(monkeypatch, grid):
     rng = np.random.default_rng(103)
     steps = {"unit": np.ones(60), "half-spaced": np.full(60, 0.5),
              "irregular": rng.uniform(0.3, 1.7, size=60)}[grid]
@@ -474,79 +487,146 @@ def test_memoized_windows_give_bitwise_a_fresh_pools_run(grid):
     factors = [1.0, 10.0, 100.0]
     wtt = WTTConfig.polya_urn([1, 2, 3])
     pool = perturb_pool(nominal, factors)
+    forecasts = _counted_forecasts(monkeypatch)
 
     def run(fresh):
-        state, out, lookups = IntelState.initial(k=3), [], []
+        state, out, per_row = IntelState.initial(k=3), [], []
         for t, v in zip(times, values):
             if fresh:
                 gpts_module._pool_solve.cache_clear()
-                gpts_module._pool_forecast.cache_clear()
-            before = _solve_lookups()
-            state, fused, evs = intel_step(
+                # a constructed state carries no forecast and no weights
+                state = IntelState(state.buffer, state.history)
+            before = len(forecasts)
+            row = intel_step(
                 state, perturb_pool(nominal, factors) if fresh else pool,
                 float(v), float(t), wtt)
-            lookups.append(_solve_lookups() - before)
-            out.append((state.buffer.tobytes(), state.model_weights.w.tobytes(),
-                        fused.mean, fused.var, evs.tobytes()))
-        return out, lookups
+            per_row.append(len(forecasts) - before)
+            state = row[0]
+            out.append(_row(*row))
+        return out, per_row
 
-    memo, lookups = run(fresh=False)
+    kept, per_row = run(fresh=False)
     # an irregular grid never repeats a window
     hits = gpts_module._pool_solve.cache_info().hits
     assert (hits > 0) == (grid != "irregular")
-    # only a unit step makes a row's score the forecast of the row before,
-    # so elsewhere every row still looks up two solves
+    # only a unit step makes a row's score the forecast the row before
+    # carried, so elsewhere every row still forecasts twice
     unit = grid == "unit"
-    assert _forecast_memo_hits() == (times.size - 1 if unit else 0)
-    assert lookups == [2] + [1 if unit else 2] * (times.size - 1)
-    assert memo == run(fresh=True)[0]
+    assert per_row == [2] + [1 if unit else 2] * (times.size - 1)
+    fresh, per_row = run(fresh=True)
+    assert per_row == [2] * times.size
+    assert kept == fresh
 
 
 def test_memoized_forecasts_are_read_only_and_shared():
     pool = tuple(perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
                               [1.0, 10.0]))
-    state = IntelState.initial(k=2)
+    state, wtt = IntelState.initial(k=2), WTTConfig.forgetting(0.8)
     for t in range(3):
-        state, _, _ = intel_step(state, pool, float(np.sin(t)), float(t),
-                                 WTTConfig.identity())
-    key = (pool, state.buffer.tobytes(), 3.0)
-    hits = _forecast_memo_hits()
-    means, var, const = gpts_module._pool_forecast(*key)
-    assert _forecast_memo_hits() == hits + 1
+        state, _, _ = intel_step(state, pool, float(np.sin(t)), float(t), wtt)
+    kept_pool, t_next, means, var, const, config, predictive = state._carry
+    assert kept_pool == pool and t_next == 3.0 and config is wtt
     assert not (means.flags.writeable or var.flags.writeable
-                or const.flags.writeable)
-    again = gpts_module._pool_forecast(*key)
-    assert again[0] is means and again[1] is var and again[2] is const
+                or const.flags.writeable or predictive.flags.writeable)
+    # the variances and constants are the cached solve's own arrays
+    hits = gpts_module._pool_solve.cache_info().hits
+    _, _, solved_var, solved_const = gpts_module._pool_solve(
+        pool, (state.buffer[:, 0] - 3.0).tobytes())
+    assert gpts_module._pool_solve.cache_info().hits == hits + 1
+    assert solved_var is var and solved_const is const
 
 
 def test_a_forecast_that_raised_raises_again_on_the_same_window():
     # a long lengthscale extrapolates linearly: weights near (-1, 2)
     pool = (GPTSModel(0.0, 1.0, 100.0, 1e-12, 2),)
-    state = IntelState(((0.0, 0.0), (1.0, 1e308)),
-                       IntelState.initial(k=1).history)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for _ in range(2):
-            with pytest.raises(NonFiniteForecastError, match="means"):
-                intel_step(state, pool, 0.0, 2.0, WTTConfig.identity())
-    info = gpts_module._pool_forecast.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    history = IntelState.initial(k=1).history
+    built = IntelState(((0.0, 0.0), (1.0, 1e308)), history)
+    # a stepped state carries the forecast for t = 1, which scores 1e308;
+    # the forecast for t = 2 from the window that absorbs it overflows
+    stepped, _, _ = intel_step(IntelState(((-1.0, 0.0),), history), pool,
+                               0.0, 0.0, WTTConfig.identity())
+    for state, y_t, t in ((built, 0.0, 2.0), (stepped, 1e308, 1.0)):
+        carry, buffer = state._carry, state.buffer.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(NonFiniteForecastError, match="means"):
+                    intel_step(state, pool, y_t, t, WTTConfig.identity())
+        # the caller's state is unchanged
+        assert state._carry is carry and state.buffer.tobytes() == buffer
+    assert built._carry == (None,) * 7 and stepped._carry[1] == 1.0
 
 
-def test_forecast_memo_is_keyed_by_the_pools_values():
+def test_forecast_memo_is_keyed_by_the_pools_values(monkeypatch):
     nominal = GPTSModel(0.0, 1.0, 2.0, 0.04, window=6)
+    identity = WTTConfig.identity()
     state, _, _ = intel_step(IntelState.initial(k=3),
                              perturb_pool(nominal, [1.0, 10.0, 100.0]),
-                             0.1, 0.0, WTTConfig.identity())
-    # a pool built apart with equal values scores with the memoized forecast
-    hits = _forecast_memo_hits()
-    intel_step(state, perturb_pool(nominal, [1.0, 10.0, 100.0]), 0.2, 1.0,
-               WTTConfig.identity())
-    assert _forecast_memo_hits() == hits + 1
-    # one noise factor apart is another pool
-    intel_step(state, perturb_pool(nominal, [1.0, 10.0, 99.0]), 0.2, 1.0,
-               WTTConfig.identity())
-    assert _forecast_memo_hits() == hits + 1
+                             0.1, 0.0, identity)
+    fresh = IntelState(state.buffer, state.history)  # carries nothing
+    forecasts = _counted_forecasts(monkeypatch)
+    # a pool built apart with equal values scores with the carried
+    # forecast; one noise factor apart is another pool
+    for factors, made in (([1.0, 10.0, 100.0], [2.0]),
+                          ([1.0, 10.0, 99.0], [1.0, 2.0])):
+        before = len(forecasts)
+        row = intel_step(state, perturb_pool(nominal, factors), 0.2, 1.0,
+                         identity)
+        assert forecasts[before:] == made
+        assert _row(*row) == _row(*intel_step(
+            fresh, perturb_pool(nominal, factors), 0.2, 1.0, identity))
+
+
+def test_a_gp_row_runs_the_operator_once_per_config_object(numpy_calls):
+    power = numpy_calls(wtt_module, "power")
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+                        [1.0, 10.0, 100.0])
+    alpha, twin = WTTConfig.forgetting(0.5), WTTConfig.forgetting(0.5)
+    state, _, _ = intel_step(IntelState.initial(k=3), pool, 0.1, 0.0, alpha)
+    predictive = state._carry[6]
+    assert predictive.tobytes() == apply_wtt(alpha, state.history).w.tobytes()
+    assert not predictive.flags.writeable
+    # the carried config object runs the operator once, for the fusion; an
+    # equal one is another object and runs it twice, as does a constructed
+    # state, which carries no weights
+    runs, rows = [], []
+    for start, config in ((state, alpha), (state, twin),
+                          (IntelState(state.buffer, state.history), alpha)):
+        before = len(power)
+        rows.append(_row(*intel_step(start, pool, 0.2, 1.0, config)))
+        runs.append(len(power) - before)
+    assert runs == [1, 2, 2]
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_two_gp_streams_stepped_in_turn_each_forecast_once_per_row(
+        monkeypatch):
+    pools = [perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.04, window=6),
+                          [1.0, 10.0]),
+             perturb_pool(GPTSModel(0.5, 1.5, 3.0, 0.1, window=4),
+                          [1.0, 100.0, 1e4])]
+    wtt = WTTConfig.forgetting(0.9)
+    times, values = _smooth_series(30)
+
+    def run(streams):
+        states = [IntelState.initial(k=len(pool)) for pool in pools]
+        out = [[] for _ in pools]
+        per_row = [[] for _ in pools]
+        for t, v in zip(times, values):
+            for i in streams:
+                before = len(forecasts)
+                row = intel_step(states[i], pools[i], float(v), float(t), wtt)
+                per_row[i].append(len(forecasts) - before)
+                states[i] = row[0]
+                out[i].append(_row(*row))
+        return out, per_row
+
+    forecasts = _counted_forecasts(monkeypatch)
+    # each state carries its own forecast, so a second stream stepped in
+    # between evicts nothing of the first's
+    both, per_row = run([0, 1])
+    assert per_row == [[2] + [1] * 29] * 2
+    assert both == [run([0])[0][0], run([1])[0][1]]
 
 
 def test_perturb_pool():

@@ -71,7 +71,7 @@ def test_a_step_makes_the_same_calls_at_row_100_and_row_4000(
 def _peak(config, rows, tmp_path):
     """tracemalloc's peak over ``run_stream`` of ``rows``, from empty
     caches."""
-    for cache in (gpts._pool_solve, gpts._pool_forecast, kalman._stacked):
+    for cache in (gpts._pool_solve, kalman._stacked):
         cache.cache_clear()
     (tmp_path / "stream.cfg").write_text(config)
     (tmp_path / "obs.csv").write_bytes(INPUTS.csv_bytes(rows))

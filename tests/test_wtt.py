@@ -483,27 +483,7 @@ def test_all_zero_step_reuses_the_operators_own_vector():
 
 
 # ---------------------------------------------------------------------------
-# the predictive weights a history remembers
-
-
-def test_a_history_runs_the_operator_once_per_config_object(numpy_calls):
-    power = numpy_calls(bdemm.wtt, "power")
-    h = _history_from_rows([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]])
-    alpha, twin = WTTConfig.forgetting(0.5), WTTConfig.forgetting(0.5)
-    first = bdemm.wtt._transition(alpha, h)
-    assert bdemm.wtt._transition(alpha, h) is first
-    assert apply_wtt(alpha, h).w is first
-    assert len(power) == 1 and not first.flags.writeable
-    # an equal config is another object: it runs the operator again, and
-    # the history then remembers it in place of alpha
-    again = bdemm.wtt._transition(twin, h)
-    assert again is not first and again.tobytes() == first.tobytes()
-    assert len(power) == 2
-    bdemm.wtt._transition(alpha, h)
-    assert len(power) == 3
-    # a new history remembers nothing of the one it grew from
-    bdemm.wtt._transition(alpha, h.append(WeightVector([0.4, 0.4, 0.2])))
-    assert len(power) == 4
+# one history under several configs
 
 
 def test_a_history_stepped_with_several_configs_gives_each_its_own_weights():
