@@ -28,7 +28,13 @@ Numerical conventions used throughout the package:
   ``a.argsort()``), not numpy's Python-level wrappers (``np.sum``,
   ``a.sum()``, ``np.argsort``), which only forward to them,
 * inputs are validated once, at the boundary: public constructors check
-  them, and values an engine step builds from checked ones are not,
+  them, and values an engine step builds from checked ones are not; each
+  array a constructor keeps passes one rule, :func:`_array`, which
+  converts it once to a fresh read-only float array of a fixed rank,
+  with at least one entry and every entry finite (an ``IntelState``
+  buffer, which may be empty, and a ``WTTConfig`` Markov matrix or
+  pseudo-count vector, whose every fault is a ``ConfigMismatchError``,
+  keep rules of their own),
 * types that hold arrays compare and hash by identity (``eq=False``), as
   numpy gives no single truth value for two arrays being equal,
 * a Bayes update in which every prior-times-evidence product is zero is
@@ -123,7 +129,7 @@ def _floats(value, name, ndmin=0, error=InvalidInputError) -> np.ndarray:
     scalars, has its elements checked one by one."""
     try:
         x = np.array(value, ndmin=ndmin)
-        if x.dtype.char == "d":
+        if x.dtype.char == "d" and x.dtype.isnative:
             return x
         if x.dtype.char == "O":
             for item in x.flat:
@@ -131,6 +137,23 @@ def _floats(value, name, ndmin=0, error=InvalidInputError) -> np.ndarray:
         return _not_complex(x).astype(float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error("%s must be numeric (%s)" % (name, exc)) from None
+
+
+def _array(value, name, ndim, error=InvalidInputError) -> np.ndarray:
+    """``value`` as a fresh, read-only float array of exactly ``ndim``
+    dimensions (a lower rank promoted, as ``ndmin`` does), with at least
+    one entry and every entry finite.  The package's one array rule for
+    public constructors: a value numpy cannot read as real numbers, or
+    one with a NaN or infinite entry, raises ``error``; another rank, or
+    no entry at all, raises ``DimensionMismatchError``."""
+    x = _floats(value, name, ndim, error)
+    if x.ndim != ndim or not x.size:
+        raise DimensionMismatchError("%s must be a non-empty %d-d array, got shape %r"
+                                     % (name, ndim, x.shape))
+    if not _finite(x):
+        raise error("%s must be finite" % name)
+    x.setflags(False)  # write=False, as in _frozen
+    return x
 
 
 def _real(value, name, error=InvalidInputError) -> float:
@@ -188,17 +211,13 @@ class WeightVector:
 
     @_quiet
     def __post_init__(self):
-        w = _floats(self.w, "weights", 1)
-        if w.ndim != 1 or w.size < 1:
-            raise DimensionMismatchError("weights must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(w)):
-            raise InvalidInputError("weights must be finite")
+        w = _array(self.w, "weights", 1)
         if np.any(w < 0.0):
             raise NegativeEntryError("weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > SIMPLEX_ATOL:
             raise InvalidInputError("weights must sum to 1 within %g (got %r)"
                                     % (SIMPLEX_ATOL, float(w.sum())))
-        object.__setattr__(self, "w", _frozen(w))
+        object.__setattr__(self, "w", w)
 
     def __len__(self) -> int:
         return self.w.size
@@ -231,13 +250,13 @@ class WeightHistory:
     def __post_init__(self):
         if not isinstance(self.last, WeightVector):
             raise InvalidInputError("history rows must be WeightVector instances")
-        cum = _floats(self.cumulative, "cumulative sums")
+        cum = _array(self.cumulative, "cumulative sums", 1)
         if cum.shape != (len(self.last),):
             raise DimensionMismatchError("cumulative sums must be one per model")
         # the urn operator renormalizes them without re-checking
-        if not (np.all(np.isfinite(cum)) and np.all(cum >= 0.0)):
-            raise InvalidInputError("cumulative sums must be finite and nonnegative")
-        object.__setattr__(self, "cumulative", _frozen(cum))
+        if np.any(cum < 0.0):
+            raise InvalidInputError("cumulative sums must be nonnegative")
+        object.__setattr__(self, "cumulative", cum)
         object.__setattr__(self, "count", _count(
             self.count, InvalidInputError, "count must be a whole number >= 1"))
 
@@ -312,17 +331,17 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
 
 @_quiet
 def checked_cov(m, name: str = "covariance") -> np.ndarray:
-    """Validate a covariance matrix and return it re-symmetrized.
+    """Validate a covariance matrix and return it re-symmetrized, as a
+    fresh read-only array.
 
-    It must be square, finite, symmetric within ``SYM_ATOL`` and positive
+    It passes :func:`_array` as a 2-d array, a scalar or a vector promoted,
+    and must be square, symmetric within ``SYM_ATOL`` and positive
     semidefinite within ``PSD_ATOL``, both scaled by the matrix magnitude so
     large, perfectly healthy covariances are not rejected for roundoff.
     """
-    m = _floats(m, name, 2)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+    m = _array(m, name, 2)
+    if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError("%s must be square" % name)
-    if not np.all(np.isfinite(m)):
-        raise InvalidInputError("%s must be finite" % name)
     scale = max(1.0, float(np.abs(m).max()))
     # entries of opposite sign near the float limit overflow to a rejection
     if float(np.abs(m - m.T).max()) > SYM_ATOL * scale:
@@ -330,6 +349,7 @@ def checked_cov(m, name: str = "covariance") -> np.ndarray:
     m = _symmetrized(m)
     if float(np.linalg.eigvalsh(m).min()) < -PSD_ATOL * scale:
         raise InvalidInputError("%s is not positive semidefinite" % name)
+    m.setflags(False)  # a 1x1 matrix is _array's own, already read-only
     return m
 
 
@@ -344,19 +364,13 @@ class GaussianBelief:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _floats(self.mean, "mean", 1)
-        cov = _floats(self.cov, "cov", 2)
-        if mean.ndim != 1:
-            raise DimensionMismatchError("mean must be a vector")
-        d = mean.size
-        if cov.shape != (d, d):
-            raise DimensionMismatchError(
-                "cov must be (%d, %d), got %r" % (d, d, cov.shape))
-        if not np.all(np.isfinite(mean)):
-            raise InvalidInputError("belief must be finite")
-        cov = checked_cov(cov)
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "cov", _frozen(cov))
+        mean = _array(self.mean, "mean", 1)
+        cov = checked_cov(self.cov)  # square
+        if cov.shape[0] != mean.size:
+            raise DimensionMismatchError("cov must be (%d, %d), got %r"
+                                         % (mean.size, mean.size, cov.shape))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
     @property
     def dim(self) -> int:
@@ -370,12 +384,8 @@ class PointEstimate:
     x_hat: np.ndarray
 
     def __post_init__(self):
-        x = _floats(self.x_hat, "point estimate", 1)
-        if x.ndim != 1 or x.size < 1:
-            raise DimensionMismatchError("point estimate must be a vector")
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("point estimate must be finite")
-        object.__setattr__(self, "x_hat", _frozen(x))
+        object.__setattr__(self, "x_hat",
+                           _array(self.x_hat, "point estimate", 1))
 
     @property
     def dim(self) -> int:

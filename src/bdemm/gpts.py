@@ -369,7 +369,9 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
     window, and a shorter one weighs the values before its own by zero, so
     a residual ``v - mu`` that overflows anywhere in the buffer raises
     ``NonFiniteForecastError``.  A ``t`` or ``y_t`` that is not a finite
-    number raises ``InvalidInputError`` before any scoring or buffering.
+    number raises ``InvalidInputError`` before any scoring or buffering, and
+    so does a ``t`` outside ``[-2**53, 2**53)``: there ``t + 1`` is not a
+    float of its own, and rounds to ``t`` or ``t + 2``.
 
     Returns
     -------
@@ -385,8 +387,10 @@ def intel_step(state: IntelState, pool, y_t: float, t: float,
         t, y_t = float(_not_complex(t)), float(_not_complex(y_t))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError("t and y_t must be real numbers (%s)" % exc) from None
-    if not math.isfinite(t):
-        raise InvalidInputError("time stamps must be finite")
+    if not -2.0**53 <= t < 2.0**53:
+        raise InvalidInputError(
+            "time stamps must be finite and in [-2**53, 2**53), where t + 1 "
+            "is exact (got %r)" % t)
     if state.buffer.size and t <= state.buffer[-1, 0]:
         raise InvalidInputError("time stamps must arrive strictly increasing")
     if not math.isfinite(y_t):

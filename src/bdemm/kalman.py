@@ -54,6 +54,7 @@ from .core import (
     WeightHistory,
     WeightVector,
     _EngineState,
+    _array,
     _collapse,
     _finite,
     _floats,
@@ -66,7 +67,6 @@ from .core import (
 )
 from .errors import (
     DimensionMismatchError,
-    InvalidInputError,
     NonFiniteBeliefError,
 )
 from .evidence import _scalar_log_density, gaussian_innovation
@@ -96,11 +96,8 @@ class LinearGaussianModel:
     R: np.ndarray
 
     def __post_init__(self):
-        a = _floats(self.A, "A", 2)
-        b = _floats(self.B, "B", 2)
-        for name, arr in (("A", a), ("B", b)):
-            if not np.isfinite(arr).all():
-                raise InvalidInputError("%s must be finite" % name)
+        a = _array(self.A, "A", 2)
+        b = _array(self.B, "B", 2)
         q = checked_cov(self.Q, "Q")
         r = checked_cov(self.R, "R")
         d = a.shape[0]
@@ -114,7 +111,7 @@ class LinearGaussianModel:
         if r.shape != (m, m):
             raise DimensionMismatchError("R must match B")
         for name, arr in (("A", a), ("Q", q), ("B", b), ("R", r)):
-            object.__setattr__(self, name, _frozen(arr))
+            object.__setattr__(self, name, arr)
 
     @property
     def state_dim(self) -> int:

@@ -60,10 +60,10 @@ from .core import (
     WeightHistory,
     WeightVector,
     _EngineState,
+    _array,
     _count,
     _finite,
     _floats,
-    _frozen,
     _quiet,
     _real,
     _start_history,
@@ -124,8 +124,9 @@ class GenericStateSpaceModel:
 
 @dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
-    """N weighted particles over a d-dimensional state; the weights must
-    pass as a :class:`~bdemm.core.WeightVector`."""
+    """N weighted particles over a d-dimensional state: ``particles`` is
+    (N, d), or (N,) when d = 1; the weights must pass as a
+    :class:`~bdemm.core.WeightVector`."""
 
     particles: np.ndarray
     weights: np.ndarray
@@ -133,16 +134,15 @@ class ParticleEnsemble:
     @_quiet
     def __post_init__(self):
         p = _floats(self.particles, "particles")
-        if p.ndim == 1:
-            p = p[:, None]
-        if p.ndim != 2 or p.shape[0] < 1:
+        if not p.ndim:
             raise DimensionMismatchError("particles must be an (N, d) array")
+        # (N,) is N particles of one dimension, where _array would promote
+        # it to one particle of N
+        p = _array(p[:, None] if p.ndim == 1 else p, "particles", 2)
         w = WeightVector(self.weights).w
         if w.shape != (p.shape[0],):
             raise DimensionMismatchError("one weight per particle required")
-        if not np.all(np.isfinite(p)):
-            raise InvalidInputError("particles must be finite")
-        object.__setattr__(self, "particles", _frozen(p))
+        object.__setattr__(self, "particles", p)
         object.__setattr__(self, "weights", w)
 
     @classmethod

@@ -205,6 +205,70 @@ def test_point_estimate_validation():
         PointEstimate([np.inf])
 
 
+def test_a_one_model_history_takes_a_scalar_cumulative_sum():
+    # promoted to (1,), as WeightVector(1.0) is
+    assert WeightHistory(WeightVector(1.0), 1.0).cumulative.tolist() == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# the one array rule: every public constructor converts, shapes and checks
+# each array it keeps through core._array
+
+
+EYE = np.eye(2)
+COV = [[2.0, 0.5], [0.5, 1.0]]
+# a valid value for the site, a build from it, the array the result keeps
+ARRAY_SITES = {
+    "weights": ([0.25, 0.75], WeightVector, lambda o: o.w),
+    "cumulative": ([0.5, 1.5], lambda v: WeightHistory(
+        WeightVector([0.5, 0.5]), v), lambda o: o.cumulative),
+    "checked-cov": (COV, checked_cov, lambda o: o),
+    "belief-mean": ([0.0, 1.0], lambda v: GaussianBelief(v, EYE),
+                    lambda o: o.mean),
+    "belief-cov": (COV, lambda v: GaussianBelief([0.0, 0.0], v),
+                   lambda o: o.cov),
+    "point-estimate": ([0.0, 1.0], PointEstimate, lambda o: o.x_hat),
+    "model-A": ([[1.0, 0.5], [0.0, 1.0]],
+                lambda v: LinearGaussianModel(v, EYE, EYE, EYE),
+                lambda o: o.A),
+    "model-Q": (COV, lambda v: LinearGaussianModel(EYE, v, EYE, EYE),
+                lambda o: o.Q),
+    "model-B": ([[1.0, 0.5], [0.0, 1.0]],
+                lambda v: LinearGaussianModel(EYE, EYE, v, EYE),
+                lambda o: o.B),
+    "model-R": (COV, lambda v: LinearGaussianModel(EYE, EYE, EYE, v),
+                lambda o: o.R),
+    "particles": ([[0.0, 1.0], [2.0, 3.0]],
+                  lambda v: ParticleEnsemble(v, [0.5, 0.5]),
+                  lambda o: o.particles),
+}
+
+
+@pytest.mark.parametrize("site", list(ARRAY_SITES))
+def test_every_constructor_keeps_its_arrays_by_one_rule(site):
+    good, build, kept = ARRAY_SITES[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            value = np.array(good)
+            value.flat[1] = bad
+            with pytest.raises(InvalidInputError, match="must be finite"):
+                build(value)
+        for value in (np.empty((0,) * np.ndim(good)), np.array([good])):
+            with pytest.raises(DimensionMismatchError, match="non-empty"):
+                build(value)
+        value = np.array(good)
+        stored = kept(build(value))
+        assert not stored.flags.writeable
+        value += 1.0
+        assert stored.tolist() == np.array(good).tolist()
+        # one conversion, to native floats: a big-endian input is kept as
+        # the same bytes a native one is
+        swapped = kept(build(np.array(good, dtype=">f8")))
+        assert swapped.dtype.isnative
+        assert swapped.tobytes() == stored.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Bayes weight updates
 

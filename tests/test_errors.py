@@ -58,7 +58,7 @@ SOURCES = sorted(Path(bdemm.__file__).parent.glob("*.py"))
 
 # helpers that raise the error class their caller passes in, and the
 # position of that argument
-PASSED_ERROR = {"_count": 1, "_floats": 3, "_real": 2}
+PASSED_ERROR = {"_array": 3, "_count": 1, "_floats": 3, "_real": 2}
 
 
 def _library_error(node) -> bool:

@@ -684,7 +684,8 @@ def test_gaps_whose_squares_overflow_forecast_quietly():
             assert pred.var == pytest.approx(1.1, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**53, 1.7e18,
+                                 -(2.0**53) - 2.0])
 @pytest.mark.parametrize("rows_before", [0, 2])
 def test_intel_step_rejects_non_finite_time_stamps(bad, rows_before):
     pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.1, 5), [1.0, 2.0])
@@ -696,6 +697,22 @@ def test_intel_step_rejects_non_finite_time_stamps(bad, rows_before):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="time stamps must be finite"):
             intel_step(state, pool, 0.2, bad, WTTConfig.identity())
+
+
+@pytest.mark.parametrize("t, carried", [
+    (2.0**53 - 1.0, 2.0**53), (-(2.0**53), 1.0 - 2.0**53),
+    (1.2428327649956394, 2.242832764995639),
+], ids=["below-2-to-the-53", "minus-2-to-the-53", "fraction"])
+def test_intel_step_carries_t_plus_one_where_it_is_a_float_of_its_own(
+        t, carried):
+    # past 2**53 in magnitude t + 1 rounds a whole step off (the test above
+    # rejects those); a fraction's t + 1 may round, but by under half a step
+    pool = perturb_pool(GPTSModel(0.0, 1.0, 2.0, 0.1, 5), [1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, _, _ = intel_step(IntelState.initial(k=2), pool, 0.1, t,
+                                 WTTConfig.identity())
+    assert state._carry[1] == carried
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -78,6 +78,18 @@ def test_ensemble_validation():
         ParticleEnsemble([[np.nan]], [1.0])
 
 
+def test_a_particle_vector_is_a_cloud_of_one_dimensional_states():
+    value = np.array([0.0, 1.0, 2.0])
+    e = ParticleEnsemble(value, np.full(3, 1.0 / 3.0))
+    assert e.particles.shape == (3, 1) and not e.particles.flags.writeable
+    value[0] = 9.0
+    assert e.particles[:, 0].tolist() == [0.0, 1.0, 2.0]
+    # a scalar is no cloud, and an (N, 0) one holds no state
+    for particles, weights in ((0.0, [1.0]), (np.zeros((2, 0)), [0.5, 0.5])):
+        with pytest.raises(DimensionMismatchError):
+            ParticleEnsemble(particles, weights)
+
+
 def test_equal_weighted_promotes_vectors():
     e = ParticleEnsemble.equal_weighted(np.arange(5.0))
     assert e.particles.shape == (5, 1)

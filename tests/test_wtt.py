@@ -530,7 +530,7 @@ def test_raw_constructor_stores_what_the_operators_read():
     ("polya_urn", [1], [[0.9, 0.1], [0.1, 0.9]], ConfigMismatchError,
      "vector"),
     ("constant", [1.0], [[0.9, 0.1], [0.1, 0.9]], DimensionMismatchError,
-     "1-d vector"),
+     "1-d array"),
 ], ids=["forgetting", "identity", "markov", "polya_urn", "constant"])
 def test_a_parameter_the_operator_does_not_read_raises(kind, param, wrong,
                                                        error, match):
