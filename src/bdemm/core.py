@@ -23,7 +23,9 @@ Numerical conventions used throughout the package:
   differ only on an odd multiple of the smallest subnormal, which halving
   rounds,
 * a step tests an array's finiteness once, by counting its finite entries
-  (:func:`_finite`), and reduces its masks with ``np.count_nonzero``,
+  (:func:`_finite`), and reduces its masks with ``np.count_nonzero``; the
+  Kalman engine's Python-float row tests a float by comparison,
+  ``-inf < x < inf``, which NaN fails,
 * a step calls ufunc methods and C-level ndarray methods (``np.add.reduce``,
   ``a.argsort()``), not numpy's Python-level wrappers (``np.sum``,
   ``a.sum()``, ``np.argsort``), which only forward to them,

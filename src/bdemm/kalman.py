@@ -33,6 +33,22 @@ kernels' under ``==``: a matmul adds its product to +0.0, so only a zero's
 sign can differ inside a row, and the estimate, the weights and the
 evidences are the same bytes.
 
+A 1-D pool of at most ``FLOAT_ROW_MAX_K`` models takes that row in Python
+floats, a loop over the models in place of each (K,) ufunc call, whose
+fixed cost is most of a small row's: the cache holds its entries as
+tuples of floats.  Python's ``+ - * /`` on floats round as numpy's
+elementwise ops do, so with the same expressions in the same order the
+float row gives the vector row's bytes.  Three stages stay on numpy, as
+their bits would move otherwise: the score and the weight move, since
+``math.log`` and ``math.exp`` differ from numpy's SIMD ``log`` and
+``exp`` in the last bit on some arguments (and ``math.log`` raises where
+numpy gives ``-inf``); and the collapse, whose ``w @ means`` BLAS sums
+with fused multiply-adds that a float loop would round differently.  The
+float row's cost grows with K and the vector row's does not: in an
+interleaved in-process sweep (1-D, forgetting, 2-vCPU Xeon) the float
+row's step took 0.81 of the vector row's at K = 2, 0.92 at K = 12, 0.97
+at K = 14, 1.00 at K = 16 and 1.18 at K = 32, so the cutoff is 12.
+
 The roundoff guard reads each posterior covariance's lowest eigenvalue (a
 variance or a 1x1 matrix is its own) and raises when it falls below
 ``-PSD_ATOL`` times the matrix's largest magnitude, at least 1.  That
@@ -44,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf as _INF
 
 import numpy as np
 
@@ -136,20 +153,31 @@ class KfEnsembleState(_EngineState):
         return cls(belief, _start_history(k, weights))
 
 
+# the largest 1-D pool that steps in Python floats (see the module docstring)
+FLOAT_ROW_MAX_K = 12
+
+
 @lru_cache(maxsize=8)
 def _stacked(pool: tuple):
     """The pool's ``A, Q, B, R`` stacked into (K, d, d), (K, d, d),
-    (K, m, d) and (K, m, m) arrays, then, with a scalar state and
-    observation, the (K,) vectors of their one entries, else None.  The
-    cache holds the models, so their identities are not reused while a
-    stack is kept."""
+    (K, m, d) and (K, m, m) arrays, then the one entries of the four for
+    the 1-D row: with a scalar state and observation, as tuples of Python
+    floats, which :func:`_float_update` takes, for K up to
+    ``FLOAT_ROW_MAX_K``, else as the (K,) vectors that
+    :func:`_scalar_update` takes; with a vector state or observation,
+    None, for the stacked kernels.  The cache holds the models, so their
+    identities are not reused while a stack is kept."""
     d, m = pool[0].state_dim, pool[0].obs_dim
     if any(model.state_dim != d or model.obs_dim != m for model in pool):
         raise DimensionMismatchError(
             "pool models differ in state or observation dimension")
     stacks = tuple(_frozen(np.stack([getattr(model, name) for model in pool]))
                    for name in "AQBR")
-    entries = tuple(s[:, 0, 0] for s in stacks) if d == m == 1 else None
+    entries = None
+    if d == m == 1:
+        entries = tuple(s[:, 0, 0] for s in stacks)
+        if len(pool) <= FLOAT_ROW_MAX_K:
+            entries = tuple(tuple(e.tolist()) for e in entries)
     return stacks + (entries,)
 
 
@@ -201,7 +229,9 @@ def _scalar_update(a, q, b, r, belief: GaussianBelief, y):
     Each 1x1 matmul of the stacked kernels is one elementwise product here,
     taken in the same order, and every check raises the same error in the
     same order.  So the results equal theirs under ``==``; only a zero's
-    sign can differ, since a matmul adds its product to +0.0.  Returns the
+    sign can differ, since a matmul adds its product to +0.0.  A pool of
+    more than ``FLOAT_ROW_MAX_K`` models takes this row; a smaller one
+    takes :func:`_float_update`, its copy in Python floats.  Returns the
     (K,) posterior means, variances and log evidences.  Runs under its
     caller's error scope.
     """
@@ -217,6 +247,59 @@ def _scalar_update(a, q, b, r, belief: GaussianBelief, y):
     post_means = means + gain * resid
     post_covs = covs - gain * b * covs
     return _posterior(means, covs, post_means, post_covs, log_ev)
+
+
+def _float_update(a, q, b, r, belief: GaussianBelief, y):
+    """:func:`_scalar_update` in Python floats, on the tuples ``a, q, b, r``
+    of a small 1-D pool's entries: a loop over the K models in place of
+    each (K,) ufunc call, whose overhead is most of a small row's cost.
+
+    Python's ``+ - * /`` on floats round as numpy's elementwise ops do, and
+    each expression keeps the vector row's operands in its order, so the
+    values are the same bytes.  The score stays the shared
+    :func:`~bdemm.evidence._scalar_log_density` on (K,) arrays, as
+    ``math.log`` and numpy's SIMD ``log`` differ in the last bit on some
+    arguments.  The checks keep the vector row's order, so each pass
+    records its failures and raises after it: every prediction is checked
+    before any score, and every posterior's finiteness before any
+    roundoff.  A model whose log evidence is ``-inf`` keeps its prediction
+    and is excused from the guard.  Finiteness is a comparison with the
+    infinities, which NaN fails.  Returns the (K,) posterior means,
+    variances and log evidences.  Runs under its caller's error scope.
+    """
+    mean, cov, y = belief.mean.item(), belief.cov.item(), y.item()
+    means, covs, bps, s, resid = [], [], [], [], []
+    finite = True
+    for ak, qk, bk, rk in zip(a, q, b, r):
+        mk = ak * mean
+        pk = ak * cov * ak + qk
+        finite = finite and -_INF < mk < _INF and -_INF < pk < _INF
+        bpk = bk * pk
+        means.append(mk)
+        covs.append(pk)
+        bps.append(bpk)
+        s.append(bpk * bk + rk)
+        resid.append(y - bk * mk)
+    if not finite:
+        raise NonFiniteBeliefError("predicted belief is not finite")
+    log_ev = _scalar_log_density(np.array(resid), np.array(s))
+    lost = False
+    for k, lk in enumerate(log_ev.tolist()):
+        if lk == -_INF:
+            continue
+        gk = bps[k] / s[k]
+        mk = means[k] = means[k] + gk * resid[k]
+        pk = covs[k] = covs[k] - gk * b[k] * covs[k]
+        if not (-_INF < mk < _INF and -_INF < pk < _INF):
+            finite = False
+        # the tolerance is at least PSD_ATOL, so only a negative pk needs it
+        elif pk < 0.0 and pk < -PSD_ATOL * max(1.0, -pk):
+            lost = True
+    if not finite:
+        raise NonFiniteBeliefError("posterior belief is not finite")
+    if lost:
+        raise NonFiniteBeliefError("posterior covariance lost to roundoff")
+    return np.array(means), np.array(covs), log_ev
 
 
 def _posterior(means, covs, post_means, post_covs, log_ev):
@@ -301,7 +384,8 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         means, covs = _predict(A, Q, state.belief)
         means, covs, log_evs = _update(means, covs, B, R, y)
     else:
-        means, covs, log_evs = _scalar_update(*entries, state.belief, y)
+        update = _float_update if type(entries[0]) is tuple else _scalar_update
+        means, covs, log_evs = update(*entries, state.belief, y)
         means, covs = means[:, None], covs[:, None, None]
 
     weights, history, _ = _weight_step(

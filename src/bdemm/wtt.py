@@ -51,6 +51,7 @@ from .core import (
     WeightVector,
     _bayes,
     _count,
+    _finite,
     _floats,
     _frozen,
     _quiet,
@@ -117,7 +118,9 @@ class WTTConfig:
             t = _floats(p, "transition matrix", 2, ConfigMismatchError)
             if t.ndim != 2 or t.shape[0] != t.shape[1]:
                 raise ConfigMismatchError("transition matrix must be square")
-            if np.any(t < 0.0) or not np.all(np.isfinite(t)):
+            if not _finite(t):
+                raise ConfigMismatchError("transition matrix entries must be finite")
+            if np.any(t < 0.0):
                 raise ConfigMismatchError("transition matrix entries must be >= 0")
             if float(np.abs(t.sum(axis=1) - 1.0).max()) > SIMPLEX_ATOL:
                 raise ConfigMismatchError("transition matrix rows must sum to 1")

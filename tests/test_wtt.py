@@ -212,6 +212,18 @@ def test_config_validation():
         WTTConfig("constant")
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([[math.nan, 1.0], [0.0, 1.0]], "entries must be finite"),
+    ([[math.inf, 0.0], [0.0, 1.0]], "entries must be finite"),
+    ([[-math.inf, 1.0], [0.0, 1.0]], "entries must be finite"),
+    ([[1.2, -0.2], [0.0, 1.0]], "entries must be >= 0"),
+], ids=["nan", "inf", "-inf", "negative"])
+def test_markov_entry_faults_are_named(matrix, message):
+    # a NaN or infinite entry is a finiteness fault, not a sign fault
+    with pytest.raises(ConfigMismatchError, match=message):
+        WTTConfig.markov(matrix)
+
+
 def test_apply_rejects_width_mismatches():
     h = _history_from_rows([[0.5, 0.5]])
     with pytest.raises(ConfigMismatchError):
