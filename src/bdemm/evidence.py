@@ -194,7 +194,7 @@ def gaussian_innovation(y, means, covs, B, R):
     observation (m = 1) is closed form, with no LAPACK call: ``sqrt(S_k)``
     is the Cholesky factor and each solve a division, bit for bit with one
     right-hand side, and :func:`_scalar_log_density`, which the Kalman
-    engine's 1-D vector row shares, gives the log density; for m > 1 one
+    engine's 1-D row shares, gives the log density; for m > 1 one
     Cholesky factorization and two solves of the stack serve all K.  A
     residual so large that its quadratic form overflows, whatever the signs
     of its entries, gives ``log_ev = -inf``; a NaN in ``y`` gives a NaN
@@ -239,8 +239,8 @@ def gaussian_innovation(y, means, covs, B, R):
 def _scalar_log_density(resid, s):
     """The (K,) log densities of residuals ``resid`` under scalar innovation
     variances ``s``: :func:`gaussian_innovation`'s closed form for m = 1,
-    which the Kalman engine's vector row of a scalar state shares.  Runs
-    under its caller's error scope.
+    which the Kalman engine's row of a scalar state shares.  Runs under its
+    caller's error scope.
 
     Raises
     ------

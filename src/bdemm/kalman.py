@@ -22,32 +22,31 @@ not grow with K.  :func:`kf_predict` is the K = 1 call of the predict
 kernel, and a one-model pool runs the textbook filter.
 
 A pool with a scalar state and a scalar observation (d = m = 1) predicts
-and updates instead on the (K,) vectors of its four entries, cached with
-the stacks.  That row takes the same elementwise operations in the same
-order, where the stacked kernels take a 1x1 matmul for each product, and
-raises the same errors in the same order.  It shares the rest: it scores
-through the closed form of :func:`gaussian_innovation` and collapses
-through :func:`~bdemm.core._collapse`, on (K, 1) and (K, 1, 1) views of its
-posteriors.  It makes no LAPACK call, and its values equal the stacked
-kernels' under ``==``: a matmul adds its product to +0.0, so only a zero's
-sign can differ inside a row, and the estimate, the weights and the
-evidences are the same bytes.
+and updates instead in Python floats, one model at a time, on its four
+entries, which the cache holds with the stacks as tuples of floats: a
+loop over the models in place of (K,) ufunc calls, whose fixed cost is
+most of a small row's.  Python's ``+ - * /`` on floats round as numpy's
+elementwise ops do, and the row takes the stacked kernels' operations in
+their order, each 1x1 matmul one product, and raises their errors in
+their order.  It shares the rest, which stays on numpy because its bits
+would move otherwise: it scores through the closed form of
+:func:`gaussian_innovation` (``math.log`` differs from numpy's SIMD
+``log`` in the last bit on some arguments, and raises where numpy gives
+``-inf``), moves the weights through the shared operator (``math.exp``
+likewise differs from numpy's ``exp``), and collapses through
+:func:`~bdemm.core._collapse` on (K, 1) and (K, 1, 1) views of its
+posteriors (its ``w @ means`` BLAS sums with fused multiply-adds, which a
+float loop would round differently).  It makes no LAPACK call, and its
+values equal the stacked kernels' under ``==``: a matmul adds its
+product to +0.0, so only a zero's sign can differ inside a row, and the
+estimate, the weights and the evidences are the same bytes.
 
-A 1-D pool of at most ``FLOAT_ROW_MAX_K`` models takes that row in Python
-floats, a loop over the models in place of each (K,) ufunc call, whose
-fixed cost is most of a small row's: the cache holds its entries as
-tuples of floats.  Python's ``+ - * /`` on floats round as numpy's
-elementwise ops do, so with the same expressions in the same order the
-float row gives the vector row's bytes.  Three stages stay on numpy, as
-their bits would move otherwise: the score and the weight move, since
-``math.log`` and ``math.exp`` differ from numpy's SIMD ``log`` and
-``exp`` in the last bit on some arguments (and ``math.log`` raises where
-numpy gives ``-inf``); and the collapse, whose ``w @ means`` BLAS sums
-with fused multiply-adds that a float loop would round differently.  The
-float row's cost grows with K and the vector row's does not: in an
-interleaved in-process sweep (1-D, forgetting, 2-vCPU Xeon) the float
-row's step took 0.81 of the vector row's at K = 2, 0.92 at K = 12, 0.97
-at K = 14, 1.00 at K = 16 and 1.18 at K = 32, so the cutoff is 12.
+The 1-D row's cost grows with K, where a row of (K,) ufunc calls costs
+about the same at every K tried: in an interleaved in-process sweep (1-D,
+forgetting, 2-vCPU Xeon) the float row's step took 0.81 of a (K,) ufunc
+row's at K = 2, 0.92 at K = 12, 1.00 at K = 16 and 1.18 at K = 32.  One
+row serves every K: the README's and the benchmark's pools have two
+models, and no workload here has a larger 1-D pool.
 
 The roundoff guard reads each posterior covariance's lowest eigenvalue (a
 variance or a 1x1 matrix is its own) and raises when it falls below
@@ -153,31 +152,21 @@ class KfEnsembleState(_EngineState):
         return cls(belief, _start_history(k, weights))
 
 
-# the largest 1-D pool that steps in Python floats (see the module docstring)
-FLOAT_ROW_MAX_K = 12
-
-
 @lru_cache(maxsize=8)
 def _stacked(pool: tuple):
     """The pool's ``A, Q, B, R`` stacked into (K, d, d), (K, d, d),
-    (K, m, d) and (K, m, m) arrays, then the one entries of the four for
-    the 1-D row: with a scalar state and observation, as tuples of Python
-    floats, which :func:`_float_update` takes, for K up to
-    ``FLOAT_ROW_MAX_K``, else as the (K,) vectors that
-    :func:`_scalar_update` takes; with a vector state or observation,
-    None, for the stacked kernels.  The cache holds the models, so their
-    identities are not reused while a stack is kept."""
+    (K, m, d) and (K, m, m) arrays, then, with a scalar state and
+    observation, the tuples of Python floats of their one entries, which
+    :func:`_scalar_update` takes, else None.  The cache holds the models,
+    so their identities are not reused while a stack is kept."""
     d, m = pool[0].state_dim, pool[0].obs_dim
     if any(model.state_dim != d or model.obs_dim != m for model in pool):
         raise DimensionMismatchError(
             "pool models differ in state or observation dimension")
     stacks = tuple(_frozen(np.stack([getattr(model, name) for model in pool]))
                    for name in "AQBR")
-    entries = None
-    if d == m == 1:
-        entries = tuple(s[:, 0, 0] for s in stacks)
-        if len(pool) <= FLOAT_ROW_MAX_K:
-            entries = tuple(tuple(e.tolist()) for e in entries)
+    entries = (tuple(tuple(s[:, 0, 0].tolist()) for s in stacks)
+               if d == m == 1 else None)
     return stacks + (entries,)
 
 
@@ -223,49 +212,23 @@ def _scalar_update(a, q, b, r, belief: GaussianBelief, y):
     """:func:`_predict`, the closed-form score that :func:`gaussian_innovation`
     takes for a scalar observation (the shared
     :func:`~bdemm.evidence._scalar_log_density`) and :func:`_update`, for a
-    pool with a scalar state and observation, on the (K,) vectors
-    ``a, q, b, r`` of its entries.
+    pool with a scalar state and observation, in Python floats over the
+    entries ``a, q, b, r`` of its K models.
 
-    Each 1x1 matmul of the stacked kernels is one elementwise product here,
-    taken in the same order, and every check raises the same error in the
-    same order.  So the results equal theirs under ``==``; only a zero's
-    sign can differ, since a matmul adds its product to +0.0.  A pool of
-    more than ``FLOAT_ROW_MAX_K`` models takes this row; a smaller one
-    takes :func:`_float_update`, its copy in Python floats.  Returns the
-    (K,) posterior means, variances and log evidences.  Runs under its
-    caller's error scope.
-    """
-    means = a * belief.mean
-    covs = a * belief.cov[0] * a + q
-    if not _finite(means, covs):
-        raise NonFiniteBeliefError("predicted belief is not finite")
-    bp = b * covs
-    s = bp * b + r
-    resid = y - b * means
-    log_ev = _scalar_log_density(resid, s)
-    gain = bp / s
-    post_means = means + gain * resid
-    post_covs = covs - gain * b * covs
-    return _posterior(means, covs, post_means, post_covs, log_ev)
-
-
-def _float_update(a, q, b, r, belief: GaussianBelief, y):
-    """:func:`_scalar_update` in Python floats, on the tuples ``a, q, b, r``
-    of a small 1-D pool's entries: a loop over the K models in place of
-    each (K,) ufunc call, whose overhead is most of a small row's cost.
-
-    Python's ``+ - * /`` on floats round as numpy's elementwise ops do, and
-    each expression keeps the vector row's operands in its order, so the
-    values are the same bytes.  The score stays the shared
-    :func:`~bdemm.evidence._scalar_log_density` on (K,) arrays, as
+    Each 1x1 matmul of the stacked kernels is one product here, taken in
+    the same order, and Python's ``+ - * /`` on floats round as numpy's
+    elementwise ops do.  So the results equal theirs under ``==``; only a
+    zero's sign can differ, since a matmul adds its product to +0.0.  The
+    score takes one (K,) residual and one (K,) variance array, as
     ``math.log`` and numpy's SIMD ``log`` differ in the last bit on some
-    arguments.  The checks keep the vector row's order, so each pass
-    records its failures and raises after it: every prediction is checked
-    before any score, and every posterior's finiteness before any
-    roundoff.  A model whose log evidence is ``-inf`` keeps its prediction
-    and is excused from the guard.  Finiteness is a comparison with the
-    infinities, which NaN fails.  Returns the (K,) posterior means,
-    variances and log evidences.  Runs under its caller's error scope.
+    arguments.  Every check raises the stacked kernels' error in their
+    order, so each pass records its failures and raises after it: every
+    prediction is checked before any score, and every posterior's
+    finiteness before any roundoff.  A model whose log evidence is
+    ``-inf`` keeps its prediction and is excused from the guard.
+    Finiteness is a comparison with the infinities, which NaN fails.
+    Returns the (K,) posterior means, variances and log evidences.  Runs
+    under its caller's error scope.
     """
     mean, cov, y = belief.mean.item(), belief.cov.item(), y.item()
     means, covs, bps, s, resid = [], [], [], [], []
@@ -303,10 +266,10 @@ def _float_update(a, q, b, r, belief: GaussianBelief, y):
 
 
 def _posterior(means, covs, post_means, post_covs, log_ev):
-    """The update's last stage, on stacked beliefs or on a scalar state's
-    (K,) vectors: each model whose log evidence is ``-inf`` keeps its
-    prediction, then the posterior is checked for finiteness and for
-    roundoff.  Returns ``post_means, post_covs, log_ev``."""
+    """The update's last stage, on stacked beliefs: each model whose log
+    evidence is ``-inf`` keeps its prediction, then the posterior is
+    checked for finiteness and for roundoff.  Returns
+    ``post_means, post_covs, log_ev``."""
     kept = log_ev == -np.inf
     if np.count_nonzero(kept):
         post_means[kept] = means[kept]
@@ -351,9 +314,10 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
 
     Every model predicts from the shared collapsed belief, updates on ``y``
     and reports its log evidence, all K at once on the pool's stacked
-    matrices; the weight-transition operator proposes predictive weights,
-    Bayes' rule updates them with the evidences, and the weighted posteriors
-    are moment-matched into the next shared belief, whose mean is the point
+    matrices (a 1-D pool's one model at a time, in Python floats); the
+    weight-transition operator proposes predictive weights, Bayes' rule
+    updates them with the evidences, and the weighted posteriors are
+    moment-matched into the next shared belief, whose mean is the point
     estimate.  A model whose log evidence is ``-inf`` (its quadratic form
     overflows: ``y`` is too far out to condition on) contributes its
     prediction; if every model's is, the step is uninformative: the
@@ -384,8 +348,7 @@ def kf_bdemm_step(state: KfEnsembleState, pool, y, wtt_config: WTTConfig,
         means, covs = _predict(A, Q, state.belief)
         means, covs, log_evs = _update(means, covs, B, R, y)
     else:
-        update = _float_update if type(entries[0]) is tuple else _scalar_update
-        means, covs, log_evs = update(*entries, state.belief, y)
+        means, covs, log_evs = _scalar_update(*entries, state.belief, y)
         means, covs = means[:, None], covs[:, None, None]
 
     weights, history, _ = _weight_step(

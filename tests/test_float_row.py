@@ -1,49 +1,39 @@
-"""The Python-float row of a small 1-D Kalman pool against the stacked
-kernels: which row a pool takes, and that the row it takes gives the
-stacked kernels' values and errors."""
-
-import collections
+"""The Python-float row of a 1-D Kalman pool: which pools take it, and
+that it fails at the stage the stacked kernels do.  Its values against
+the stacked kernels are ``tests/test_kalman.py``'s fuzz."""
 
 import numpy as np
 import pytest
 
 from bdemm import kalman
-from bdemm.core import GaussianBelief, WeightVector
+from bdemm.core import GaussianBelief
 from bdemm.kalman import KfEnsembleState, LinearGaussianModel, kf_bdemm_step
 from bdemm.errors import BdemmError
-from bdemm.wtt import KINDS, WTTConfig
+from bdemm.wtt import WTTConfig
 
-from test_kalman import (
-    _random_model,
-    _random_scalar_pool,
-    _stacked_row,
-    _wtt_of_kind,
-)
-
-CUTOFF = kalman.FLOAT_ROW_MAX_K
+from test_kalman import _random_model, _random_scalar_pool, _stacked_row
 
 
-def _row(pool):
-    """The row ``kf_bdemm_step`` runs ``pool`` on."""
+def _takes_floats(pool):
+    """Whether ``kf_bdemm_step`` runs ``pool`` on the Python-float row: the
+    cache holds its entries as K Python floats each."""
     entries = kalman._stacked(tuple(pool))[4]
     if entries is None:
-        return "stacked"
-    assert len({type(e) for e in entries}) == 1
-    return {tuple: "float", np.ndarray: "vector"}[type(entries[0])]
+        return False
+    assert len(entries) == 4
+    assert all(len(e) == len(pool) and type(v) is float
+               for e in entries for v in e)
+    return True
 
 
-def test_a_pool_takes_the_row_its_size_and_dimensions_pick():
+def test_every_one_dimensional_pool_takes_the_float_row():
     rng = np.random.default_rng(11)
-    for k in (1, 2, CUTOFF, CUTOFF + 1, 2 * CUTOFF):
-        pool = _random_scalar_pool(rng, k)
-        assert _row(pool) == ("float" if k <= CUTOFF else "vector")
-        if k <= CUTOFF:
-            entries = kalman._stacked(tuple(pool))[4]
-            assert all(type(v) is float for e in entries for v in e)
+    for k in (1, 2, 13, 32):
+        assert _takes_floats(_random_scalar_pool(rng, k))
     for d, m in ((1, 2), (2, 1), (2, 2)):
-        for k in (1, CUTOFF + 1):
-            assert _row([_random_model(rng, d, m) for _ in range(k)]) \
-                == "stacked"
+        for k in (1, 13):
+            pool = [_random_model(rng, d, m) for _ in range(k)]
+            assert not _takes_floats(pool)
 
 
 def _step(state, pool, y, wtt, floor):
@@ -51,53 +41,6 @@ def _step(state, pool, y, wtt, floor):
         return kf_bdemm_step(state, pool, y, wtt, weight_floor=floor)
     except BdemmError as exc:
         return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_the_rows_either_side_of_the_cutoff_equal_the_stacked_kernels(kind):
-    # the largest pool on the float row and the smallest on the vector row,
-    # each streamed through kf_bdemm_step against the stacked kernels:
-    # errors by class and message; evidences, weights and the estimate
-    # byte for byte; the collapsed variance under ==, as a matmul turns a
-    # -0.0 into +0.0
-    seen = collections.Counter()
-    for k in (CUTOFF, CUTOFF + 1):
-        rng = np.random.default_rng([KINDS.index(kind), k, 38])
-        pool = _random_scalar_pool(rng, k)
-        seen[_row(pool)] += 1
-        w0 = rng.dirichlet(np.ones(k))
-        if rng.random() < 0.5:
-            w0[rng.integers(k)] = 0.0
-            w0 /= w0.sum()
-        wtt = (WTTConfig.constant(w0) if kind == "constant"
-               else _wtt_of_kind(kind, rng, k))
-        floor = float(rng.choice([0.0, rng.uniform(0.0, 0.5 / k)]))
-        start = KfEnsembleState.initial(
-            GaussianBelief(float(rng.normal()), 1.0), weights=WeightVector(w0))
-        state = start
-        for _ in range(80):
-            u = rng.random()
-            y = (float(rng.choice([1e300, -1e300])) if u < 0.1
-                 else float(rng.choice([0.0, -0.0])) if u < 0.2
-                 else float(rng.normal(0.0, 3.0)))
-            want = _stacked_row(state, pool, y, wtt, floor)
-            got = _step(state, pool, y, wtt, floor)
-            if len(want) == 2:
-                assert got == want
-                seen[want[1]] += 1
-                state = start
-                continue
-            _, _, log_evs, w, belief = want
-            new, est, step_log_evs = got
-            assert step_log_evs.tobytes() == log_evs.tobytes()
-            assert new.model_weights.w.tobytes() == w.tobytes()
-            assert est.x_hat.tobytes() == belief.mean.tobytes()
-            assert new.belief.mean.tobytes() == belief.mean.tobytes()
-            assert np.array_equal(new.belief.cov, belief.cov)
-            seen["kept"] += np.count_nonzero(log_evs == -np.inf) > 0
-            state = new
-    assert seen["float"] == seen["vector"] == 1
-    assert seen["kept"]
 
 
 _HEALTHY = dict(A=1.0, Q=0.0, B=1.0, R=1.0)
@@ -119,7 +62,7 @@ _ROUNDOFF = dict(A=1.0, Q=1.0, B=0.8612346669752943, R=1.0)
 def test_the_float_row_fails_at_the_stage_the_stacked_kernels_do(
         models, mean, cov, y, message):
     pool = [LinearGaussianModel(**m) for m in models]
-    assert _row(pool) == "float"
+    assert _takes_floats(pool)
     state = KfEnsembleState.initial(GaussianBelief(mean, cov), k=len(pool))
     wtt = WTTConfig.identity()
     want = _stacked_row(state, pool, y, wtt, 0.0)
